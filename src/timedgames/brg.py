@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import Arena, ModelError
+from .model import Arena, ModelError, distribution_findings
 from .regions import (
     ClockRegion,
     ClockValuation,
@@ -198,8 +198,12 @@ def explore(arena: Arena, root: BrgState | None = None, cap: int = DEFAULT_STATE
     The default root pairs the arena's initial state with the region of its
     own valuation.  States are numbered in discovery order, which together
     with the canonical action order makes the graph a deterministic function
-    of the input.
+    of the input.  Edges whose branch probabilities do not sum to exactly 1
+    are refused, so nothing downstream solves or plays a non-stochastic game.
     """
+    improper = distribution_findings(arena)
+    if improper:
+        raise ModelError(improper[0])
     if root is None:
         loc, v = arena.initial
         root = BrgState(loc, v, region_of(v))

@@ -87,8 +87,6 @@ def _config(args) -> SolveConfig:
         cfg.tolerance = args.tolerance
     if getattr(args, "max_iterations", None) is not None:
         cfg.max_iterations = args.max_iterations
-    if getattr(args, "epsilon", None) is not None:
-        cfg.epsilon = parse_rational(args.epsilon)
     return cfg
 
 
@@ -381,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tolerance", type=float, default=None,
                     help="value iteration stopping tolerance")
     sp.add_argument("--max-iterations", type=int, default=None)
-    sp.add_argument("--epsilon", default=None, metavar="NUM/DEN",
-                    help="slack recorded for strategy concretization")
     sp.add_argument("--out", metavar="FILE", help="write the JSON document here")
 
     sp = add("discounted", cmd_discounted, help="expected discounted time")

@@ -166,6 +166,8 @@ class Arena:
 # ----------------------------------------------------------------- parsing
 
 def _require(mapping: dict, key: str, where: str):
+    if not isinstance(mapping, dict):
+        raise ModelError("%s must be a mapping" % where)
     if key not in mapping:
         raise ModelError("missing %r in %s" % (key, where))
     return mapping[key]
@@ -362,14 +364,8 @@ def check_structural_nonzeno(arena: Arena) -> list[list[str]]:
     return bad
 
 
-def validate(arena: Arena) -> list[str]:
-    """Structural findings that make the game semantics degenerate.
-
-    Covers probability sums, constraint constants outside [0, k] (possible
-    when arenas are built in code rather than parsed), initial-state sanity,
-    location/region pairs with no available action, and structurally Zeno
-    location cycles.  Returns human-readable findings; empty means clean.
-    """
+def distribution_findings(arena: Arena) -> list[str]:
+    """Edges whose branch probabilities do not sum to exactly 1."""
     findings = []
     for e in arena.edges:
         total = sum(br.prob for br in e.branches)
@@ -378,6 +374,18 @@ def validate(arena: Arena) -> list[str]:
                 "edge (%s, %s): branch probabilities sum to %s, not 1"
                 % (e.source, e.action, total)
             )
+    return findings
+
+
+def validate(arena: Arena) -> list[str]:
+    """Structural findings that make the game semantics degenerate.
+
+    Covers probability sums, constraint constants outside [0, k] (possible
+    when arenas are built in code rather than parsed), initial-state sanity,
+    location/region pairs with no available action, and structurally Zeno
+    location cycles.  Returns human-readable findings; empty means clean.
+    """
+    findings = distribution_findings(arena)
     for e in arena.edges:
         for atom in e.guard.atoms:
             if not (0 <= atom.bound <= arena.ctx.k):

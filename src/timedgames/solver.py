@@ -55,7 +55,6 @@ class ConvergenceError(RuntimeError):
 class SolveConfig:
     tolerance: float = 1e-9
     max_iterations: int = 1_000_000
-    epsilon: Fraction = Fraction(1, 10**9)
     improve_order: str = "min_first"  # or "max_first"
 
 
@@ -140,23 +139,32 @@ def _one_step(g: Brg, i: int, j: int, values: Sequence, lam) -> Value:
     return acc
 
 
+def _best(g: Brg, i: int, values: Sequence, lam, start=None) -> tuple:
+    """The owner's optimal one-step value at state i against `values` and
+    the first action in canonical order attaining it; `start` is kept unless
+    another action is strictly better.  (None, None) when i has no action."""
+    minimize = g.owner(i) == "min"
+    best_j = start
+    best = None if start is None else _one_step(g, i, start, values, lam)
+    for j in range(len(g.actions[i])):
+        cand = _one_step(g, i, j, values, lam)
+        if best is None or (cand < best if minimize else cand > best):
+            best, best_j = cand, j
+    return best, best_j
+
+
 def improve_step(g: Brg, values: Sequence, *, lam=None, zero_final: bool = True) -> list:
     """One application of the optimality operator.  Exactness follows the
     input: Fraction values give a Fraction result, floats give floats.
     math.inf flows through either way."""
     out = []
     for i in range(g.n):
-        zero = Fraction(0) if isinstance(values[i], Fraction) else 0.0
-        if zero_final and g.is_final(i):
-            out.append(zero)
-            continue
         best = None
-        minimize = g.owner(i) == "min"
-        for j in range(len(g.actions[i])):
-            cand = _one_step(g, i, j, values, lam)
-            if best is None or (cand < best if minimize else cand > best):
-                best = cand
-        out.append(best if best is not None else zero)
+        if not (zero_final and g.is_final(i)):
+            best, _ = _best(g, i, values, lam)
+        if best is None:
+            best = Fraction(0) if isinstance(values[i], Fraction) else 0.0
+        out.append(best)
     return out
 
 
@@ -187,20 +195,10 @@ def extract_strategies(
     """Greedy positional choice per state (argmin for the minimizer, argmax
     for the maximizer, first action in canonical order on ties).  Final
     states get None when they are treated as absorbing."""
-    choice: list = []
-    for i in range(g.n):
-        if zero_final and g.is_final(i):
-            choice.append(None)
-            continue
-        best = None
-        best_j = None
-        minimize = g.owner(i) == "min"
-        for j in range(len(g.actions[i])):
-            cand = _one_step(g, i, j, values, lam)
-            if best is None or (cand < best if minimize else cand > best):
-                best, best_j = cand, j
-        choice.append(best_j)
-    return choice
+    return [
+        None if zero_final and g.is_final(i) else _best(g, i, values, lam)[1]
+        for i in range(g.n)
+    ]
 
 
 # ------------------------------------------------------- exact evaluation
@@ -223,29 +221,16 @@ def _solve_linear_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list
     return [a[i][n] for i in range(n)]
 
 
-def evaluate_pair_exact(g: Brg, choice: Sequence) -> list:
-    """Exact expected time to the final set in the Markov chain fixed by the
-    choice vector.  Final states have value zero.
-
-    A state is infinite exactly when the chain from it reaches, with
-    positive probability, somewhere the final set is unreachable from: on
-    such runs time keeps accumulating forever (non-Zenoness), so the
-    expectation diverges even if the final set stays reachable with the
-    complementary probability.
-    """
-    final = [g.is_final(i) for i in range(g.n)]
-    succs: list[list[int]] = [[] for _ in range(g.n)]
-    for i in range(g.n):
-        if final[i]:
-            continue
-        j = choice[i]
-        if j is None:
-            raise ValueError("choice vector leaves non-final state %d unset" % i)
-        succs[i] = [t for t, _ in g.dists[i][j]]
+def _infinite_states(g: Brg, choice: Sequence, absorbed: list[bool]) -> set[int]:
+    """States whose chain reaches, with positive probability, somewhere the
+    absorbed (final) set is unreachable from: on such runs time keeps
+    accumulating forever (non-Zenoness), so the expected time diverges even
+    if the final set stays reachable with the complementary probability."""
     pred: list[list[int]] = [[] for _ in range(g.n)]
     for i in range(g.n):
-        for t in succs[i]:
-            pred[t].append(i)
+        if not absorbed[i]:
+            for t, _ in g.dists[i][choice[i]]:
+                pred[t].append(i)
 
     def back_reach(seed: list[int]) -> set[int]:
         seen = set(seed)
@@ -258,65 +243,56 @@ def evaluate_pair_exact(g: Brg, choice: Sequence) -> list:
                     todo.append(p)
         return seen
 
-    can_reach_final = back_reach([i for i in range(g.n) if final[i]])
-    doomed = [i for i in range(g.n) if i not in can_reach_final]
-    infinite = back_reach(doomed)
+    can_reach_final = back_reach([i for i in range(g.n) if absorbed[i]])
+    return back_reach([i for i in range(g.n) if i not in can_reach_final])
 
-    unknown = [
-        i for i in range(g.n) if not final[i] and i not in infinite
-    ]
-    pos = {i: r for r, i in enumerate(unknown)}
+
+def _evaluate(g: Brg, choice: Sequence, lam: Fraction | None, zero_final: bool) -> list:
+    """Exact value of the Markov chain fixed by the choice vector: solves
+    (I - lam P) v = lam r over the states that are neither absorbed nor
+    infinite, with lam = 1 for expected time (lam None).  Absorbed final
+    states have value zero; only expected time can diverge."""
+    absorbed = [zero_final and g.is_final(i) for i in range(g.n)]
+    for i in range(g.n):
+        if not absorbed[i] and choice[i] is None:
+            raise ValueError("choice vector leaves state %d unset" % i)
+    infinite = _infinite_states(g, choice, absorbed) if lam is None else set()
+    factor = Fraction(1) if lam is None else lam
+    active = [i for i in range(g.n) if not absorbed[i] and i not in infinite]
+    pos = {i: r for r, i in enumerate(active)}
     rows = []
     rhs = []
-    for i in unknown:
+    for i in active:
         j = choice[i]
-        row = [Fraction(0)] * len(unknown)
+        row = [Fraction(0)] * len(active)
         row[pos[i]] += 1
         for t, p in g.dists[i][j]:
-            if t in pos:
-                row[pos[t]] -= p
-            # final successors contribute zero; infinite successors cannot
+            # absorbed successors contribute zero; infinite successors cannot
             # occur here, otherwise i itself would be infinite
+            if t in pos:
+                row[pos[t]] -= factor * p
         rows.append(row)
-        rhs.append(g.rewards[i][j])
-    solved = _solve_linear_exact(rows, rhs) if unknown else []
-
-    values: list = [None] * g.n
-    for i in range(g.n):
-        if final[i]:
-            values[i] = Fraction(0)
-        elif i in infinite:
-            values[i] = INF
-        else:
-            values[i] = solved[pos[i]]
+        rhs.append(factor * g.rewards[i][j])
+    solved = _solve_linear_exact(rows, rhs) if active else []
+    values: list = [Fraction(0)] * g.n
+    for i in infinite:
+        values[i] = INF
+    for i in active:
+        values[i] = solved[pos[i]]
     return values
+
+
+def evaluate_pair_exact(g: Brg, choice: Sequence) -> list:
+    """Exact expected time to the final set in the Markov chain fixed by the
+    choice vector: zero on final states, math.inf where it diverges."""
+    return _evaluate(g, choice, None, True)
 
 
 def evaluate_pair_discounted(
     g: Brg, choice: Sequence, lam: Fraction, *, zero_final: bool = True
 ) -> list:
     """Exact discounted value of a strategy pair: v = lam * (r + P v)."""
-    lam = Fraction(lam)
-    active = [i for i in range(g.n) if not (zero_final and g.is_final(i))]
-    pos = {i: r for r, i in enumerate(active)}
-    rows = []
-    rhs = []
-    for i in active:
-        j = choice[i]
-        if j is None:
-            raise ValueError("choice vector leaves state %d unset" % i)
-        row = [Fraction(0)] * len(active)
-        row[pos[i]] += 1
-        for t, p in g.dists[i][j]:
-            if t in pos:
-                row[pos[t]] -= lam * p
-        rows.append(row)
-        rhs.append(lam * g.rewards[i][j])
-    solved = _solve_linear_exact(rows, rhs) if active else []
-    values: list = [Fraction(0)] * g.n
-    for i in active:
-        values[i] = solved[pos[i]]
-    return values
+    return _evaluate(g, choice, Fraction(lam), zero_final)
 
 
 def certify(g: Brg, values: Sequence, *, lam=None, zero_final: bool = True) -> CertifyReport:
@@ -345,53 +321,17 @@ def _improvable(g: Brg, values: Sequence, choice: Sequence, owner: str, lam, zer
     for i in range(g.n):
         if (zero_final and g.is_final(i)) or g.owner(i) != owner:
             continue
-        best = _one_step(g, i, choice[i], values, lam)
-        best_j = choice[i]
-        minimize = owner == "min"
-        for j in range(len(g.actions[i])):
-            cand = _one_step(g, i, j, values, lam)
-            if cand < best if minimize else cand > best:
-                best, best_j = cand, j
-        if best_j != choice[i]:
-            switches.append((i, best_j))
+        _, j = _best(g, i, values, lam, choice[i])
+        if j != choice[i]:
+            switches.append((i, j))
     return switches
 
 
-def solve_exact(g: Brg, cfg: SolveConfig | None = None) -> SolveResult:
-    """Certified exact values and positional strategies for expected time."""
-    cfg = cfg or SolveConfig()
-    components = check_almost_sure_reach(g)
-    if components:
-        raise TargetUnreachableError(components)
-    v_float, vi_iters, vi_residual = value_iterate(g, cfg)
-    choice = extract_strategies(g, v_float)
-
-    def evaluate(ch):
-        return evaluate_pair_exact(g, ch)
-
-    choice, rounds, evaluations = _alternating_best_response(
-        g, choice, cfg, evaluate, lam=None, zero_final=True
-    )
-    values = evaluate_pair_exact(g, choice)
-    report = certify(g, values)
-    return SolveResult(
-        values=values,
-        choice=choice,
-        certified=report.ok,
-        mode="expected-time",
-        lam=None,
-        zero_final=True,
-        vi_iterations=vi_iters,
-        vi_residual=vi_residual,
-        improvement_rounds=rounds,
-        exact_evaluations=evaluations,
-    )
-
-
 def _alternating_best_response(
-    g: Brg, choice: list, cfg: SolveConfig, evaluate, *, lam, zero_final
-) -> tuple[list, int, int]:
-    """Alternating best response from a warm-start pair.
+    g: Brg, choice: list, cfg: SolveConfig, *, lam, zero_final
+) -> tuple[list, list, int, int]:
+    """Alternating best response from a warm-start pair; returns the values
+    and choice of the final pair, the rounds and the exact evaluations.
 
     The inner loop is exact policy iteration for one player against the
     other's fixed strategy; once it stabilizes the other player switches.
@@ -413,7 +353,10 @@ def _alternating_best_response(
             )
         # exact policy iteration: full best response of the first player
         while True:
-            values = evaluate(choice)
+            if lam is None:
+                values = evaluate_pair_exact(g, choice)
+            else:
+                values = evaluate_pair_discounted(g, choice, lam, zero_final=zero_final)
             evaluations += 1
             if evaluations > cfg.max_iterations:
                 raise ConvergenceError(
@@ -425,12 +368,43 @@ def _alternating_best_response(
             for i, j in switches:
                 choice[i] = j
         # one greedy switch batch for the second player against that value;
-        # its value climbs strictly each round, so pairs cannot recur
+        # its value climbs strictly each round, so pairs cannot recur.  With
+        # no switch, `values` is the value of the returned pair.
         switches = _improvable(g, values, choice, second, lam, zero_final)
         if not switches:
-            return choice, rounds, evaluations
+            return values, choice, rounds, evaluations
         for i, j in switches:
             choice[i] = j
+
+
+def _solve(g: Brg, cfg: SolveConfig, lam: Fraction | None, zero_final: bool) -> SolveResult:
+    """Float warm start, exact alternating best response, certificate."""
+    v_float, vi_iters, vi_residual = value_iterate(g, cfg, lam=lam, zero_final=zero_final)
+    choice = extract_strategies(g, v_float, lam=lam, zero_final=zero_final)
+    values, choice, rounds, evaluations = _alternating_best_response(
+        g, choice, cfg, lam=lam, zero_final=zero_final
+    )
+    report = certify(g, values, lam=lam, zero_final=zero_final)
+    return SolveResult(
+        values=values,
+        choice=choice,
+        certified=report.ok,
+        mode="expected-time" if lam is None else "discounted",
+        lam=lam,
+        zero_final=zero_final,
+        vi_iterations=vi_iters,
+        vi_residual=vi_residual,
+        improvement_rounds=rounds,
+        exact_evaluations=evaluations,
+    )
+
+
+def solve_exact(g: Brg, cfg: SolveConfig | None = None) -> SolveResult:
+    """Certified exact values and positional strategies for expected time."""
+    components = check_almost_sure_reach(g)
+    if components:
+        raise TargetUnreachableError(components)
+    return _solve(g, cfg or SolveConfig(), None, True)
 
 
 def solve_discounted(
@@ -441,49 +415,10 @@ def solve_discounted(
     zero_final: bool = True,
 ) -> SolveResult:
     """Certified exact discounted values; lam must satisfy 0 <= lam < 1."""
-    cfg = cfg or SolveConfig()
     lam = Fraction(lam)
     if not (0 <= lam < 1):
         raise ValueError("discount factor must lie in [0, 1), got %s" % lam)
-    if lam == 0:
-        values: list = [Fraction(0)] * g.n
-        choice = extract_strategies(g, values, lam=lam, zero_final=zero_final)
-        report = certify(g, values, lam=lam, zero_final=zero_final)
-        return SolveResult(
-            values=values,
-            choice=choice,
-            certified=report.ok,
-            mode="discounted",
-            lam=lam,
-            zero_final=zero_final,
-            vi_iterations=0,
-            vi_residual=0.0,
-            improvement_rounds=0,
-            exact_evaluations=0,
-        )
-    v_float, vi_iters, vi_residual = value_iterate(g, cfg, lam=lam, zero_final=zero_final)
-    choice = extract_strategies(g, v_float, lam=float(lam), zero_final=zero_final)
-
-    def evaluate(ch):
-        return evaluate_pair_discounted(g, ch, lam, zero_final=zero_final)
-
-    choice, rounds, evaluations = _alternating_best_response(
-        g, choice, cfg, evaluate, lam=lam, zero_final=zero_final
-    )
-    values = evaluate(choice)
-    report = certify(g, values, lam=lam, zero_final=zero_final)
-    return SolveResult(
-        values=values,
-        choice=choice,
-        certified=report.ok,
-        mode="discounted",
-        lam=lam,
-        zero_final=zero_final,
-        vi_iterations=vi_iters,
-        vi_residual=vi_residual,
-        improvement_rounds=rounds,
-        exact_evaluations=evaluations,
-    )
+    return _solve(g, cfg or SolveConfig(), lam, zero_final)
 
 
 # ------------------------------------------------------------ simple forms

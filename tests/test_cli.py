@@ -6,7 +6,9 @@ set not almost surely reached, 4 iteration budget exhausted.
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -160,3 +162,185 @@ def test_check_properties_clean(capsys):
     forms = {r["location"]: r["simple_form"] for r in doc["regions"]}
     assert forms["l0"] == "2"  # thin region c=0, the constant wins
     assert all(r["gap"]["rational"] == "0/1" for r in doc["grid_states"])
+
+
+# ------------------------------------------------------------- bad input
+
+def _variant(tmp_path, model: str, old: str, new: str) -> str:
+    text = Path(model).read_text()
+    assert old in text
+    path = tmp_path / "variant.model"
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+@pytest.mark.parametrize("model, old, new", [
+    # a branch probability above 1 used to be solved and "certified"
+    (M1, 'prob: "1/1", resets: [], target: lf', 'prob: "3/2", resets: [], target: lf'),
+    # branches summing to 1/2 used to crash the simulator
+    (M2, 'prob: "1/2"', 'prob: "1/4"'),
+], ids=["sum-3/2", "sum-1/2"])
+def test_non_stochastic_edge_is_input_error(capsys, tmp_path, model, old, new):
+    path = _variant(tmp_path, model, old, new)
+    for sub in (("brg",), ("solve",), ("solve", "--exact"),
+                ("discounted", "--lambda", "1/2"), ("simulate",), ("check-properties",)):
+        code, out, err = run(capsys, sub[0], path, *sub[1:])
+        assert code == 2, sub
+        assert out == ""
+        assert "branch probabilities sum to" in err
+        assert "Traceback" not in err
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 2
+    assert "branch probabilities sum to" in out
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("  - {name: l0, owner: min, final: false, invariant: \"c <= 1\"}", "  - 1",
+     "location"),
+    ("  - source: lf\n    action: f\n    guard: \"c >= 1\"\n    branches:\n"
+     "      - {prob: \"1/1\", resets: [c], target: lf}\n", "  - [lf, f]\n", "edge"),
+    ("      - {prob: \"1/2\", resets: [c], target: l0}", "      - l0", "branch"),
+    ("initial:\n  location: l0\n  valuation: {c: \"0/1\"}", "initial: 5", "initial"),
+], ids=["location", "edge", "branch", "initial"])
+def test_non_mapping_entry_is_input_error(capsys, tmp_path, old, new, where):
+    path = _variant(tmp_path, M2, old, new)
+    for sub in ("validate", "solve"):
+        code, _, err = run(capsys, sub, path)
+        assert code == 2
+        assert "%s must be a mapping" % where in err
+        assert "Traceback" not in err
+
+
+# ----------------------------------------------------------- golden output
+
+# sha256 of stdout (and the exit code) for each subcommand in text and JSON
+# on every bundled model; any change to the rendered output shows up here
+GOLDEN = {
+    'validate M1':
+        (0, '7f25bb6c9df9236359a3a662f71363b7d3531ecfee6e5bf3069b2f3b65f0cf98'),
+    'validate M1 --json':
+        (0, 'ded25ff40351fbe6dfffbd6e417bbd4f887f761b7f6c3b3bf9026cdf9b6e6b8f'),
+    'brg M1':
+        (0, 'd69e48c9489f48f9e7ce5fe806962fbcdca28773148420f6031e9ba854a7344c'),
+    'brg M1 --json':
+        (0, '43e6e9521d15b42ae110285c71781f94964a64a7ce3c15f2ff433f72f5b32e64'),
+    'solve M1':
+        (0, '3342461120387ee24196e62ded8919c2cd20053197e8119b7359253fe35b5f6a'),
+    'solve M1 --json':
+        (0, '8bfc09b4a7d3f14c08e9fb6a45790f51af34d2f7b8a662df11f8d8f69c174246'),
+    'solve M1 --exact':
+        (0, '6195021e3450e7fd61a96ea2579e947c2c8f5003838f7183b89c014e6702d586'),
+    'solve M1 --exact --json':
+        (0, 'd00a18b206228b442d7047c0ef1ef7eaca8230919f0b47f38c3f201ad5bfb56d'),
+    'discounted M1 --lambda 1/2':
+        (0, '69485efefe5830c8cbcd0c1714baadcb8788ef1508a85553bd5d93081bbc29b0'),
+    'discounted M1 --lambda 1/2 --json':
+        (0, '02e77bbd2770c02c3a4216eed1845b012631a09b427295d8b848237ac67cb440'),
+    'discounted M1 --lambda 1/2 --keep-final-rewards':
+        (0, '670fcf35424c1100eae3f1de7e1a7856eca7968c773708636c44c59e74bea8e4'),
+    'discounted M1 --lambda 1/2 --keep-final-rewards --json':
+        (0, '115d1d4404037508a9c9a7d9fbc288b86fff2e4114b3d5d786e368be60e752ad'),
+    'validate M1x':
+        (0, '034d3e4a9c5a86f061aa948fce9978ca82e688d964c7d75ab10b182fac65e57f'),
+    'validate M1x --json':
+        (0, '06317f1178669ddabe457761bae4233c3a6fee831e945a03531fb16aef1c111e'),
+    'brg M1x':
+        (0, 'b9d923edc9c2d3789d0a0b5e71e20e99f8b582244527d4de9ce1331753a915e0'),
+    'brg M1x --json':
+        (0, 'b6405827035b37d09cf05edc7e73cdb69b2cf96c443aff797cb950cac4cf085f'),
+    'solve M1x':
+        (0, 'f7011d17562322d3d27ef24fefd63d31e5d435e884c6c354c5bbb6901371b958'),
+    'solve M1x --json':
+        (0, 'db2035b8e161c52c6b835b0d8ce54cd7d52f113762d32c0de18e515519881f66'),
+    'solve M1x --exact':
+        (0, 'fdd1d42cf2c16b71ba92bf92a6ce84610721e9a80655ead4437f1648438875c5'),
+    'solve M1x --exact --json':
+        (0, '6d78f206eeaaa6f21e6c102fde94f882fafe6f425dbe02325ed1a3a2a926e872'),
+    'discounted M1x --lambda 1/2':
+        (0, 'ea8fef8a98c0c8308989430c4c9c7474665ec74bffbafbaf6b98d571273c0281'),
+    'discounted M1x --lambda 1/2 --json':
+        (0, '06d0381b0e5ddcd6756b1bcfdb900323cd970559c1fe67b0d28502c4eafdc540'),
+    'discounted M1x --lambda 1/2 --keep-final-rewards':
+        (0, '7159d04815ee49db808744dbb4ed6c69a9a1bdab810edd8ffa9b19a79f1aca70'),
+    'discounted M1x --lambda 1/2 --keep-final-rewards --json':
+        (0, '28c9ed9a8e562d374df8e6ad25b4f49968f08ee1968d322fa12c3bad3ea7f5b0'),
+    'validate M2':
+        (0, 'a92003dbeb786baca63044f8f0ab987714a72b4f84b3b64215f373c6f97e8f7b'),
+    'validate M2 --json':
+        (0, '99204af3803128034dd2cbcaa4d8e7ce76a71d0227e8d54f7c39b9db909e1c18'),
+    'brg M2':
+        (0, '9bdb9ba83aad3155a6e59a13af4604713f6950ebedd32f2f7b88004bb5a5f8eb'),
+    'brg M2 --json':
+        (0, '86e44056ed3ad32e68e7eca4d87352614e558940ccf7a6508fe16e61f8097a84'),
+    'solve M2':
+        (0, 'bd174425e2db4ff2184fed7ce218a90ff599110d7c5d0331b67ad914901053b3'),
+    'solve M2 --json':
+        (0, 'fa1ea670547c830afbb06609b864dd9dc165aa8abaa612e92b0d86f541421dbd'),
+    'solve M2 --exact':
+        (0, '23216ca9fcd8524422bcc96965fa616e06e1183062efa534a10b617cf7fa3433'),
+    'solve M2 --exact --json':
+        (0, '8ad75cfd9fc82b32e2b2698f33e1e4e3983e5893d196c77259f7da8482838e3b'),
+    'discounted M2 --lambda 1/2':
+        (0, 'd3024bafed37012ed5f6d12d8ced5865d9e41e861404b67d5cd4796ae65e6ebe'),
+    'discounted M2 --lambda 1/2 --json':
+        (0, '35ea07bd56d2111132f99fbcfc88773da1dfea7ca3fe06532888ca2e7d289cd4'),
+    'discounted M2 --lambda 1/2 --keep-final-rewards':
+        (0, '78d5a1947027ba85b7cd38192337bce30f843028063b30ed2c63917066f08e39'),
+    'discounted M2 --lambda 1/2 --keep-final-rewards --json':
+        (0, '946769396f7de3e578cd31e8e792417b7ee633103764e4d4451a65e76462d2ab'),
+    'validate M2-unreachable':
+        (0, '6376535f29181ee23d145e9d146c346089da867c7a01de9e950f55f37ed00de3'),
+    'validate M2-unreachable --json':
+        (0, '59b62d29b8afe0fedc4872944601c62282f99c26833a3da3ad6ed73c1b55a837'),
+    'brg M2-unreachable':
+        (0, '7071976b87e43f51ea05e29d846470ff36c97688edf342947b33d170d508f3bf'),
+    'brg M2-unreachable --json':
+        (0, '7da3fc1be434bfd65149a5b524edc41d4b7219fc3ccbfdad6affe4efcdd43fb2'),
+    'solve M2-unreachable':
+        (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'solve M2-unreachable --json':
+        (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'solve M2-unreachable --exact':
+        (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'solve M2-unreachable --exact --json':
+        (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'discounted M2-unreachable --lambda 1/2':
+        (0, 'c392542e7ff1911f4dbf396109b83ac566909a15bed0ea0de29429477011bffb'),
+    'discounted M2-unreachable --lambda 1/2 --json':
+        (0, '911fd5da2dbc8bae21b197e067711183ad23132ed4fb953d813a9a91925beebf'),
+    'discounted M2-unreachable --lambda 1/2 --keep-final-rewards':
+        (0, 'c392542e7ff1911f4dbf396109b83ac566909a15bed0ea0de29429477011bffb'),
+    'discounted M2-unreachable --lambda 1/2 --keep-final-rewards --json':
+        (0, '707b29eaf434f5228cb1adb69a5dd4bf0d880166891e2648b0afdc9df333d264'),
+    'validate M3':
+        (0, '8359cc0834a165b19f41d00250512ec88fb28345c59e83454d6fe283a1654a94'),
+    'validate M3 --json':
+        (0, '85e2cf6a05578bfaca4c1e86d755aa067fd8c166e05888a21fa0024aacf14c3f'),
+    'brg M3':
+        (0, '3bc2887f0f30ecf8c1824437ed34b68ce31563b5e755212d274f29107c1b7297'),
+    'brg M3 --json':
+        (0, '45cfbb373e8df0d862e042ae0161b5641ceb32986d05fe78d1326379ad38b036'),
+    'solve M3':
+        (0, '1b339b80f95e903a146c1a2d5ec8f9ed669e7b02a4cf6cdf7ce0d3eed18546c7'),
+    'solve M3 --json':
+        (0, '1d384d951fadb627b5e2bcd8d676c192850d2ebae761bc41bef576ee4da16896'),
+    'solve M3 --exact':
+        (0, '60a2112b4bea80e4f353500f53d4a4392fe63fb01111dc282329ce375f2ff117'),
+    'solve M3 --exact --json':
+        (0, '09c47bec897ea02bfa6aa0bb322eff35ab69bf52804cb7f5b31dff57c2ab7d88'),
+    'discounted M3 --lambda 1/2':
+        (0, '57d25530894413fdde4e45e2d1d74f9204ec39dd1ea562e54076f0fbfb24748f'),
+    'discounted M3 --lambda 1/2 --json':
+        (0, '8ab6b5fdbb7d705951c7f93d4bb9fdb746ff2ce45dc7f15dac05d672c6a9a6ef'),
+    'discounted M3 --lambda 1/2 --keep-final-rewards':
+        (0, '5eb5cd04bef6d8ff46df3d2668782f107409ead645b451298612179a6c7e331d'),
+    'discounted M3 --lambda 1/2 --keep-final-rewards --json':
+        (0, '4a2de9cc5946bf7c2ae262ed46df35c981fb10ab846f65057d3df9601035e516'),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_golden_output(capsys, key):
+    sub, model, *rest = key.split()
+    code, out, _ = run(capsys, sub, "models/%s.model" % model, *rest)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[key]

@@ -134,6 +134,32 @@ def test_evaluate_pair_exact_infinite_without_target():
     assert sv.evaluate_pair_exact(g, [0]) == [math.inf]
 
 
+def test_every_evaluation_is_counted(monkeypatch):
+    """The solve makes no exact evaluation beyond those of the improvement
+    loop: the last one already values the returned pair."""
+    calls = []
+    for name in ("evaluate_pair_exact", "evaluate_pair_discounted"):
+        real = getattr(sv, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sv, name, counted)
+    for name in EXPECTED:
+        g = graph(name)
+        solves = (
+            lambda: sv.solve_exact(g),
+            lambda: sv.solve_exact(g, sv.SolveConfig(improve_order="max_first")),
+            lambda: sv.solve_discounted(g, Fraction(1, 2)),
+            lambda: sv.solve_discounted(g, Fraction(9, 10), zero_final=False),
+        )
+        for solve in solves:
+            calls.clear()
+            res = solve()
+            assert len(calls) == res.exact_evaluations, name
+
+
 def test_improvement_orders_agree():
     for name in EXPECTED:
         g = graph(name)
@@ -209,10 +235,17 @@ def test_discounted_m1_tends_to_expected_time():
 
 
 def test_discounted_zero_lambda_all_zero():
-    g = graph("M3")
-    res = sv.solve_discounted(g, 0)
-    assert res.values == [Fraction(0)] * g.n
-    assert res.certified
+    # lambda = 0 runs the general pipeline: one sweep, one evaluation
+    for name in EXPECTED:
+        g = graph(name)
+        for zero_final in (True, False):
+            res = sv.solve_discounted(g, 0, zero_final=zero_final)
+            assert res.values == [Fraction(0)] * g.n
+            assert res.choice == [
+                None if zero_final and g.is_final(i) else 0 for i in range(g.n)
+            ]
+            assert res.certified
+            assert (res.vi_iterations, res.improvement_rounds, res.exact_evaluations) == (1, 1, 1)
 
 
 def test_discounted_rejects_lambda_at_least_one():
