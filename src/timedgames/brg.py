@@ -166,24 +166,27 @@ def action_successors(
 @dataclass
 class Brg:
     """The explored graph.  Parallel lists indexed by state id: the action
-    list of each state is in canonical order, and each distribution is a
-    tuple of (successor id, probability) sorted by successor id."""
+    list of each state is in canonical order, each distribution is a tuple
+    of (successor id, probability) sorted by successor id, and `owners` and
+    `finals` hold the owner and final flag of the state's location."""
 
     arena: Arena
     states: list[BrgState] = field(default_factory=list)
     actions: list[list[BoundaryAction]] = field(default_factory=list)
     rewards: list[list[Fraction]] = field(default_factory=list)
     dists: list[list[tuple[tuple[int, Fraction], ...]]] = field(default_factory=list)
+    owners: list[str] = field(default_factory=list)
+    finals: list[bool] = field(default_factory=list)
 
     @property
     def n(self) -> int:
         return len(self.states)
 
     def owner(self, i: int) -> str:
-        return self.arena.owner_of(self.states[i].location)
+        return self.owners[i]
 
     def is_final(self, i: int) -> bool:
-        return self.arena.is_final(self.states[i].location)
+        return self.finals[i]
 
     def action_count(self) -> int:
         return sum(len(a) for a in self.actions)
@@ -226,6 +229,9 @@ def explore(arena: Arena, root: BrgState | None = None, cap: int = DEFAULT_STATE
             i = len(g.states)
             index[s] = i
             g.states.append(s)
+            loc = arena.location_named(s.location)
+            g.owners.append(loc.owner)
+            g.finals.append(loc.final)
             queue.append(i)
         return i
 

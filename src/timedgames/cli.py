@@ -118,8 +118,8 @@ def cmd_brg(args) -> int:
         state_rows.append({
             "id": i,
             "state": s.label(),
-            "owner": g.arena.owner_of(s.location),
-            "final": g.arena.is_final(s.location),
+            "owner": g.owner(i),
+            "final": g.is_final(i),
             "actions": acts,
         })
     payload = {

@@ -173,6 +173,14 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _typed(value, kind: type, what: str):
+    """`value` itself when it has the expected YAML type; ModelError (not a
+    TypeError or AttributeError further down) otherwise."""
+    if not isinstance(value, kind):
+        raise ModelError("%s must be a %s, got %r" % (what, kind.__name__, value))
+    return value
+
+
 def parse_model(text: str, name: str = "") -> Arena:
     try:
         doc = yaml.safe_load(text)
@@ -192,11 +200,11 @@ def parse_model(text: str, name: str = "") -> Arena:
         raise ModelError(str(exc)) from exc
 
     locations = []
-    for entry in _require(doc, "locations", "model"):
-        lname = _require(entry, "name", "location")
+    for entry in _typed(_require(doc, "locations", "model"), list, "locations"):
+        lname = _typed(_require(entry, "name", "location"), str, "location name")
         owner = entry.get("owner", MIN)
         final = bool(entry.get("final", False))
-        inv_text = entry.get("invariant", "true")
+        inv_text = _typed(entry.get("invariant", "true"), str, "invariant of %s" % lname)
         try:
             inv = parse_constraint(inv_text, ctx)
         except RegionError as exc:
@@ -204,28 +212,30 @@ def parse_model(text: str, name: str = "") -> Arena:
         locations.append(Location(lname, owner, final, inv))
 
     edges = []
-    for entry in doc.get("edges", []):
-        source = _require(entry, "source", "edge")
-        action = _require(entry, "action", "edge")
+    for entry in _typed(doc.get("edges", []), list, "edges"):
+        source = _typed(_require(entry, "source", "edge"), str, "edge source")
+        action = _typed(_require(entry, "action", "edge"), str, "edge action")
+        where = "edge (%s, %s)" % (source, action)
         try:
-            guard = parse_constraint(entry.get("guard", "true"), ctx)
+            guard = parse_constraint(
+                _typed(entry.get("guard", "true"), str, "guard of %s" % where), ctx
+            )
         except RegionError as exc:
             raise ModelError("guard of (%s, %s): %s" % (source, action, exc)) from exc
         branches = []
-        for br in _require(entry, "branches", "edge (%s, %s)" % (source, action)):
+        for br in _typed(_require(entry, "branches", where), list, "branches of %s" % where):
             prob = parse_rational(_require(br, "prob", "branch"))
             resets = br.get("resets", [])
             if not isinstance(resets, list):
                 raise ModelError("resets must be a list of clock names")
             for c in resets:
                 ctx.index(c)
-            branches.append(
-                Branch(prob, frozenset(resets), _require(br, "target", "branch"))
-            )
+            target = _typed(_require(br, "target", "branch"), str, "branch target")
+            branches.append(Branch(prob, frozenset(resets), target))
         edges.append(Edge(source, action, guard, tuple(branches)))
 
     init = _require(doc, "initial", "model")
-    iloc = _require(init, "location", "initial")
+    iloc = _typed(_require(init, "location", "initial"), str, "initial location")
     ival = _require(init, "valuation", "initial")
     if not isinstance(ival, dict):
         raise ModelError("initial valuation must map clock names to rationals")

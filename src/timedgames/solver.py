@@ -4,9 +4,14 @@ The expected-time pipeline is: check that the target set is reached almost
 surely under every strategy pair (no end component among non-final states),
 run float value iteration for a warm start, extract positional strategies,
 then improve them in exact rational arithmetic, alternating best responses
-until neither player can switch.  The final values come from an exact linear
-solve of the induced Markov chain and carry a zero-residual certificate of
-the optimality equations.
+until neither player can switch.  The final values come from an exact solve
+of the induced Markov chain and carry a zero-residual certificate of the
+optimality equations.  That solve splits the chain into strongly connected
+components and solves them sinks first, each as a small rational system
+whose right-hand side substitutes the values of the successors already
+solved (Tarjan 1972; the decomposition of topological value iteration, Dai
+et al. 2011).  The same pass marks the components whose expected time
+diverges.
 
 The discounted variant contracts, so it needs no reachability assumption;
 by default it treats final states as absorbing with value zero, which is the
@@ -24,8 +29,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import networkx as nx
 
 from .brg import Brg, BoundaryAction
 from .regions import ClockRegion, ClockValuation, representative
@@ -84,6 +87,48 @@ class SolveResult:
 
 # ------------------------------------------------------------ assumptions
 
+def _sccs(nodes: Iterable[int], succ) -> list[list[int]]:
+    """Strongly connected components of the digraph on `nodes` whose edges
+    are succ[v] (every successor must be a node), by an iterative Tarjan
+    (1972).  A component comes after every component it reaches: sinks
+    first."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    out = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack.discard(comp[-1])
+                    out.append(comp)
+    return out
+
+
 def _end_components(g: Brg, states: Iterable[int]) -> list[list[int]]:
     """Maximal end components of the sub-MDP on `states` (actions restricted
     to those whose whole support stays inside), by iterated SCC refinement."""
@@ -105,19 +150,14 @@ def _end_components(g: Brg, states: Iterable[int]) -> list[list[int]]:
         if dead:
             stack.append(T - dead)
             continue
-        graph = nx.DiGraph()
-        graph.add_nodes_from(T)
-        for s in T:
-            for j in allowed[s]:
-                for t, _ in g.dists[s][j]:
-                    graph.add_edge(s, t)
-        sccs = [frozenset(c) for c in nx.strongly_connected_components(graph)]
+        succ = {s: [t for j in allowed[s] for t, _ in g.dists[s][j]] for s in T}
+        sccs = _sccs(T, succ)
         if len(sccs) == 1:
             # strongly connected and every state can stay: an end component
             # (a singleton only survives `dead` with a genuine self-loop)
             result.append(sorted(T))
             continue
-        stack.extend(sccs)
+        stack.extend(frozenset(c) for c in sccs)
     result.sort()
     return result
 
@@ -173,12 +213,37 @@ def value_iterate(
 ) -> tuple[list[float], int, float]:
     """Float fixpoint iteration from all zeros; returns (values, iterations,
     last residual).  Monotone from below for the expected-time objective, a
-    contraction for the discounted one."""
-    v = [0.0] * g.n
+    contraction for the discounted one.
+
+    The sweeps run on float copies of the rewards and distributions, made
+    once per call, in the operation order of `improve_step` on float values
+    (reward plus each probability times successor value, then the discount),
+    so the iterates are the floats `improve_step` would produce.  A row is
+    None for an absorbed final state; it and a state with no action get 0.
+    """
     lam_f = None if lam is None else float(lam)
+    rows = [
+        None if zero_final and g.is_final(i) else [
+            (float(r), [(t, float(p)) for t, p in dist])
+            for r, dist in zip(g.rewards[i], g.dists[i])
+        ]
+        for i in range(g.n)
+    ]
+    minimize = [g.owner(i) == "min" for i in range(g.n)]
+    v = [0.0] * g.n
     for it in range(1, cfg.max_iterations + 1):
-        w = improve_step(g, v, lam=lam_f, zero_final=zero_final)
-        w = [float(x) for x in w]
+        w = []
+        for row, mini in zip(rows, minimize):
+            best = None
+            for r, succ in row or ():
+                acc = r
+                for t, p in succ:
+                    acc = acc + p * v[t]
+                if lam_f is not None:
+                    acc = lam_f * acc
+                if best is None or (acc < best if mini else acc > best):
+                    best = acc
+            w.append(0.0 if best is None else best)
         residual = max((abs(a - b) for a, b in zip(v, w)), default=0.0)
         v = w
         if residual <= cfg.tolerance:
@@ -206,7 +271,7 @@ def extract_strategies(
 def _solve_linear_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     """Gaussian elimination over Fractions for a square nonsingular system."""
     n = len(rows)
-    a = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(n)]
+    a = [row + [b] for row, b in zip(rows, rhs)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
@@ -221,64 +286,56 @@ def _solve_linear_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list
     return [a[i][n] for i in range(n)]
 
 
-def _infinite_states(g: Brg, choice: Sequence, absorbed: list[bool]) -> set[int]:
-    """States whose chain reaches, with positive probability, somewhere the
-    absorbed (final) set is unreachable from: on such runs time keeps
-    accumulating forever (non-Zenoness), so the expected time diverges even
-    if the final set stays reachable with the complementary probability."""
-    pred: list[list[int]] = [[] for _ in range(g.n)]
-    for i in range(g.n):
-        if not absorbed[i]:
-            for t, _ in g.dists[i][choice[i]]:
-                pred[t].append(i)
-
-    def back_reach(seed: list[int]) -> set[int]:
-        seen = set(seed)
-        todo = list(seed)
-        while todo:
-            x = todo.pop()
-            for p in pred[x]:
-                if p not in seen:
-                    seen.add(p)
-                    todo.append(p)
-        return seen
-
-    can_reach_final = back_reach([i for i in range(g.n) if absorbed[i]])
-    return back_reach([i for i in range(g.n) if i not in can_reach_final])
-
-
 def _evaluate(g: Brg, choice: Sequence, lam: Fraction | None, zero_final: bool) -> list:
-    """Exact value of the Markov chain fixed by the choice vector: solves
-    (I - lam P) v = lam r over the states that are neither absorbed nor
-    infinite, with lam = 1 for expected time (lam None).  Absorbed final
-    states have value zero; only expected time can diverge."""
+    """Exact value of the Markov chain fixed by the choice vector, the
+    solution of v = lam (r + P v) with lam = 1 for expected time (lam None).
+    Absorbed final states have value zero; only expected time can diverge.
+
+    Components of the chain are solved sinks first, so every successor
+    outside the component at hand already has its value.  For expected time
+    a component is infinite when it has no successor outside itself (it
+    never reaches the absorbed set, and time keeps accumulating on it by
+    non-Zenoness) or when such a successor is infinite; otherwise it reaches
+    the absorbed set and its system is nonsingular.  Discounting (lam < 1)
+    makes every system nonsingular.
+    """
     absorbed = [zero_final and g.is_final(i) for i in range(g.n)]
+    succ: list = []
     for i in range(g.n):
-        if not absorbed[i] and choice[i] is None:
+        if absorbed[i]:
+            succ.append(())
+        elif choice[i] is None:
             raise ValueError("choice vector leaves state %d unset" % i)
-    infinite = _infinite_states(g, choice, absorbed) if lam is None else set()
+        else:
+            succ.append([t for t, _ in g.dists[i][choice[i]]])
     factor = Fraction(1) if lam is None else lam
-    active = [i for i in range(g.n) if not absorbed[i] and i not in infinite]
-    pos = {i: r for r, i in enumerate(active)}
-    rows = []
-    rhs = []
-    for i in active:
-        j = choice[i]
-        row = [Fraction(0)] * len(active)
-        row[pos[i]] += 1
-        for t, p in g.dists[i][j]:
-            # absorbed successors contribute zero; infinite successors cannot
-            # occur here, otherwise i itself would be infinite
-            if t in pos:
-                row[pos[t]] -= factor * p
-        rows.append(row)
-        rhs.append(factor * g.rewards[i][j])
-    solved = _solve_linear_exact(rows, rhs) if active else []
     values: list = [Fraction(0)] * g.n
-    for i in infinite:
-        values[i] = INF
-    for i in active:
-        values[i] = solved[pos[i]]
+    for comp in _sccs(range(g.n), succ):
+        if absorbed[comp[0]]:  # no successors, so a singleton
+            continue
+        pos = {i: r for r, i in enumerate(comp)}
+        if lam is None:
+            outside = [values[t] for i in comp for t in succ[i] if t not in pos]
+            if not outside or INF in outside:
+                for i in comp:
+                    values[i] = INF
+                continue
+        rows = []
+        rhs = []
+        for i in comp:
+            j = choice[i]
+            row = [Fraction(0)] * len(comp)
+            row[pos[i]] += 1
+            b = g.rewards[i][j]
+            for t, p in g.dists[i][j]:
+                if t in pos:
+                    row[pos[t]] -= factor * p
+                else:
+                    b += p * values[t]
+            rows.append(row)
+            rhs.append(factor * b)
+        for i, x in zip(comp, _solve_linear_exact(rows, rhs)):
+            values[i] = x
     return values
 
 

@@ -1,12 +1,14 @@
 """Independent reference computations used to cross-check the package.
 
 Everything here works directly on raw Fraction arithmetic and truth tables
-of atomic constraints, without touching the canonical region representation,
-so a test that compares the two really compares two different derivations.
+of atomic constraints, without touching the canonical region representation
+or the solver's decomposition, so a test that compares the two really
+compares two different derivations.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -60,3 +62,67 @@ def random_valuation(rng, n: int, k: int, max_den: int = 16) -> tuple[Fraction, 
         den = rng.randint(1, max_den)
         out.append(Fraction(rng.randint(0, k * den), den))
     return tuple(out)
+
+
+def dense_evaluate(g, choice, lam=None, zero_final: bool = True) -> list:
+    """Value of the Markov chain that `choice` fixes on the explored graph
+    `g`, from one dense Gauss-Jordan solve over every state at once.
+
+    Solves v = lam (r + P v), lam = 1 when None (expected time), on the
+    states that are neither absorbed (final, with `zero_final`) nor
+    infinite; a state is infinite, for expected time only, when its chain
+    reaches with positive probability a state that cannot reach the
+    absorbed set.  The reference for the solver's component-wise
+    evaluation.
+    """
+    n = g.n
+    absorbed = [zero_final and g.is_final(i) for i in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        if not absorbed[i]:
+            for t, _ in g.dists[i][choice[i]]:
+                pred[t].append(i)
+
+    def back_reach(seed: list[int]) -> set[int]:
+        seen = set(seed)
+        todo = list(seed)
+        while todo:
+            for p in pred[todo.pop()]:
+                if p not in seen:
+                    seen.add(p)
+                    todo.append(p)
+        return seen
+
+    infinite: set[int] = set()
+    if lam is None:
+        can_reach = back_reach([i for i in range(n) if absorbed[i]])
+        infinite = back_reach([i for i in range(n) if i not in can_reach])
+    factor = Fraction(1) if lam is None else Fraction(lam)
+    active = [i for i in range(n) if not absorbed[i] and i not in infinite]
+    pos = {i: r for r, i in enumerate(active)}
+    m = len(active)
+    a = []
+    for i in active:
+        j = choice[i]
+        row = [Fraction(0)] * (m + 1)
+        row[pos[i]] += 1
+        for t, p in g.dists[i][j]:
+            if t in pos:
+                row[pos[t]] -= factor * p
+        row[m] = factor * g.rewards[i][j]
+        a.append(row)
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(m):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    values: list = [Fraction(0)] * n
+    for i in infinite:
+        values[i] = math.inf
+    for i in active:
+        values[i] = a[pos[i]][m]
+    return values

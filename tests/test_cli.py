@@ -211,6 +211,32 @@ def test_non_mapping_entry_is_input_error(capsys, tmp_path, old, new, where):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("locations:\n  - {name: l0, owner: min, final: false, invariant: \"c <= 1\"}\n"
+     "  - {name: lf, owner: min, final: true,  invariant: \"c <= 2\"}\n",
+     "locations: 5\n", "locations must be a list"),
+    ('invariant: "c <= 1"', "invariant: 7", "invariant of l0 must be a str"),
+    ("name: l0,", "name: [l0],", "location name must be a str"),
+    ("edges:\n  - source: l0", "edges: 5\nunused:\n  - source: l0", "edges must be a list"),
+    ('guard: "c = 1"', "guard: 1", "must be a str"),
+    ("branches:\n      - {prob: \"1/2\", resets: [], target: lf}",
+     "branches: 2\n    unused:\n      - {prob: \"1/2\", resets: [], target: lf}",
+     "must be a list"),
+    ("resets: [], target: lf}", "resets: [], target: [lf]}", "branch target must be a str"),
+    ("action: a", "action: [a]", "edge action must be a str"),
+    ("location: l0", "location: {l0: 1}", "initial location must be a str"),
+], ids=["locations", "invariant", "name", "edges", "guard", "branches", "target",
+        "action", "initial-location"])
+def test_ill_typed_entry_is_input_error(capsys, tmp_path, old, new, message):
+    path = _variant(tmp_path, M2, old, new)
+    for sub in ("validate", "solve"):
+        code, out, err = run(capsys, sub, path)
+        assert code == 2, sub
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+
 # ----------------------------------------------------------- golden output
 
 # sha256 of stdout (and the exit code) for each subcommand in text and JSON

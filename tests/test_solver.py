@@ -19,15 +19,18 @@ and with final locations kept acting (pure infinite-horizon payoff):
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
+from oracles import dense_evaluate
 from timedgames import brg as bg
 from timedgames import fixtures
 from timedgames import solver as sv
-from timedgames.model import load_model
+from timedgames.model import load_model, parse_model
 from timedgames.regions import ClockValuation, region_of
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -301,3 +304,163 @@ def test_simple_forms_respect_reachability_assumption():
     arena = load_model(str(MODELS / "M2-unreachable.model"))
     with pytest.raises(sv.TargetUnreachableError):
         sv.solve_simple_forms(bg.explore(arena))
+
+
+# ------------------------------------------- component-wise evaluation
+
+def ring_game(rng: random.Random, n: int, back: Fraction | None):
+    """A generated game on l0 .. l{n-1} and a final lf, one clock c with
+    invariant c <= 2, owners and advance probabilities p drawn from `rng`.
+    Action `a` (c >= 1) advances to the next location (lf after the last)
+    with probability p and otherwise resets c and retries.  Unless `back` is
+    None, action `b` (c >= 1) resets c and returns to the previous location
+    (from l0 to the last one) with probability `back`, and otherwise goes to
+    lf; with back = 1 some strategy pairs never reach lf."""
+    lines = ["clocks: [c]", "k: 2", "locations:"]
+    for i in range(n):
+        lines.append('  - {name: l%d, owner: %s, invariant: "c <= 2"}'
+                     % (i, rng.choice(("min", "max"))))
+    lines += ['  - {name: lf, final: true, invariant: "c <= 2"}', "edges:"]
+    for i in range(n):
+        p = rng.choice((Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)))
+        branches = [(p, "", "l%d" % (i + 1) if i + 1 < n else "lf"), (1 - p, "c", "l%d" % i)]
+        if back is not None:
+            branches += [(back, "c", "l%d" % ((i - 1) % n))]
+            branches += [(1 - back, "c", "lf")] if back != 1 else []
+        for action, brs in (("a", branches[:2]), ("b", branches[2:])):
+            if not brs:
+                continue
+            lines += ["  - {source: l%d, action: %s, guard: \"c >= 1\", branches: [" % (i, action)]
+            lines += ['      {prob: "%s", resets: [%s], target: %s},' % br for br in brs]
+            lines += ["    ]}"]
+    lines += ['  - {source: lf, action: f, guard: "c >= 1", branches: [',
+              '      {prob: "1", resets: [c], target: lf}]}',
+              "initial: {location: l0, valuation: {c: 0}}"]
+    return parse_model("\n".join(lines) + "\n", name="ring")
+
+
+def chain_sccs(g: bg.Brg, choice) -> list[list[int]]:
+    succ = [[t for t, _ in g.dists[i][j]] if j is not None else [] for i, j in enumerate(choice)]
+    return sv._sccs(range(g.n), succ)
+
+
+def differential_graphs() -> dict[str, bg.Brg]:
+    graphs = {name: graph(name) for name in EXPECTED}
+    graphs["M2-unreachable"] = bg.explore(load_model(str(MODELS / "M2-unreachable.model")))
+    rng = random.Random(3)
+    for n in (1, 3, 5):
+        graphs["chain%d" % n] = bg.explore(ring_game(rng, n, None))
+    for n, back in ((2, Fraction(1, 2)), (4, Fraction(1, 3)), (3, Fraction(1))):
+        graphs["ring%d-%s" % (n, back)] = bg.explore(ring_game(rng, n, back))
+    return graphs
+
+
+def random_choices(g: bg.Brg, rng: random.Random, count: int) -> list[list]:
+    return [
+        [rng.randrange(len(g.actions[i])) if g.actions[i] else None for i in range(g.n)]
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("lam", [None, Fraction(0), Fraction(1, 2), Fraction(9, 10)],
+                         ids=["expected-time", "0", "1/2", "9/10"])
+@pytest.mark.parametrize("zero_final", [True, False], ids=["absorbing", "live-final"])
+def test_evaluation_matches_dense_oracle(lam, zero_final):
+    """The component-wise evaluation equals one dense solve over the whole
+    chain, on the solver's own strategy pairs and on random ones."""
+    rng = random.Random(11)
+    for name, g in differential_graphs().items():
+        choices = random_choices(g, rng, 6)
+        if lam is not None or (zero_final and sv.check_almost_sure_reach(g) == []):
+            solve = (sv.solve_exact(g) if lam is None
+                     else sv.solve_discounted(g, lam, zero_final=zero_final))
+            assert solve.values == dense_evaluate(g, solve.choice, lam, zero_final), name
+            choices.append(solve.choice)
+        for choice in choices:
+            if lam is None:
+                # expected time is defined with absorbing final states only;
+                # with live ones no state is absorbed and everything diverges
+                got = (sv.evaluate_pair_exact(g, choice) if zero_final
+                       else sv._evaluate(g, choice, None, False))
+            else:
+                got = sv.evaluate_pair_discounted(g, choice, lam, zero_final=zero_final)
+            assert got == dense_evaluate(g, choice, lam, zero_final), (name, choice)
+
+
+def test_ring_chain_has_block_component():
+    """Returning edges close cycles through several states, so the fixed
+    strategy chain has a component solved as a real system, not a single
+    state with a self-loop."""
+    g = bg.explore(ring_game(random.Random(5), 4, Fraction(1, 2)))
+    assert sv.check_almost_sure_reach(g) == []
+    choice = [0 if g.is_final(i) else
+              next(j for j, a in enumerate(g.actions[i]) if a.action == "b")
+              for i in range(g.n)]
+    assert max(len(c) for c in chain_sccs(g, choice)) >= 2
+    values = sv.evaluate_pair_exact(g, choice)
+    assert values == dense_evaluate(g, choice)
+    assert all(v != math.inf for v in values)
+    res = sv.solve_exact(g)
+    assert res.certified
+    assert res.values == dense_evaluate(g, res.choice)
+    for lam in (Fraction(1, 2), Fraction(9, 10)):
+        got = sv.evaluate_pair_discounted(g, choice, lam, zero_final=False)
+        assert got == dense_evaluate(g, choice, lam, False)
+
+
+def test_evaluate_pair_exact_diverges_on_closed_cycles():
+    """With pure returning edges a strategy pair can cycle among l0 and l1
+    forever: those states get math.inf, l2 still reaches lf and stays
+    finite, and every value matches the dense oracle."""
+    g = bg.explore(ring_game(random.Random(2), 3, Fraction(1)))
+    pick = {"l0": "a", "l1": "b", "l2": "a"}
+    choice = [None if g.is_final(i) else
+              next(j for j, a in enumerate(g.actions[i])
+                   if a.action == pick[g.states[i].location])
+              for i in range(g.n)]
+    values = sv.evaluate_pair_exact(g, choice)
+    assert values == dense_evaluate(g, choice)
+    by_loc: dict[str, set] = {}
+    for i, v in enumerate(values):
+        by_loc.setdefault(g.states[i].location, set()).add(v == math.inf)
+    assert by_loc["l0"] == by_loc["l1"] == {True}
+    assert by_loc["l2"] == {False}
+    assert any(len(c) >= 2 for c in chain_sccs(g, choice))
+
+
+def test_sccs_match_networkx_and_come_sinks_first():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        density = rng.random()
+        succ = [[w for w in range(n) if rng.random() < density / 2] for _ in range(n)]
+        comps = sv._sccs(range(n), succ)
+        ref = nx.DiGraph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from((v, w) for v in range(n) for w in succ[v])
+        assert sorted(map(sorted, comps)) == sorted(map(sorted, nx.strongly_connected_components(ref)))
+        rank = {v: r for r, comp in enumerate(comps) for v in comp}
+        assert all(rank[w] <= rank[v] for v in range(n) for w in succ[v])
+
+
+def test_value_iteration_kernel_matches_improve_step_floats():
+    """The float kernel of `value_iterate` performs the operations of
+    `improve_step` on float values in the same order, so every iterate, the
+    iteration count and the residual are the same floats."""
+    cfg = sv.SolveConfig()
+    for name, g in differential_graphs().items():
+        for lam in (None, Fraction(0), Fraction(1, 2), Fraction(9, 10)):
+            for zero_final in (True, False):
+                if lam is None and (not zero_final or sv.check_almost_sure_reach(g)):
+                    continue
+                lam_f = None if lam is None else float(lam)
+                v = [0.0] * g.n
+                for it in range(1, cfg.max_iterations + 1):
+                    w = [float(x) for x in
+                         sv.improve_step(g, v, lam=lam_f, zero_final=zero_final)]
+                    residual = max((abs(a - b) for a, b in zip(v, w)), default=0.0)
+                    v = w
+                    if residual <= cfg.tolerance:
+                        break
+                got = sv.value_iterate(g, cfg, lam=lam, zero_final=zero_final)
+                assert got == (v, it, residual), (name, lam, zero_final)
