@@ -9,17 +9,23 @@ stops the clock; they are not forced to be absorbing.
 
 The file format is YAML.  Probabilities and initial clock values are written
 as strings like "1/2" (plain integers allowed); float literals are rejected
-so nothing inexact can enter the pipeline.
+so nothing inexact can enter the pipeline, and every field must have its
+YAML type (a quoted "no" is not a `final` flag).
+
+`validate` reports what makes the game degenerate, including structurally
+Zeno cycles.  That check, like the solver's end-component and chain
+decompositions, runs on `sccs`, the package's one graph algorithm (an
+iterative Tarjan); the package needs no graph library.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-import networkx as nx
 import yaml
 
 from .regions import (
@@ -110,15 +116,20 @@ class Arena:
     locations: tuple[Location, ...]
     edges: tuple[Edge, ...]
     initial: ConcreteState
+    # lookup indexes built once; not part of equality, hashing or repr
+    _by_name: dict[str, Location] = field(init=False, repr=False, compare=False)
+    _by_key: dict[tuple[str, str], Edge] = field(init=False, repr=False, compare=False)
+    _from: dict[str, tuple[Edge, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [l.name for l in self.locations]
-        if len(set(names)) != len(names):
+        names = {l.name: l for l in self.locations}
+        if len(names) != len(self.locations):
             raise ModelError("duplicate location names")
         for l in self.locations:
             if l.owner not in (MIN, MAX):
                 raise ModelError("owner of %s must be %r or %r" % (l.name, MIN, MAX))
-        by_key = set()
+        by_key: dict[tuple[str, str], Edge] = {}
+        outgoing: dict[str, list[Edge]] = {}
         for e in self.edges:
             if e.source not in names:
                 raise ModelError("edge from unknown location %r" % e.source)
@@ -127,7 +138,8 @@ class Arena:
                     "two edges share (source, action) = (%s, %s); the action "
                     "relation must be a partial function" % (e.source, e.action)
                 )
-            by_key.add((e.source, e.action))
+            by_key[e.source, e.action] = e
+            outgoing.setdefault(e.source, []).append(e)
             if not e.branches:
                 raise ModelError("edge (%s, %s) has no branches" % (e.source, e.action))
             for br in e.branches:
@@ -140,12 +152,15 @@ class Arena:
                     )
         if self.initial.location not in names:
             raise ModelError("initial location %r does not exist" % self.initial.location)
+        object.__setattr__(self, "_by_name", names)
+        object.__setattr__(self, "_by_key", by_key)
+        object.__setattr__(self, "_from", {s: tuple(es) for s, es in outgoing.items()})
 
     def location_named(self, name: str) -> Location:
-        for l in self.locations:
-            if l.name == name:
-                return l
-        raise ModelError("unknown location %r" % name)
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise ModelError("unknown location %r" % name) from None
 
     def is_final(self, name: str) -> bool:
         return self.location_named(name).final
@@ -154,13 +169,10 @@ class Arena:
         return self.location_named(name).owner
 
     def edge(self, location: str, action: str) -> Edge | None:
-        for e in self.edges:
-            if e.source == location and e.action == action:
-                return e
-        return None
+        return self._by_key.get((location, action))
 
-    def edges_from(self, location: str) -> list[Edge]:
-        return [e for e in self.edges if e.source == location]
+    def edges_from(self, location: str) -> tuple[Edge, ...]:
+        return self._from.get(location, ())
 
 
 # ----------------------------------------------------------------- parsing
@@ -203,7 +215,7 @@ def parse_model(text: str, name: str = "") -> Arena:
     for entry in _typed(_require(doc, "locations", "model"), list, "locations"):
         lname = _typed(_require(entry, "name", "location"), str, "location name")
         owner = entry.get("owner", MIN)
-        final = bool(entry.get("final", False))
+        final = _typed(entry.get("final", False), bool, "final of %s" % lname)
         inv_text = _typed(entry.get("invariant", "true"), str, "invariant of %s" % lname)
         try:
             inv = parse_constraint(inv_text, ctx)
@@ -245,9 +257,10 @@ def parse_model(text: str, name: str = "") -> Arena:
     except RegionError as exc:
         raise ModelError("initial valuation: %s" % exc) from exc
 
+    doc_name = _typed(doc.get("name", ""), str, "model name")
     try:
         return Arena(
-            name=name or doc.get("name", ""),
+            name=name or doc_name,
             ctx=ctx,
             locations=tuple(locations),
             edges=tuple(edges),
@@ -323,54 +336,99 @@ def region_actions_available(arena: Arena, location: str, region: ClockRegion) -
     return False
 
 
+def sccs(nodes: Iterable[int], succ) -> list[list[int]]:
+    """Strongly connected components of the digraph on `nodes` whose edges
+    are succ[v] (every successor must be a node), by an iterative Tarjan
+    (1972).  A component comes after every component it reaches: sinks
+    first."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    out = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack.discard(comp[-1])
+                    out.append(comp)
+    return out
+
+
 def check_structural_nonzeno(arena: Arena) -> list[list[str]]:
-    """Location-graph cycles that fail the structural non-Zenoness test.
+    """Witness location cycles that fail the structural non-Zenoness test.
 
     Every cycle (every way of choosing branches around a cycle of locations)
-    must contain a clock that is reset on one of its edges and bounded from
-    below by 1 on the guard of another (or the same) edge.  Guard-implies
-    checks are done region-exactly: a guard bounds c from below by 1 when
-    every region satisfying the guard also satisfies c >= 1.
+    must contain a clock that is reset on one of its hops and bounded from
+    below by 1 on the guard of another (or the same) hop (Tripakis 1999).
+    Guard-implies checks are done region-exactly: a guard bounds c from
+    below by 1 when every region satisfying the guard also satisfies c >= 1.
+
+    A cycle fails exactly when, for each clock, it avoids every hop that
+    resets the clock or every hop whose guard bounds it.  So for each of the
+    2^|clocks| ways to pick the avoided kind per clock, the hops that keep
+    the pick span a location graph in which every nontrivial strongly
+    connected component holds failing cycles, and every failing cycle lies
+    in one.  Each component yields one witness: walk from its first location
+    (in declaration order) to the first successor inside the component until
+    a location repeats, and rotate the loop closed that way to start at its
+    first location.  Empty means structurally non-Zeno.
     """
     ctx = arena.ctx
     regions = enumerate_regions(ctx)
     ge_one = {c: parse_constraint("%s >= 1" % c, ctx) for c in ctx.clocks}
-
-    def guard_forces_ge_one(guard: ClockConstraint, clock: str) -> bool:
-        return all(
-            satisfies(r, ge_one[clock]) for r in regions if satisfies(r, guard)
-        )
-
-    graph = nx.DiGraph()
-    graph.add_nodes_from(l.name for l in arena.locations)
-    hop: dict[tuple[str, str], list[tuple[Edge, Branch]]] = {}
+    pos = {l.name: i for i, l in enumerate(arena.locations)}
+    hops = []  # (source, target, resets, clocks the guard bounds below by 1)
     for e in arena.edges:
-        for br in e.branches:
-            graph.add_edge(e.source, br.target)
-            hop.setdefault((e.source, br.target), []).append((e, br))
+        inside = [r for r in regions if satisfies(r, e.guard)]
+        bounds = {c for c in ctx.clocks if all(satisfies(r, ge_one[c]) for r in inside)}
+        hops += [(pos[e.source], pos[br.target], br.resets, bounds) for br in e.branches]
 
     bad: list[list[str]] = []
-    for cycle in nx.simple_cycles(graph):
-        pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
-        # every combination of parallel branches along the cycle must pass
-        def combinations(i: int, chosen: list[tuple[Edge, Branch]]):
-            if i == len(pairs):
-                yield list(chosen)
-                return
-            for eb in hop[pairs[i]]:
-                yield from combinations(i + 1, chosen + [eb])
-
-        for combo in combinations(0, []):
-            ok = False
-            for c in ctx.clocks:
-                resets_c = any(c in br.resets for _, br in combo)
-                forces_c = any(guard_forces_ge_one(e.guard, c) for e, _ in combo)
-                if resets_c and forces_c:
-                    ok = True
-                    break
-            if not ok:
-                bad.append(list(cycle))
-                break
+    for pick in itertools.product((True, False), repeat=len(ctx.clocks)):
+        no_reset = {c for c, avoid_resets in zip(ctx.clocks, pick) if avoid_resets}
+        no_bound = set(ctx.clocks) - no_reset
+        succ: list[list[int]] = [[] for _ in arena.locations]
+        for s, t, resets, bounds in hops:
+            if no_reset.isdisjoint(resets) and no_bound.isdisjoint(bounds):
+                succ[s].append(t)
+        for comp in sccs(range(len(succ)), succ):
+            v = min(comp)
+            if len(comp) == 1 and v not in succ[v]:
+                continue
+            members = set(comp)
+            path: list[int] = []
+            while v not in path:
+                path.append(v)
+                v = next(t for t in succ[v] if t in members)
+            loop = path[path.index(v):]
+            first = loop.index(min(loop))
+            cycle = [arena.locations[i].name for i in loop[first:] + loop[:first]]
+            if cycle not in bad:
+                bad.append(cycle)
     return bad
 
 

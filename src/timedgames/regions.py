@@ -416,37 +416,6 @@ def closure_contains(region: ClockRegion, valuation: ClockValuation) -> bool:
 
 
 @dataclass(frozen=True)
-class DiagDelta:
-    """Witness for the diagonal order: each moved clock advanced by exactly t."""
-
-    t: Fraction
-    moved: tuple[str, ...]
-
-
-def diag_leq(v1: ClockValuation, v2: ClockValuation) -> DiagDelta | None:
-    """Whether v2 dominates v1 diagonally: some clocks shifted by a common
-    t > 0, the rest unchanged.  Returns the witness or None."""
-    if v1.ctx != v2.ctx:
-        raise RegionError("context mismatch")
-    t: Fraction | None = None
-    moved = []
-    for name, a, b in zip(v1.ctx.clocks, v1.values, v2.values):
-        d = b - a
-        if d == 0:
-            continue
-        if d < 0:
-            return None
-        if t is None:
-            t = d
-        elif d != t:
-            return None
-        moved.append(name)
-    if t is None:
-        return None
-    return DiagDelta(t, tuple(moved))
-
-
-@dataclass(frozen=True)
 class DelayWindow:
     """The set of delays {t >= 0 : nu + t in target}, as one interval."""
 

@@ -31,6 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .brg import Brg, BoundaryAction
+from .model import sccs
 from .regions import ClockRegion, ClockValuation, representative
 
 INF = math.inf
@@ -87,48 +88,6 @@ class SolveResult:
 
 # ------------------------------------------------------------ assumptions
 
-def _sccs(nodes: Iterable[int], succ) -> list[list[int]]:
-    """Strongly connected components of the digraph on `nodes` whose edges
-    are succ[v] (every successor must be a node), by an iterative Tarjan
-    (1972).  A component comes after every component it reaches: sinks
-    first."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    on_stack: set[int] = set()
-    out = []
-    for root in nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while not comp or comp[-1] != v:
-                        comp.append(stack.pop())
-                        on_stack.discard(comp[-1])
-                    out.append(comp)
-    return out
-
-
 def _end_components(g: Brg, states: Iterable[int]) -> list[list[int]]:
     """Maximal end components of the sub-MDP on `states` (actions restricted
     to those whose whole support stays inside), by iterated SCC refinement."""
@@ -151,13 +110,13 @@ def _end_components(g: Brg, states: Iterable[int]) -> list[list[int]]:
             stack.append(T - dead)
             continue
         succ = {s: [t for j in allowed[s] for t, _ in g.dists[s][j]] for s in T}
-        sccs = _sccs(T, succ)
-        if len(sccs) == 1:
+        comps = sccs(T, succ)
+        if len(comps) == 1:
             # strongly connected and every state can stay: an end component
             # (a singleton only survives `dead` with a genuine self-loop)
             result.append(sorted(T))
             continue
-        stack.extend(frozenset(c) for c in sccs)
+        stack.extend(frozenset(c) for c in comps)
     result.sort()
     return result
 
@@ -310,7 +269,7 @@ def _evaluate(g: Brg, choice: Sequence, lam: Fraction | None, zero_final: bool) 
             succ.append([t for t, _ in g.dists[i][choice[i]]])
     factor = Fraction(1) if lam is None else lam
     values: list = [Fraction(0)] * g.n
-    for comp in _sccs(range(g.n), succ):
+    for comp in sccs(range(g.n), succ):
         if absorbed[comp[0]]:  # no successors, so a singleton
             continue
         pos = {i: r for r, i in enumerate(comp)}

@@ -1,15 +1,21 @@
 """Independent reference computations used to cross-check the package.
 
-Everything here works directly on raw Fraction arithmetic and truth tables
-of atomic constraints, without touching the canonical region representation
-or the solver's decomposition, so a test that compares the two really
-compares two different derivations.
+Everything here works directly on raw Fraction arithmetic, truth tables of
+atomic constraints and brute-force enumeration, without the canonical region
+representation (except to decide guards), the solver's decomposition or the
+component search of the non-Zenoness check, so a test that compares the two
+really compares two different derivations.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import networkx as nx
+
+from timedgames.model import Arena, Branch, Edge
+from timedgames.regions import ClockConstraint, enumerate_regions, parse_constraint, satisfies
 
 
 def constraint_signature(values: tuple[Fraction, ...], k: int) -> tuple[int, ...]:
@@ -126,3 +132,55 @@ def dense_evaluate(g, choice, lam=None, zero_final: bool = True) -> list:
     for i in active:
         values[i] = a[pos[i]][m]
     return values
+
+
+def enumerate_zeno_cycles(arena: Arena) -> list[list[str]]:
+    """Every simple location cycle that fails the structural non-Zenoness
+    test, by enumerating the cycles and their branch combinations.
+
+    Every cycle (every way of choosing branches around a cycle of locations)
+    must contain a clock that is reset on one of its edges and bounded from
+    below by 1 on the guard of another (or the same) edge.  Guard-implies
+    checks are done region-exactly: a guard bounds c from below by 1 when
+    every region satisfying the guard also satisfies c >= 1.
+    """
+    ctx = arena.ctx
+    regions = enumerate_regions(ctx)
+    ge_one = {c: parse_constraint("%s >= 1" % c, ctx) for c in ctx.clocks}
+
+    def guard_forces_ge_one(guard: ClockConstraint, clock: str) -> bool:
+        return all(
+            satisfies(r, ge_one[clock]) for r in regions if satisfies(r, guard)
+        )
+
+    graph = nx.DiGraph()
+    graph.add_nodes_from(l.name for l in arena.locations)
+    hop: dict[tuple[str, str], list[tuple[Edge, Branch]]] = {}
+    for e in arena.edges:
+        for br in e.branches:
+            graph.add_edge(e.source, br.target)
+            hop.setdefault((e.source, br.target), []).append((e, br))
+
+    bad: list[list[str]] = []
+    for cycle in nx.simple_cycles(graph):
+        pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
+        # every combination of parallel branches along the cycle must pass
+        def combinations(i: int, chosen: list[tuple[Edge, Branch]]):
+            if i == len(pairs):
+                yield list(chosen)
+                return
+            for eb in hop[pairs[i]]:
+                yield from combinations(i + 1, chosen + [eb])
+
+        for combo in combinations(0, []):
+            ok = False
+            for c in ctx.clocks:
+                resets_c = any(c in br.resets for _, br in combo)
+                forces_c = any(guard_forces_ge_one(e.guard, c) for e, _ in combo)
+                if resets_c and forces_c:
+                    ok = True
+                    break
+            if not ok:
+                bad.append(list(cycle))
+                break
+    return bad

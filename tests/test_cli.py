@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -235,6 +238,36 @@ def test_ill_typed_entry_is_input_error(capsys, tmp_path, old, new, message):
         assert out == ""
         assert message in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("final: false, invariant: \"c <= 1\"", "final: \"no\", invariant: \"c <= 1\"",
+     "final of l0 must be a bool"),
+    ("final: false, invariant: \"c <= 1\"", "final: \"false\", invariant: \"c <= 1\"",
+     "final of l0 must be a bool"),
+    ("clocks: [c]", "name: 5\nclocks: [c]", "model name must be a str"),
+], ids=["final-no", "final-false", "model-name"])
+def test_ill_typed_flag_or_name_is_input_error(capsys, tmp_path, old, new, message):
+    """A quoted "no" used to be truthy, so l0 became final and `solve
+    --exact` certified the value 0/1."""
+    path = _variant(tmp_path, M2, old, new)
+    for sub in (("validate",), ("solve", "--exact"), ("simulate",)):
+        code, out, err = run(capsys, sub[0], path, *sub[1:])
+        assert code == 2, sub
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+
+def test_cli_import_loads_no_networkx():
+    """networkx is a test-only oracle; the package must not import it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, timedgames.cli; print('networkx' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 # ----------------------------------------------------------- golden output

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from oracles import enumerate_zeno_cycles
 from timedgames import fixtures, model as md
 from timedgames.regions import ClockContext, ClockValuation, parse_constraint
 
@@ -135,6 +137,117 @@ def test_validate_flags_zeno_cycle():
     )
     findings = md.validate(arena)
     assert any("Zeno" in f for f in findings)
+
+
+def _rotations(cycle: list[str]) -> set[tuple[str, ...]]:
+    return {tuple(cycle[i:] + cycle[:i]) for i in range(len(cycle))}
+
+
+def _assert_witnesses_flagged(arena: md.Arena) -> list[list[str]]:
+    """The component check and the simple-cycle enumeration agree on the
+    verdict, and every witness is a simple location cycle that the
+    enumeration flags (up to rotation).  Returns the witnesses."""
+    witnesses = md.check_structural_nonzeno(arena)
+    flagged = set().union(*(_rotations(c) for c in enumerate_zeno_cycles(arena)))
+    assert bool(witnesses) == bool(flagged), arena
+    hops = {(e.source, br.target) for e in arena.edges for br in e.branches}
+    for cycle in witnesses:
+        assert len(set(cycle)) == len(cycle), cycle
+        assert all((a, b) in hops for a, b in zip(cycle, cycle[1:] + cycle[:1])), cycle
+        assert tuple(cycle) in flagged, (cycle, arena)
+    assert len({min(_rotations(c)) for c in witnesses}) == len(witnesses)
+    return witnesses
+
+
+def _hop_arena(clocks: tuple[str, ...], n: int, edges) -> md.Arena:
+    """An arena on locations l0..l{n-1} with the given
+    (source, action, guard, [(resets, target), ...]) edges."""
+    ctx = ClockContext(clocks, 2)
+    true = parse_constraint("true", ctx)
+    return md.Arena(
+        name="hops",
+        ctx=ctx,
+        locations=tuple(md.Location("l%d" % i, "min", False, true) for i in range(n)),
+        edges=tuple(
+            md.Edge(src, action, parse_constraint(guard, ctx), tuple(
+                md.Branch(Fraction(1, len(branches)), frozenset(resets), "l%d" % t)
+                for resets, t in branches))
+            for src, action, guard, branches in edges
+        ),
+        initial=md.ConcreteState("l0", ClockValuation(ctx, (Fraction(0),) * len(clocks))),
+    )
+
+
+GUARDS = {
+    ("c",): ["true", "c >= 1", "c > 1", "c = 1", "c <= 1", "c > 0", "c = 2",
+             "c > 1 & c < 1"],
+    ("c", "d"): ["true", "c >= 1", "d >= 1", "c > 0", "d <= 1", "c >= 1 & d < 1",
+                 "c - d >= 1", "d - c > 0", "c = 2 & d = 2", "c < 1 & d = 1"],
+}
+
+
+def test_nonzeno_components_match_cycle_enumeration():
+    """Seeded random arenas with one or two clocks, up to five locations,
+    parallel branches and self-loops: same verdict as the enumeration of
+    every simple cycle, and only witnesses it flags."""
+    rng = random.Random(4)
+    verdicts = set()
+    for _ in range(400):
+        clocks = rng.choice(list(GUARDS))
+        n = rng.randint(1, 5)
+        edges = []
+        for src in range(n):
+            for a in range(rng.randint(0, 3)):
+                branches = [
+                    ([c for c in clocks if rng.random() < 0.3], rng.randrange(n))
+                    for _ in range(rng.randint(1, 3))
+                ]
+                edges.append(("l%d" % src, "a%d" % a, rng.choice(GUARDS[clocks]), branches))
+        arena = _hop_arena(clocks, n, edges)
+        verdicts.add(bool(_assert_witnesses_flagged(arena)))
+    assert verdicts == {True, False}
+
+
+def test_nonzeno_two_clocks_need_different_avoid_choices():
+    """l0 -> l1 resets c under a guard bounding d; l1 -> l0 does neither.
+    The cycle never bounds c and never resets d, so only the choice that
+    avoids the bounds of c and the resets of d exposes it."""
+    zeno = _hop_arena(("c", "d"), 2, [
+        ("l0", "a", "d >= 1", [(["c"], 1)]),
+        ("l1", "b", "true", [([], 0)]),
+    ])
+    assert _assert_witnesses_flagged(zeno) == [["l0", "l1"]]
+    assert any("Zeno location cycle: l0 -> l1 " in f for f in md.validate(zeno))
+    # resetting d as well makes the cycle progress
+    safe = _hop_arena(("c", "d"), 2, [
+        ("l0", "a", "d >= 1", [(["c", "d"], 1)]),
+        ("l1", "b", "true", [([], 0)]),
+    ])
+    assert _assert_witnesses_flagged(safe) == []
+
+
+def test_nonzeno_reports_one_witness_per_component():
+    """A complete graph on many locations has exponentially many bad simple
+    cycles; the check names one per trapped component and stays fast."""
+    n = 12
+    arena = _hop_arena(("c",), n, [
+        ("l%d" % s, "to%d" % t, "true", [([], t)]) for s in range(n) for t in range(n)
+    ])
+    assert md.check_structural_nonzeno(arena) == [["l0"]]
+
+
+def test_arena_indexes_keep_lookups_equality_and_hash():
+    arena = fixtures.retry()
+    twin = md.parse_model(md.dump_model(arena))
+    assert twin == arena and hash(twin) == hash(arena)
+    assert "_by_name" not in repr(arena)
+    assert arena.location_named("l0") is arena.locations[0]
+    assert arena.edge("l0", "a") is arena.edges[0]
+    assert arena.edge("l0", "nope") is None
+    assert list(arena.edges_from("l0")) == [e for e in arena.edges if e.source == "l0"]
+    assert list(arena.edges_from("nowhere")) == []
+    with pytest.raises(md.ModelError, match="unknown location"):
+        arena.location_named("nowhere")
 
 
 def test_validate_flags_dead_region():

@@ -224,35 +224,6 @@ def test_delay_window_none_for_unreachable_region():
     assert rg.delay_window(v, past) is None
 
 
-# --------------------------------------------------------- diagonal order
-
-@given(valuations(), st.integers(1, 8), st.integers(1, 7))
-@settings(max_examples=200)
-def test_diag_leq_recovers_shift(v, den, num):
-    t = Fraction(num, den)
-    ctx = v.ctx
-    for mask in range(1, 1 << len(ctx.clocks)):
-        moved = tuple(ctx.clocks[i] for i in range(len(ctx.clocks)) if mask >> i & 1)
-        shifted = rg.ClockValuation(
-            ctx,
-            tuple(
-                val + t if ctx.clocks[i] in moved else val
-                for i, val in enumerate(v.values)
-            ),
-        )
-        wit = rg.diag_leq(v, shifted)
-        assert wit == rg.DiagDelta(t, moved)
-        assert rg.diag_leq(shifted, v) is None
-
-
-def test_diag_leq_rejects_uneven_and_zero_shifts():
-    ctx = rg.ClockContext(("x", "y"), 2)
-    v = rg.ClockValuation(ctx, (Fraction(0), Fraction(1, 2)))
-    assert rg.diag_leq(v, v) is None
-    w = rg.ClockValuation(ctx, (Fraction(1, 2), Fraction(3, 4)))
-    assert rg.diag_leq(v, w) is None
-
-
 # ------------------------------------------------------------ enumeration
 
 def test_enumerate_regions_one_clock():

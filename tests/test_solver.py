@@ -30,7 +30,7 @@ from oracles import dense_evaluate
 from timedgames import brg as bg
 from timedgames import fixtures
 from timedgames import solver as sv
-from timedgames.model import load_model, parse_model
+from timedgames.model import load_model, parse_model, sccs
 from timedgames.regions import ClockValuation, region_of
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -341,7 +341,7 @@ def ring_game(rng: random.Random, n: int, back: Fraction | None):
 
 def chain_sccs(g: bg.Brg, choice) -> list[list[int]]:
     succ = [[t for t, _ in g.dists[i][j]] if j is not None else [] for i, j in enumerate(choice)]
-    return sv._sccs(range(g.n), succ)
+    return sccs(range(g.n), succ)
 
 
 def differential_graphs() -> dict[str, bg.Brg]:
@@ -434,7 +434,7 @@ def test_sccs_match_networkx_and_come_sinks_first():
         n = rng.randint(1, 12)
         density = rng.random()
         succ = [[w for w in range(n) if rng.random() < density / 2] for _ in range(n)]
-        comps = sv._sccs(range(n), succ)
+        comps = sccs(range(n), succ)
         ref = nx.DiGraph()
         ref.add_nodes_from(range(n))
         ref.add_edges_from((v, w) for v in range(n) for w in succ[v])
