@@ -28,6 +28,19 @@ satisfy the guard of an edge (l, a):
 Two actions with the same (action, b, c, target region) are the same action
 and are emitted once.  Rewards b - nu(c) are nonnegative for every valuation
 in the closure of zeta because b is at least the supremum of c over zeta.
+
+Construction splits every move into a region-level half and a point half.
+The region-level half depends only on (l, zeta): the canonical action list,
+each action's boundary (b, c), and per branch the target location, the
+clocks it resets and the target region, whose target invariant is checked
+there.  `_moves` compiles it the first time a state with that (l, zeta) is
+expanded and keeps it on the arena, so every explore of the arena, rooted
+anywhere, shares one table.  Equal actions, moves, target regions and reset
+sets are stored once per arena, so the table costs less memory than the
+per-state copies it replaces.
+Per state and action only the point half remains: the cost b - nu(c), the
+shift and reset of the valuation, its validation, the closure check of the
+successor, and interning it.
 """
 
 from __future__ import annotations
@@ -52,6 +65,7 @@ from .regions import (
 )
 
 DEFAULT_STATE_CAP = 100_000
+ZERO = Fraction(0)
 
 
 class ExplorationLimit(RuntimeError):
@@ -127,40 +141,40 @@ def boundary_actions(arena: Arena, location: str, region: ClockRegion) -> list[B
     return sorted(out.values(), key=lambda a: a.sort_key(arena.ctx))
 
 
-def action_delay(state: BrgState, act: BoundaryAction) -> Fraction:
-    """The exact cost b - nu(c) of steering to the action's boundary."""
-    if act.b is None:
-        return Fraction(0)
-    assert act.c is not None
-    t = act.b - state.valuation.value(act.c)
-    if t < 0:
-        raise ModelError(
-            "negative delay %s for %s at %s; valuation outside the region closure"
-            % (t, act.label(), state.label())
-        )
-    return t
-
-
-def action_successors(
-    arena: Arena, state: BrgState, act: BoundaryAction
-) -> dict[BrgState, Fraction]:
-    """Successor distribution: shift to the boundary, then branch and reset."""
-    e = arena.edge(state.location, act.action)
-    assert e is not None
-    shifted = state.valuation.shift(action_delay(state, act))
-    out: dict[BrgState, Fraction] = {}
-    for br in e.branches:
-        target_region = reset_region(act.target, br.resets)
-        inv = arena.location_named(br.target).invariant
-        if not satisfies(target_region, inv):
-            raise ModelError(
-                "edge (%s, %s) lands in [%s], outside the invariant of %s"
-                % (state.location, act.action, target_region.label(), br.target)
-            )
-        succ = BrgState(br.target, shifted.reset(br.resets), target_region)
-        assert closure_contains(succ.region, succ.valuation)
-        out[succ] = out.get(succ, Fraction(0)) + br.prob
-    return out
+def _moves(arena: Arena, location: str, region: ClockRegion) -> tuple:
+    """The region-level half of every move from (location, region), compiled
+    once per arena and kept on it: the canonical action list, and for each
+    action its boundary b, the index of its boundary clock c (None for the
+    fire-now endpoint) and its branches as (target location, reset clock
+    indices, target region, probability).  Raises ModelError when a branch
+    lands outside the invariant of its target."""
+    key = (location, region)
+    entry = arena._moves.get(key)
+    if entry is not None:
+        return entry
+    canon = arena._canon
+    acts = [canon.setdefault(a, a) for a in boundary_actions(arena, location, region)]
+    moves = []
+    for act in acts:
+        e = arena.edge(location, act.action)
+        assert e is not None
+        branches = []
+        for br in e.branches:
+            target_region = reset_region(act.target, br.resets)
+            inv = arena.location_named(br.target).invariant
+            if not satisfies(target_region, inv):
+                raise ModelError(
+                    "edge (%s, %s) lands in [%s], outside the invariant of %s"
+                    % (location, act.action, target_region.label(), br.target)
+                )
+            resets = frozenset(region.ctx.index(c) for c in br.resets)
+            branches.append((br.target, canon.setdefault(resets, resets),
+                             canon.setdefault(target_region, target_region), br.prob))
+        ci = None if act.c is None else region.ctx.index(act.c)
+        move = (act.b, ci, tuple(branches))
+        moves.append(canon.setdefault(move, move))
+    entry = arena._moves[key] = (acts, tuple(moves))
+    return entry
 
 
 @dataclass
@@ -217,7 +231,6 @@ def explore(arena: Arena, root: BrgState | None = None, cap: int = DEFAULT_STATE
 
     g = Brg(arena)
     index: dict[BrgState, int] = {}
-    action_cache: dict[tuple[str, ClockRegion], list[BoundaryAction]] = {}
 
     def intern(s: BrgState) -> int:
         i = index.get(s)
@@ -240,17 +253,35 @@ def explore(arena: Arena, root: BrgState | None = None, cap: int = DEFAULT_STATE
     while queue:
         i = queue.popleft()
         s = g.states[i]
-        key = (s.location, s.region)
-        acts = action_cache.get(key)
-        if acts is None:
-            acts = boundary_actions(arena, s.location, s.region)
-            action_cache[key] = acts
+        acts, moves = _moves(arena, s.location, s.region)
         g.actions.append(acts)
-        g.rewards.append([action_delay(s, a) for a in acts])
+        ctx, values = s.valuation.ctx, s.valuation.values
+        # the cost b - nu(c) of steering to each action's boundary
+        rewards = []
+        for act, (b, ci, _) in zip(acts, moves):
+            t = ZERO if ci is None else b - values[ci]
+            if t < 0:
+                raise ModelError(
+                    "negative delay %s for %s at %s; valuation outside the region closure"
+                    % (t, act.label(), s.label())
+                )
+            rewards.append(t)
+        g.rewards.append(rewards)
+        # successors: shift to the boundary, then branch and reset
         row = []
-        for a in acts:
-            dist = action_successors(arena, s, a)
-            row.append(tuple(sorted((intern(t), p) for t, p in dist.items())))
+        for t, (_, _, branches) in zip(rewards, moves):
+            shifted = tuple(v + t for v in values) if t else values
+            dist: dict[int, Fraction] = {}
+            for target, resets, region, prob in branches:
+                if resets:
+                    point = tuple(ZERO if j in resets else v for j, v in enumerate(shifted))
+                else:
+                    point = shifted
+                succ = BrgState(target, ClockValuation(ctx, point), region)
+                assert closure_contains(region, succ.valuation)
+                j = intern(succ)
+                dist[j] = dist[j] + prob if j in dist else prob
+            row.append(tuple(sorted(dist.items())))
         g.dists.append(row)
     return g
 

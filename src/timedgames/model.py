@@ -120,6 +120,11 @@ class Arena:
     _by_name: dict[str, Location] = field(init=False, repr=False, compare=False)
     _by_key: dict[tuple[str, str], Edge] = field(init=False, repr=False, compare=False)
     _from: dict[str, tuple[Edge, ...]] = field(init=False, repr=False, compare=False)
+    # the region-level moves of the boundary region graph, compiled lazily by
+    # `brg` per (location, region) and shared by every explore of the arena,
+    # and the one shared copy of each equal action, move, region and reset set
+    _moves: dict = field(init=False, repr=False, compare=False)
+    _canon: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = {l.name: l for l in self.locations}
@@ -155,6 +160,8 @@ class Arena:
         object.__setattr__(self, "_by_name", names)
         object.__setattr__(self, "_by_key", by_key)
         object.__setattr__(self, "_from", {s: tuple(es) for s, es in outgoing.items()})
+        object.__setattr__(self, "_moves", {})
+        object.__setattr__(self, "_canon", {})
 
     def location_named(self, name: str) -> Location:
         try:

@@ -161,8 +161,12 @@ def check_quasi_simple(
     """
     ev = evaluator or _default_evaluator(arena)
     K = Fraction(k_bound) if k_bound is not None else Fraction(1 + len(arena.ctx.clocks))
-    rng = random.Random(seed)
     report = PropertyReport(location, region, K)
+    if len(region.blocks) == 1:
+        # every clock sits on an integer: the closure is a single point, so
+        # there is neither a distinct pair nor a shifted pair to draw
+        return report
+    rng = random.Random(seed)
 
     attempts = 0
     while report.pairs_checked < pairs and attempts < 50 * pairs:

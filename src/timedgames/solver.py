@@ -26,7 +26,7 @@ rooted graph for an arbitrary start state solves the game from there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -66,10 +66,12 @@ class SolveConfig:
 class CertifyReport:
     residual: Fraction | float
     violations: list[int]
+    # (state, action) pairs whose distribution is not stochastic
+    improper_rows: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return self.residual == 0
+        return self.residual == 0 and not self.improper_rows
 
 
 @dataclass
@@ -311,11 +313,26 @@ def evaluate_pair_discounted(
     return _evaluate(g, choice, Fraction(lam), zero_final)
 
 
+def _stochastic(dist) -> bool:
+    """Whether the probabilities are nonnegative and sum to exactly 1.  Most
+    rows have one entry, which needs no Fraction sum."""
+    if len(dist) == 1:
+        return dist[0][1] == 1
+    return sum(p for _, p in dist) == 1 and all(p >= 0 for _, p in dist)
+
+
 def certify(g: Brg, values: Sequence, *, lam=None, zero_final: bool = True) -> CertifyReport:
     """Exact residual of the optimality equations at `values`.  Zero residual
     and no violating states certify optimality (for the expected-time
     objective this relies on the almost-sure reachability check, under which
-    the optimality equations pin down a unique solution)."""
+    the optimality equations pin down a unique solution), provided every
+    action's distribution is stochastic: nonnegative, summing to exactly 1."""
+    improper_rows = [
+        (i, j)
+        for i, row in enumerate(g.dists)
+        for j, dist in enumerate(row)
+        if not _stochastic(dist)
+    ]
     improved = improve_step(g, values, lam=lam, zero_final=zero_final)
     violations = []
     residual: Fraction | float = Fraction(0)
@@ -326,7 +343,7 @@ def certify(g: Brg, values: Sequence, *, lam=None, zero_final: bool = True) -> C
         violations.append(i)
         gap = INF if INF in (a, b) else abs(a - b)
         residual = max(residual, gap)
-    return CertifyReport(residual, violations)
+    return CertifyReport(residual, violations, improper_rows)
 
 
 # ------------------------------------------------------ strategy improvement

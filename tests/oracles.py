@@ -4,18 +4,40 @@ Everything here works directly on raw Fraction arithmetic, truth tables of
 atomic constraints and brute-force enumeration, without the canonical region
 representation (except to decide guards), the solver's decomposition or the
 component search of the non-Zenoness check, so a test that compares the two
-really compares two different derivations.
+really compares two different derivations.  `explore_per_state` is the
+exception: it is the earlier boundary region graph construction, which
+redoes the region-level work of every move (resets, target invariants,
+fresh regions) at every state instead of compiling it once per arena.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 
 import networkx as nx
 
-from timedgames.model import Arena, Branch, Edge
-from timedgames.regions import ClockConstraint, enumerate_regions, parse_constraint, satisfies
+from timedgames.brg import (
+    DEFAULT_STATE_CAP,
+    BoundaryAction,
+    Brg,
+    BrgState,
+    ExplorationLimit,
+    boundary_actions,
+)
+from timedgames.model import Arena, Branch, Edge, ModelError, distribution_findings
+from timedgames.regions import (
+    ClockConstraint,
+    ClockRegion,
+    closure_contains,
+    enumerate_regions,
+    parse_constraint,
+    region_of,
+    reset_region,
+    satisfies,
+    valuation_satisfies,
+)
 
 
 def constraint_signature(values: tuple[Fraction, ...], k: int) -> tuple[int, ...]:
@@ -184,3 +206,94 @@ def enumerate_zeno_cycles(arena: Arena) -> list[list[str]]:
                 bad.append(list(cycle))
                 break
     return bad
+
+
+def action_delay(state: BrgState, act: BoundaryAction) -> Fraction:
+    """The exact cost b - nu(c) of steering to the action's boundary."""
+    if act.b is None:
+        return Fraction(0)
+    assert act.c is not None
+    t = act.b - state.valuation.value(act.c)
+    if t < 0:
+        raise ModelError(
+            "negative delay %s for %s at %s; valuation outside the region closure"
+            % (t, act.label(), state.label())
+        )
+    return t
+
+
+def action_successors(
+    arena: Arena, state: BrgState, act: BoundaryAction
+) -> dict[BrgState, Fraction]:
+    """Successor distribution: shift to the boundary, then branch and reset."""
+    e = arena.edge(state.location, act.action)
+    assert e is not None
+    shifted = state.valuation.shift(action_delay(state, act))
+    out: dict[BrgState, Fraction] = {}
+    for br in e.branches:
+        target_region = reset_region(act.target, br.resets)
+        inv = arena.location_named(br.target).invariant
+        if not satisfies(target_region, inv):
+            raise ModelError(
+                "edge (%s, %s) lands in [%s], outside the invariant of %s"
+                % (state.location, act.action, target_region.label(), br.target)
+            )
+        succ = BrgState(br.target, shifted.reset(br.resets), target_region)
+        assert closure_contains(succ.region, succ.valuation)
+        out[succ] = out.get(succ, Fraction(0)) + br.prob
+    return out
+
+
+def explore_per_state(arena: Arena, root: BrgState | None = None,
+                      cap: int = DEFAULT_STATE_CAP) -> Brg:
+    """Breadth-first reachable construction from the root, every move
+    derived afresh at every state (action sets cached per explore only)."""
+    improper = distribution_findings(arena)
+    if improper:
+        raise ModelError(improper[0])
+    if root is None:
+        loc, v = arena.initial
+        root = BrgState(loc, v, region_of(v))
+    if not closure_contains(root.region, root.valuation):
+        raise ModelError("root valuation must lie in the closure of its region")
+    if not valuation_satisfies(root.valuation, arena.location_named(root.location).invariant):
+        raise ModelError("root state violates its location invariant")
+
+    g = Brg(arena)
+    index: dict[BrgState, int] = {}
+    action_cache: dict[tuple[str, ClockRegion], list[BoundaryAction]] = {}
+
+    def intern(s: BrgState) -> int:
+        i = index.get(s)
+        if i is None:
+            if len(g.states) >= cap:
+                raise ExplorationLimit(
+                    "state cap %d crossed while exploring %s" % (cap, arena.name or "arena")
+                )
+            i = len(g.states)
+            index[s] = i
+            g.states.append(s)
+            loc = arena.location_named(s.location)
+            g.owners.append(loc.owner)
+            g.finals.append(loc.final)
+            queue.append(i)
+        return i
+
+    queue: deque[int] = deque()
+    intern(root)
+    while queue:
+        i = queue.popleft()
+        s = g.states[i]
+        key = (s.location, s.region)
+        acts = action_cache.get(key)
+        if acts is None:
+            acts = boundary_actions(arena, s.location, s.region)
+            action_cache[key] = acts
+        g.actions.append(acts)
+        g.rewards.append([action_delay(s, a) for a in acts])
+        row = []
+        for a in acts:
+            dist = action_successors(arena, s, a)
+            row.append(tuple(sorted((intern(t), p) for t, p in dist.items())))
+        g.dists.append(row)
+    return g

@@ -7,14 +7,24 @@ written; the tests freeze them.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import oracles
 from timedgames import brg as bg
-from timedgames import fixtures
-from timedgames.model import Arena, ModelError
-from timedgames.regions import ClockValuation, closure_contains, region_of
+from timedgames import fixtures, properties
+from timedgames.model import Arena, ModelError, load_model, parse_model
+from timedgames.regions import (
+    ClockValuation,
+    RegionError,
+    closure_contains,
+    region_of,
+    sample_closure,
+    valuation_satisfies,
+)
 
 
 def F(*args) -> Fraction:
@@ -199,3 +209,194 @@ def test_export_dot_shape():
     assert dot.count("[shape=point]") == g.action_count()
     assert 's0 [shape=box, label="l0 | c=0 | [c=0]"];' in dot
     assert dot.endswith("}\n")
+
+
+# ------------------------------------------- compiled moves vs per-state oracle
+
+def chain_document(n: int, k: int, clocks: int, owners, probs) -> str:
+    """A retry chain: at l_i action `a` (guard c >= 1) advances with the
+    location's probability and otherwise resets c and retries; `b` (guard
+    c <= k-1) resets one other clock and advances; lf escapes on each clock
+    by resetting all of them."""
+    cs = ("c", "d", "e")[:clocks]
+    inv = " & ".join("%s <= %d" % (c, k) for c in cs)
+    lines = ["clocks: [%s]" % ", ".join(cs), "k: %d" % k, "locations:"]
+    for i in range(n):
+        lines.append('  - {name: l%d, owner: %s, final: false, invariant: "%s"}'
+                     % (i, owners[i], inv))
+    lines.append('  - {name: lf, owner: min, final: true, invariant: "%s"}' % inv)
+    lines.append("edges:")
+    for i in range(n):
+        nxt = "l%d" % (i + 1) if i + 1 < n else "lf"
+        p = probs[i]
+        other = [cs[1 + i % (clocks - 1)]] if clocks > 1 else []
+        lines += [
+            "  - source: l%d" % i,
+            "    action: a",
+            '    guard: "c >= 1"',
+            "    branches:",
+            '      - {prob: "%s", resets: [], target: %s}' % (p, nxt),
+            '      - {prob: "%s", resets: [c], target: l%d}' % (1 - p, i),
+            "  - source: l%d" % i,
+            "    action: b",
+            '    guard: "c <= %d"' % (k - 1),
+            "    branches:",
+            '      - {prob: "1/1", resets: [%s], target: %s}' % (", ".join(other), nxt),
+        ]
+    for c in cs:
+        lines += [
+            "  - source: lf",
+            "    action: esc_%s" % c,
+            '    guard: "%s >= 1"' % c,
+            "    branches:",
+            '      - {prob: "1/1", resets: [%s], target: lf}' % ", ".join(cs),
+        ]
+    lines += ["initial:", "  location: l0",
+              "  valuation: {%s}" % ", ".join('%s: "0/1"' % c for c in cs)]
+    return "\n".join(lines) + "\n"
+
+
+def differential_arenas() -> dict[str, Arena]:
+    models = Path(__file__).resolve().parent.parent / "models"
+    arenas = {p.stem: load_model(str(p)) for p in sorted(models.glob("*.model"))}
+    # parallel branches that land on one successor state merge their mass
+    arenas["merging"] = parse_model("""
+clocks: [c, d]
+k: 2
+locations:
+  - {name: l0, owner: max, final: false, invariant: "c <= 2 & d <= 2"}
+  - {name: lf, owner: min, final: true}
+edges:
+  - source: l0
+    action: a
+    guard: "c >= 1"
+    branches:
+      - {prob: "1/4", resets: [], target: lf}
+      - {prob: "1/4", resets: [], target: lf}
+      - {prob: "1/4", resets: [c, d], target: l0}
+      - {prob: "1/4", resets: [d, c], target: l0}
+  - {source: lf, action: f, guard: "d >= 1", branches: [{prob: "1/1", resets: [d], target: lf}]}
+initial: {location: l0, valuation: {c: "0", d: "0"}}
+""")
+    rng = random.Random(11)
+    for clocks, n, k in [(1, 4, 3), (2, 2, 2), (2, 3, 2), (3, 2, 2)]:
+        owners = [rng.choice(("min", "max")) for _ in range(n)]
+        probs = [rng.choice((F(1, 2), F(1, 3), F(3, 4))) for _ in range(n)]
+        arenas["chain%d_%d_%d" % (clocks, n, k)] = parse_model(
+            chain_document(n, k, clocks, owners, probs))
+    return arenas
+
+
+def outcome(build, arena: Arena, **kwargs):
+    """The graph's parallel lists, or the type and text of what was raised."""
+    try:
+        g = build(arena, **kwargs)
+    except (ModelError, RegionError, bg.ExplorationLimit) as exc:
+        return type(exc), str(exc)
+    return g.states, g.actions, g.rewards, g.dists, g.owners, g.finals
+
+
+def test_explore_matches_per_state_oracle():
+    """Same graph as the per-state construction from the initial state and
+    from seeded points in the closure of every reachable region, with every
+    rooted explore of an arena sharing its compiled moves."""
+    rng = random.Random(3)
+    for name, arena in differential_arenas().items():
+        assert not arena._moves, name
+        g = bg.explore(arena)
+        assert outcome(bg.explore, arena) == outcome(oracles.explore_per_state, arena), name
+        for key in dict.fromkeys((s.location, s.region) for s in g.states):
+            for _ in range(3):
+                root = bg.BrgState(key[0], sample_closure(key[1], rng), key[1])
+                got = outcome(bg.explore, arena, root=root)
+                assert got == outcome(oracles.explore_per_state, arena, root=root), (name, root)
+
+
+def bad_invariant_arena() -> Arena:
+    return parse_model("""
+clocks: [c]
+k: 2
+locations:
+  - {name: l0, owner: min, final: false, invariant: "c <= 2"}
+  - {name: lf, owner: min, final: true, invariant: "c <= 1"}
+edges:
+  - {source: l0, action: w, guard: "c <= 1", branches: [{prob: "1/1", resets: [], target: l0}]}
+  - {source: l0, action: a, guard: "c = 2", branches: [{prob: "1/1", resets: [], target: lf}]}
+  - {source: lf, action: f, guard: "c <= 1", branches: [{prob: "1/1", resets: [c], target: lf}]}
+initial: {location: l0, valuation: {c: "0"}}
+""")
+
+
+@pytest.mark.parametrize("case", ["target invariant", "root outside closure", "cap"])
+def test_explore_errors_match_per_state_oracle(case):
+    if case == "target invariant":
+        arena, kwargs = bad_invariant_arena(), {}
+    elif case == "root outside closure":
+        arena = fixtures.one_shot()
+        kwargs = {"root": state(arena, "l0", "1/2", region_point="3/2")}
+    else:
+        arena, kwargs = fixtures.retry_handoff(), {"cap": 4}
+    expected = outcome(oracles.explore_per_state, arena, **kwargs)
+    assert isinstance(expected[0], type)
+    assert outcome(bg.explore, arena, **kwargs) == expected
+    # a failed compile stores nothing, so a second explore fails alike
+    assert outcome(bg.explore, arena, **kwargs) == expected
+
+
+# ------------------------------------------------- the shared per-arena table
+
+def count_compiles(monkeypatch) -> list:
+    calls = []
+    real = bg.boundary_actions
+
+    def counted(arena, location, region):
+        calls.append((location, region))
+        return real(arena, location, region)
+
+    monkeypatch.setattr(bg, "boundary_actions", counted)
+    return calls
+
+
+def test_moves_compile_once_per_location_region(monkeypatch):
+    """Many rooted solves compile each (location, region) once, and a second
+    explore of the same arena compiles nothing new."""
+    calls = count_compiles(monkeypatch)
+    seen = set()
+    real_explore = properties.explore
+
+    def recording(arena, *args, **kwargs):
+        g = real_explore(arena, *args, **kwargs)
+        seen.update((s.location, s.region) for s in g.states)
+        return g
+
+    monkeypatch.setattr(properties, "explore", recording)
+    properties._rooted_value.cache_clear()
+    for build in (fixtures.one_shot, fixtures.retry_handoff):
+        arena = build()
+        calls.clear()
+        seen.clear()
+        for loc in arena.locations:
+            for j in range(17):
+                point = val(arena, F(j, 8))
+                if valuation_satisfies(point, loc.invariant):
+                    properties.value_at(arena, loc.name, point)
+        assert len(calls) == len(set(calls)) == len(seen)
+        assert set(calls) == seen
+        bg.explore(arena)
+        assert len(calls) == len(seen)
+
+
+def test_moves_table_is_invisible(monkeypatch):
+    """The table changes neither equality, hash nor repr of the arena, so the
+    rooted-value cache still hits for an equal arena with an empty table."""
+    used, fresh = fixtures.retry_handoff(), fixtures.retry_handoff()
+    point = val(used, "1/4")
+    properties._rooted_value.cache_clear()
+    properties.value_at(used, "l0", point)
+    assert used._moves and not fresh._moves
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    calls = count_compiles(monkeypatch)
+    hits = properties._rooted_value.cache_info().hits
+    assert properties.value_at(fresh, "l0", point) == F(5, 4)
+    assert properties._rooted_value.cache_info().hits == hits + 1
+    assert calls == [] and not fresh._moves

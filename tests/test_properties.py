@@ -22,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timedgames import properties
 from timedgames.fixtures import one_shot, one_shot_max, retry, retry_handoff
-from timedgames.model import ConcreteState
+from timedgames.model import ConcreteState, parse_model
 from timedgames.properties import (
     _rooted_value,
     check_quasi_simple,
@@ -33,7 +34,7 @@ from timedgames.properties import (
     sample_states,
     value_at,
 )
-from timedgames.regions import ClockValuation, region_of
+from timedgames.regions import ClockValuation, region_of, sample_closure
 from timedgames.solver import SimpleForm
 
 M1 = one_shot()
@@ -135,6 +136,45 @@ def test_quasi_simple_point_region_is_vacuous():
     assert report.ok
     assert report.pairs_checked == 0
     assert report.diag_pairs_checked == 0
+
+
+TWO_CLOCKS = """
+clocks: [c, d]
+k: 2
+locations:
+  - {name: l0, owner: min, final: false, invariant: "c <= 2 & d <= 2"}
+  - {name: lf, owner: min, final: true}
+edges:
+  - {source: l0, action: a, guard: "c >= 1", branches: [{prob: "1/1", resets: [c], target: lf}]}
+initial: {location: l0, valuation: {c: "0", d: "0"}}
+"""
+
+
+def test_quasi_simple_single_point_closure_evaluates_nothing(monkeypatch):
+    """With every clock on an integer the closure is one point; the check
+    returns the empty report without drawing a sample or calling the
+    evaluator."""
+    calls = []
+
+    def counting(loc, v):
+        calls.append((loc, v))
+        return Fraction(0)
+
+    def drawing(region, rng, denominator=64):
+        calls.append(region)
+        return sample_closure(region, rng, denominator)
+
+    monkeypatch.setattr(properties, "sample_closure", drawing)
+
+    two = parse_model(TWO_CLOCKS)
+    corner = region_of(ClockValuation(two.ctx, (Fraction(1), Fraction(2))))
+    cases = [(M1, "l0", reg(M1, 0)), (M3, "l1", reg(M3, 1)), (two, "l0", corner)]
+    for arena, loc, region in cases:
+        assert len(region.blocks) == 1
+        report = check_quasi_simple(arena, loc, region, pairs=50, evaluator=counting)
+        assert (report.pairs_checked, report.diag_pairs_checked) == (0, 0)
+        assert report.ok and report.max_lipschitz_ratio is None
+    assert calls == []
 
 
 def test_quasi_simple_detects_planted_fault():

@@ -98,6 +98,38 @@ def test_certify_flags_perturbed_values():
     assert 0 in report.violations
 
 
+def two_state_graph(row) -> bg.Brg:
+    """State 0 (min, non-final) has one action of cost 1 with the given
+    distribution; state 1 is final and loops on itself."""
+    m1 = graph("M1")
+    return bg.Brg(m1.arena, states=m1.states[:2], actions=[m1.actions[0][:1]] * 2,
+                  rewards=[[Fraction(1)], [Fraction(1)]],
+                  dists=[[tuple(row)], [((1, Fraction(1)),)]],
+                  owners=["min", "min"], finals=[False, True])
+
+
+@pytest.mark.parametrize("row,value", [
+    (((1, Fraction(1, 2)),), Fraction(1)),                     # sums to 1/2
+    (((1, Fraction(3, 2)),), Fraction(1)),                     # a branch of 3/2
+    (((0, Fraction(1, 4)), (1, Fraction(1, 2))), Fraction(4, 3)),   # sums to 3/4
+    (((0, Fraction(-1, 2)), (1, Fraction(3, 2))), Fraction(2, 3)),  # sums to 1
+])
+def test_certify_refuses_non_stochastic_rows(row, value):
+    g = two_state_graph(row)
+    report = sv.certify(g, [value, Fraction(0)])
+    assert report.residual == 0 and report.violations == []
+    assert report.improper_rows == [(0, 0)]
+    assert not report.ok
+    assert not sv.solve_exact(g).certified
+
+
+def test_certify_accepts_stochastic_row():
+    g = two_state_graph(((1, Fraction(1)),))
+    report = sv.certify(g, [Fraction(1), Fraction(0)])
+    assert report.ok and report.improper_rows == []
+    assert sv.solve_exact(g).certified
+
+
 def test_value_iteration_agrees_with_certified_values():
     cfg = sv.SolveConfig()
     for name in EXPECTED:
