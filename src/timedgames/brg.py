@@ -35,9 +35,11 @@ each action's boundary (b, c), and per branch the target location, the
 clocks it resets and the target region, whose target invariant is checked
 there.  `_moves` compiles it the first time a state with that (l, zeta) is
 expanded and keeps it on the arena, so every explore of the arena, rooted
-anywhere, shares one table.  Equal actions, moves, target regions and reset
-sets are stored once per arena, so the table costs less memory than the
-per-state copies it replaces.
+anywhere, shares one table.  The arena-level check that every edge's branch
+probabilities sum to 1 runs while that table is still empty, so once per
+arena rather than once per explore.  Equal actions, moves, target regions
+and reset sets are stored once per arena, so the table costs less memory
+than the per-state copies it replaces.
 Per state and action only the point half remains: the cost b - nu(c), the
 shift and reset of the valuation, its validation, the closure check of the
 successor, and interning it.
@@ -216,11 +218,14 @@ def explore(arena: Arena, root: BrgState | None = None, cap: int = DEFAULT_STATE
     own valuation.  States are numbered in discovery order, which together
     with the canonical action order makes the graph a deterministic function
     of the input.  Edges whose branch probabilities do not sum to exactly 1
-    are refused, so nothing downstream solves or plays a non-stochastic game.
+    are refused, so nothing downstream solves or plays a non-stochastic game;
+    the check runs only while the arena's table of moves is empty, since
+    nothing is compiled into it before the check has passed.
     """
-    improper = distribution_findings(arena)
-    if improper:
-        raise ModelError(improper[0])
+    if not arena._moves:
+        improper = distribution_findings(arena)
+        if improper:
+            raise ModelError(improper[0])
     if root is None:
         loc, v = arena.initial
         root = BrgState(loc, v, region_of(v))

@@ -14,14 +14,29 @@ inside one region shares its action set, so the table built from the first
 explored node per key plays from any point of the region's closure.  When
 several nodes share a key with genuinely different optimal moves the table
 keeps the first, which can cost accuracy on models beyond the bundled ones;
-the run legality check guards the delays themselves either way.
+`ConcretizedStrategy.conflicts` counts such keys (the CLI does not report
+it yet), and the run legality check guards the delays themselves either way.
+
+Play is a walk over a step table compiled lazily on the strategy.  Every
+quantity a step computes is a pure function of the concrete state and the
+step's effective epsilon: the strategy's move, the exact delay, the legality
+verdict, the edge's branch weights over their lcm denominator and each
+branch's successor.  So the first visit of a (state, epsilon) key computes
+them exactly as the per-step semantics does, raising the same errors at the
+same step, and stores them under an integer id with the successors' ids.
+Every later visit is one `randrange` over the same denominator, a scan over
+the cumulative weights, one `Fraction` add and a list index.  An entry
+compiled with the legality check off is checked before its first checked
+play.  The table lives on the strategy, one per arena played, so every run
+and estimate of the strategy shares it; the strategy's move table must not
+change once it has been played.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .brg import BoundaryAction, Brg
@@ -33,21 +48,108 @@ class StrategyGapError(Exception):
     """The strategy table has no move for a reached (location, region)."""
 
 
+class _StepTable:
+    """The compiled steps of one strategy on one arena.
+
+    Ids number (state, effective epsilon, decaying) keys in first-reached
+    order; `keys`, `final` and `entries` are indexed by id.  An entry is
+    None until the state is first played, then (legality checked, action,
+    delay, den, ((cumulative weight, successor id), ...)).  Successors of a
+    decaying run carry half the epsilon of their predecessor, which is
+    epsilon/2^(n+1) at step n exactly."""
+
+    def __init__(self, arena: Arena, action_for):
+        self.arena = arena
+        self.action_for = action_for
+        self.ids: dict = {}
+        self.keys: list = []
+        self.final: list[bool] = []
+        self.entries: list = []
+        self.roots: dict = {}
+
+    def root(self, epsilon, decaying: bool) -> int:
+        """The id of the initial state's key for this epsilon, found without
+        hashing the state again."""
+        key = (epsilon, decaying)
+        i = self.roots.get(key)
+        if i is None:
+            eps = epsilon / 2 if decaying else epsilon
+            i = self.roots[key] = self.intern(self.arena.initial, eps, decaying)
+        return i
+
+    def intern(self, state: ConcreteState, eps, decaying: bool) -> int:
+        key = (state, eps, decaying)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.final.append(self.arena.is_final(state.location))
+            self.entries.append(None)
+        return i
+
+    def compile(self, i: int, check_legal: bool) -> tuple:
+        """Compile entry i on its first play, or check the legality of an
+        entry first compiled with the check off.  Raises what the per-step
+        semantics raises at this state, before any draw."""
+        state, eps, decaying = self.keys[i]
+        entry = self.entries[i]
+        if entry is None:
+            act = self.action_for(state.location, region_of(state.valuation))
+            action, t = act.action, concretize_action(state.valuation, act, eps)
+        else:
+            _, action, t, _, _ = entry
+        if check_legal:
+            move = TimedAction(t, action)
+            if not timed_action_allowed(self.arena, state, move):
+                raise StrategyGapError(
+                    "concretized move %s is illegal from (%s, %s)"
+                    % (move, state.location, dict(state.valuation.as_dict()))
+                )
+        if entry is None:
+            edge = self.arena.edge(state.location, action)
+            den = math.lcm(*(br.prob.denominator for br in edge.branches))
+            shifted = state.valuation.shift(t)
+            nxt = eps / 2 if decaying else eps
+            acc = 0
+            branches = []
+            for br in edge.branches:
+                acc += br.prob.numerator * (den // br.prob.denominator)
+                succ = ConcreteState(br.target, shifted.reset(br.resets))
+                branches.append((acc, self.intern(succ, nxt, decaying)))
+            entry = (check_legal, action, t, den, tuple(branches))
+        else:
+            entry = (True,) + entry[1:]
+        self.entries[i] = entry
+        return entry
+
+
 @dataclass(frozen=True)
 class ConcretizedStrategy:
+    """One abstract move per (location, region key).  `conflicts` counts the
+    keys whose graph nodes chose different moves, of which the table keeps
+    the first.  `_steps` holds the compiled step table per played arena; like
+    `conflicts` it is not part of equality, hashing or repr."""
+
     arena: Arena
     table: dict
+    conflicts: int = field(default=0, compare=False)
+    _steps: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_steps", {})
 
     @classmethod
     def from_solution(cls, g: Brg, choice) -> "ConcretizedStrategy":
         table = {}
+        conflicted = set()
         for i, s in enumerate(g.states):
             if choice[i] is None:
                 continue
             key = (s.location, s.region.key())
-            if key not in table:
-                table[key] = g.actions[i][choice[i]]
-        return cls(g.arena, table)
+            act = g.actions[i][choice[i]]
+            if table.setdefault(key, act) != act:
+                conflicted.add(key)
+        return cls(g.arena, table, len(conflicted))
 
     def action_for(self, location: str, region: ClockRegion) -> BoundaryAction:
         try:
@@ -100,17 +202,6 @@ class RunRecord:
     trace: tuple = ()
 
 
-def _sample_branch(edge, rng: random.Random):
-    den = math.lcm(*(br.prob.denominator for br in edge.branches))
-    r = rng.randrange(den)
-    acc = 0
-    for br in edge.branches:
-        acc += br.prob.numerator * (den // br.prob.denominator)
-        if r < acc:
-            return br
-    raise AssertionError("branch probabilities do not cover the unit interval")
-
-
 def simulate_run(
     arena: Arena,
     strategy: ConcretizedStrategy,
@@ -122,30 +213,37 @@ def simulate_run(
     check_legal: bool = True,
     record_trace: bool = False,
 ) -> RunRecord:
-    state = arena.initial
+    """One run from the initial state until a final location or the step
+    cap.  Step n delays by the strategy's move concretized with epsilon, or
+    with epsilon/2^(n+1) when decaying, and draws its branch with one
+    `rng.randrange` over the lcm of the edge's probability denominators."""
+    steps_table = strategy._steps.get(id(arena))
+    if steps_table is None:
+        steps_table = strategy._steps[id(arena)] = _StepTable(arena, strategy.action_for)
+    keys, final, entries = steps_table.keys, steps_table.final, steps_table.entries
+    i = steps_table.root(epsilon, decaying)
     total = Fraction(0)
     trace: list = []
     steps = 0
-    while not arena.is_final(state.location):
+    while not final[i]:
         if steps >= step_cap:
-            return RunRecord(False, total, steps, state, tuple(trace))
-        act = strategy.action_for(state.location, region_of(state.valuation))
-        eps_eff = epsilon / (1 << (steps + 1)) if decaying else epsilon
-        t = concretize_action(state.valuation, act, eps_eff)
-        move = TimedAction(t, act.action)
-        if check_legal and not timed_action_allowed(arena, state, move):
-            raise StrategyGapError(
-                "concretized move %s is illegal from (%s, %s)"
-                % (move, state.location, dict(state.valuation.as_dict()))
-            )
+            return RunRecord(False, total, steps, keys[i][0], tuple(trace))
+        entry = entries[i]
+        if entry is None or (check_legal and not entry[0]):
+            entry = steps_table.compile(i, check_legal)
+        _, action, t, den, branches = entry
         if record_trace:
-            trace.append((state, act.action, t))
-        shifted = state.valuation.shift(t)
-        br = _sample_branch(arena.edge(state.location, act.action), rng)
+            trace.append((keys[i][0], action, t))
+        r = rng.randrange(den)
+        for acc, j in branches:
+            if r < acc:
+                break
+        else:
+            raise AssertionError("branch probabilities do not cover the unit interval")
         total += t
-        state = ConcreteState(br.target, shifted.reset(br.resets))
+        i = j
         steps += 1
-    return RunRecord(True, total, steps, state, tuple(trace))
+    return RunRecord(True, total, steps, keys[i][0], tuple(trace))
 
 
 @dataclass

@@ -8,11 +8,16 @@ really compares two different derivations.  `explore_per_state` is the
 exception: it is the earlier boundary region graph construction, which
 redoes the region-level work of every move (resets, target invariants,
 fresh regions) at every state instead of compiling it once per arena.
+`simulate_run_per_step` is the earlier simulator, which redoes the region
+lookup, the concretization, the legality check and the branch weights at
+every step instead of playing a compiled step table.  `chain_document`
+writes the retry chains that the differential tests generate.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from fractions import Fraction
 
@@ -26,7 +31,16 @@ from timedgames.brg import (
     ExplorationLimit,
     boundary_actions,
 )
-from timedgames.model import Arena, Branch, Edge, ModelError, distribution_findings
+from timedgames.model import (
+    Arena,
+    Branch,
+    ConcreteState,
+    Edge,
+    ModelError,
+    TimedAction,
+    distribution_findings,
+    timed_action_allowed,
+)
 from timedgames.regions import (
     ClockConstraint,
     ClockRegion,
@@ -37,6 +51,12 @@ from timedgames.regions import (
     reset_region,
     satisfies,
     valuation_satisfies,
+)
+from timedgames.simulate import (
+    ConcretizedStrategy,
+    RunRecord,
+    StrategyGapError,
+    concretize_action,
 )
 
 
@@ -297,3 +317,94 @@ def explore_per_state(arena: Arena, root: BrgState | None = None,
             row.append(tuple(sorted((intern(t), p) for t, p in dist.items())))
         g.dists.append(row)
     return g
+
+
+def chain_document(n: int, k: int, clocks: int, owners, probs) -> str:
+    """A retry chain: at l_i action `a` (guard c >= 1) advances with the
+    location's probability and otherwise resets c and retries; `b` (guard
+    c <= k-1) resets one other clock and advances; lf escapes on each clock
+    by resetting all of them."""
+    cs = ("c", "d", "e")[:clocks]
+    inv = " & ".join("%s <= %d" % (c, k) for c in cs)
+    lines = ["clocks: [%s]" % ", ".join(cs), "k: %d" % k, "locations:"]
+    for i in range(n):
+        lines.append('  - {name: l%d, owner: %s, final: false, invariant: "%s"}'
+                     % (i, owners[i], inv))
+    lines.append('  - {name: lf, owner: min, final: true, invariant: "%s"}' % inv)
+    lines.append("edges:")
+    for i in range(n):
+        nxt = "l%d" % (i + 1) if i + 1 < n else "lf"
+        p = probs[i]
+        other = [cs[1 + i % (clocks - 1)]] if clocks > 1 else []
+        lines += [
+            "  - source: l%d" % i,
+            "    action: a",
+            '    guard: "c >= 1"',
+            "    branches:",
+            '      - {prob: "%s", resets: [], target: %s}' % (p, nxt),
+            '      - {prob: "%s", resets: [c], target: l%d}' % (1 - p, i),
+            "  - source: l%d" % i,
+            "    action: b",
+            '    guard: "c <= %d"' % (k - 1),
+            "    branches:",
+            '      - {prob: "1/1", resets: [%s], target: %s}' % (", ".join(other), nxt),
+        ]
+    for c in cs:
+        lines += [
+            "  - source: lf",
+            "    action: esc_%s" % c,
+            '    guard: "%s >= 1"' % c,
+            "    branches:",
+            '      - {prob: "1/1", resets: [%s], target: lf}' % ", ".join(cs),
+        ]
+    lines += ["initial:", "  location: l0",
+              "  valuation: {%s}" % ", ".join('%s: "0/1"' % c for c in cs)]
+    return "\n".join(lines) + "\n"
+
+
+def _sample_branch(edge, rng: random.Random):
+    den = math.lcm(*(br.prob.denominator for br in edge.branches))
+    r = rng.randrange(den)
+    acc = 0
+    for br in edge.branches:
+        acc += br.prob.numerator * (den // br.prob.denominator)
+        if r < acc:
+            return br
+    raise AssertionError("branch probabilities do not cover the unit interval")
+
+
+def simulate_run_per_step(
+    arena: Arena,
+    strategy: ConcretizedStrategy,
+    rng: random.Random,
+    *,
+    epsilon: Fraction = Fraction(1, 1000),
+    step_cap: int = 10_000,
+    decaying: bool = False,
+    check_legal: bool = True,
+    record_trace: bool = False,
+) -> RunRecord:
+    state = arena.initial
+    total = Fraction(0)
+    trace: list = []
+    steps = 0
+    while not arena.is_final(state.location):
+        if steps >= step_cap:
+            return RunRecord(False, total, steps, state, tuple(trace))
+        act = strategy.action_for(state.location, region_of(state.valuation))
+        eps_eff = epsilon / (1 << (steps + 1)) if decaying else epsilon
+        t = concretize_action(state.valuation, act, eps_eff)
+        move = TimedAction(t, act.action)
+        if check_legal and not timed_action_allowed(arena, state, move):
+            raise StrategyGapError(
+                "concretized move %s is illegal from (%s, %s)"
+                % (move, state.location, dict(state.valuation.as_dict()))
+            )
+        if record_trace:
+            trace.append((state, act.action, t))
+        shifted = state.valuation.shift(t)
+        br = _sample_branch(arena.edge(state.location, act.action), rng)
+        total += t
+        state = ConcreteState(br.target, shifted.reset(br.resets))
+        steps += 1
+    return RunRecord(True, total, steps, state, tuple(trace))

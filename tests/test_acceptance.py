@@ -186,11 +186,9 @@ def test_criterion_08_simulation_estimates_value():
     g = explore(m2)
     res = solve_exact(g)
     strat = ConcretizedStrategy.from_solution(g, res.choice)
-    # per-step legality of concretized moves is asserted in test_simulate;
-    # here the check is off so the large run stays quick
     est = estimate_value(m2, strat, 100_000, seed=20240817,
                          epsilon=Fraction(1, 1000), step_cap=10_000,
-                         check_legal=False)
+                         check_legal=True)
     assert est.reached == est.runs
     bound = max(3 * est.halfwidth, 2e-3)
     assert abs(float(est.mean_exact) - 2.0) <= bound

@@ -213,49 +213,6 @@ def test_export_dot_shape():
 
 # ------------------------------------------- compiled moves vs per-state oracle
 
-def chain_document(n: int, k: int, clocks: int, owners, probs) -> str:
-    """A retry chain: at l_i action `a` (guard c >= 1) advances with the
-    location's probability and otherwise resets c and retries; `b` (guard
-    c <= k-1) resets one other clock and advances; lf escapes on each clock
-    by resetting all of them."""
-    cs = ("c", "d", "e")[:clocks]
-    inv = " & ".join("%s <= %d" % (c, k) for c in cs)
-    lines = ["clocks: [%s]" % ", ".join(cs), "k: %d" % k, "locations:"]
-    for i in range(n):
-        lines.append('  - {name: l%d, owner: %s, final: false, invariant: "%s"}'
-                     % (i, owners[i], inv))
-    lines.append('  - {name: lf, owner: min, final: true, invariant: "%s"}' % inv)
-    lines.append("edges:")
-    for i in range(n):
-        nxt = "l%d" % (i + 1) if i + 1 < n else "lf"
-        p = probs[i]
-        other = [cs[1 + i % (clocks - 1)]] if clocks > 1 else []
-        lines += [
-            "  - source: l%d" % i,
-            "    action: a",
-            '    guard: "c >= 1"',
-            "    branches:",
-            '      - {prob: "%s", resets: [], target: %s}' % (p, nxt),
-            '      - {prob: "%s", resets: [c], target: l%d}' % (1 - p, i),
-            "  - source: l%d" % i,
-            "    action: b",
-            '    guard: "c <= %d"' % (k - 1),
-            "    branches:",
-            '      - {prob: "1/1", resets: [%s], target: %s}' % (", ".join(other), nxt),
-        ]
-    for c in cs:
-        lines += [
-            "  - source: lf",
-            "    action: esc_%s" % c,
-            '    guard: "%s >= 1"' % c,
-            "    branches:",
-            '      - {prob: "1/1", resets: [%s], target: lf}' % ", ".join(cs),
-        ]
-    lines += ["initial:", "  location: l0",
-              "  valuation: {%s}" % ", ".join('%s: "0/1"' % c for c in cs)]
-    return "\n".join(lines) + "\n"
-
-
 def differential_arenas() -> dict[str, Arena]:
     models = Path(__file__).resolve().parent.parent / "models"
     arenas = {p.stem: load_model(str(p)) for p in sorted(models.glob("*.model"))}
@@ -283,7 +240,7 @@ initial: {location: l0, valuation: {c: "0", d: "0"}}
         owners = [rng.choice(("min", "max")) for _ in range(n)]
         probs = [rng.choice((F(1, 2), F(1, 3), F(3, 4))) for _ in range(n)]
         arenas["chain%d_%d_%d" % (clocks, n, k)] = parse_model(
-            chain_document(n, k, clocks, owners, probs))
+            oracles.chain_document(n, k, clocks, owners, probs))
     return arenas
 
 
@@ -384,6 +341,20 @@ def test_moves_compile_once_per_location_region(monkeypatch):
         assert set(calls) == seen
         bg.explore(arena)
         assert len(calls) == len(seen)
+
+
+def test_distribution_check_precedes_expansion():
+    """A non-stochastic edge is refused with its text before any state is
+    expanded, ahead of a bad root, and again on every later explore."""
+    models = Path(__file__).resolve().parent.parent / "models"
+    text = (models / "M2.model").read_text()
+    arena = parse_model(text.replace('prob: "1/2", resets: [c]', 'prob: "1/4", resets: [c]'))
+    bad_root = state(arena, "l0", "1/2", region_point="3/2")
+    for root in (None, bad_root, None):
+        with pytest.raises(ModelError, match=r"^edge \(l0, a\): branch probabilities "
+                                             r"sum to 3/4, not 1$"):
+            bg.explore(arena, root=root)
+        assert not arena._moves
 
 
 def test_moves_table_is_invisible(monkeypatch):

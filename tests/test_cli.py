@@ -167,6 +167,34 @@ def test_check_properties_clean(capsys):
     assert all(r["gap"]["rational"] == "0/1" for r in doc["grid_states"])
 
 
+def test_check_properties_checks_distributions_once_per_arena(capsys, monkeypatch):
+    """The many rooted explores of a check-properties run share one arena,
+    so its branch distributions are checked once, not once per explore."""
+    from timedgames import brg, cli, properties
+
+    checked, explored = [], []
+    real_check, real_explore = brg.distribution_findings, brg.explore
+
+    def check(arena):
+        checked.append(arena)
+        return real_check(arena)
+
+    def explore(arena, *args, **kwargs):
+        explored.append(arena)
+        return real_explore(arena, *args, **kwargs)
+
+    monkeypatch.setattr(brg, "distribution_findings", check)
+    monkeypatch.setattr(cli, "explore", explore)
+    monkeypatch.setattr(properties, "explore", explore)
+    properties._rooted_value.cache_clear()
+    for model in (M1, M2):
+        code, _, _ = run(capsys, "check-properties", model, "--pairs", "15",
+                         "--states", "3", "--json")
+        assert code == 0
+    assert len(explored) > 2 * len(set(map(id, explored)))
+    assert [id(a) for a in checked] == list(dict.fromkeys(map(id, explored)))
+
+
 # ------------------------------------------------------------- bad input
 
 def _variant(tmp_path, model: str, old: str, new: str) -> str:

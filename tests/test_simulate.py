@@ -19,14 +19,20 @@ both to the midpoint 3/2.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import oracles
+from timedgames import simulate
 from timedgames.brg import BoundaryAction, boundary_actions, explore
-from timedgames.fixtures import one_shot, one_shot_max, retry
-from timedgames.regions import ClockValuation, region_of
+from timedgames.fixtures import one_shot, one_shot_max, retry, retry_handoff
+from timedgames.model import ConcreteState, ModelError, load_model, parse_model
+from timedgames.regions import ClockValuation, RegionError, region_of
 from timedgames.simulate import (
     ConcretizedStrategy,
     StrategyGapError,
@@ -34,7 +40,7 @@ from timedgames.simulate import (
     estimate_value,
     simulate_run,
 )
-from timedgames.solver import solve_exact
+from timedgames.solver import TargetUnreachableError, solve_exact
 
 
 def solved(arena):
@@ -162,3 +168,171 @@ def test_no_reached_runs_reports_nan():
     assert est.mean_exact is None
     assert est.mean != est.mean  # nan
     assert est.unreached_fraction == 1.0
+
+
+# ------------------------------------------ compiled step table vs per-step
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+# the advance probabilities the benchmark's retry chains draw from
+CHAIN_PROBS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4),
+               Fraction(3, 4))
+
+
+def random_chain(rng: random.Random, n: int, k: int, clocks: int):
+    owners = [rng.choice(("min", "max")) for _ in range(n)]
+    probs = [rng.choice(CHAIN_PROBS) for _ in range(n)]
+    return parse_model(oracles.chain_document(n, k, clocks, owners, probs))
+
+
+def differential_arenas() -> dict:
+    arenas = {p.stem: load_model(str(p)) for p in sorted(MODELS.glob("*.model"))}
+    rng = random.Random(13)
+    for clocks, n, k in [(1, 3, 2), (2, 2, 2), (3, 2, 2)]:
+        arenas["chain%d_%d_%d" % (clocks, n, k)] = random_chain(rng, n, k, clocks)
+    # the benchmark's seed-0 play-check chain, whose strategy has conflicts
+    arenas["play-check/0"] = random_chain(random.Random("play-check/0"), 2, 2, 2)
+    return arenas
+
+
+def strategies(arena):
+    """The strategy that plays every node's first action, which can loop
+    until the step cap, and the certified strategy where the game solves."""
+    g = explore(arena)
+    first = [None if g.is_final(i) else 0 for i in range(g.n)]
+    out = [ConcretizedStrategy.from_solution(g, first)]
+    try:
+        out.append(ConcretizedStrategy.from_solution(g, solve_exact(g).choice))
+    except TargetUnreachableError:
+        pass
+    return out
+
+
+def play(run, arena, strat, seed: int, runs: int, **kwargs) -> list:
+    """The records of `runs` runs from one seeded rng, ending with the type
+    and text of an error if one is raised."""
+    rng = random.Random(seed)
+    out = []
+    try:
+        for _ in range(runs):
+            out.append(run(arena, strat, rng, **kwargs))
+    except (StrategyGapError, RegionError, ModelError) as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def estimate(arena, strat, **kwargs):
+    try:
+        return repr(estimate_value(arena, strat, 12, seed=4, **kwargs))
+    except (StrategyGapError, RegionError, ModelError) as exc:
+        return type(exc), str(exc)
+
+
+def test_compiled_runs_match_per_step_oracle(monkeypatch):
+    """Equal run records and estimates for fixed seeds across epsilons,
+    decaying on and off, traces, a small step cap and the legality check
+    off then on, with one strategy's table shared by every combination."""
+    for name, arena in differential_arenas().items():
+        for strat in strategies(arena):
+            for eps, decaying, check_legal, cap in itertools.product(
+                    (Fraction(1, 1000), Fraction(1, 3)), (False, True),
+                    (False, True), (3, 40)):
+                kwargs = dict(epsilon=eps, decaying=decaying,
+                              check_legal=check_legal, step_cap=cap)
+                case = (name, strat.conflicts, kwargs)
+                fast = play(simulate.simulate_run, arena, strat, 0, 12,
+                            record_trace=True, **kwargs)
+                slow = play(oracles.simulate_run_per_step, arena, strat, 0, 12,
+                            record_trace=True, **kwargs)
+                assert fast == slow, case
+                fast = estimate(arena, strat, **kwargs)
+                with monkeypatch.context() as m:
+                    m.setattr(simulate, "simulate_run", oracles.simulate_run_per_step)
+                    assert estimate(arena, strat, **kwargs) == fast, case
+
+
+@pytest.mark.parametrize("case", ["missing key", "boundary in the past", "illegal move"])
+def test_compiled_errors_match_per_step_oracle(case):
+    """Same records before the error, the same exception type and text at
+    the same step, and the same again on a second pass, since a failed
+    compile stores no entry."""
+    m1 = one_shot()
+    if case == "missing key":
+        # M3 without moves for the maximizer's location, which a run only
+        # reaches after a failed first attempt
+        arena = retry_handoff()
+        _, _, full = solved(arena)
+        table = {key: act for key, act in full.table.items() if key[0] != "l1"}
+    elif case == "boundary in the past":
+        arena = dataclasses.replace(m1, initial=ConcreteState("l0", val(m1, "5/4")))
+        past = BoundaryAction("a", region_of(val(m1, "1/2")), 1, "c")
+        table = {("l0", region_of(val(m1, "5/4")).key()): past}
+    else:
+        arena = m1
+        now = BoundaryAction("a", region_of(val(m1, 0)), None, None)
+        table = {("l0", region_of(val(m1, 0)).key()): now}
+    strat = ConcretizedStrategy(arena, table)
+    expected = play(oracles.simulate_run_per_step, arena, strat, 2, 10)
+    assert expected[-1][0] is StrategyGapError
+    assert play(simulate_run, arena, strat, 2, 10) == expected
+    assert play(simulate_run, arena, strat, 2, 10) == expected
+
+
+def test_unchecked_entry_is_checked_before_checked_play():
+    """An illegal move compiled with the check off plays as the per-step
+    path plays it; the first checked run over the same entry refuses it."""
+    m1 = one_shot()
+    now = BoundaryAction("a", region_of(val(m1, 0)), None, None)
+    strat = ConcretizedStrategy(m1, {("l0", region_of(val(m1, 0)).key()): now})
+    rec = simulate_run(m1, strat, random.Random(0), check_legal=False)
+    assert rec == oracles.simulate_run_per_step(m1, strat, random.Random(0),
+                                                check_legal=False)
+    assert rec.reached and rec.total_time == 0
+    with pytest.raises(StrategyGapError, match="illegal"):
+        simulate_run(m1, strat, random.Random(0))
+    # the verdict is not stored as passed, so the check fails again
+    with pytest.raises(StrategyGapError, match="illegal"):
+        simulate_run(m1, strat, random.Random(0))
+
+
+def test_steps_compile_once_per_state(monkeypatch):
+    """Each distinct (state, epsilon) key is concretized on its first play
+    only: a second estimate with the same epsilon concretizes nothing."""
+    calls = []
+    real = simulate.concretize_action
+
+    def counted(valuation, act, eps):
+        calls.append((valuation, act, eps))
+        return real(valuation, act, eps)
+
+    monkeypatch.setattr(simulate, "concretize_action", counted)
+    m3 = retry_handoff()
+    _, _, strat = solved(m3)
+    first = estimate_value(m3, strat, 2000, seed=1)
+    assert 0 < len(calls) == len(set(calls)) <= 4
+    n = len(calls)
+    assert estimate_value(m3, strat, 2000, seed=1) == first
+    assert len(calls) == n
+
+
+def test_step_table_is_invisible():
+    """Playing fills the strategy's step table without changing equality or
+    repr, and a fresh equal strategy plays the same runs."""
+    m2 = retry()
+    _, _, used = solved(m2)
+    _, _, fresh = solved(m2)
+    a = estimate_value(m2, used, 200, seed=3)
+    assert used._steps and not fresh._steps
+    assert used == fresh and repr(used) == repr(fresh)
+    assert estimate_value(m2, fresh, 200, seed=3) == a
+
+
+def test_strategy_conflicts_counted():
+    """No (location, region) key of a bundled model has nodes choosing
+    different moves; the benchmark's seed-0 play-check chain has two."""
+    for path in sorted(MODELS.glob("*.model")):
+        for strat in strategies(load_model(str(path)))[1:]:
+            assert strat.conflicts == 0, path.stem
+    chain = differential_arenas()["play-check/0"]
+    _, _, strat = solved(chain)
+    assert strat.conflicts == 2
+    assert ConcretizedStrategy(chain, strat.table) == strat
