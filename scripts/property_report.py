@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Property report over every reachable region of the bundled games.
+"""Property report over every reachable region of the bundled games in models/.
 
 For each (location, region) reached by the graph exploration this prints
 the fitted value-function form (when one exists), the sampled Lipschitz /
@@ -15,14 +15,22 @@ vacuously.
 from __future__ import annotations
 
 import argparse
+from pathlib import Path
 
 from timedgames.brg import explore
-from timedgames.fixtures import FIXTURES, one_shot
+from timedgames.model import load_model
 from timedgames.properties import (
     check_quasi_simple,
     fit_simple,
     value_at,
 )
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+GAMES = ("M1", "M1x", "M2", "M3")
+
+
+def bundled(name: str):
+    return load_model(str(MODELS / ("%s.model" % name)))
 
 
 def reachable_keys(g):
@@ -41,8 +49,8 @@ def main() -> int:
 
     header = "%-4s %-4s %-10s %-9s %-11s %-9s %s"
     print(header % ("game", "loc", "region", "form", "pairs", "worst", "ok"))
-    for name, make in FIXTURES.items():
-        arena = make()
+    for name in GAMES:
+        arena = bundled(name)
         g = explore(arena)
         for (loc, _), s in reachable_keys(g).items():
             form = fit_simple(arena, loc, s.region, seed=args.seed)
@@ -60,7 +68,7 @@ def main() -> int:
 
     print()
     print("same checks with the evaluator warped by +nu(c)^2 on M1:")
-    m1 = one_shot()
+    m1 = bundled("M1")
     bent = lambda loc, v: value_at(m1, loc, v) + v.value("c") ** 2
     g = explore(m1)
     for (loc, _), s in reachable_keys(g).items():

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Solve the bundled games and print a comparison table.
+"""Solve the bundled games of models/ and print a comparison table.
 
 For each game: graph size, certified exact value with the optimal moves,
 the float value-iteration result it warm-started from, and a sweep of
@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 from fractions import Fraction
+from pathlib import Path
 
 from timedgames.brg import explore
-from timedgames.fixtures import FIXTURES
-from timedgames.model import format_rational
+from timedgames.model import format_rational, load_model
 from timedgames.solver import (
     SolveConfig,
     solve_discounted,
@@ -24,11 +24,15 @@ from timedgames.solver import (
     value_iterate,
 )
 
+MODELS = Path(__file__).resolve().parent.parent / "models"
+GAMES = ("M1", "M1x", "M2", "M3")
+
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--names", default=",".join(FIXTURES),
-                    help="comma-separated subset of: %s" % ", ".join(FIXTURES))
+    ap.add_argument("--names", default=",".join(GAMES),
+                    help="comma-separated model names under models/, "
+                         "default: %s" % ", ".join(GAMES))
     ap.add_argument("--lambdas", default="1/4,1/2,9/10",
                     help="comma-separated rational discount factors")
     ap.add_argument("--keep-final-rewards", action="store_true",
@@ -37,7 +41,7 @@ def main() -> int:
     lams = [Fraction(s) for s in args.lambdas.split(",") if s]
 
     for name in args.names.split(","):
-        arena = FIXTURES[name]()
+        arena = load_model(str(MODELS / ("%s.model" % name)))
         g = explore(arena)
         res = solve_exact(g)
         approx, iters, residual = value_iterate(g, SolveConfig())

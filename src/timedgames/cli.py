@@ -74,13 +74,6 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _print_witness(g: Brg, exc: TargetUnreachableError) -> None:
-    print("the final set is not reached almost surely", file=sys.stderr)
-    for comp in exc.components:
-        labels = "; ".join(g.states[i].label() for i in comp)
-        print("  end component: %s" % labels, file=sys.stderr)
-
-
 def _config(args) -> SolveConfig:
     cfg = SolveConfig()
     if getattr(args, "tolerance", None) is not None:
@@ -159,11 +152,7 @@ def cmd_solve(args) -> int:
     g = explore(arena)
     cfg = _config(args)
     if args.exact:
-        try:
-            res = solve_exact(g, cfg)
-        except TargetUnreachableError as exc:
-            _print_witness(g, exc)
-            raise
+        res = solve_exact(g, cfg)
         values, choice = res.values, res.choice
         payload_extra = {
             "certified": res.certified,
@@ -174,9 +163,7 @@ def cmd_solve(args) -> int:
     else:
         components = check_almost_sure_reach(g)
         if components:
-            exc = TargetUnreachableError(components)
-            _print_witness(g, exc)
-            raise exc
+            raise TargetUnreachableError(g, components)
         values, iters, residual = value_iterate(g, cfg)
         choice = extract_strategies(g, values)
         payload_extra = {
@@ -304,11 +291,7 @@ def cmd_check_properties(args) -> int:
 def cmd_simulate(args) -> int:
     arena = load_model(args.model)
     g = explore(arena)
-    try:
-        res = solve_exact(g)
-    except TargetUnreachableError as exc:
-        _print_witness(g, exc)
-        raise
+    res = solve_exact(g)
     strategy = ConcretizedStrategy.from_solution(g, res.choice)
     est = estimate_value(
         arena,
@@ -420,6 +403,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except TargetUnreachableError as exc:
+        print("the final set is not reached almost surely", file=sys.stderr)
+        for labels in exc.witness:
+            print("  end component: %s" % "; ".join(labels), file=sys.stderr)
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except ConvergenceError as exc:

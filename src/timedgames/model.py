@@ -287,7 +287,7 @@ def load_model(path: str) -> Arena:
 
 
 def dump_model(arena: Arena) -> str:
-    """Serialize back to the file format (used for fixture/file round-trips)."""
+    """Serialize back to the file format (used for file round-trips)."""
     doc = {
         "name": arena.name,
         "clocks": list(arena.ctx.clocks),

@@ -25,11 +25,10 @@ branch's successor.  So the first visit of a (state, epsilon) key computes
 them exactly as the per-step semantics does, raising the same errors at the
 same step, and stores them under an integer id with the successors' ids.
 Every later visit is one `randrange` over the same denominator, a scan over
-the cumulative weights, one `Fraction` add and a list index.  An entry
-compiled with the legality check off is checked before its first checked
-play.  The table lives on the strategy, one per arena played, so every run
-and estimate of the strategy shares it; the strategy's move table must not
-change once it has been played.
+the cumulative weights, one `Fraction` add and a list index.  The table
+lives on the strategy, one per arena played, so every run and estimate of
+the strategy shares it; the strategy's move table must not change once it
+has been played.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ class _StepTable:
 
     Ids number (state, effective epsilon, decaying) keys in first-reached
     order; `keys`, `final` and `entries` are indexed by id.  An entry is
-    None until the state is first played, then (legality checked, action,
-    delay, den, ((cumulative weight, successor id), ...)).  Successors of a
+    None until the state is first played, then (action, delay, den,
+    ((cumulative weight, successor id), ...)).  Successors of a
     decaying run carry half the epsilon of their predecessor, which is
     epsilon/2^(n+1) at step n exactly."""
 
@@ -87,39 +86,29 @@ class _StepTable:
             self.entries.append(None)
         return i
 
-    def compile(self, i: int, check_legal: bool) -> tuple:
-        """Compile entry i on its first play, or check the legality of an
-        entry first compiled with the check off.  Raises what the per-step
+    def compile(self, i: int) -> tuple:
+        """Compile entry i on its first play.  Raises what the per-step
         semantics raises at this state, before any draw."""
         state, eps, decaying = self.keys[i]
-        entry = self.entries[i]
-        if entry is None:
-            act = self.action_for(state.location, region_of(state.valuation))
-            action, t = act.action, concretize_action(state.valuation, act, eps)
-        else:
-            _, action, t, _, _ = entry
-        if check_legal:
-            move = TimedAction(t, action)
-            if not timed_action_allowed(self.arena, state, move):
-                raise StrategyGapError(
-                    "concretized move %s is illegal from (%s, %s)"
-                    % (move, state.location, dict(state.valuation.as_dict()))
-                )
-        if entry is None:
-            edge = self.arena.edge(state.location, action)
-            den = math.lcm(*(br.prob.denominator for br in edge.branches))
-            shifted = state.valuation.shift(t)
-            nxt = eps / 2 if decaying else eps
-            acc = 0
-            branches = []
-            for br in edge.branches:
-                acc += br.prob.numerator * (den // br.prob.denominator)
-                succ = ConcreteState(br.target, shifted.reset(br.resets))
-                branches.append((acc, self.intern(succ, nxt, decaying)))
-            entry = (check_legal, action, t, den, tuple(branches))
-        else:
-            entry = (True,) + entry[1:]
-        self.entries[i] = entry
+        act = self.action_for(state.location, region_of(state.valuation))
+        action, t = act.action, concretize_action(state.valuation, act, eps)
+        move = TimedAction(t, action)
+        if not timed_action_allowed(self.arena, state, move):
+            raise StrategyGapError(
+                "concretized move %s is illegal from (%s, %s)"
+                % (move, state.location, dict(state.valuation.as_dict()))
+            )
+        edge = self.arena.edge(state.location, action)
+        den = math.lcm(*(br.prob.denominator for br in edge.branches))
+        shifted = state.valuation.shift(t)
+        nxt = eps / 2 if decaying else eps
+        acc = 0
+        branches = []
+        for br in edge.branches:
+            acc += br.prob.numerator * (den // br.prob.denominator)
+            succ = ConcreteState(br.target, shifted.reset(br.resets))
+            branches.append((acc, self.intern(succ, nxt, decaying)))
+        entry = self.entries[i] = (action, t, den, tuple(branches))
         return entry
 
 
@@ -210,7 +199,6 @@ def simulate_run(
     epsilon: Fraction = Fraction(1, 1000),
     step_cap: int = 10_000,
     decaying: bool = False,
-    check_legal: bool = True,
     record_trace: bool = False,
 ) -> RunRecord:
     """One run from the initial state until a final location or the step
@@ -229,9 +217,9 @@ def simulate_run(
         if steps >= step_cap:
             return RunRecord(False, total, steps, keys[i][0], tuple(trace))
         entry = entries[i]
-        if entry is None or (check_legal and not entry[0]):
-            entry = steps_table.compile(i, check_legal)
-        _, action, t, den, branches = entry
+        if entry is None:
+            entry = steps_table.compile(i)
+        action, t, den, branches = entry
         if record_trace:
             trace.append((keys[i][0], action, t))
         r = rng.randrange(den)
@@ -281,7 +269,6 @@ def estimate_value(
     epsilon: Fraction = Fraction(1, 1000),
     step_cap: int = 10_000,
     decaying: bool = False,
-    check_legal: bool = True,
 ) -> EstimateResult:
     """Sample mean of the accumulated time over runs that reach the final
     set, with a normal-approximation 95% halfwidth.  Runs cut off by the
@@ -298,7 +285,6 @@ def estimate_value(
             epsilon=epsilon,
             step_cap=step_cap,
             decaying=decaying,
-            check_legal=check_legal,
         )
         if rec.reached:
             times.append(rec.total_time)

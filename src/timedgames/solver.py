@@ -4,14 +4,19 @@ The expected-time pipeline is: check that the target set is reached almost
 surely under every strategy pair (no end component among non-final states),
 run float value iteration for a warm start, extract positional strategies,
 then improve them in exact rational arithmetic, alternating best responses
-until neither player can switch.  The final values come from an exact solve
-of the induced Markov chain and carry a zero-residual certificate of the
-optimality equations.  That solve splits the chain into strongly connected
-components and solves them sinks first, each as a small rational system
-whose right-hand side substitutes the values of the successors already
-solved (Tarjan 1972; the decomposition of topological value iteration, Dai
-et al. 2011).  The same pass marks the components whose expected time
-diverges.
+until neither player can switch.  Every strategy pair is valued by an exact
+solve of its Markov chain.  That solve splits the chain into strongly
+connected components and solves them sinks first, each as a small rational
+system whose right-hand side substitutes the values of the successors
+already solved (Tarjan 1972; the decomposition of topological value
+iteration, Dai et al. 2011).  The same pass marks the components whose
+expected time diverges.
+
+Each evaluation is followed by one exact Bellman sweep, `certify`, which
+yields both the residual of the optimality equations and every action that
+strictly beats the chosen one.  The improvement loop switches from that
+report, and the report of the last pair, with no switch left, is the
+certificate: zero residual, no better action and stochastic rows.
 
 The discounted variant contracts, so it needs no reachability assumption;
 by default it treats final states as absorbing with value zero, which is the
@@ -26,7 +31,7 @@ rooted graph for an arbitrary start state solves the game from there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -41,10 +46,12 @@ Value = object  # Fraction, float (value iteration), or math.inf
 
 class TargetUnreachableError(RuntimeError):
     """The explored graph has an end component avoiding the final states, so
-    expected reachability times are not finite under every strategy pair."""
+    expected reachability times are not finite under every strategy pair.
+    `witness` holds the state labels of each component."""
 
-    def __init__(self, components: list[list[int]]):
+    def __init__(self, g: Brg, components: list[list[int]]):
         self.components = components
+        self.witness = [[g.states[i].label() for i in comp] for comp in components]
         super().__init__(
             "final states are not reached almost surely; end components: %s"
             % (components,)
@@ -67,11 +74,13 @@ class CertifyReport:
     residual: Fraction | float
     violations: list[int]
     # (state, action) pairs whose distribution is not stochastic
-    improper_rows: list[tuple[int, int]] = field(default_factory=list)
+    improper_rows: list[tuple[int, int]]
+    # (state, action) where the action strictly beats the chosen one
+    switches: list[tuple[int, int]]
 
     @property
     def ok(self) -> bool:
-        return self.residual == 0 and not self.improper_rows
+        return self.residual == 0 and not self.improper_rows and not self.switches
 
 
 @dataclass
@@ -148,25 +157,39 @@ def _best(g: Brg, i: int, values: Sequence, lam, start=None) -> tuple:
     best_j = start
     best = None if start is None else _one_step(g, i, start, values, lam)
     for j in range(len(g.actions[i])):
+        if j == start:
+            continue
         cand = _one_step(g, i, j, values, lam)
         if best is None or (cand < best if minimize else cand > best):
             best, best_j = cand, j
     return best, best_j
 
 
-def improve_step(g: Brg, values: Sequence, *, lam=None, zero_final: bool = True) -> list:
-    """One application of the optimality operator.  Exactness follows the
-    input: Fraction values give a Fraction result, floats give floats.
-    math.inf flows through either way."""
-    out = []
+def _sweep(
+    g: Brg, values: Sequence, choice: Sequence | None, lam, zero_final: bool
+) -> tuple[list, list]:
+    """One application of the optimality operator: per state the owner's
+    optimal one-step value against `values` and the action attaining it,
+    `choice[i]` unless another action is strictly better (without a choice,
+    the first in canonical order).  Absorbed final states and states without
+    an action get value zero and action None.  Exactness follows the input:
+    Fraction values give a Fraction result, floats give floats.  math.inf
+    flows through either way."""
+    out, acts = [], []
     for i in range(g.n):
-        best = None
+        best = j = None
         if not (zero_final and g.is_final(i)):
-            best, _ = _best(g, i, values, lam)
+            best, j = _best(g, i, values, lam, None if choice is None else choice[i])
         if best is None:
             best = Fraction(0) if isinstance(values[i], Fraction) else 0.0
         out.append(best)
-    return out
+        acts.append(j)
+    return out, acts
+
+
+def improve_step(g: Brg, values: Sequence, *, lam=None, zero_final: bool = True) -> list:
+    """The value column of one sweep of the optimality operator."""
+    return _sweep(g, values, None, lam, zero_final)[0]
 
 
 def value_iterate(
@@ -219,12 +242,10 @@ def extract_strategies(
     g: Brg, values: Sequence, *, lam=None, zero_final: bool = True
 ) -> list:
     """Greedy positional choice per state (argmin for the minimizer, argmax
-    for the maximizer, first action in canonical order on ties).  Final
-    states get None when they are treated as absorbing."""
-    return [
-        None if zero_final and g.is_final(i) else _best(g, i, values, lam)[1]
-        for i in range(g.n)
-    ]
+    for the maximizer, first action in canonical order on ties): the action
+    column of one sweep.  Final states get None when they are treated as
+    absorbing."""
+    return _sweep(g, values, None, lam, zero_final)[1]
 
 
 # ------------------------------------------------------- exact evaluation
@@ -321,19 +342,26 @@ def _stochastic(dist) -> bool:
     return sum(p for _, p in dist) == 1 and all(p >= 0 for _, p in dist)
 
 
-def certify(g: Brg, values: Sequence, *, lam=None, zero_final: bool = True) -> CertifyReport:
-    """Exact residual of the optimality equations at `values`.  Zero residual
-    and no violating states certify optimality (for the expected-time
-    objective this relies on the almost-sure reachability check, under which
-    the optimality equations pin down a unique solution), provided every
-    action's distribution is stochastic: nonnegative, summing to exactly 1."""
+def certify(
+    g: Brg, values: Sequence, choice: Sequence, *, lam=None, zero_final: bool = True
+) -> CertifyReport:
+    """Certificate of a strategy pair at `values`, from one exact sweep of
+    the optimality operator: its residual, the states where it moves the
+    values, and the switches, the states where an action strictly beats
+    `choice` against `values`.  Zero residual and no switch certify that
+    `values` are the game's values and `choice` an optimal pair (for the
+    expected-time objective this relies on the almost-sure reachability
+    check, under which the optimality equations pin down a unique solution),
+    provided every action's distribution is stochastic: nonnegative, summing
+    to exactly 1."""
     improper_rows = [
         (i, j)
         for i, row in enumerate(g.dists)
         for j, dist in enumerate(row)
         if not _stochastic(dist)
     ]
-    improved = improve_step(g, values, lam=lam, zero_final=zero_final)
+    improved, best = _sweep(g, values, choice, lam, zero_final)
+    switches = [(i, j) for i, j in enumerate(best) if j is not None and j != choice[i]]
     violations = []
     residual: Fraction | float = Fraction(0)
     for i in range(g.n):
@@ -343,35 +371,25 @@ def certify(g: Brg, values: Sequence, *, lam=None, zero_final: bool = True) -> C
         violations.append(i)
         gap = INF if INF in (a, b) else abs(a - b)
         residual = max(residual, gap)
-    return CertifyReport(residual, violations, improper_rows)
+    return CertifyReport(residual, violations, improper_rows, switches)
 
 
 # ------------------------------------------------------ strategy improvement
 
-def _improvable(g: Brg, values: Sequence, choice: Sequence, owner: str, lam, zero_final) -> list:
-    """(state, action) switches that strictly improve against `values`."""
-    switches = []
-    for i in range(g.n):
-        if (zero_final and g.is_final(i)) or g.owner(i) != owner:
-            continue
-        _, j = _best(g, i, values, lam, choice[i])
-        if j != choice[i]:
-            switches.append((i, j))
-    return switches
-
-
 def _alternating_best_response(
     g: Brg, choice: list, cfg: SolveConfig, *, lam, zero_final
-) -> tuple[list, list, int, int]:
+) -> tuple[list, list, int, int, CertifyReport]:
     """Alternating best response from a warm-start pair; returns the values
-    and choice of the final pair, the rounds and the exact evaluations.
+    and choice of the final pair, the rounds, the exact evaluations and the
+    certificate of the final pair.
 
     The inner loop is exact policy iteration for one player against the
     other's fixed strategy; once it stabilizes the other player switches.
-    Every switch strictly improves for its owner and every pair's value is
-    well defined (by the almost-sure reachability check, or by discounting),
-    so the finitely many positional pairs cannot recur and the loop stops at
-    a pair satisfying the optimality equations.
+    Both switch from the `certify` report of the last evaluation.  Every
+    switch strictly improves for its owner and every pair's value is well
+    defined (by the almost-sure reachability check, or by discounting), so
+    the finitely many positional pairs cannot recur and the loop stops at a
+    pair whose report has no switch left.
     """
     order = ("min", "max") if cfg.improve_order == "min_first" else ("max", "min")
     first, second = order
@@ -395,29 +413,29 @@ def _alternating_best_response(
                 raise ConvergenceError(
                     "strategy improvement exceeded %d evaluations" % cfg.max_iterations
                 )
-            switches = _improvable(g, values, choice, first, lam, zero_final)
+            report = certify(g, values, choice, lam=lam, zero_final=zero_final)
+            switches = [(i, j) for i, j in report.switches if g.owner(i) == first]
             if not switches:
                 break
             for i, j in switches:
                 choice[i] = j
         # one greedy switch batch for the second player against that value;
         # its value climbs strictly each round, so pairs cannot recur.  With
-        # no switch, `values` is the value of the returned pair.
-        switches = _improvable(g, values, choice, second, lam, zero_final)
-        if not switches:
-            return values, choice, rounds, evaluations
-        for i, j in switches:
+        # no switch left, `report` certifies the returned pair.
+        if not report.switches:
+            return values, choice, rounds, evaluations, report
+        for i, j in report.switches:
             choice[i] = j
 
 
 def _solve(g: Brg, cfg: SolveConfig, lam: Fraction | None, zero_final: bool) -> SolveResult:
-    """Float warm start, exact alternating best response, certificate."""
+    """Float warm start, then exact alternating best response, whose last
+    report is the certificate."""
     v_float, vi_iters, vi_residual = value_iterate(g, cfg, lam=lam, zero_final=zero_final)
     choice = extract_strategies(g, v_float, lam=lam, zero_final=zero_final)
-    values, choice, rounds, evaluations = _alternating_best_response(
+    values, choice, rounds, evaluations, report = _alternating_best_response(
         g, choice, cfg, lam=lam, zero_final=zero_final
     )
-    report = certify(g, values, lam=lam, zero_final=zero_final)
     return SolveResult(
         values=values,
         choice=choice,
@@ -436,7 +454,7 @@ def solve_exact(g: Brg, cfg: SolveConfig | None = None) -> SolveResult:
     """Certified exact values and positional strategies for expected time."""
     components = check_almost_sure_reach(g)
     if components:
-        raise TargetUnreachableError(components)
+        raise TargetUnreachableError(g, components)
     return _solve(g, cfg or SolveConfig(), None, True)
 
 
@@ -512,7 +530,7 @@ def solve_simple_forms(g: Brg) -> dict[tuple[str, ClockRegion], SimpleForm]:
                 )
     components = check_almost_sure_reach(g)
     if components:
-        raise TargetUnreachableError(components)
+        raise TargetUnreachableError(g, components)
 
     arena = g.arena
     reps: dict[tuple[str, ClockRegion], ClockValuation] = {}

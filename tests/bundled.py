@@ -1,0 +1,28 @@
+"""The bundled games of `models/`, loaded afresh on every call.
+
+M1   one guarded jump: wait into 1 <= c <= 2, then move to the final
+     location.  Minimizer fires as early as possible, expected time 1.
+M1x  the same automaton with the first location owned by the maximizer,
+     who waits until c = 2; expected time 2.
+M2   retry loop: firing at c = 1 succeeds with probability 1/2 and
+     otherwise resets the clock and tries again; expected time 2.
+M3   min/max handoff: the failed branch of M2 hands control to a
+     maximizer location that must move within one unit; value 3/2.
+
+`models/M2-unreachable.model` is the fifth file: M2 with the success branch
+removed, so the final location is never reached.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+from timedgames.model import Arena, load_model
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+BUNDLED = ("M1", "M1x", "M2", "M3")
+
+
+def bundled(name: str) -> Arena:
+    """A fresh `Arena` of models/<name>.model."""
+    return load_model(str(MODELS / ("%s.model" % name)))

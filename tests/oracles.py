@@ -10,7 +10,10 @@ redoes the region-level work of every move (resets, target invariants,
 fresh regions) at every state instead of compiling it once per arena.
 `simulate_run_per_step` is the earlier simulator, which redoes the region
 lookup, the concretization, the legality check and the branch weights at
-every step instead of playing a compiled step table.  `chain_document`
+every step instead of playing a compiled step table.
+`solve_two_sweeps` is the earlier improvement loop, which after each
+evaluation sweeps once to find switches and, at the end, once more to
+certify, instead of switching from and returning one `certify` report.  `chain_document`
 writes the retry chains that the differential tests generate.
 """
 
@@ -52,6 +55,7 @@ from timedgames.regions import (
     satisfies,
     valuation_satisfies,
 )
+from timedgames import solver as sv
 from timedgames.simulate import (
     ConcretizedStrategy,
     RunRecord,
@@ -174,6 +178,103 @@ def dense_evaluate(g, choice, lam=None, zero_final: bool = True) -> list:
     for i in active:
         values[i] = a[pos[i]][m]
     return values
+
+
+def _best(g, i: int, values, lam, start=None) -> tuple:
+    """The owner's optimal one-step value at state i against `values` and
+    the first action in canonical order attaining it; `start` is kept unless
+    another action is strictly better.  (None, None) when i has no action."""
+    minimize = g.owner(i) == "min"
+    best_j = start
+    best = None if start is None else sv._one_step(g, i, start, values, lam)
+    for j in range(len(g.actions[i])):
+        cand = sv._one_step(g, i, j, values, lam)
+        if best is None or (cand < best if minimize else cand > best):
+            best, best_j = cand, j
+    return best, best_j
+
+
+def _improve_step(g, values, *, lam=None, zero_final: bool = True) -> list:
+    out = []
+    for i in range(g.n):
+        best = None
+        if not (zero_final and g.is_final(i)):
+            best, _ = _best(g, i, values, lam)
+        if best is None:
+            best = Fraction(0) if isinstance(values[i], Fraction) else 0.0
+        out.append(best)
+    return out
+
+
+def _certified(g, values, *, lam=None, zero_final: bool = True) -> bool:
+    """Zero residual of the optimality equations at `values`, with every
+    row stochastic."""
+    improper_rows = [
+        (i, j)
+        for i, row in enumerate(g.dists)
+        for j, dist in enumerate(row)
+        if not sv._stochastic(dist)
+    ]
+    improved = _improve_step(g, values, lam=lam, zero_final=zero_final)
+    residual = Fraction(0)
+    for i in range(g.n):
+        a, b = values[i], improved[i]
+        if a == b:
+            continue
+        gap = math.inf if math.inf in (a, b) else abs(a - b)
+        residual = max(residual, gap)
+    return residual == 0 and not improper_rows
+
+
+def _improvable(g, values, choice, owner: str, lam, zero_final) -> list:
+    """(state, action) switches that strictly improve against `values`."""
+    switches = []
+    for i in range(g.n):
+        if (zero_final and g.is_final(i)) or g.owner(i) != owner:
+            continue
+        _, j = _best(g, i, values, lam, choice[i])
+        if j != choice[i]:
+            switches.append((i, j))
+    return switches
+
+
+def solve_two_sweeps(g, choice, cfg, *, lam, zero_final) -> tuple:
+    """Alternating best response from a warm-start pair with a separate
+    stopping sweep per player, then a separate certificate sweep; returns
+    (values, choice, rounds, evaluations, certified).  The reference for
+    the solver's one-sweep loop."""
+    order = ("min", "max") if cfg.improve_order == "min_first" else ("max", "min")
+    first, second = order
+    choice = list(choice)
+    rounds = 0
+    evaluations = 0
+    while True:
+        rounds += 1
+        if rounds > cfg.max_iterations:
+            raise sv.ConvergenceError(
+                "strategy improvement exceeded %d rounds" % cfg.max_iterations
+            )
+        while True:
+            if lam is None:
+                values = sv.evaluate_pair_exact(g, choice)
+            else:
+                values = sv.evaluate_pair_discounted(g, choice, lam, zero_final=zero_final)
+            evaluations += 1
+            if evaluations > cfg.max_iterations:
+                raise sv.ConvergenceError(
+                    "strategy improvement exceeded %d evaluations" % cfg.max_iterations
+                )
+            switches = _improvable(g, values, choice, first, lam, zero_final)
+            if not switches:
+                break
+            for i, j in switches:
+                choice[i] = j
+        switches = _improvable(g, values, choice, second, lam, zero_final)
+        if not switches:
+            certified = _certified(g, values, lam=lam, zero_final=zero_final)
+            return values, choice, rounds, evaluations, certified
+        for i, j in switches:
+            choice[i] = j
 
 
 def enumerate_zeno_cycles(arena: Arena) -> list[list[str]]:
@@ -381,7 +482,6 @@ def simulate_run_per_step(
     epsilon: Fraction = Fraction(1, 1000),
     step_cap: int = 10_000,
     decaying: bool = False,
-    check_legal: bool = True,
     record_trace: bool = False,
 ) -> RunRecord:
     state = arena.initial
@@ -395,7 +495,7 @@ def simulate_run_per_step(
         eps_eff = epsilon / (1 << (steps + 1)) if decaying else epsilon
         t = concretize_action(state.valuation, act, eps_eff)
         move = TimedAction(t, act.action)
-        if check_legal and not timed_action_allowed(arena, state, move):
+        if not timed_action_allowed(arena, state, move):
             raise StrategyGapError(
                 "concretized move %s is illegal from (%s, %s)"
                 % (move, state.location, dict(state.valuation.as_dict()))

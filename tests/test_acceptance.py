@@ -14,8 +14,8 @@ import random
 from fractions import Fraction
 
 import oracles
+from bundled import BUNDLED, bundled
 from timedgames.brg import explore
-from timedgames.fixtures import FIXTURES, one_shot, one_shot_max, retry
 from timedgames.properties import (
     check_quasi_simple,
     grid_one_step_value,
@@ -82,20 +82,20 @@ def test_criterion_01_region_partition_and_elapse():
 def test_criterion_02_exact_values_certified():
     """The four bundled games solve to exactly 1, 2, 2, 3/2 and the values
     satisfy the optimality equations with residual exactly zero."""
-    for name, make in FIXTURES.items():
-        g = explore(make())
+    for name in BUNDLED:
+        g = explore(bundled(name))
         res = solve_exact(g)
         assert res.certified, name
         assert res.values[0] == EXPECTED[name], name
-        report = certify(g, res.values)
+        report = certify(g, res.values, res.choice)
         assert report.residual == 0 and not report.violations, name
 
 
 def test_criterion_03_value_iteration_agrees():
     """Float value iteration lands within 1e-9 of the certified rational
     value at every graph state of every bundled game."""
-    for name, make in FIXTURES.items():
-        g = explore(make())
+    for name in BUNDLED:
+        g = explore(bundled(name))
         exact = solve_exact(g).values
         approx, _, _ = value_iterate(g, SolveConfig(tolerance=1e-9))
         for i in range(g.n):
@@ -105,7 +105,7 @@ def test_criterion_03_value_iteration_agrees():
 def test_criterion_04_discounted_exact():
     """Discounting at lambda = 1/2 gives M2 exactly 2/3, and lambda = 0
     zeroes every state, both certified."""
-    g = explore(retry())
+    g = explore(bundled("M2"))
     res = solve_discounted(g, Fraction(1, 2))
     assert res.certified
     assert res.values[0] == Fraction(2, 3)
@@ -120,8 +120,8 @@ def test_criterion_05_grid_consistency():
     refining to 1/256 never widens the gap."""
     tol = Fraction(1, 100)
     checked = 0
-    for make in FIXTURES.values():
-        arena = make()
+    for name in BUNDLED:
+        arena = bundled(name)
         for state in sample_states(arena, 5, seed=101):
             exact = value_at(arena, state.location, state.valuation)
             gap64 = abs(grid_one_step_value(arena, state, denominator=64) - exact)
@@ -136,8 +136,8 @@ def test_criterion_06_quasi_simple_everywhere_and_fault_detected():
     """With K = 1 + number of clocks and 200 sampled pairs, the value
     function passes the Lipschitz and shift checks on every reachable
     region of every game; warping it by +nu(c)^2 is caught."""
-    for name, make in FIXTURES.items():
-        arena = make()
+    for name in BUNDLED:
+        arena = bundled(name)
         g = explore(arena)
         seen = {}
         for s in g.states:
@@ -146,7 +146,7 @@ def test_criterion_06_quasi_simple_everywhere_and_fault_detected():
             rep = check_quasi_simple(arena, loc, s.region, pairs=200, seed=13)
             assert rep.ok, (name, rep.summary())
 
-    m1 = one_shot()
+    m1 = bundled("M1")
     bent = lambda loc, v: value_at(m1, loc, v) + v.value("c") ** 2
     g = explore(m1)
     seen = {}
@@ -166,8 +166,8 @@ def test_criterion_07_symbolic_forms_match_exact_solve():
     """The region-level symbolic solve of M1 and M1x produces integer-offset
     forms whose evaluation reproduces the certified value at every graph
     state exactly."""
-    for make in (one_shot, one_shot_max):
-        arena = make()
+    for name in ("M1", "M1x"):
+        arena = bundled(name)
         g = explore(arena)
         res = solve_exact(g)
         forms = solve_simple_forms(g)
@@ -182,13 +182,12 @@ def test_criterion_08_simulation_estimates_value():
     """100000 simulated M2 runs at epsilon = 1/1000 with a fixed seed: every
     run reaches the final set within 10000 steps, and the sample mean is
     within max(3 halfwidths, 2 epsilon) of the certified value 2."""
-    m2 = retry()
+    m2 = bundled("M2")
     g = explore(m2)
     res = solve_exact(g)
     strat = ConcretizedStrategy.from_solution(g, res.choice)
     est = estimate_value(m2, strat, 100_000, seed=20240817,
-                         epsilon=Fraction(1, 1000), step_cap=10_000,
-                         check_legal=True)
+                         epsilon=Fraction(1, 1000), step_cap=10_000)
     assert est.reached == est.runs
     bound = max(3 * est.halfwidth, 2e-3)
     assert abs(float(est.mean_exact) - 2.0) <= bound
@@ -197,8 +196,8 @@ def test_criterion_08_simulation_estimates_value():
 def test_criterion_09_graph_sizes_bounded():
     """Exploration terminates without hitting the state cap and the state
     count respects |locations| * (k+1)^|clocks| * |regions|."""
-    for name, make in FIXTURES.items():
-        arena = make()
+    for name in BUNDLED:
+        arena = bundled(name)
         g = explore(arena)
         regions = len(enumerate_regions(arena.ctx))
         bound = (len(arena.locations)
@@ -210,8 +209,8 @@ def test_criterion_09_graph_sizes_bounded():
 def test_criterion_10_improvement_order_irrelevant():
     """Strategy improvement certifies the same values whether the minimizer
     or the maximizer moves first."""
-    for name, make in FIXTURES.items():
-        g = explore(make())
+    for name in BUNDLED:
+        g = explore(bundled(name))
         a = solve_exact(g, SolveConfig(improve_order="min_first"))
         b = solve_exact(g, SolveConfig(improve_order="max_first"))
         assert a.certified and b.certified

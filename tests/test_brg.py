@@ -1,21 +1,21 @@
 """Boundary region graph construction against hand-derived structure.
 
 The expected state lists, action sets, rewards, and distributions below were
-worked out by hand from the fixture definitions before this module was
-written; the tests freeze them.
+worked out by hand from the bundled game definitions before this module
+was written; the tests freeze them.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import oracles
+from bundled import BUNDLED, MODELS, bundled
 from timedgames import brg as bg
-from timedgames import fixtures, properties
+from timedgames import properties
 from timedgames.model import Arena, ModelError, load_model, parse_model
 from timedgames.regions import (
     ClockValuation,
@@ -42,7 +42,7 @@ def state(arena: Arena, loc: str, x, region_point=None) -> bg.BrgState:
 
 
 def test_m1_structure():
-    arena = fixtures.one_shot()
+    arena = bundled("M1")
     g = bg.explore(arena)
     assert g.states == [
         state(arena, "l0", 0),
@@ -74,14 +74,14 @@ def test_m1_structure():
 
 
 def test_m1x_same_graph_different_owner():
-    g = bg.explore(fixtures.one_shot_max())
+    g = bg.explore(bundled("M1x"))
     assert g.n == 6
     assert g.owner(0) == "max"
     assert all(g.owner(i) == "min" for i in range(1, 6))
 
 
 def test_m2_structure():
-    arena = fixtures.retry()
+    arena = bundled("M2")
     g = bg.explore(arena)
     assert g.states == [
         state(arena, "l0", 0),
@@ -96,7 +96,7 @@ def test_m2_structure():
 
 
 def test_m3_structure():
-    arena = fixtures.retry_handoff()
+    arena = bundled("M3")
     g = bg.explore(arena)
     assert g.states == [
         state(arena, "l0", 0),
@@ -119,15 +119,15 @@ def test_m3_structure():
 
 
 def test_every_state_valuation_in_region_closure():
-    for build in fixtures.FIXTURES.values():
-        g = bg.explore(build())
+    for name in BUNDLED:
+        g = bg.explore(bundled(name))
         for s in g.states:
             assert closure_contains(s.region, s.valuation)
 
 
 def test_rewards_nonnegative_distributions_stochastic():
-    for build in fixtures.FIXTURES.values():
-        g = bg.explore(build())
+    for name in BUNDLED:
+        g = bg.explore(bundled(name))
         for i in range(g.n):
             for r in g.rewards[i]:
                 assert r >= 0
@@ -138,8 +138,8 @@ def test_rewards_nonnegative_distributions_stochastic():
 
 
 def test_actions_sorted_and_unique():
-    for build in fixtures.FIXTURES.values():
-        arena = build()
+    for name in BUNDLED:
+        arena = bundled(name)
         g = bg.explore(arena)
         for acts in g.actions:
             keys = [a.sort_key(arena.ctx) for a in acts]
@@ -148,8 +148,8 @@ def test_actions_sorted_and_unique():
 
 
 def test_exploration_is_deterministic():
-    a = bg.explore(fixtures.retry_handoff())
-    b = bg.explore(fixtures.retry_handoff())
+    a = bg.explore(bundled("M3"))
+    b = bg.explore(bundled("M3"))
     assert a.states == b.states
     assert a.actions == b.actions
     assert a.rewards == b.rewards
@@ -161,7 +161,7 @@ def test_rooted_exploration_inside_thick_region_fires_now():
     """Starting strictly inside the enabled region, firing immediately must
     be one of the actions; it is what makes the graph agree with the
     concrete game there."""
-    arena = fixtures.one_shot()
+    arena = bundled("M1")
     root = state(arena, "l0", "5/4")
     g = bg.explore(arena, root=root)
     labels = [a.label() for a in g.actions[0]]
@@ -175,7 +175,7 @@ def test_rooted_exploration_inside_thick_region_fires_now():
 
 def test_state_cap():
     with pytest.raises(bg.ExplorationLimit):
-        bg.explore(fixtures.one_shot(), cap=3)
+        bg.explore(bundled("M1"), cap=3)
 
 
 def test_branch_outside_target_invariant_is_an_error():
@@ -203,7 +203,7 @@ def test_branch_outside_target_invariant_is_an_error():
 
 
 def test_export_dot_shape():
-    g = bg.explore(fixtures.retry())
+    g = bg.explore(bundled("M2"))
     dot = bg.export_dot(g)
     assert dot.startswith("digraph brg {")
     assert dot.count("[shape=point]") == g.action_count()
@@ -214,8 +214,7 @@ def test_export_dot_shape():
 # ------------------------------------------- compiled moves vs per-state oracle
 
 def differential_arenas() -> dict[str, Arena]:
-    models = Path(__file__).resolve().parent.parent / "models"
-    arenas = {p.stem: load_model(str(p)) for p in sorted(models.glob("*.model"))}
+    arenas = {p.stem: load_model(str(p)) for p in sorted(MODELS.glob("*.model"))}
     # parallel branches that land on one successor state merge their mass
     arenas["merging"] = parse_model("""
 clocks: [c, d]
@@ -289,10 +288,10 @@ def test_explore_errors_match_per_state_oracle(case):
     if case == "target invariant":
         arena, kwargs = bad_invariant_arena(), {}
     elif case == "root outside closure":
-        arena = fixtures.one_shot()
+        arena = bundled("M1")
         kwargs = {"root": state(arena, "l0", "1/2", region_point="3/2")}
     else:
-        arena, kwargs = fixtures.retry_handoff(), {"cap": 4}
+        arena, kwargs = bundled("M3"), {"cap": 4}
     expected = outcome(oracles.explore_per_state, arena, **kwargs)
     assert isinstance(expected[0], type)
     assert outcome(bg.explore, arena, **kwargs) == expected
@@ -328,8 +327,8 @@ def test_moves_compile_once_per_location_region(monkeypatch):
 
     monkeypatch.setattr(properties, "explore", recording)
     properties._rooted_value.cache_clear()
-    for build in (fixtures.one_shot, fixtures.retry_handoff):
-        arena = build()
+    for name in ("M1", "M3"):
+        arena = bundled(name)
         calls.clear()
         seen.clear()
         for loc in arena.locations:
@@ -346,8 +345,7 @@ def test_moves_compile_once_per_location_region(monkeypatch):
 def test_distribution_check_precedes_expansion():
     """A non-stochastic edge is refused with its text before any state is
     expanded, ahead of a bad root, and again on every later explore."""
-    models = Path(__file__).resolve().parent.parent / "models"
-    text = (models / "M2.model").read_text()
+    text = (MODELS / "M2.model").read_text()
     arena = parse_model(text.replace('prob: "1/2", resets: [c]', 'prob: "1/4", resets: [c]'))
     bad_root = state(arena, "l0", "1/2", region_point="3/2")
     for root in (None, bad_root, None):
@@ -360,7 +358,7 @@ def test_distribution_check_precedes_expansion():
 def test_moves_table_is_invisible(monkeypatch):
     """The table changes neither equality, hash nor repr of the arena, so the
     rooted-value cache still hits for an equal arena with an empty table."""
-    used, fresh = fixtures.retry_handoff(), fixtures.retry_handoff()
+    used, fresh = bundled("M3"), bundled("M3")
     point = val(used, "1/4")
     properties._rooted_value.cache_clear()
     properties.value_at(used, "l0", point)

@@ -112,6 +112,18 @@ def test_solve_unreachable_witness(capsys):
     assert code == 3
 
 
+def test_check_properties_unreachable_witness(capsys):
+    """The rooted solve inside the property checks fails the same way, and
+    its end component is printed by state label, not only by the ids of a
+    graph the output never shows."""
+    code, out, err = run(capsys, "check-properties", DOOMED)
+    assert (code, out) == (3, "")
+    assert err == ("the final set is not reached almost surely\n"
+                   "  end component: l0 | c=0 | [c=0]\n"
+                   "error: final states are not reached almost surely; "
+                   "end components: [[0]]\n")
+
+
 def test_solve_budget_exhausted(capsys):
     code, _, err = run(capsys, "solve", M2, "--max-iterations", "3",
                        "--tolerance", "1e-12")

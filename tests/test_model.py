@@ -4,36 +4,28 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+from bundled import BUNDLED, bundled
 from oracles import enumerate_zeno_cycles
-from timedgames import fixtures, model as md
+from timedgames import model as md
 from timedgames.regions import ClockContext, ClockValuation, parse_constraint
-
-MODELS = Path(__file__).resolve().parent.parent / "models"
-
-
-def test_fixture_files_match_builders():
-    for name, build in fixtures.FIXTURES.items():
-        on_disk = md.load_model(str(MODELS / ("%s.model" % name)))
-        assert on_disk == build(), name
 
 
 def test_dump_parse_round_trip():
-    for build in fixtures.FIXTURES.values():
-        arena = build()
-        assert md.parse_model(md.dump_model(arena)) == arena
+    for name in BUNDLED:
+        arena = bundled(name)
+        assert md.parse_model(md.dump_model(arena)) == arena, name
 
 
 def test_fixtures_validate_clean():
-    for build in fixtures.FIXTURES.values():
-        assert md.validate(build()) == []
+    for name in BUNDLED:
+        assert md.validate(bundled(name)) == [], name
 
 
 def test_unreachable_variant_parses_and_validates():
-    arena = md.load_model(str(MODELS / "M2-unreachable.model"))
+    arena = bundled("M2-unreachable")
     # structurally fine: the trouble it exists for is semantic (no path to
     # the final location), which is the solver's job to detect
     assert md.validate(arena) == []
@@ -53,7 +45,7 @@ def test_parse_rational():
 
 
 def _m1_text(**edits) -> str:
-    arena = fixtures.one_shot()
+    arena = bundled("M1")
     text = md.dump_model(arena)
     for old, new in edits.items():
         assert old in text
@@ -108,7 +100,7 @@ def test_parse_rejects_nonpositive_probability():
 # -------------------------------------------------------------- validation
 
 def test_validate_flags_probability_sum():
-    arena = fixtures.retry()
+    arena = bundled("M2")
     edges = list(arena.edges)
     a = edges[0]
     edges[0] = md.Edge(a.source, a.action, a.guard, (a.branches[0],))
@@ -237,7 +229,7 @@ def test_nonzeno_reports_one_witness_per_component():
 
 
 def test_arena_indexes_keep_lookups_equality_and_hash():
-    arena = fixtures.retry()
+    arena = bundled("M2")
     twin = md.parse_model(md.dump_model(arena))
     assert twin == arena and hash(twin) == hash(arena)
     assert "_by_name" not in repr(arena)
@@ -273,7 +265,7 @@ def test_validate_flags_dead_region():
 
 
 def test_validate_flags_bad_initial():
-    arena = fixtures.retry()
+    arena = bundled("M2")
     bad = md.Arena(
         arena.name, arena.ctx, arena.locations, arena.edges,
         md.ConcreteState("l0", ClockValuation(arena.ctx, (Fraction(3, 2),))),
@@ -285,7 +277,7 @@ def test_validate_flags_bad_initial():
 # ------------------------------------------------------- concrete semantics
 
 def test_timed_action_allowed_m1():
-    arena = fixtures.one_shot()
+    arena = bundled("M1")
     s0 = arena.initial
     assert md.timed_action_allowed(arena, s0, md.TimedAction(Fraction(1), "a"))
     assert md.timed_action_allowed(arena, s0, md.TimedAction(Fraction(3, 2), "a"))
@@ -320,7 +312,7 @@ def test_timed_action_blocked_by_invariant():
 
 
 def test_concrete_step_retry():
-    arena = fixtures.retry()
+    arena = bundled("M2")
     out = md.concrete_step(arena, arena.initial, md.TimedAction(Fraction(1), "a"))
     ctx = arena.ctx
     assert out == {

@@ -22,8 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bundled import bundled
 from timedgames import properties
-from timedgames.fixtures import one_shot, one_shot_max, retry, retry_handoff
 from timedgames.model import ConcreteState, parse_model
 from timedgames.properties import (
     _rooted_value,
@@ -37,10 +37,10 @@ from timedgames.properties import (
 from timedgames.regions import ClockValuation, region_of, sample_closure
 from timedgames.solver import SimpleForm
 
-M1 = one_shot()
-M1X = one_shot_max()
-M2 = retry()
-M3 = retry_handoff()
+M1 = bundled("M1")
+M1X = bundled("M1x")
+M2 = bundled("M2")
+M3 = bundled("M3")
 
 
 def val(arena, x) -> ClockValuation:

@@ -23,14 +23,13 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import oracles
+from bundled import MODELS, bundled
 from timedgames import simulate
 from timedgames.brg import BoundaryAction, boundary_actions, explore
-from timedgames.fixtures import one_shot, one_shot_max, retry, retry_handoff
 from timedgames.model import ConcreteState, ModelError, load_model, parse_model
 from timedgames.regions import ClockValuation, RegionError, region_of
 from timedgames.simulate import (
@@ -54,7 +53,7 @@ def val(arena, x) -> ClockValuation:
 
 
 def test_concretize_endpoints_and_clamp():
-    m1 = one_shot()
+    m1 = bundled("M1")
     zero = val(m1, 0)
     acts = boundary_actions(m1, "l0", region_of(zero))
     labels = [a.label() for a in acts]
@@ -74,7 +73,7 @@ def test_concretize_endpoints_and_clamp():
 
 
 def test_concretize_fire_now_and_past_boundary():
-    m1 = one_shot()
+    m1 = bundled("M1")
     at = val(m1, "5/4")
     acts = boundary_actions(m1, "l0", region_of(at))
     assert acts[0].label() == "a now in [1<c<2]"
@@ -85,25 +84,25 @@ def test_concretize_fire_now_and_past_boundary():
 
 
 def test_strategy_table_picks_certified_moves():
-    m1 = one_shot()
+    m1 = bundled("M1")
     _, _, strat = solved(m1)
     act = strat.action_for("l0", region_of(val(m1, 0)))
     assert act.label() == "a at c=1 in [1<c<2]"
-    m1x = one_shot_max()
+    m1x = bundled("M1x")
     _, _, stratx = solved(m1x)
     actx = stratx.action_for("l0", region_of(val(m1x, 0)))
     assert actx.label() == "a at c=2 in [1<c<2]"
 
 
 def test_strategy_gap_raises():
-    m1 = one_shot()
+    m1 = bundled("M1")
     empty = ConcretizedStrategy(m1, {})
     with pytest.raises(StrategyGapError, match="no move"):
         empty.action_for("l0", region_of(val(m1, 0)))
 
 
 def test_m1_runs_cost_exactly_one_plus_eps():
-    m1 = one_shot()
+    m1 = bundled("M1")
     _, _, strat = solved(m1)
     est = estimate_value(m1, strat, 50, seed=9)
     assert est.reached == 50
@@ -112,7 +111,7 @@ def test_m1_runs_cost_exactly_one_plus_eps():
 
 
 def test_m1_decaying_eps_halves_first_step():
-    m1 = one_shot()
+    m1 = bundled("M1")
     _, _, strat = solved(m1)
     rec = simulate_run(m1, strat, random.Random(0), decaying=True)
     assert rec.reached
@@ -120,7 +119,7 @@ def test_m1_decaying_eps_halves_first_step():
 
 
 def test_m1x_runs_cost_exactly_two_minus_eps():
-    m1x = one_shot_max()
+    m1x = bundled("M1x")
     _, _, strat = solved(m1x)
     est = estimate_value(m1x, strat, 50, seed=9)
     assert est.reached == 50
@@ -128,7 +127,7 @@ def test_m1x_runs_cost_exactly_two_minus_eps():
 
 
 def test_m2_estimate_matches_value():
-    m2 = retry()
+    m2 = bundled("M2")
     _, res, strat = solved(m2)
     assert res.values[0] == 2
     est = estimate_value(m2, strat, 2000, seed=42)
@@ -140,7 +139,7 @@ def test_m2_estimate_matches_value():
 
 
 def test_m2_run_times_are_round_counts():
-    m2 = retry()
+    m2 = bundled("M2")
     _, _, strat = solved(m2)
     rng = random.Random(3)
     for _ in range(20):
@@ -152,7 +151,7 @@ def test_m2_run_times_are_round_counts():
 
 
 def test_step_cap_cuts_runs():
-    m2 = retry()
+    m2 = bundled("M2")
     _, _, strat = solved(m2)
     est = estimate_value(m2, strat, 1000, seed=5, step_cap=1)
     assert 0.35 < est.unreached_fraction < 0.65
@@ -161,7 +160,7 @@ def test_step_cap_cuts_runs():
 
 
 def test_no_reached_runs_reports_nan():
-    m2 = retry()
+    m2 = bundled("M2")
     _, _, strat = solved(m2)
     est = estimate_value(m2, strat, 5, seed=5, step_cap=0)
     assert est.reached == 0
@@ -172,7 +171,6 @@ def test_no_reached_runs_reports_nan():
 
 # ------------------------------------------ compiled step table vs per-step
 
-MODELS = Path(__file__).resolve().parent.parent / "models"
 # the advance probabilities the benchmark's retry chains draw from
 CHAIN_PROBS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4),
                Fraction(3, 4))
@@ -229,25 +227,29 @@ def estimate(arena, strat, **kwargs):
 
 def test_compiled_runs_match_per_step_oracle(monkeypatch):
     """Equal run records and estimates for fixed seeds across epsilons,
-    decaying on and off, traces, a small step cap and the legality check
-    off then on, with one strategy's table shared by every combination."""
+    decaying on and off, traces and a small step cap, with one strategy's
+    table shared by every combination.  M2's certified strategy is legal
+    and hits the cap of 3 steps, so capped runs are compared too."""
+    capped = set()
     for name, arena in differential_arenas().items():
         for strat in strategies(arena):
-            for eps, decaying, check_legal, cap in itertools.product(
-                    (Fraction(1, 1000), Fraction(1, 3)), (False, True),
-                    (False, True), (3, 40)):
-                kwargs = dict(epsilon=eps, decaying=decaying,
-                              check_legal=check_legal, step_cap=cap)
+            for eps, decaying, cap in itertools.product(
+                    (Fraction(1, 1000), Fraction(1, 3)), (False, True), (3, 40)):
+                kwargs = dict(epsilon=eps, decaying=decaying, step_cap=cap)
                 case = (name, strat.conflicts, kwargs)
                 fast = play(simulate.simulate_run, arena, strat, 0, 12,
                             record_trace=True, **kwargs)
                 slow = play(oracles.simulate_run_per_step, arena, strat, 0, 12,
                             record_trace=True, **kwargs)
                 assert fast == slow, case
+                if any(isinstance(rec, simulate.RunRecord) and not rec.reached
+                       for rec in fast):
+                    capped.add((name, cap))
                 fast = estimate(arena, strat, **kwargs)
                 with monkeypatch.context() as m:
                     m.setattr(simulate, "simulate_run", oracles.simulate_run_per_step)
                     assert estimate(arena, strat, **kwargs) == fast, case
+    assert ("M2", 3) in capped
 
 
 @pytest.mark.parametrize("case", ["missing key", "boundary in the past", "illegal move"])
@@ -255,11 +257,11 @@ def test_compiled_errors_match_per_step_oracle(case):
     """Same records before the error, the same exception type and text at
     the same step, and the same again on a second pass, since a failed
     compile stores no entry."""
-    m1 = one_shot()
+    m1 = bundled("M1")
     if case == "missing key":
         # M3 without moves for the maximizer's location, which a run only
         # reaches after a failed first attempt
-        arena = retry_handoff()
+        arena = bundled("M3")
         _, _, full = solved(arena)
         table = {key: act for key, act in full.table.items() if key[0] != "l1"}
     elif case == "boundary in the past":
@@ -277,23 +279,6 @@ def test_compiled_errors_match_per_step_oracle(case):
     assert play(simulate_run, arena, strat, 2, 10) == expected
 
 
-def test_unchecked_entry_is_checked_before_checked_play():
-    """An illegal move compiled with the check off plays as the per-step
-    path plays it; the first checked run over the same entry refuses it."""
-    m1 = one_shot()
-    now = BoundaryAction("a", region_of(val(m1, 0)), None, None)
-    strat = ConcretizedStrategy(m1, {("l0", region_of(val(m1, 0)).key()): now})
-    rec = simulate_run(m1, strat, random.Random(0), check_legal=False)
-    assert rec == oracles.simulate_run_per_step(m1, strat, random.Random(0),
-                                                check_legal=False)
-    assert rec.reached and rec.total_time == 0
-    with pytest.raises(StrategyGapError, match="illegal"):
-        simulate_run(m1, strat, random.Random(0))
-    # the verdict is not stored as passed, so the check fails again
-    with pytest.raises(StrategyGapError, match="illegal"):
-        simulate_run(m1, strat, random.Random(0))
-
-
 def test_steps_compile_once_per_state(monkeypatch):
     """Each distinct (state, epsilon) key is concretized on its first play
     only: a second estimate with the same epsilon concretizes nothing."""
@@ -305,7 +290,7 @@ def test_steps_compile_once_per_state(monkeypatch):
         return real(valuation, act, eps)
 
     monkeypatch.setattr(simulate, "concretize_action", counted)
-    m3 = retry_handoff()
+    m3 = bundled("M3")
     _, _, strat = solved(m3)
     first = estimate_value(m3, strat, 2000, seed=1)
     assert 0 < len(calls) == len(set(calls)) <= 4
@@ -317,7 +302,7 @@ def test_steps_compile_once_per_state(monkeypatch):
 def test_step_table_is_invisible():
     """Playing fills the strategy's step table without changing equality or
     repr, and a fresh equal strategy plays the same runs."""
-    m2 = retry()
+    m2 = bundled("M2")
     _, _, used = solved(m2)
     _, _, fresh = solved(m2)
     a = estimate_value(m2, used, 200, seed=3)

@@ -1,8 +1,8 @@
 """Exact game solving against hand-derived values.
 
-Every expected value asserted here was computed by hand from the fixture
-definitions (closed-form recursions on the few-state graphs) before the
-solver existed:
+Every expected value asserted here was computed by hand from the bundled
+game definitions (closed-form recursions on the few-state graphs) before
+the solver existed:
 
   M1   min waits to c = 1:                value 1
   M1x  max waits to c = 2:                value 2
@@ -21,19 +21,16 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import networkx as nx
 import pytest
 
-from oracles import dense_evaluate
+from bundled import bundled
+from oracles import chain_document, dense_evaluate, solve_two_sweeps
 from timedgames import brg as bg
-from timedgames import fixtures
 from timedgames import solver as sv
-from timedgames.model import load_model, parse_model, sccs
+from timedgames.model import parse_model, sccs
 from timedgames.regions import ClockValuation, region_of
-
-MODELS = Path(__file__).resolve().parent.parent / "models"
 
 EXPECTED = {
     "M1": Fraction(1),
@@ -44,7 +41,7 @@ EXPECTED = {
 
 
 def graph(name: str) -> bg.Brg:
-    return bg.explore(fixtures.FIXTURES[name]())
+    return bg.explore(bundled(name))
 
 
 def rooted(arena, x: str | int, loc: str = "l0") -> bg.Brg:
@@ -60,7 +57,7 @@ def test_fixtures_pass_almost_sure_reach():
 
 
 def test_unreachable_model_yields_end_component():
-    arena = load_model(str(MODELS / "M2-unreachable.model"))
+    arena = bundled("M2-unreachable")
     g = bg.explore(arena)
     assert sv.check_almost_sure_reach(g) == [[0]]
     with pytest.raises(sv.TargetUnreachableError) as exc:
@@ -82,10 +79,10 @@ def test_certificate_zero_residual_everywhere():
     for name in EXPECTED:
         g = graph(name)
         res = sv.solve_exact(g)
-        report = sv.certify(g, res.values)
+        report = sv.certify(g, res.values, res.choice)
         assert report.ok
         assert report.residual == 0
-        assert report.violations == []
+        assert report.violations == [] and report.switches == []
 
 
 def test_certify_flags_perturbed_values():
@@ -93,9 +90,33 @@ def test_certify_flags_perturbed_values():
     res = sv.solve_exact(g)
     bad = list(res.values)
     bad[0] += Fraction(1, 7)
-    report = sv.certify(g, bad)
+    report = sv.certify(g, bad, res.choice)
     assert not report.ok
     assert 0 in report.violations
+
+
+def test_certify_reports_switches_of_a_non_optimal_choice():
+    """At the optimal values a strictly worse action for the initial state
+    leaves the residual at zero, but the certificate names the switch back
+    and refuses the pair."""
+    checked = 0
+    for name in EXPECTED:
+        g = graph(name)
+        res = sv.solve_exact(g)
+        sign = 1 if g.owner(0) == "min" else -1
+        one_step = [sv._one_step(g, 0, j, res.values, None) for j in range(len(g.actions[0]))]
+        worse = [j for j, v in enumerate(one_step) if sign * (v - res.values[0]) > 0]
+        if not worse:
+            continue
+        choice = list(res.choice)
+        choice[0] = worse[0]
+        report = sv.certify(g, res.values, choice)
+        assert report.residual == 0 and report.violations == [], name
+        assert [i for i, _ in report.switches] == [0], name
+        assert one_step[report.switches[0][1]] == res.values[0], name
+        assert not report.ok, name
+        checked += 1
+    assert checked >= 2
 
 
 def two_state_graph(row) -> bg.Brg:
@@ -116,8 +137,8 @@ def two_state_graph(row) -> bg.Brg:
 ])
 def test_certify_refuses_non_stochastic_rows(row, value):
     g = two_state_graph(row)
-    report = sv.certify(g, [value, Fraction(0)])
-    assert report.residual == 0 and report.violations == []
+    report = sv.certify(g, [value, Fraction(0)], [0, None])
+    assert report.residual == 0 and report.violations == [] and report.switches == []
     assert report.improper_rows == [(0, 0)]
     assert not report.ok
     assert not sv.solve_exact(g).certified
@@ -125,7 +146,7 @@ def test_certify_refuses_non_stochastic_rows(row, value):
 
 def test_certify_accepts_stochastic_row():
     g = two_state_graph(((1, Fraction(1)),))
-    report = sv.certify(g, [Fraction(1), Fraction(0)])
+    report = sv.certify(g, [Fraction(1), Fraction(0)], [0, None])
     assert report.ok and report.improper_rows == []
     assert sv.solve_exact(g).certified
 
@@ -163,7 +184,7 @@ def test_evaluate_pair_exact_m2():
 
 
 def test_evaluate_pair_exact_infinite_without_target():
-    arena = load_model(str(MODELS / "M2-unreachable.model"))
+    arena = bundled("M2-unreachable")
     g = bg.explore(arena)
     assert g.n == 1  # the loop never leaves the first location
     assert sv.evaluate_pair_exact(g, [0]) == [math.inf]
@@ -204,6 +225,133 @@ def test_improvement_orders_agree():
         assert a.certified and b.certified
 
 
+# --------------------------------------------- one sweep per evaluation
+
+def sweep_graphs() -> dict[str, bg.Brg]:
+    """The differential graphs plus two of the benchmark's retry chains."""
+    graphs = differential_graphs()
+    probs = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4))
+    for seed, (n, k, clocks) in enumerate([(2, 2, 2), (3, 2, 1)]):
+        rng = random.Random(seed)
+        owners = [rng.choice(("min", "max")) for _ in range(n)]
+        doc = chain_document(n, k, clocks, owners, [rng.choice(probs) for _ in range(n)])
+        graphs["chain(%d,%d,%d)" % (n, k, clocks)] = bg.explore(parse_model(doc))
+    return graphs
+
+
+def warm_starts(g: bg.Brg, lam, zero_final: bool) -> dict[str, list]:
+    """The solver's warm start, the choice worst for each owner against the
+    float values, and two random choices; absorbed states choose None."""
+    v = sv.value_iterate(g, sv.SolveConfig(), lam=lam, zero_final=zero_final)[0]
+    live = [not (zero_final and g.is_final(i)) and bool(g.actions[i]) for i in range(g.n)]
+    worst = []
+    for i in range(g.n):
+        one_step = [sv._one_step(g, i, j, v, lam) for j in range(len(g.actions[i]))]
+        pick = max if g.owner(i) == "min" else min
+        worst.append(one_step.index(pick(one_step)) if live[i] else None)
+    rng = random.Random(g.n)
+    starts = {"solver": sv.extract_strategies(g, v, lam=lam, zero_final=zero_final),
+              "worst": worst}
+    for r, choice in enumerate(random_choices(g, rng, 2)):
+        starts["random%d" % r] = [j if ok else None for j, ok in zip(choice, live)]
+    return starts
+
+
+SWEEP_OBJECTIVES = [(None, True), (Fraction(1, 2), True), (Fraction(1, 2), False),
+                    (Fraction(9, 10), True), (Fraction(9, 10), False)]
+
+
+def sweep_cases():
+    """(name, graph, lam, zero_final, improve order, start name, warm start)
+    for every objective the graph admits: expected time needs absorbing
+    final states and almost-sure reachability."""
+    for name, g in sweep_graphs().items():
+        for lam, zero_final in SWEEP_OBJECTIVES:
+            if lam is None and sv.check_almost_sure_reach(g):
+                continue
+            for order in ("min_first", "max_first"):
+                for start, choice in warm_starts(g, lam, zero_final).items():
+                    yield name, g, lam, zero_final, order, start, choice
+
+
+def test_improvement_matches_two_sweep_oracle():
+    """Values, choice, rounds, evaluations and the verdict equal those of
+    the earlier loop, which sweeps once to switch and once more to certify,
+    from the solver's warm start and from bad ones."""
+    most = (0, 0)
+    for name, g, lam, zero_final, order, start, choice in sweep_cases():
+        cfg = sv.SolveConfig(improve_order=order)
+        case = (name, lam, zero_final, order, start)
+        values, got, rounds, evaluations, report = sv._alternating_best_response(
+            g, choice, cfg, lam=lam, zero_final=zero_final)
+        want = solve_two_sweeps(g, choice, cfg, lam=lam, zero_final=zero_final)
+        assert (values, got, rounds, evaluations, report.ok) == want, case
+        assert report.switches == [], case
+        most = max(most, (rounds, evaluations))
+    # the bad warm starts make the loop switch both players
+    assert most[0] >= 2 and most[1] >= 3
+
+
+def test_one_sweep_per_evaluation(monkeypatch):
+    """Each evaluation is followed by one `certify`, whose sweep calls
+    `_best` once per non-absorbed state, and the solve adds no certificate
+    of its own: its only other sweep is the float warm start's."""
+    calls, certs = [], []
+    real_best, real_certify = sv._best, sv.certify
+
+    def counted_best(g, i, *args):
+        calls.append(i)
+        return real_best(g, i, *args)
+
+    def counted_certify(*args, **kwargs):
+        certs.append(1)
+        return real_certify(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "_best", counted_best)
+    monkeypatch.setattr(sv, "certify", counted_certify)
+    solved = set()
+    for name, g, lam, zero_final, order, start, choice in sweep_cases():
+        cfg = sv.SolveConfig(improve_order=order)
+        case = (name, lam, zero_final, order, start)
+        live = [i for i in range(g.n) if not (zero_final and g.is_final(i))]
+        calls.clear()
+        certs.clear()
+        evaluations = sv._alternating_best_response(
+            g, choice, cfg, lam=lam, zero_final=zero_final)[3]
+        assert len(certs) == evaluations, case
+        assert sorted(calls) == sorted(live * evaluations), case
+        if case[:4] in solved:
+            continue
+        solved.add(case[:4])
+        calls.clear()
+        certs.clear()
+        res = (sv.solve_exact(g, cfg) if lam is None
+               else sv.solve_discounted(g, lam, cfg, zero_final=zero_final))
+        assert len(certs) == res.exact_evaluations, case
+        assert sorted(calls) == sorted(live * (1 + res.exact_evaluations)), case
+
+
+def test_certificate_refuses_a_wrong_evaluation(monkeypatch):
+    """An evaluation off by 1/7 at the initial state, which no state leads
+    back to, induces no switch, so the loop stops after one evaluation with
+    those values; the returned report must still refuse them."""
+    real = sv.evaluate_pair_exact
+
+    def perturbed(g, choice):
+        values = real(g, choice)
+        values[0] += Fraction(1, 7)
+        return values
+
+    monkeypatch.setattr(sv, "evaluate_pair_exact", perturbed)
+    for name in ("M1", "M1x", "M3"):
+        g = graph(name)
+        assert all(t != 0 for row in g.dists for dist in row for t, _ in dist)
+        res = sv.solve_exact(g)
+        assert (res.improvement_rounds, res.exact_evaluations) == (1, 1), name
+        assert res.values[0] == EXPECTED[name] + Fraction(1, 7), name
+        assert not res.certified, name
+
+
 def test_solver_is_deterministic():
     g1 = graph("M3")
     g2 = graph("M3")
@@ -229,18 +377,18 @@ def test_strategies_pick_canonical_optimal_actions():
 def test_rooted_inside_enabled_thick_region_value_zero():
     """Starting strictly inside 1 < c < 2 the minimizer fires immediately;
     without the fire-now endpoint the graph would wrongly report 3/4."""
-    res = sv.solve_exact(rooted(fixtures.one_shot(), "5/4"))
+    res = sv.solve_exact(rooted(bundled("M1"), "5/4"))
     assert res.values[0] == Fraction(0)
 
 
 def test_rooted_values_match_closed_form():
     # value of M1 from (l0, x) is 1 - x for x <= 1 and 0 afterwards
     for x, want in (("0", 1), ("1/4", Fraction(3, 4)), ("1", 0), ("7/4", 0), ("2", 0)):
-        res = sv.solve_exact(rooted(fixtures.one_shot(), x))
+        res = sv.solve_exact(rooted(bundled("M1"), x))
         assert res.values[0] == Fraction(want)
     # and for the maximizer it is 2 - x throughout
     for x in ("0", "1/4", "5/4", "2"):
-        res = sv.solve_exact(rooted(fixtures.one_shot_max(), x))
+        res = sv.solve_exact(rooted(bundled("M1x"), x))
         assert res.values[0] == 2 - Fraction(x)
 
 
@@ -293,7 +441,7 @@ def test_discounted_rejects_lambda_at_least_one():
 
 
 def test_discounted_needs_no_reachability_assumption():
-    arena = load_model(str(MODELS / "M2-unreachable.model"))
+    arena = bundled("M2-unreachable")
     g = bg.explore(arena)
     res = sv.solve_discounted(g, Fraction(1, 2))
     # D = lam * (1 + D) => lam / (1 - lam) = 1
@@ -313,7 +461,7 @@ def test_simple_forms_m1():
 
 
 def test_simple_forms_m1x():
-    g = bg.explore(fixtures.one_shot_max())
+    g = bg.explore(bundled("M1x"))
     forms = sv.solve_simple_forms(g)
     assert forms[("l0", g.states[0].region)] == sv.SimpleForm(2, "c")
     res = sv.solve_exact(g)
@@ -322,7 +470,7 @@ def test_simple_forms_m1x():
 
 
 def test_simple_forms_fire_now_region_is_zero():
-    g = rooted(fixtures.one_shot(), "5/4")
+    g = rooted(bundled("M1"), "5/4")
     forms = sv.solve_simple_forms(g)
     assert forms[("l0", g.states[0].region)] == sv.SimpleForm(0, None)
 
@@ -333,7 +481,7 @@ def test_simple_forms_reject_probabilistic_branching():
 
 
 def test_simple_forms_respect_reachability_assumption():
-    arena = load_model(str(MODELS / "M2-unreachable.model"))
+    arena = bundled("M2-unreachable")
     with pytest.raises(sv.TargetUnreachableError):
         sv.solve_simple_forms(bg.explore(arena))
 
@@ -378,7 +526,7 @@ def chain_sccs(g: bg.Brg, choice) -> list[list[int]]:
 
 def differential_graphs() -> dict[str, bg.Brg]:
     graphs = {name: graph(name) for name in EXPECTED}
-    graphs["M2-unreachable"] = bg.explore(load_model(str(MODELS / "M2-unreachable.model")))
+    graphs["M2-unreachable"] = bg.explore(bundled("M2-unreachable"))
     rng = random.Random(3)
     for n in (1, 3, 5):
         graphs["chain%d" % n] = bg.explore(ring_game(rng, n, None))
