@@ -10,8 +10,9 @@ the boundary of the region) appear as targets of the interval-endpoint
 actions below.
 
 Actions are region-determined.  For every region zeta_a on the future chain
-of zeta whose prefix stays inside the location invariant and whose points
-satisfy the guard of an edge (l, a):
+of zeta whose prefix stays inside the location invariant (`invariant_chain`)
+and whose points satisfy the guard of an edge (l, a), with `boundary` naming
+each boundary (b, c):
 
   * zeta_a thin: one action firing exactly when the boundary (b, c) of
     zeta_a is hit; it costs b - nu(c).
@@ -55,9 +56,9 @@ from .model import Arena, ModelError, distribution_findings
 from .regions import (
     ClockRegion,
     ClockValuation,
-    boundary_coordinates,
+    boundary,
     closure_contains,
-    future_chain,
+    invariant_chain,
     is_thin,
     region_of,
     reset_region,
@@ -110,36 +111,21 @@ class BoundaryAction:
 
 def boundary_actions(arena: Arena, location: str, region: ClockRegion) -> list[BoundaryAction]:
     """The action set shared by all nodes with this location and region."""
-    loc = arena.location_named(location)
-    chain: list[ClockRegion] = []
-    for r in future_chain(region):
-        if not satisfies(r, loc.invariant):
-            break
-        chain.append(r)
+    chain = list(invariant_chain(region, arena.location_named(location).invariant))
     out: dict[tuple, BoundaryAction] = {}
     for idx, r in enumerate(chain):
         for e in arena.edges_from(location):
             if not satisfies(r, e.guard):
                 continue
             if is_thin(r):
-                bc = boundary_coordinates(region, r)
-                assert bc is not None  # r is on the future chain of region
-                acts = [BoundaryAction(e.action, r, bc[0], bc[1])]
+                ends = [boundary(r)]
             else:
-                acts = []
-                if r == region:
-                    acts.append(BoundaryAction(e.action, r, None, None))
-                else:
-                    lo = boundary_coordinates(region, chain[idx - 1])
-                    assert lo is not None
-                    acts.append(BoundaryAction(e.action, r, lo[0], lo[1]))
                 succ = time_successor(r)
                 assert succ is not None  # thick regions always have one
-                hi = boundary_coordinates(region, succ)
-                assert hi is not None
-                acts.append(BoundaryAction(e.action, r, hi[0], hi[1]))
-            for a in acts:
-                out.setdefault((a.action, a.b, a.c, a.target.key()), a)
+                lo = (None, None) if idx == 0 else boundary(chain[idx - 1])
+                ends = [lo, boundary(succ)]
+            for b, c in ends:
+                out.setdefault((e.action, b, c, r.key()), BoundaryAction(e.action, r, b, c))
     return sorted(out.values(), key=lambda a: a.sort_key(arena.ctx))
 
 

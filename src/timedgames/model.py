@@ -31,11 +31,10 @@ import yaml
 from .regions import (
     ClockConstraint,
     ClockContext,
-    ClockRegion,
     ClockValuation,
     RegionError,
     enumerate_regions,
-    future_chain,
+    invariant_chain,
     parse_constraint,
     region_of,
     satisfies,
@@ -329,20 +328,6 @@ def dump_model(arena: Arena) -> str:
 
 # -------------------------------------------------------------- validation
 
-def region_actions_available(arena: Arena, location: str, region: ClockRegion) -> bool:
-    """Whether some action can be taken from (location, region): a region on
-    the invariant-respecting future chain satisfies some guard."""
-    loc = arena.location_named(location)
-    outgoing = arena.edges_from(location)
-    for r in future_chain(region):
-        if not satisfies(r, loc.invariant):
-            break
-        for e in outgoing:
-            if satisfies(r, e.guard):
-                return True
-    return False
-
-
 def sccs(nodes: Iterable[int], succ) -> list[list[int]]:
     """Strongly connected components of the digraph on `nodes` whose edges
     are succ[v] (every successor must be a node), by an iterative Tarjan
@@ -486,10 +471,11 @@ def validate(arena: Arena) -> list[str]:
 
     all_regions = enumerate_regions(arena.ctx)
     for l in arena.locations:
+        edges = arena.edges_from(l.name)
         for r in all_regions:
-            if not satisfies(r, l.invariant):
-                continue
-            if not region_actions_available(arena, l.name, r):
+            if satisfies(r, l.invariant) and not any(
+                satisfies(c, e.guard) for c in invariant_chain(r, l.invariant) for e in edges
+            ):
                 findings.append(
                     "no action available from (%s, %s)" % (l.name, r.label())
                 )
@@ -509,8 +495,9 @@ def timed_action_allowed(arena: Arena, state: ConcreteState, ta: TimedAction) ->
 
     Requires the edge to exist, the delayed valuation to stay within the
     clock bound and satisfy the guard, and the location invariant to hold
-    throughout the delay (checked region by region along the future chain,
-    which is exact because invariants are region-constant).
+    throughout the delay: the delayed valuation's region must lie on the
+    invariant chain of the current one, which is exact because invariants
+    are region-constant.
     """
     loc, v = state
     e = arena.edge(loc, ta.action)
@@ -524,13 +511,7 @@ def timed_action_allowed(arena: Arena, state: ConcreteState, ta: TimedAction) ->
     if not valuation_satisfies(shifted, e.guard):
         return False
     inv = arena.location_named(loc).invariant
-    target_region = region_of(shifted)
-    for r in future_chain(region_of(v)):
-        if not satisfies(r, inv):
-            return False
-        if r == target_region:
-            return True
-    raise ModelError("delay did not land on the future chain")  # unreachable
+    return region_of(shifted) in invariant_chain(region_of(v), inv)
 
 
 def concrete_step(

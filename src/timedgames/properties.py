@@ -30,13 +30,14 @@ from functools import lru_cache
 from typing import Callable
 
 from .brg import BrgState, explore
-from .model import Arena, ConcreteState
+from .model import Arena, ConcreteState, Edge
 from .regions import (
     ClockRegion,
     ClockValuation,
+    DelayWindow,
     closure_contains,
     delay_window,
-    future_chain,
+    invariant_chain,
     region_of,
     representative,
     sample_closure,
@@ -208,7 +209,28 @@ def check_quasi_simple(
     return report
 
 
-# --------------------------------------------------------- time monotonicity
+# --------------------------------------------------------- one-step value
+
+def _one_step(ev: Evaluator, e: Edge, v: ClockValuation, t: Fraction) -> Fraction:
+    """t + sum_branches p * F(successor): the value of delaying by t from v
+    and then firing e."""
+    shifted = v.shift(t)
+    total = Fraction(t)
+    for br in e.branches:
+        total += br.prob * ev(br.target, shifted.reset(br.resets))
+    return total
+
+
+def _delays(w: DelayWindow, parts: int) -> list[Fraction]:
+    """A thin window's one instant; otherwise the points cutting the window
+    into `parts` equal pieces, after its left end when that end is closed."""
+    if w.lo == w.hi:
+        return [w.lo]
+    ts = [w.lo] if w.closed_lo else []
+    step = (w.hi - w.lo) / parts
+    ts.extend(w.lo + step * j for j in range(1, parts))
+    return ts
+
 
 def check_time_monotone(
     arena: Arena,
@@ -224,7 +246,8 @@ def check_time_monotone(
     Restricted to delays steering into one region, the one-step function
     t + sum p * F(successor) must be nondecreasing; this compares it at
     consecutive grid points of the delay window.  A thin target admits a
-    single delay, so the check is vacuous there.
+    single delay, so the check is vacuous there.  The target must be
+    reachable by letting time pass within the location invariant.
     """
     ev = evaluator or _default_evaluator(arena)
     loc, v = state
@@ -233,28 +256,13 @@ def check_time_monotone(
         raise ValueError("no edge (%s, %s)" % (loc, action))
     if not satisfies(target, e.guard):
         raise ValueError("action %s is not enabled on [%s]" % (action, target.label()))
-    w = delay_window(v, target)
-    if w is None:
-        raise ValueError("[%s] is not in the future of the state" % target.label())
-
-    def one_step(t: Fraction) -> Fraction:
-        shifted = v.shift(t)
-        total = Fraction(t)
-        for br in e.branches:
-            total += br.prob * ev(br.target, shifted.reset(br.resets))
-        return total
-
-    if w.lo == w.hi:
-        return []
-    ts = []
-    if w.closed_lo:
-        ts.append(w.lo)
-    step = (w.hi - w.lo) / (grid + 1)
-    ts.extend(w.lo + step * j for j in range(1, grid + 1))
+    if target not in invariant_chain(region_of(v), arena.location_named(loc).invariant):
+        raise ValueError("[%s] is not in the future of the state within the invariant of %s"
+                         % (target.label(), loc))
     out = []
     prev_t = prev_f = None
-    for t in ts:
-        f = one_step(t)
+    for t in _delays(delay_window(v, target), grid + 1):
+        f = _one_step(ev, e, v, t)
         if prev_f is not None and f < prev_f:
             out.append((prev_t, t, prev_f, f))
         prev_t, prev_f = t, f
@@ -262,23 +270,6 @@ def check_time_monotone(
 
 
 # ------------------------------------------------------- grid consistency
-
-def enabled_regions(arena: Arena, state: ConcreteState, action: str) -> list[ClockRegion]:
-    """Regions of the state's future chain where the action can fire, the
-    location invariant holding up to them."""
-    loc, v = state
-    e = arena.edge(loc, action)
-    if e is None:
-        return []
-    inv = arena.location_named(loc).invariant
-    out = []
-    for r in future_chain(region_of(v)):
-        if not satisfies(r, inv):
-            break
-        if satisfies(r, e.guard):
-            out.append(r)
-    return out
-
 
 def grid_one_step_value(
     arena: Arena,
@@ -299,24 +290,15 @@ def grid_one_step_value(
     ev = evaluator or _default_evaluator(arena)
     loc, v = state
     minimize = arena.owner_of(loc) == "min"
+    # a list, not the generator: every edge walks the chain again
+    chain = list(invariant_chain(region_of(v), arena.location_named(loc).invariant))
     best: Fraction | None = None
     for e in arena.edges_from(loc):
-        for r in enabled_regions(arena, state, e.action):
-            w = delay_window(v, r)
-            assert w is not None
-            ts: list[Fraction] = []
-            if w.lo == w.hi:
-                ts.append(w.lo)
-            else:
-                if w.closed_lo:
-                    ts.append(w.lo)
-                step = (w.hi - w.lo) / denominator
-                ts.extend(w.lo + step * j for j in range(1, denominator))
-            for t in ts:
-                shifted = v.shift(t)
-                val = Fraction(t)
-                for br in e.branches:
-                    val += br.prob * ev(br.target, shifted.reset(br.resets))
+        for r in chain:
+            if not satisfies(r, e.guard):
+                continue
+            for t in _delays(delay_window(v, r), denominator):
+                val = _one_step(ev, e, v, t)
                 if best is None or (val < best if minimize else val > best):
                     best = val
     if best is None:

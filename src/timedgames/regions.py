@@ -12,7 +12,10 @@ A region is *thin* when the zero block is nonempty (some clock sits exactly
 on an integer) and *thick* otherwise.  Letting time pass alternates between
 the two kinds: from a thin region the zero-block clocks pick up a fresh
 smallest positive fraction, and from a thick region the clocks with the
-largest fraction reach the next integer.
+largest fraction reach the next integer.  `invariant_chain` is the part of
+that future a location invariant lets time pass through, and `boundary`
+names the instant (b, c) at which a thin region on it is hit, as the delay
+b - nu(c); every module that lets time pass reads those two.
 
 Everything here is exact.  Valuation coordinates are ``fractions.Fraction``
 and all comparisons are decided with integer arithmetic on the canonical
@@ -285,6 +288,28 @@ def future_chain(region: ClockRegion) -> Iterator[ClockRegion]:
         r = time_successor(r)
 
 
+def invariant_chain(region: ClockRegion, invariant: ClockConstraint) -> Iterator[ClockRegion]:
+    """The future chain of the region up to, not including, the first region
+    that breaks the invariant: the regions time passes through while the
+    invariant holds.  Empty when the region itself breaks it.  Lazy, so a
+    caller that stops early walks no further."""
+    r: ClockRegion | None = region
+    while r is not None and satisfies(r, invariant):
+        yield r
+        r = time_successor(r)
+
+
+def boundary(thin: ClockRegion) -> tuple[int, str]:
+    """The (b, c) pair naming the instant at which letting time pass hits
+    the thin region: from any point whose future chain contains it, the
+    delay is b - nu(c).  Every zero-block clock names the same delay; the
+    first in context order is returned so the choice is deterministic."""
+    if not is_thin(thin):
+        raise RegionError("boundary coordinates target a thin region")
+    c = min(thin.blocks[0])
+    return thin.ints[c], thin.ctx.clocks[c]
+
+
 def reset_region(region: ClockRegion, clocks: frozenset[str] | set[str]) -> ClockRegion:
     """The region after setting the given clocks to zero."""
     idxs = {region.ctx.index(c) for c in clocks}
@@ -367,23 +392,6 @@ def valuation_satisfies(valuation: ClockValuation, constraint: ClockConstraint) 
     return True
 
 
-def boundary_coordinates(region: ClockRegion, thin: ClockRegion) -> tuple[int, str] | None:
-    """The (b, c) pair naming the time at which `thin` is hit from `region`.
-
-    Defined when `thin` lies on the future chain of `region` (reflexively).
-    Any clock of the target's zero block works, since from a fixed start
-    point they all name the same delay b - nu(c); the first such clock in
-    context order is returned so the choice is deterministic.
-    """
-    if not is_thin(thin):
-        raise RegionError("boundary coordinates target a thin region")
-    for r in future_chain(region):
-        if r == thin:
-            c = min(thin.blocks[0])
-            return (thin.ints[c], region.ctx.clocks[c])
-    return None
-
-
 def closure_contains(region: ClockRegion, valuation: ClockValuation) -> bool:
     """Whether the valuation lies in the topological closure of the region.
 
@@ -424,15 +432,6 @@ class DelayWindow:
     closed_lo: bool
     closed_hi: bool
 
-    def contains(self, t: Fraction) -> bool:
-        if t < self.lo or t > self.hi:
-            return False
-        if t == self.lo and not self.closed_lo:
-            return False
-        if t == self.hi and not self.closed_hi:
-            return False
-        return True
-
 
 def delay_window(valuation: ClockValuation, target: ClockRegion) -> DelayWindow | None:
     """Exact delay interval from a valuation into a region of its future chain.
@@ -442,25 +441,22 @@ def delay_window(valuation: ClockValuation, target: ClockRegion) -> DelayWindow 
     region contributes a half-open interval starting now.  Returns None when
     the target is not in the future of the valuation's region.
     """
-    start = region_of(valuation)
-    t_enter = Fraction(0)
-    prev_thin_time: Fraction | None = None
-    for r in future_chain(start):
+
+    def hit(thin: ClockRegion) -> Fraction:
+        b, c = boundary(thin)
+        return b - valuation.value(c)
+
+    prev: Fraction | None = None  # the instant of the last thin region passed
+    for r in future_chain(region_of(valuation)):
         if is_thin(r):
-            c = min(r.blocks[0])
-            t_here = r.ints[c] - valuation.values[c]
-            prev_thin_time = t_here
+            prev = hit(r)
             if r == target:
-                return DelayWindow(t_here, t_here, True, True)
-        else:
-            if r == target:
-                lo = t_enter if prev_thin_time is None else prev_thin_time
-                succ = time_successor(r)
-                assert succ is not None  # thick regions always have one
-                c = min(succ.blocks[0])
-                hi = succ.ints[c] - valuation.values[c]
-                closed_lo = prev_thin_time is None  # target is the current region
-                return DelayWindow(lo, hi, closed_lo, False)
+                return DelayWindow(prev, prev, True, True)
+        elif r == target:
+            succ = time_successor(r)
+            assert succ is not None  # thick regions always have one
+            now = prev is None  # the target is the current region
+            return DelayWindow(Fraction(0) if now else prev, hit(succ), now, False)
     return None
 
 

@@ -275,6 +275,8 @@ def estimate_value(
     step cap are excluded from the mean and reported via `reached`."""
     if runs <= 0:
         raise ValueError("runs must be positive")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     rng = random.Random(seed)
     times: list[Fraction] = []
     for _ in range(runs):

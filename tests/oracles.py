@@ -10,7 +10,11 @@ redoes the region-level work of every move (resets, target invariants,
 fresh regions) at every state instead of compiling it once per arena.
 `simulate_run_per_step` is the earlier simulator, which redoes the region
 lookup, the concretization, the legality check and the branch weights at
-every step instead of playing a compiled step table.
+every step instead of playing a compiled step table.  Both use the earlier
+walks of the future chain: `boundary_actions_rewalk` walks it again from the
+start region for every boundary it names (`boundary_coordinates`),
+`timed_action_allowed_walk` checks the invariant region by region, and
+`region_actions_available` is the earlier dead-region test of `validate`.
 `solve_two_sweeps` is the earlier improvement loop, which after each
 evaluation sweeps once to find switches and, at the end, once more to
 certify, instead of switching from and returning one `certify` report.  `chain_document`
@@ -32,7 +36,6 @@ from timedgames.brg import (
     Brg,
     BrgState,
     ExplorationLimit,
-    boundary_actions,
 )
 from timedgames.model import (
     Arena,
@@ -42,17 +45,20 @@ from timedgames.model import (
     ModelError,
     TimedAction,
     distribution_findings,
-    timed_action_allowed,
 )
 from timedgames.regions import (
     ClockConstraint,
     ClockRegion,
+    RegionError,
     closure_contains,
     enumerate_regions,
+    future_chain,
+    is_thin,
     parse_constraint,
     region_of,
     reset_region,
     satisfies,
+    time_successor,
     valuation_satisfies,
 )
 from timedgames import solver as sv
@@ -329,6 +335,101 @@ def enumerate_zeno_cycles(arena: Arena) -> list[list[str]]:
     return bad
 
 
+def boundary_coordinates(region: ClockRegion, thin: ClockRegion) -> tuple[int, str] | None:
+    """The (b, c) pair naming the time at which `thin` is hit from `region`.
+
+    Defined when `thin` lies on the future chain of `region` (reflexively).
+    Any clock of the target's zero block works, since from a fixed start
+    point they all name the same delay b - nu(c); the first such clock in
+    context order is returned so the choice is deterministic.
+    """
+    if not is_thin(thin):
+        raise RegionError("boundary coordinates target a thin region")
+    for r in future_chain(region):
+        if r == thin:
+            c = min(thin.blocks[0])
+            return (thin.ints[c], region.ctx.clocks[c])
+    return None
+
+
+def boundary_actions_rewalk(arena: Arena, location: str, region: ClockRegion) -> list[BoundaryAction]:
+    """The action set shared by all nodes with this location and region."""
+    loc = arena.location_named(location)
+    chain: list[ClockRegion] = []
+    for r in future_chain(region):
+        if not satisfies(r, loc.invariant):
+            break
+        chain.append(r)
+    out: dict[tuple, BoundaryAction] = {}
+    for idx, r in enumerate(chain):
+        for e in arena.edges_from(location):
+            if not satisfies(r, e.guard):
+                continue
+            if is_thin(r):
+                bc = boundary_coordinates(region, r)
+                assert bc is not None  # r is on the future chain of region
+                acts = [BoundaryAction(e.action, r, bc[0], bc[1])]
+            else:
+                acts = []
+                if r == region:
+                    acts.append(BoundaryAction(e.action, r, None, None))
+                else:
+                    lo = boundary_coordinates(region, chain[idx - 1])
+                    assert lo is not None
+                    acts.append(BoundaryAction(e.action, r, lo[0], lo[1]))
+                succ = time_successor(r)
+                assert succ is not None  # thick regions always have one
+                hi = boundary_coordinates(region, succ)
+                assert hi is not None
+                acts.append(BoundaryAction(e.action, r, hi[0], hi[1]))
+            for a in acts:
+                out.setdefault((a.action, a.b, a.c, a.target.key()), a)
+    return sorted(out.values(), key=lambda a: a.sort_key(arena.ctx))
+
+
+def timed_action_allowed_walk(arena: Arena, state: ConcreteState, ta: TimedAction) -> bool:
+    """Whether delaying by ta.delay and firing ta.action is legal at state.
+
+    Requires the edge to exist, the delayed valuation to stay within the
+    clock bound and satisfy the guard, and the location invariant to hold
+    throughout the delay (checked region by region along the future chain,
+    which is exact because invariants are region-constant).
+    """
+    loc, v = state
+    e = arena.edge(loc, ta.action)
+    if e is None:
+        return False
+    if ta.delay < 0:
+        return False
+    shifted = v.shift(ta.delay)
+    if any(x > arena.ctx.k for x in shifted.values):
+        return False
+    if not valuation_satisfies(shifted, e.guard):
+        return False
+    inv = arena.location_named(loc).invariant
+    target_region = region_of(shifted)
+    for r in future_chain(region_of(v)):
+        if not satisfies(r, inv):
+            return False
+        if r == target_region:
+            return True
+    raise ModelError("delay did not land on the future chain")  # unreachable
+
+
+def region_actions_available(arena: Arena, location: str, region: ClockRegion) -> bool:
+    """Whether some action can be taken from (location, region): a region on
+    the invariant-respecting future chain satisfies some guard."""
+    loc = arena.location_named(location)
+    outgoing = arena.edges_from(location)
+    for r in future_chain(region):
+        if not satisfies(r, loc.invariant):
+            break
+        for e in outgoing:
+            if satisfies(r, e.guard):
+                return True
+    return False
+
+
 def action_delay(state: BrgState, act: BoundaryAction) -> Fraction:
     """The exact cost b - nu(c) of steering to the action's boundary."""
     if act.b is None:
@@ -408,7 +509,7 @@ def explore_per_state(arena: Arena, root: BrgState | None = None,
         key = (s.location, s.region)
         acts = action_cache.get(key)
         if acts is None:
-            acts = boundary_actions(arena, s.location, s.region)
+            acts = boundary_actions_rewalk(arena, s.location, s.region)
             action_cache[key] = acts
         g.actions.append(acts)
         g.rewards.append([action_delay(s, a) for a in acts])
@@ -495,7 +596,7 @@ def simulate_run_per_step(
         eps_eff = epsilon / (1 << (steps + 1)) if decaying else epsilon
         t = concretize_action(state.valuation, act, eps_eff)
         move = TimedAction(t, act.action)
-        if not timed_action_allowed(arena, state, move):
+        if not timed_action_allowed_walk(arena, state, move):
             raise StrategyGapError(
                 "concretized move %s is illegal from (%s, %s)"
                 % (move, state.location, dict(state.valuation.as_dict()))

@@ -21,6 +21,7 @@ from timedgames.regions import (
     ClockValuation,
     RegionError,
     closure_contains,
+    enumerate_regions,
     region_of,
     sample_closure,
     valuation_satisfies,
@@ -266,6 +267,20 @@ def test_explore_matches_per_state_oracle():
                 root = bg.BrgState(key[0], sample_closure(key[1], rng), key[1])
                 got = outcome(bg.explore, arena, root=root)
                 assert got == outcome(oracles.explore_per_state, arena, root=root), (name, root)
+
+
+def test_boundary_actions_match_rewalking_oracle():
+    """The same action set as the earlier construction, which walked the
+    future chain again from the start region for every boundary it named,
+    on every region of every location, unreachable pairs included."""
+    arenas = dict(differential_arenas(), bad_invariant=bad_invariant_arena())
+    for name, arena in arenas.items():
+        regions = enumerate_regions(arena.ctx)
+        for loc in arena.locations:
+            for r in regions:
+                got = bg.boundary_actions(arena, loc.name, r)
+                expected = oracles.boundary_actions_rewalk(arena, loc.name, r)
+                assert got == expected, (name, loc.name, r.label())
 
 
 def bad_invariant_arena() -> Arena:

@@ -11,10 +11,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from oracles import chain_document
 from timedgames.cli import main
 
 M1 = "models/M1.model"
@@ -168,6 +170,15 @@ def test_simulate_json_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("epsilon", ["-1/2", "0"])
+def test_simulate_refuses_nonpositive_epsilon(capsys, epsilon):
+    # M2 has no open window to step into, so nothing else would catch it
+    for model in (M1, M2):
+        code, out, err = run(capsys, "simulate", model, "--epsilon=%s" % epsilon)
+        assert code == 2 and out == ""
+        assert "epsilon must be positive" in err
+
+
 def test_check_properties_clean(capsys):
     code, out, _ = run(capsys, "check-properties", M2, "--pairs", "15",
                        "--states", "3", "--json")
@@ -313,7 +324,8 @@ def test_cli_import_loads_no_networkx():
 # ----------------------------------------------------------- golden output
 
 # sha256 of stdout (and the exit code) for each subcommand in text and JSON
-# on every bundled model; any change to the rendered output shows up here
+# on every bundled model, and of `check-properties` and `simulate` JSON also
+# on a retry chain; any change to the rendered output shows up here
 GOLDEN = {
     'validate M1':
         (0, '7f25bb6c9df9236359a3a662f71363b7d3531ecfee6e5bf3069b2f3b65f0cf98'),
@@ -339,6 +351,10 @@ GOLDEN = {
         (0, '670fcf35424c1100eae3f1de7e1a7856eca7968c773708636c44c59e74bea8e4'),
     'discounted M1 --lambda 1/2 --keep-final-rewards --json':
         (0, '115d1d4404037508a9c9a7d9fbc288b86fff2e4114b3d5d786e368be60e752ad'),
+    'check-properties M1 --json':
+        (0, '1f20eda3ab375a1ea4f484b425b02e28109447f91421c9604073afa18dfdcaca'),
+    'simulate M1 --json':
+        (0, 'e4d918fa44405efbc5bef3345c38f26cdb059cc0b98ce6534f14897f162c5173'),
     'validate M1x':
         (0, '034d3e4a9c5a86f061aa948fce9978ca82e688d964c7d75ab10b182fac65e57f'),
     'validate M1x --json':
@@ -363,6 +379,10 @@ GOLDEN = {
         (0, '7159d04815ee49db808744dbb4ed6c69a9a1bdab810edd8ffa9b19a79f1aca70'),
     'discounted M1x --lambda 1/2 --keep-final-rewards --json':
         (0, '28c9ed9a8e562d374df8e6ad25b4f49968f08ee1968d322fa12c3bad3ea7f5b0'),
+    'check-properties M1x --json':
+        (0, 'bb86095f42ba03e921e160a021c9b585d55fdacf477dba0297f59eeae23aa9d3'),
+    'simulate M1x --json':
+        (0, 'd649b1f771f18440dd877121f0ea530203d1b218d36995b2b8ba163292a5c983'),
     'validate M2':
         (0, 'a92003dbeb786baca63044f8f0ab987714a72b4f84b3b64215f373c6f97e8f7b'),
     'validate M2 --json':
@@ -387,6 +407,10 @@ GOLDEN = {
         (0, '78d5a1947027ba85b7cd38192337bce30f843028063b30ed2c63917066f08e39'),
     'discounted M2 --lambda 1/2 --keep-final-rewards --json':
         (0, '946769396f7de3e578cd31e8e792417b7ee633103764e4d4451a65e76462d2ab'),
+    'check-properties M2 --json':
+        (0, '8055367317f9c08f4a6125e0a0c4a4cf681dee1222c02e3b1c30c93085138e31'),
+    'simulate M2 --json':
+        (0, '322b839fe5023d6afc5c7149687c53edee38f6a183eed7ecd14ad97bc550f8eb'),
     'validate M2-unreachable':
         (0, '6376535f29181ee23d145e9d146c346089da867c7a01de9e950f55f37ed00de3'),
     'validate M2-unreachable --json':
@@ -411,6 +435,10 @@ GOLDEN = {
         (0, 'c392542e7ff1911f4dbf396109b83ac566909a15bed0ea0de29429477011bffb'),
     'discounted M2-unreachable --lambda 1/2 --keep-final-rewards --json':
         (0, '707b29eaf434f5228cb1adb69a5dd4bf0d880166891e2648b0afdc9df333d264'),
+    'check-properties M2-unreachable --json':
+        (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'simulate M2-unreachable --json':
+        (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'validate M3':
         (0, '8359cc0834a165b19f41d00250512ec88fb28345c59e83454d6fe283a1654a94'),
     'validate M3 --json':
@@ -435,11 +463,29 @@ GOLDEN = {
         (0, '5eb5cd04bef6d8ff46df3d2668782f107409ead645b451298612179a6c7e331d'),
     'discounted M3 --lambda 1/2 --keep-final-rewards --json':
         (0, '4a2de9cc5946bf7c2ae262ed46df35c981fb10ab846f65057d3df9601035e516'),
+    'check-properties M3 --json':
+        (0, 'c0e3937c97bfeb8f42d22db472e9e02dea108c72837a0ec0e94a595f9112d2b3'),
+    'simulate M3 --json':
+        (0, '88e968395cfc8d5ebc1373c8bf3840687fe49843df2b286d006267093c2f3c54'),
+    'check-properties chain2_2_2 --json':
+        (0, '96aa61d9c913f676c59b00ca0063f76650eb47a4b43059888008cce93aaab24d'),
+    'simulate chain2_2_2 --json':
+        (0, '747bf77cc13cd08072e72e3322744e1901e0d79fefd98204ba10d366ff54f5d5'),
+}
+
+# retry chains written by `oracles.chain_document`, keyed by model name; the
+# bundled models have one edge per location, these have two
+CHAINS = {
+    "chain2_2_2": (2, 2, 2, ("min", "max"), (Fraction(1, 2), Fraction(1, 3))),
 }
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
-def test_golden_output(capsys, key):
+def test_golden_output(capsys, tmp_path, key):
     sub, model, *rest = key.split()
-    code, out, _ = run(capsys, sub, "models/%s.model" % model, *rest)
+    path = Path("models/%s.model" % model)
+    if model in CHAINS:
+        path = tmp_path / ("%s.model" % model)
+        path.write_text(chain_document(*CHAINS[model]))
+    code, out, _ = run(capsys, sub, str(path), *rest)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[key]

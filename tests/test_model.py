@@ -7,10 +7,17 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from bundled import BUNDLED, bundled
 from oracles import enumerate_zeno_cycles
 from timedgames import model as md
-from timedgames.regions import ClockContext, ClockValuation, parse_constraint
+from timedgames.regions import (
+    ClockContext,
+    ClockValuation,
+    enumerate_regions,
+    parse_constraint,
+    satisfies,
+)
 
 
 def test_dump_parse_round_trip():
@@ -262,6 +269,12 @@ def test_validate_flags_dead_region():
     )
     findings = md.validate(arena)
     assert any("no action available" in f for f in findings)
+    # the same dead pairs as the earlier walk of the invariant chain
+    dead = ["no action available from (%s, %s)" % (l.name, r.label())
+            for l in arena.locations for r in enumerate_regions(ctx)
+            if satisfies(r, l.invariant)
+            and not oracles.region_actions_available(arena, l.name, r)]
+    assert [f for f in findings if f.startswith("no action available")] == dead
 
 
 def test_validate_flags_bad_initial():
@@ -288,10 +301,10 @@ def test_timed_action_allowed_m1():
     assert not md.timed_action_allowed(arena, s0, md.TimedAction(Fraction(1), "nope"))
 
 
-def test_timed_action_blocked_by_invariant():
+def invariant_cap_arena() -> md.Arena:
     # guard would allow c = 3/2 but the invariant caps the stay at c <= 1
     ctx = ClockContext(("c",), 2)
-    arena = md.Arena(
+    return md.Arena(
         name="inv",
         ctx=ctx,
         locations=(
@@ -306,9 +319,40 @@ def test_timed_action_blocked_by_invariant():
         ),
         initial=md.ConcreteState("l0", ClockValuation(ctx, (Fraction(0),))),
     )
+
+
+def test_timed_action_blocked_by_invariant():
+    arena = invariant_cap_arena()
     s0 = arena.initial
     assert md.timed_action_allowed(arena, s0, md.TimedAction(Fraction(1), "a"))
     assert not md.timed_action_allowed(arena, s0, md.TimedAction(Fraction(3, 2), "a"))
+
+
+def test_timed_action_allowed_matches_walking_oracle():
+    """The same verdict as the earlier region-by-region walk of the
+    invariant, on seeded states, actions and delays; half the delays hit a
+    clock's integer exactly, and some are negative or overshoot k."""
+    arenas = [bundled(name) for name in BUNDLED] + [invariant_cap_arena()]
+    arenas += [md.parse_model(oracles.chain_document(2, 2, clocks, ("min", "max"),
+                                                     (Fraction(1, 2), Fraction(1, 3))))
+               for clocks in (1, 2, 3)]
+    rng = random.Random(5)
+    for arena in arenas:
+        ctx = arena.ctx
+        actions = sorted({e.action for e in arena.edges}) + ["nope"]
+        verdicts = set()
+        for _ in range(400):
+            loc = rng.choice(arena.locations).name
+            v = ClockValuation(ctx, oracles.random_valuation(rng, len(ctx.clocks), ctx.k))
+            if rng.random() < 0.5:
+                delay = rng.randint(0, ctx.k) - rng.choice(v.values)
+            else:
+                delay = Fraction(rng.randint(-4, 16 * ctx.k), 16)
+            state, ta = md.ConcreteState(loc, v), md.TimedAction(delay, rng.choice(actions))
+            expected = oracles.timed_action_allowed_walk(arena, state, ta)
+            assert md.timed_action_allowed(arena, state, ta) == expected, (arena.name, state, ta)
+            verdicts.add(expected)
+        assert verdicts == {True, False}, arena.name
 
 
 def test_concrete_step_retry():

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from bundled import bundled
 from timedgames import properties
-from timedgames.model import ConcreteState, parse_model
+from timedgames.model import ConcreteState, TimedAction, parse_model, timed_action_allowed
 from timedgames.properties import (
     _rooted_value,
     check_quasi_simple,
@@ -215,6 +215,26 @@ def test_time_monotone_rejects_bad_inputs():
     late = ConcreteState("l0", val(M1, "3/2"))
     with pytest.raises(ValueError, match="future"):
         check_time_monotone(M1, late, "a", reg(M1, 1))
+
+
+def test_time_monotone_refuses_target_past_the_invariant():
+    # the guard holds on 1 < c < 2, but the invariant ends the stay at c = 1
+    arena = parse_model("""
+clocks: [c]
+k: 2
+locations:
+  - {name: l0, owner: min, final: false, invariant: "c <= 1"}
+  - {name: lf, owner: min, final: true, invariant: "c <= 2"}
+edges:
+  - {source: l0, action: a, guard: "c >= 1", branches: [{prob: "1/1", resets: [], target: lf}]}
+  - {source: lf, action: f, guard: "c >= 1", branches: [{prob: "1/1", resets: [c], target: lf}]}
+initial: {location: l0, valuation: {c: "0"}}
+""")
+    state = ConcreteState("l0", val(arena, 0))
+    assert not timed_action_allowed(arena, state, TimedAction(Fraction(3, 2), "a"))
+    with pytest.raises(ValueError, match="invariant of l0"):
+        check_time_monotone(arena, state, "a", reg(arena, "3/2"))
+    assert check_time_monotone(arena, state, "a", reg(arena, 1)) == []
 
 
 def test_grid_one_step_matches_exact_value():

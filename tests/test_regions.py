@@ -169,14 +169,13 @@ def test_parse_constraint():
 @given(valuations())
 @settings(max_examples=200)
 def test_boundary_coordinates_name_the_exact_hit_time(v):
-    start = rg.region_of(v)
-    for target in rg.future_chain(start):
+    for target in rg.future_chain(rg.region_of(v)):
         if not rg.is_thin(target):
             assert rg.delay_window(v, target) is not None
+            with pytest.raises(rg.RegionError):
+                rg.boundary(target)
             continue
-        bc = rg.boundary_coordinates(start, target)
-        assert bc is not None
-        b, c = bc
+        b, c = rg.boundary(target)
         t = b - v.value(c)
         assert t >= 0
         assert rg.region_of(v.shift(t)) == target
@@ -186,15 +185,18 @@ def test_boundary_coordinates_name_the_exact_hit_time(v):
         assert c == v.ctx.clocks[min(target.blocks[0])]
 
 
-def test_boundary_coordinates_absent_for_past_regions():
-    ctx = rg.ClockContext(("x",), 2)
-    later = rg.region_of(rg.ClockValuation(ctx, (Fraction(2),)))
-    earlier = rg.region_of(rg.ClockValuation(ctx, (Fraction(1),)))
-    assert rg.boundary_coordinates(later, earlier) is None
-    assert rg.boundary_coordinates(earlier, later) == (2, "x")
-    with pytest.raises(rg.RegionError):
-        thick = rg.region_of(rg.ClockValuation(ctx, (Fraction(1, 2),)))
-        rg.boundary_coordinates(earlier, thick)
+@given(st.data())
+@settings(max_examples=300)
+def test_invariant_chain_is_the_prefix_inside_the_invariant(data):
+    v = data.draw(valuations())
+    inv = data.draw(constraints(v.ctx))
+    start = rg.region_of(v)
+    chain = list(rg.invariant_chain(start, inv))
+    future = list(rg.future_chain(start))
+    assert chain == future[:len(chain)]
+    assert all(rg.satisfies(r, inv) for r in chain)
+    if len(chain) < len(future):
+        assert not rg.satisfies(future[len(chain)], inv)
 
 
 @given(valuations())
