@@ -44,6 +44,13 @@ than the per-state copies it replaces.
 Per state and action only the point half remains: the cost b - nu(c), the
 shift and reset of the valuation, its validation, the closure check of the
 successor, and interning it.
+
+A node's successors, and so its value, depend only on the node, not on the
+root it was reached from.  `explore` therefore takes a table `known` of states already solved, with
+their values: such a state is interned but not expanded, and `Brg.fixed`
+records its value, which the solver substitutes as a constant.  A rooted
+query then builds only the part of the graph below its root that no earlier
+query has solved.
 """
 
 from __future__ import annotations
@@ -170,7 +177,10 @@ class Brg:
     """The explored graph.  Parallel lists indexed by state id: the action
     list of each state is in canonical order, each distribution is a tuple
     of (successor id, probability) sorted by successor id, and `owners` and
-    `finals` hold the owner and final flag of the state's location."""
+    `finals` hold the owner and final flag of the state's location.
+    `fixed` maps the id of each state taken from `explore`'s `known` table
+    to its value; such a state is not expanded, so its action, reward and
+    distribution lists are empty."""
 
     arena: Arena
     states: list[BrgState] = field(default_factory=list)
@@ -179,6 +189,7 @@ class Brg:
     dists: list[list[tuple[tuple[int, Fraction], ...]]] = field(default_factory=list)
     owners: list[str] = field(default_factory=list)
     finals: list[bool] = field(default_factory=list)
+    fixed: dict[int, Fraction] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -197,8 +208,14 @@ class Brg:
         return sum(len(d) for dist in self.dists for d in dist)
 
 
-def explore(arena: Arena, root: BrgState | None = None, cap: int = DEFAULT_STATE_CAP) -> Brg:
-    """Breadth-first reachable construction from the root.
+def explore(
+    arena: Arena,
+    root: BrgState | None = None,
+    cap: int = DEFAULT_STATE_CAP,
+    known: dict[BrgState, Fraction] | None = None,
+) -> Brg:
+    """Breadth-first reachable construction from the root, stopping at the
+    states of `known`, whose values go to `Brg.fixed`.
 
     The default root pairs the arena's initial state with the region of its
     own valuation.  States are numbered in discovery order, which together
@@ -236,6 +253,8 @@ def explore(arena: Arena, root: BrgState | None = None, cap: int = DEFAULT_STATE
             loc = arena.location_named(s.location)
             g.owners.append(loc.owner)
             g.finals.append(loc.final)
+            if known is not None and s in known:
+                g.fixed[i] = known[s]
             queue.append(i)
         return i
 
@@ -243,6 +262,11 @@ def explore(arena: Arena, root: BrgState | None = None, cap: int = DEFAULT_STATE
     intern(root)
     while queue:
         i = queue.popleft()
+        if i in g.fixed:
+            g.actions.append([])
+            g.rewards.append([])
+            g.dists.append([])
+            continue
         s = g.states[i]
         acts, moves = _moves(arena, s.location, s.region)
         g.actions.append(acts)

@@ -292,6 +292,8 @@ def cmd_simulate(args) -> int:
     arena = load_model(args.model)
     g = explore(arena)
     res = solve_exact(g)
+    if not res.certified:
+        raise ConvergenceError("the exact solve of %s is not certified" % arena.name)
     strategy = ConcretizedStrategy.from_solution(g, res.choice)
     est = estimate_value(
         arena,

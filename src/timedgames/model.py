@@ -124,6 +124,9 @@ class Arena:
     # and the one shared copy of each equal action, move, region and reset set
     _moves: dict = field(init=False, repr=False, compare=False)
     _canon: dict = field(init=False, repr=False, compare=False)
+    # the certified value of every boundary region graph state solved so far,
+    # written by `properties.value_at` and closed under successors
+    _solved: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = {l.name: l for l in self.locations}
@@ -161,6 +164,7 @@ class Arena:
         object.__setattr__(self, "_from", {s: tuple(es) for s, es in outgoing.items()})
         object.__setattr__(self, "_moves", {})
         object.__setattr__(self, "_canon", {})
+        object.__setattr__(self, "_solved", {})
 
     def location_named(self, name: str) -> Location:
         try:
@@ -389,8 +393,13 @@ def check_structural_nonzeno(arena: Arena) -> list[list[str]]:
     a location repeats, and rotate the loop closed that way to start at its
     first location.  Empty means structurally non-Zeno.
     """
+    return _nonzeno_witnesses(arena, enumerate_regions(arena.ctx))
+
+
+def _nonzeno_witnesses(arena: Arena, regions) -> list[list[str]]:
+    """`check_structural_nonzeno` on the given list of all regions of the
+    arena's clock context, so `validate` enumerates them once."""
     ctx = arena.ctx
-    regions = enumerate_regions(ctx)
     ge_one = {c: parse_constraint("%s >= 1" % c, ctx) for c in ctx.clocks}
     pos = {l.name: i for i, l in enumerate(arena.locations)}
     hops = []  # (source, target, resets, clocks the guard bounds below by 1)
@@ -480,7 +489,7 @@ def validate(arena: Arena) -> list[str]:
                     "no action available from (%s, %s)" % (l.name, r.label())
                 )
 
-    for cycle in check_structural_nonzeno(arena):
+    for cycle in _nonzeno_witnesses(arena, all_regions):
         findings.append(
             "structurally Zeno location cycle: %s (no clock is both reset "
             "and bounded below by 1 around it)" % " -> ".join(cycle)

@@ -1,8 +1,9 @@
 """Executable checks of the structural properties the solver relies on.
 
 The central object is `value_at`, the certified game value from an arbitrary
-concrete state, computed by rooting the boundary region graph there.  On top
-of it:
+concrete state, computed by rooting the boundary region graph there and
+solving only the states that no earlier query on the arena has solved.  On
+top of it:
 
   * `fit_simple` reconstructs a one-clock affine form e - nu(c) (or a
     constant) for the value function on a region, when one exists;
@@ -26,7 +27,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 from .brg import BrgState, explore
@@ -45,22 +45,35 @@ from .regions import (
     satisfies,
     valuation_satisfies,
 )
-from .solver import SimpleForm, solve_exact
+from .solver import ConvergenceError, SimpleForm, solve_exact
 
 Evaluator = Callable[[str, ClockValuation], Fraction]
 
 
-@lru_cache(maxsize=None)
-def _rooted_value(arena: Arena, location: str, valuation: ClockValuation) -> Fraction:
-    root = BrgState(location, valuation, region_of(valuation))
-    g = explore(arena, root=root)
-    return solve_exact(g).values[0]
-
-
 def value_at(arena: Arena, location: str, valuation: ClockValuation) -> Fraction:
-    """Certified expected time to the final set from a concrete state,
-    via a graph rooted at that exact state.  Cached per state."""
-    return _rooted_value(arena, location, valuation)
+    """Certified expected time to the final set from a concrete state, the
+    value of the boundary region graph node rooted at that exact state.
+
+    A node's value does not depend on the root it was explored from, so the
+    arena keeps one table of every node solved so far (`Arena._solved`).  A
+    query answers from it, or explores below its root only as far as the
+    table does not reach, solves that part with the table's values as
+    constants, and adds the newly solved nodes to the table.  A query that
+    raises, including on an uncertified solve, leaves the table unchanged.
+    """
+    root = BrgState(location, valuation, region_of(valuation))
+    table = arena._solved
+    value = table.get(root)
+    if value is None:
+        g = explore(arena, root=root, known=table)
+        res = solve_exact(g)
+        if not res.certified:
+            raise ConvergenceError("the exact solve rooted at %s is not certified"
+                                   % root.label())
+        table.update((s, v) for i, (s, v) in enumerate(zip(g.states, res.values))
+                     if i not in g.fixed)
+        value = res.values[0]
+    return value
 
 
 def _default_evaluator(arena: Arena) -> Evaluator:

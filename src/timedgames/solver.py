@@ -16,7 +16,8 @@ Each evaluation is followed by one exact Bellman sweep, `certify`, which
 yields both the residual of the optimality equations and every action that
 strictly beats the chosen one.  The improvement loop switches from that
 report, and the report of the last pair, with no switch left, is the
-certificate: zero residual, no better action and stochastic rows.
+certificate: zero residual, no better action and stochastic rows.  The
+rows are checked once per solve, not once per evaluation.
 
 The discounted variant contracts, so it needs no reachability assumption;
 by default it treats final states as absorbing with value zero, which is the
@@ -25,7 +26,12 @@ value as the discount factor tends to one.  `zero_final=False` gives the
 pure infinite-horizon payoff where final locations keep acting.
 
 All public entry points work on the explored graph, not the arena, so a
-rooted graph for an arbitrary start state solves the game from there.
+rooted graph for an arbitrary start state solves the game from there.  The
+states of `Brg.fixed`, already solved by an earlier query, are absorbed like
+final states, each at its value instead of zero: every pass substitutes that
+value as a constant, and the reach check and the certificate cover only the
+other states.  That is sound because no action of a solved state leads
+outside the solved part, so no end component straddles the two.
 """
 
 from __future__ import annotations
@@ -133,9 +139,11 @@ def _end_components(g: Brg, states: Iterable[int]) -> list[list[int]]:
 
 
 def check_almost_sure_reach(g: Brg) -> list[list[int]]:
-    """End components among the non-final states; empty means every strategy
-    pair reaches the final set with probability one."""
-    return _end_components(g, [i for i in range(g.n) if not g.is_final(i)])
+    """End components among the non-final states outside `g.fixed`; empty
+    means every strategy pair reaches the final set (or a fixed state) with
+    probability one."""
+    return _end_components(
+        g, [i for i in range(g.n) if not g.is_final(i) and i not in g.fixed])
 
 
 # ------------------------------------------------------------ Bellman step
@@ -172,13 +180,17 @@ def _sweep(
     optimal one-step value against `values` and the action attaining it,
     `choice[i]` unless another action is strictly better (without a choice,
     the first in canonical order).  Absorbed final states and states without
-    an action get value zero and action None.  Exactness follows the input:
-    Fraction values give a Fraction result, floats give floats.  math.inf
-    flows through either way."""
+    an action get value zero and action None; a fixed state gets its value
+    and action None.  Exactness follows the input: Fraction values give a
+    Fraction result, floats give floats.  math.inf flows through either
+    way."""
     out, acts = [], []
+    fixed = g.fixed
     for i in range(g.n):
         best = j = None
-        if not (zero_final and g.is_final(i)):
+        if i in fixed:
+            best = fixed[i] if isinstance(values[i], Fraction) else float(fixed[i])
+        elif not (zero_final and g.is_final(i)):
             best, j = _best(g, i, values, lam, None if choice is None else choice[i])
         if best is None:
             best = Fraction(0) if isinstance(values[i], Fraction) else 0.0
@@ -203,9 +215,11 @@ def value_iterate(
     once per call, in the operation order of `improve_step` on float values
     (reward plus each probability times successor value, then the discount),
     so the iterates are the floats `improve_step` would produce.  A row is
-    None for an absorbed final state; it and a state with no action get 0.
+    None for an absorbed final state; it and a state with no action get 0,
+    and the iterate of a fixed state is pinned to its value.
     """
     lam_f = None if lam is None else float(lam)
+    pinned = [(i, float(x)) for i, x in g.fixed.items()]
     rows = [
         None if zero_final and g.is_final(i) else [
             (float(r), [(t, float(p)) for t, p in dist])
@@ -215,6 +229,8 @@ def value_iterate(
     ]
     minimize = [g.owner(i) == "min" for i in range(g.n)]
     v = [0.0] * g.n
+    for i, x in pinned:
+        v[i] = x
     for it in range(1, cfg.max_iterations + 1):
         w = []
         for row, mini in zip(rows, minimize):
@@ -228,6 +244,8 @@ def value_iterate(
                 if best is None or (acc < best if mini else acc > best):
                     best = acc
             w.append(0.0 if best is None else best)
+        for i, x in pinned:
+            w[i] = x
         residual = max((abs(a - b) for a, b in zip(v, w)), default=0.0)
         v = w
         if residual <= cfg.tolerance:
@@ -271,7 +289,8 @@ def _solve_linear_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list
 def _evaluate(g: Brg, choice: Sequence, lam: Fraction | None, zero_final: bool) -> list:
     """Exact value of the Markov chain fixed by the choice vector, the
     solution of v = lam (r + P v) with lam = 1 for expected time (lam None).
-    Absorbed final states have value zero; only expected time can diverge.
+    Absorbed final states have value zero and fixed states their value; only
+    expected time can diverge.
 
     Components of the chain are solved sinks first, so every successor
     outside the component at hand already has its value.  For expected time
@@ -281,7 +300,7 @@ def _evaluate(g: Brg, choice: Sequence, lam: Fraction | None, zero_final: bool) 
     the absorbed set and its system is nonsingular.  Discounting (lam < 1)
     makes every system nonsingular.
     """
-    absorbed = [zero_final and g.is_final(i) for i in range(g.n)]
+    absorbed = [i in g.fixed or zero_final and g.is_final(i) for i in range(g.n)]
     succ: list = []
     for i in range(g.n):
         if absorbed[i]:
@@ -291,7 +310,7 @@ def _evaluate(g: Brg, choice: Sequence, lam: Fraction | None, zero_final: bool) 
         else:
             succ.append([t for t, _ in g.dists[i][choice[i]]])
     factor = Fraction(1) if lam is None else lam
-    values: list = [Fraction(0)] * g.n
+    values: list = [g.fixed.get(i, Fraction(0)) for i in range(g.n)]
     for comp in sccs(range(g.n), succ):
         if absorbed[comp[0]]:  # no successors, so a singleton
             continue
@@ -342,8 +361,24 @@ def _stochastic(dist) -> bool:
     return sum(p for _, p in dist) == 1 and all(p >= 0 for _, p in dist)
 
 
+def _improper_rows(g: Brg) -> list[tuple[int, int]]:
+    """The (state, action) pairs whose distribution is not stochastic."""
+    return [
+        (i, j)
+        for i, row in enumerate(g.dists)
+        for j, dist in enumerate(row)
+        if not _stochastic(dist)
+    ]
+
+
 def certify(
-    g: Brg, values: Sequence, choice: Sequence, *, lam=None, zero_final: bool = True
+    g: Brg,
+    values: Sequence,
+    choice: Sequence,
+    *,
+    lam=None,
+    zero_final: bool = True,
+    improper_rows: list[tuple[int, int]] | None = None,
 ) -> CertifyReport:
     """Certificate of a strategy pair at `values`, from one exact sweep of
     the optimality operator: its residual, the states where it moves the
@@ -353,13 +388,10 @@ def certify(
     expected-time objective this relies on the almost-sure reachability
     check, under which the optimality equations pin down a unique solution),
     provided every action's distribution is stochastic: nonnegative, summing
-    to exactly 1."""
-    improper_rows = [
-        (i, j)
-        for i, row in enumerate(g.dists)
-        for j, dist in enumerate(row)
-        if not _stochastic(dist)
-    ]
+    to exactly 1.  The rows are scanned unless `improper_rows` passes the
+    result of an earlier scan of the same graph."""
+    if improper_rows is None:
+        improper_rows = _improper_rows(g)
     improved, best = _sweep(g, values, choice, lam, zero_final)
     switches = [(i, j) for i, j in enumerate(best) if j is not None and j != choice[i]]
     violations = []
@@ -381,7 +413,8 @@ def _alternating_best_response(
 ) -> tuple[list, list, int, int, CertifyReport]:
     """Alternating best response from a warm-start pair; returns the values
     and choice of the final pair, the rounds, the exact evaluations and the
-    certificate of the final pair.
+    certificate of the final pair.  The rows are scanned for stochasticity
+    once, and every report carries that one scan.
 
     The inner loop is exact policy iteration for one player against the
     other's fixed strategy; once it stabilizes the other player switches.
@@ -394,6 +427,7 @@ def _alternating_best_response(
     order = ("min", "max") if cfg.improve_order == "min_first" else ("max", "min")
     first, second = order
     choice = list(choice)
+    improper = _improper_rows(g)
     rounds = 0
     evaluations = 0
     while True:
@@ -413,7 +447,8 @@ def _alternating_best_response(
                 raise ConvergenceError(
                     "strategy improvement exceeded %d evaluations" % cfg.max_iterations
                 )
-            report = certify(g, values, choice, lam=lam, zero_final=zero_final)
+            report = certify(g, values, choice, lam=lam, zero_final=zero_final,
+                             improper_rows=improper)
             switches = [(i, j) for i, j in report.switches if g.owner(i) == first]
             if not switches:
                 break

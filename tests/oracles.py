@@ -17,8 +17,11 @@ start region for every boundary it names (`boundary_coordinates`),
 `region_actions_available` is the earlier dead-region test of `validate`.
 `solve_two_sweeps` is the earlier improvement loop, which after each
 evaluation sweeps once to find switches and, at the end, once more to
-certify, instead of switching from and returning one `certify` report.  `chain_document`
-writes the retry chains that the differential tests generate.
+certify, instead of switching from and returning one `certify` report.
+`rooted_value_fresh` is the earlier `properties.value_at`, which explores
+and solves a whole fresh graph for every rooted query instead of reusing
+the arena's table of solved states.  `chain_document` writes the retry
+chains that the differential tests generate.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from timedgames.brg import (
     Brg,
     BrgState,
     ExplorationLimit,
+    explore,
 )
 from timedgames.model import (
     Arena,
@@ -519,6 +523,15 @@ def explore_per_state(arena: Arena, root: BrgState | None = None,
             row.append(tuple(sorted((intern(t), p) for t, p in dist.items())))
         g.dists.append(row)
     return g
+
+
+def rooted_value_fresh(arena: Arena, location: str, valuation,
+                       region: ClockRegion | None = None) -> Fraction:
+    """The value of the graph node (location, valuation, region), the region
+    of the valuation by default, from a graph explored and solved afresh
+    from that node alone."""
+    root = BrgState(location, valuation, region or region_of(valuation))
+    return sv.solve_exact(explore(arena, root=root)).values[0]
 
 
 def chain_document(n: int, k: int, clocks: int, owners, probs) -> str:

@@ -329,8 +329,8 @@ def count_compiles(monkeypatch) -> list:
 
 
 def test_moves_compile_once_per_location_region(monkeypatch):
-    """Many rooted solves compile each (location, region) once, and a second
-    explore of the same arena compiles nothing new."""
+    """Many rooted solves on a fresh arena compile each (location, region)
+    once, and a second explore of the same arena compiles nothing new."""
     calls = count_compiles(monkeypatch)
     seen = set()
     real_explore = properties.explore
@@ -341,9 +341,9 @@ def test_moves_compile_once_per_location_region(monkeypatch):
         return g
 
     monkeypatch.setattr(properties, "explore", recording)
-    properties._rooted_value.cache_clear()
     for name in ("M1", "M3"):
         arena = bundled(name)
+        assert not arena._moves and not arena._solved
         calls.clear()
         seen.clear()
         for loc in arena.locations:
@@ -371,16 +371,16 @@ def test_distribution_check_precedes_expansion():
 
 
 def test_moves_table_is_invisible(monkeypatch):
-    """The table changes neither equality, hash nor repr of the arena, so the
-    rooted-value cache still hits for an equal arena with an empty table."""
+    """Neither the table of moves nor the table of solved states changes
+    equality, hash or repr of the arena, and an equal arena with empty
+    tables computes the same value into its own tables."""
     used, fresh = bundled("M3"), bundled("M3")
     point = val(used, "1/4")
-    properties._rooted_value.cache_clear()
-    properties.value_at(used, "l0", point)
-    assert used._moves and not fresh._moves
+    assert properties.value_at(used, "l0", point) == F(5, 4)
+    assert used._moves and used._solved and not fresh._moves and not fresh._solved
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     calls = count_compiles(monkeypatch)
-    hits = properties._rooted_value.cache_info().hits
     assert properties.value_at(fresh, "l0", point) == F(5, 4)
-    assert properties._rooted_value.cache_info().hits == hits + 1
-    assert calls == [] and not fresh._moves
+    assert sorted(calls, key=repr) == sorted(used._moves, key=repr)
+    assert fresh._solved == used._solved and fresh._moves.keys() == used._moves.keys()
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)

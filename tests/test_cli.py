@@ -209,7 +209,6 @@ def test_check_properties_checks_distributions_once_per_arena(capsys, monkeypatc
     monkeypatch.setattr(brg, "distribution_findings", check)
     monkeypatch.setattr(cli, "explore", explore)
     monkeypatch.setattr(properties, "explore", explore)
-    properties._rooted_value.cache_clear()
     for model in (M1, M2):
         code, _, _ = run(capsys, "check-properties", model, "--pairs", "15",
                          "--states", "3", "--json")

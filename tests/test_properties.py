@@ -24,9 +24,9 @@ from hypothesis import strategies as st
 
 from bundled import bundled
 from timedgames import properties
+from timedgames.brg import BrgState
 from timedgames.model import ConcreteState, TimedAction, parse_model, timed_action_allowed
 from timedgames.properties import (
-    _rooted_value,
     check_quasi_simple,
     check_time_monotone,
     fit_simple,
@@ -75,12 +75,29 @@ def test_value_m1_affine_everywhere(n):
     assert value_at(M1, "l0", val(M1, x)) == 1 - x
 
 
-def test_value_at_is_cached():
-    v = val(M2, "3/8")
-    value_at(M2, "l0", v)
-    hits = _rooted_value.cache_info().hits
-    value_at(M2, "l0", v)
-    assert _rooted_value.cache_info().hits == hits + 1
+def test_value_at_is_cached(monkeypatch):
+    """A query fills the arena's table with its root and every state below
+    it; a repeated query, or one rooted at a state already solved, answers
+    from the table without exploring."""
+    arena = bundled("M2")
+    explores = []
+    real = properties.explore
+
+    def counted(*args, **kwargs):
+        explores.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(properties, "explore", counted)
+    v = val(arena, "3/8")
+    root = BrgState("l0", v, region_of(v))
+    assert value_at(arena, "l0", v) == Fraction(13, 8)
+    assert len(explores) == 1 and arena._solved[root] == Fraction(13, 8)
+    table = dict(arena._solved)
+    assert value_at(arena, "l0", v) == Fraction(13, 8)
+    zero = val(arena, 0)
+    assert BrgState("l0", zero, region_of(zero)) in table
+    assert value_at(arena, "l0", zero) == 2
+    assert len(explores) == 1 and arena._solved == table
 
 
 def test_fit_simple_slope_forms():
