@@ -40,10 +40,20 @@ anywhere, shares one table.  The arena-level check that every edge's branch
 probabilities sum to 1 runs while that table is still empty, so once per
 arena rather than once per explore.  Equal actions, moves, target regions
 and reset sets are stored once per arena, so the table costs less memory
-than the per-state copies it replaces.
-Per state and action only the point half remains: the cost b - nu(c), the
-shift and reset of the valuation, its validation, the closure check of the
-successor, and interning it.
+than the per-state copies it replaces.  The time successor and the resets
+of each region are kept in a second table on the arena, so compiling the
+moves of many (l, zeta) builds and validates each region once.
+
+The point half runs on the integer lattice.  Every valuation reachable from
+the root nu lies in (1/D) Z^n, where D is the lcm of the denominators of
+nu: a move adds the delay b - nu(c) to every clock and a reset sets clocks
+to 0.  So `explore` carries each point as a tuple of integers scaled by D.
+Per state and action it computes the scaled cost b*D - p(c), shifts and
+resets the integer tuple, checks that the successor lies in the closure of
+its region (`closure_contains_scaled`), and interns it on (location,
+point, region).  Only a state seen for the first time gets its `Fraction`
+valuation and its `BrgState`, is looked up in `known`, and is queued; the
+rewards are the fractions t/D, built once per distinct t.
 
 A node's successors, and so its value, depend only on the node, not on the
 root it was reached from.  `explore` therefore takes a table `known` of states already solved, with
@@ -55,9 +65,11 @@ query has solved.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .model import Arena, ModelError, distribution_findings
 from .regions import (
@@ -65,6 +77,7 @@ from .regions import (
     ClockValuation,
     boundary,
     closure_contains,
+    closure_contains_scaled,
     invariant_chain,
     is_thin,
     region_of,
@@ -75,7 +88,6 @@ from .regions import (
 )
 
 DEFAULT_STATE_CAP = 100_000
-ZERO = Fraction(0)
 
 
 class ExplorationLimit(RuntimeError):
@@ -105,20 +117,49 @@ class BoundaryAction:
     target: ClockRegion
     b: int | None
     c: str | None
+    # the label, rendered on first use; not part of equality, hashing or repr
+    _label: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def sort_key(self, ctx) -> tuple:
         ci = -1 if self.c is None else ctx.index(self.c)
         return (self.action, -1 if self.b is None else self.b, ci, self.target.key())
 
     def label(self) -> str:
-        if self.b is None:
-            return "%s now in [%s]" % (self.action, self.target.label())
-        return "%s at %s=%d in [%s]" % (self.action, self.c, self.b, self.target.label())
+        text = self._label
+        if text is None:
+            if self.b is None:
+                text = "%s now in [%s]" % (self.action, self.target.label())
+            else:
+                text = "%s at %s=%d in [%s]" % (self.action, self.c, self.b,
+                                                self.target.label())
+            object.__setattr__(self, "_label", text)
+        return text
+
+
+def _successor(arena: Arena, region: ClockRegion) -> ClockRegion | None:
+    """`time_successor`, built once per region and arena."""
+    key = (region, None)
+    table = arena._regions
+    if key not in table:
+        succ = time_successor(region)
+        table[key] = None if succ is None else arena._canon.setdefault(succ, succ)
+    return table[key]
+
+
+def _reset(arena: Arena, region: ClockRegion, clocks: frozenset[str]) -> ClockRegion:
+    """`reset_region`, built once per region, reset set and arena."""
+    key = (region, clocks)
+    table = arena._regions
+    if key not in table:
+        target = reset_region(region, clocks)
+        table[key] = arena._canon.setdefault(target, target)
+    return table[key]
 
 
 def boundary_actions(arena: Arena, location: str, region: ClockRegion) -> list[BoundaryAction]:
     """The action set shared by all nodes with this location and region."""
-    chain = list(invariant_chain(region, arena.location_named(location).invariant))
+    inv = arena.location_named(location).invariant
+    chain = list(invariant_chain(region, inv, partial(_successor, arena)))
     out: dict[tuple, BoundaryAction] = {}
     for idx, r in enumerate(chain):
         for e in arena.edges_from(location):
@@ -127,7 +168,7 @@ def boundary_actions(arena: Arena, location: str, region: ClockRegion) -> list[B
             if is_thin(r):
                 ends = [boundary(r)]
             else:
-                succ = time_successor(r)
+                succ = _successor(arena, r)
                 assert succ is not None  # thick regions always have one
                 lo = (None, None) if idx == 0 else boundary(chain[idx - 1])
                 ends = [lo, boundary(succ)]
@@ -155,7 +196,7 @@ def _moves(arena: Arena, location: str, region: ClockRegion) -> tuple:
         assert e is not None
         branches = []
         for br in e.branches:
-            target_region = reset_region(act.target, br.resets)
+            target_region = _reset(arena, act.target, br.resets)
             inv = arena.location_named(br.target).invariant
             if not satisfies(target_region, inv):
                 raise ModelError(
@@ -164,7 +205,7 @@ def _moves(arena: Arena, location: str, region: ClockRegion) -> tuple:
                 )
             resets = frozenset(region.ctx.index(c) for c in br.resets)
             branches.append((br.target, canon.setdefault(resets, resets),
-                             canon.setdefault(target_region, target_region), br.prob))
+                             target_region, br.prob))
         ci = None if act.c is None else region.ctx.index(act.c)
         move = (act.b, ci, tuple(branches))
         moves.append(canon.setdefault(move, move))
@@ -238,19 +279,37 @@ def explore(
         raise ModelError("root state violates its location invariant")
 
     g = Brg(arena)
-    index: dict[BrgState, int] = {}
+    ctx = root.valuation.ctx
+    scale = math.lcm(*(v.denominator for v in root.valuation.values))
+    fractions: dict[int, Fraction] = {}
 
-    def intern(s: BrgState) -> int:
-        i = index.get(s)
+    def fraction(n: int) -> Fraction:
+        """n / scale, built once per n."""
+        f = fractions.get(n)
+        if f is None:
+            f = fractions[n] = Fraction(n, scale)
+        return f
+
+    # states by (location, scaled point, id of the canonical region); every
+    # region in a key is an object of the arena's table, so equal regions
+    # are the same object there
+    index: dict[tuple, int] = {}
+    points: list[tuple[int, ...]] = []
+
+    def intern(location: str, point: tuple[int, ...], region: ClockRegion) -> int:
+        key = (location, point, id(region))
+        i = index.get(key)
         if i is None:
             if len(g.states) >= cap:
                 raise ExplorationLimit(
                     "state cap %d crossed while exploring %s" % (cap, arena.name or "arena")
                 )
+            s = BrgState(location, ClockValuation(ctx, tuple(map(fraction, point))), region)
             i = len(g.states)
-            index[s] = i
+            index[key] = i
             g.states.append(s)
-            loc = arena.location_named(s.location)
+            points.append(point)
+            loc = arena.location_named(location)
             g.owners.append(loc.owner)
             g.finals.append(loc.final)
             if known is not None and s in known:
@@ -259,7 +318,9 @@ def explore(
         return i
 
     queue: deque[int] = deque()
-    intern(root)
+    intern(root.location,
+           tuple(v.numerator * (scale // v.denominator) for v in root.valuation.values),
+           arena._canon.setdefault(root.region, root.region))
     while queue:
         i = queue.popleft()
         if i in g.fixed:
@@ -270,31 +331,30 @@ def explore(
         s = g.states[i]
         acts, moves = _moves(arena, s.location, s.region)
         g.actions.append(acts)
-        ctx, values = s.valuation.ctx, s.valuation.values
-        # the cost b - nu(c) of steering to each action's boundary
-        rewards = []
+        p = points[i]
+        # the scaled cost b*D - p(c) of steering to each action's boundary
+        delays = []
         for act, (b, ci, _) in zip(acts, moves):
-            t = ZERO if ci is None else b - values[ci]
+            t = 0 if ci is None else b * scale - p[ci]
             if t < 0:
                 raise ModelError(
                     "negative delay %s for %s at %s; valuation outside the region closure"
-                    % (t, act.label(), s.label())
+                    % (Fraction(t, scale), act.label(), s.label())
                 )
-            rewards.append(t)
-        g.rewards.append(rewards)
+            delays.append(t)
+        g.rewards.append([fraction(t) for t in delays])
         # successors: shift to the boundary, then branch and reset
         row = []
-        for t, (_, _, branches) in zip(rewards, moves):
-            shifted = tuple(v + t for v in values) if t else values
+        for t, (_, _, branches) in zip(delays, moves):
+            shifted = tuple(v + t for v in p) if t else p
             dist: dict[int, Fraction] = {}
             for target, resets, region, prob in branches:
                 if resets:
-                    point = tuple(ZERO if j in resets else v for j, v in enumerate(shifted))
+                    point = tuple(0 if j in resets else v for j, v in enumerate(shifted))
                 else:
                     point = shifted
-                succ = BrgState(target, ClockValuation(ctx, point), region)
-                assert closure_contains(region, succ.valuation)
-                j = intern(succ)
+                assert closure_contains_scaled(region, point, scale)
+                j = intern(target, point, region)
                 dist[j] = dist[j] + prob if j in dist else prob
             row.append(tuple(sorted(dist.items())))
         g.dists.append(row)

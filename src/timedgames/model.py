@@ -124,6 +124,9 @@ class Arena:
     # and the one shared copy of each equal action, move, region and reset set
     _moves: dict = field(init=False, repr=False, compare=False)
     _canon: dict = field(init=False, repr=False, compare=False)
+    # the time successor (key (region, None)) and the reset (key (region,
+    # clocks)) of every region those moves were compiled from, built once
+    _regions: dict = field(init=False, repr=False, compare=False)
     # the certified value of every boundary region graph state solved so far,
     # written by `properties.value_at` and closed under successors
     _solved: dict = field(init=False, repr=False, compare=False)
@@ -164,6 +167,7 @@ class Arena:
         object.__setattr__(self, "_from", {s: tuple(es) for s, es in outgoing.items()})
         object.__setattr__(self, "_moves", {})
         object.__setattr__(self, "_canon", {})
+        object.__setattr__(self, "_regions", {})
         object.__setattr__(self, "_solved", {})
 
     def location_named(self, name: str) -> Location:

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 
 OPS = ("<", "<=", "=", ">=", ">")
@@ -111,12 +111,21 @@ class ClockValuation:
 
 @dataclass(frozen=True)
 class SimpleConstraint:
-    """One atom: ``left OP bound`` or ``left - right OP bound``."""
+    """One atom: ``left OP bound`` or ``left - right OP bound``.
+
+    `parse_constraint` also records the context it parsed the atom in and
+    the indices of its clocks there, so evaluating the atom on a region or
+    valuation of that context looks no clock up by name.  They are not part
+    of equality, hashing or repr; an atom built without them looks its
+    clocks up on each evaluation."""
 
     left: str
     right: str | None
     op: str
     bound: int
+    ctx: ClockContext | None = field(default=None, compare=False, repr=False)
+    i: int = field(default=-1, compare=False, repr=False)
+    j: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.op not in OPS:
@@ -162,16 +171,17 @@ def parse_constraint(text: str, ctx: ClockContext) -> ClockConstraint:
             raise RegionError("cannot parse constraint atom %r" % part.strip())
         left, right, op, bound_s = m.groups()
         bound = int(bound_s)
-        ctx.index(left)
+        i = ctx.index(left)
+        j = None
         if right is not None:
-            ctx.index(right)
+            j = ctx.index(right)
             if right == left:
                 raise RegionError("diagonal atom compares %r with itself" % left)
         if bound > ctx.k:
             raise RegionError(
                 "constant %d exceeds clock bound k=%d in %r" % (bound, ctx.k, part.strip())
             )
-        atoms.append(SimpleConstraint(left, right, op, bound))
+        atoms.append(SimpleConstraint(left, right, op, bound, ctx, i, j))
     return ClockConstraint(tuple(atoms))
 
 
@@ -288,15 +298,21 @@ def future_chain(region: ClockRegion) -> Iterator[ClockRegion]:
         r = time_successor(r)
 
 
-def invariant_chain(region: ClockRegion, invariant: ClockConstraint) -> Iterator[ClockRegion]:
+def invariant_chain(
+    region: ClockRegion,
+    invariant: ClockConstraint,
+    successor: Callable[[ClockRegion], ClockRegion | None] = time_successor,
+) -> Iterator[ClockRegion]:
     """The future chain of the region up to, not including, the first region
     that breaks the invariant: the regions time passes through while the
     invariant holds.  Empty when the region itself breaks it.  Lazy, so a
-    caller that stops early walks no further."""
+    caller that stops early walks no further.  `successor` computes each
+    next region; a caller with a table of time successors passes its
+    lookup."""
     r: ClockRegion | None = region
     while r is not None and satisfies(r, invariant):
         yield r
-        r = time_successor(r)
+        r = successor(r)
 
 
 def boundary(thin: ClockRegion) -> tuple[int, str]:
@@ -322,8 +338,16 @@ def reset_region(region: ClockRegion, clocks: frozenset[str] | set[str]) -> Cloc
     return ClockRegion(region.ctx, ints, blocks)
 
 
+def _clock_indices(atom: SimpleConstraint, ctx: ClockContext) -> tuple[int, int | None]:
+    """The indices of the atom's clocks in ctx: the ones recorded when it was
+    parsed in ctx, or looked up by name."""
+    if atom.ctx is ctx:
+        return atom.i, atom.j
+    return ctx.index(atom.left), None if atom.right is None else ctx.index(atom.right)
+
+
 def _atom_holds(region: ClockRegion, atom: SimpleConstraint) -> bool:
-    i = region.ctx.index(atom.left)
+    i, j = _clock_indices(atom, region.ctx)
     m = region.ints[i]
     if atom.right is None:
         zero = i in region.blocks[0]
@@ -337,7 +361,6 @@ def _atom_holds(region: ClockRegion, atom: SimpleConstraint) -> bool:
         if atom.op == ">=":
             return m >= n
         return m > n or (m == n and not zero)
-    j = region.ctx.index(atom.right)
     d = m - region.ints[j]
     bi, bj = region.block_of(i), region.block_of(j)
     n = atom.bound
@@ -375,10 +398,10 @@ def satisfies(region: ClockRegion, constraint: ClockConstraint) -> bool:
 
 def valuation_satisfies(valuation: ClockValuation, constraint: ClockConstraint) -> bool:
     """Pointwise constraint check, used by the concrete semantics."""
+    values = valuation.values
     for atom in constraint.atoms:
-        lhs = valuation.value(atom.left)
-        if atom.right is not None:
-            lhs = lhs - valuation.value(atom.right)
+        i, j = _clock_indices(atom, valuation.ctx)
+        lhs = values[i] if j is None else values[i] - values[j]
         n = atom.bound
         ok = (
             lhs < n if atom.op == "<"
@@ -420,6 +443,28 @@ def closure_contains(region: ClockRegion, valuation: ClockValuation) -> bool:
     for b1, b2 in zip(positive, positive[1:]):
         if fracs[b1[0]] > fracs[b2[0]]:  # type: ignore[operator]
             return False
+    return True
+
+
+def closure_contains_scaled(region: ClockRegion, point: Sequence[int], scale: int) -> bool:
+    """`closure_contains` for the valuation point/scale, given as integers
+    scaled by the positive integer `scale`: zero-block clocks sit on their
+    integer, and the fractions of the positive blocks are equal within a
+    block and nondecreasing from one block to the next, inside [0, 1].  A
+    point it accepts is nonnegative."""
+    ints = region.ints
+    for i in region.blocks[0]:
+        if point[i] != ints[i] * scale:
+            return False
+    low = 0
+    for b in region.blocks[1:]:
+        f = point[b[0]] - ints[b[0]] * scale
+        if not low <= f <= scale:
+            return False
+        for i in b[1:]:
+            if point[i] - ints[i] * scale != f:
+                return False
+        low = f
     return True
 
 

@@ -7,7 +7,9 @@ component search of the non-Zenoness check, so a test that compares the two
 really compares two different derivations.  `explore_per_state` is the
 exception: it is the earlier boundary region graph construction, which
 redoes the region-level work of every move (resets, target invariants,
-fresh regions) at every state instead of compiling it once per arena.
+fresh regions) at every state instead of compiling it once per arena, and
+carries every valuation as a tuple of Fractions instead of integer points
+of the root's lattice.
 `simulate_run_per_step` is the earlier simulator, which redoes the region
 lookup, the concretization, the legality check and the branch weights at
 every step instead of playing a compiled step table.  Both use the earlier
@@ -471,9 +473,12 @@ def action_successors(
 
 
 def explore_per_state(arena: Arena, root: BrgState | None = None,
-                      cap: int = DEFAULT_STATE_CAP) -> Brg:
+                      cap: int = DEFAULT_STATE_CAP,
+                      known: dict[BrgState, Fraction] | None = None) -> Brg:
     """Breadth-first reachable construction from the root, every move
-    derived afresh at every state (action sets cached per explore only)."""
+    derived afresh at every state (action sets cached per explore only).
+    A state of `known` is interned with its value in `Brg.fixed` but not
+    expanded."""
     improper = distribution_findings(arena)
     if improper:
         raise ModelError(improper[0])
@@ -502,6 +507,8 @@ def explore_per_state(arena: Arena, root: BrgState | None = None,
             loc = arena.location_named(s.location)
             g.owners.append(loc.owner)
             g.finals.append(loc.final)
+            if known is not None and s in known:
+                g.fixed[i] = known[s]
             queue.append(i)
         return i
 
@@ -509,6 +516,11 @@ def explore_per_state(arena: Arena, root: BrgState | None = None,
     intern(root)
     while queue:
         i = queue.popleft()
+        if i in g.fixed:
+            g.actions.append([])
+            g.rewards.append([])
+            g.dists.append([])
+            continue
         s = g.states[i]
         key = (s.location, s.region)
         acts = action_cache.get(key)

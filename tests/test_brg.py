@@ -7,6 +7,7 @@ was written; the tests freeze them.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from timedgames import brg as bg
 from timedgames import properties
 from timedgames.model import Arena, ModelError, load_model, parse_model
 from timedgames.regions import (
+    ClockRegion,
     ClockValuation,
     RegionError,
     closure_contains,
@@ -250,7 +252,7 @@ def outcome(build, arena: Arena, **kwargs):
         g = build(arena, **kwargs)
     except (ModelError, RegionError, bg.ExplorationLimit) as exc:
         return type(exc), str(exc)
-    return g.states, g.actions, g.rewards, g.dists, g.owners, g.finals
+    return g.states, g.actions, g.rewards, g.dists, g.owners, g.finals, g.fixed
 
 
 def test_explore_matches_per_state_oracle():
@@ -267,6 +269,66 @@ def test_explore_matches_per_state_oracle():
                 root = bg.BrgState(key[0], sample_closure(key[1], rng), key[1])
                 got = outcome(bg.explore, arena, root=root)
                 assert got == outcome(oracles.explore_per_state, arena, root=root), (name, root)
+
+
+def mixed_lattice_point(region: ClockRegion, rng, interior: bool = False) -> ClockValuation:
+    """A point of the region's closure whose positive blocks take fractions
+    with denominators 3, 7 and 64 in turn, in lowest terms when `interior`,
+    so that an interior point of a region with three positive blocks lies on
+    the lattice of D = lcm(3, 7, 64) = 1344."""
+    def draw(d: int) -> Fraction:
+        if interior:
+            return F(rng.choice([a for a in range(1, d) if math.gcd(a, d) == 1]), d)
+        return F(rng.randrange(d + 1), d)
+
+    fracs = sorted(draw(d) for d, _ in zip((3, 7, 64), region.blocks[1:]))
+    values = [F(m) for m in region.ints]
+    for f, b in zip(fracs, region.blocks[1:]):
+        for i in b:
+            values[i] += f
+    return ClockValuation(region.ctx, tuple(values))
+
+
+def test_explore_matches_oracle_on_other_lattices_and_at_the_bound():
+    """The same graph as the per-state construction from roots whose lattice
+    is not a power of two, and from regions with a clock at the bound k
+    (invariant violations included, which both refuse alike)."""
+    rng = random.Random(5)
+    scales = set()
+    for name, arena in differential_arenas().items():
+        g = bg.explore(arena)
+        roots = []
+        for key in dict.fromkeys((s.location, s.region) for s in g.states):
+            roots.append(bg.BrgState(key[0], mixed_lattice_point(key[1], rng), key[1]))
+        regions = enumerate_regions(arena.ctx)
+        at_bound = [r for r in regions if arena.ctx.k in r.ints]
+        three_blocks = [r for r in regions if len(r.blocks) == 4]
+        for loc in arena.locations:
+            for r in rng.sample(at_bound, min(4, len(at_bound))):
+                roots.append(bg.BrgState(loc.name, mixed_lattice_point(r, rng), r))
+            for r in rng.sample(three_blocks, min(4, len(three_blocks))):
+                roots.append(bg.BrgState(loc.name, mixed_lattice_point(r, rng, True), r))
+        for root in roots:
+            scales.add(math.lcm(*(v.denominator for v in root.valuation.values)))
+            got = outcome(bg.explore, arena, root=root)
+            assert got == outcome(oracles.explore_per_state, arena, root=root), (name, root)
+    assert 1344 in scales and 21 in scales
+
+
+def test_explore_with_known_table_matches_oracle():
+    """Rooted explores that stop at the states of a non-empty `known` table
+    build the same graph and the same `fixed` values as the per-state
+    construction, whether the root itself is known or not."""
+    rng = random.Random(9)
+    for name, arena in differential_arenas().items():
+        g = bg.explore(arena)
+        for _ in range(3):
+            chosen = rng.sample(g.states, max(1, g.n // 3))
+            known = {s: F(j, 7) for j, s in enumerate(chosen)}
+            for root in [None] + rng.sample(g.states, min(4, g.n)):
+                got = outcome(bg.explore, arena, root=root, known=known)
+                expected = outcome(oracles.explore_per_state, arena, root=root, known=known)
+                assert got == expected, (name, root)
 
 
 def test_boundary_actions_match_rewalking_oracle():
@@ -343,7 +405,7 @@ def test_moves_compile_once_per_location_region(monkeypatch):
     monkeypatch.setattr(properties, "explore", recording)
     for name in ("M1", "M3"):
         arena = bundled(name)
-        assert not arena._moves and not arena._solved
+        assert not arena._moves and not arena._solved and not arena._regions
         calls.clear()
         seen.clear()
         for loc in arena.locations:
@@ -355,6 +417,60 @@ def test_moves_compile_once_per_location_region(monkeypatch):
         assert set(calls) == seen
         bg.explore(arena)
         assert len(calls) == len(seen)
+
+
+def count_regions(monkeypatch) -> list:
+    built = []
+    real = ClockRegion.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(ClockRegion, "__post_init__", counted)
+    return built
+
+
+def test_regions_built_once_per_arena(monkeypatch):
+    """An explore builds and validates the root's region and one region per
+    time successor or reset it has not met before on the arena; a second
+    explore, rooted anywhere in the first graph, builds none."""
+    arenas = differential_arenas()
+    built = count_regions(monkeypatch)
+    for name in ("M3", "merging", "chain2_3_2", "chain3_2_2"):
+        arena = arenas[name]
+        built.clear()
+        g = bg.explore(arena)
+        made = sum(r is not None for r in arena._regions.values())
+        assert made and len(built) == 1 + made, name
+        built.clear()
+        for s in g.states:
+            bg.explore(arena, root=s)
+        assert built == [], name
+        bg.explore(arena)
+        assert len(built) == 1, name  # region_of of the initial valuation
+
+
+def test_action_label_rendered_once(monkeypatch):
+    """Every occurrence of a canonical action shares one label, rendered the
+    first time it is read; the memo is not part of equality or repr."""
+    arena = differential_arenas()["chain3_2_2"]
+    g = bg.explore(arena)
+    acts = {id(a): a for row in g.actions for a in row}
+    calls = []
+    real = ClockRegion.label
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ClockRegion, "label", counted)
+    first = [[a.label() for a in row] for row in g.actions]
+    assert [[a.label() for a in row] for row in g.actions] == first
+    assert len(calls) == len(acts) < g.action_count()
+    for a in acts.values():
+        twin = bg.BoundaryAction(a.action, a.target, a.b, a.c)
+        assert twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
 
 
 def test_distribution_check_precedes_expansion():
@@ -377,10 +493,12 @@ def test_moves_table_is_invisible(monkeypatch):
     used, fresh = bundled("M3"), bundled("M3")
     point = val(used, "1/4")
     assert properties.value_at(used, "l0", point) == F(5, 4)
-    assert used._moves and used._solved and not fresh._moves and not fresh._solved
+    assert used._moves and used._solved and used._regions
+    assert not fresh._moves and not fresh._solved and not fresh._regions
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     calls = count_compiles(monkeypatch)
     assert properties.value_at(fresh, "l0", point) == F(5, 4)
     assert sorted(calls, key=repr) == sorted(used._moves, key=repr)
     assert fresh._solved == used._solved and fresh._moves.keys() == used._moves.keys()
+    assert fresh._regions == used._regions
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)

@@ -323,8 +323,9 @@ def test_cli_import_loads_no_networkx():
 # ----------------------------------------------------------- golden output
 
 # sha256 of stdout (and the exit code) for each subcommand in text and JSON
-# on every bundled model, and of `check-properties` and `simulate` JSON also
-# on a retry chain; any change to the rendered output shows up here
+# on every bundled model, of `check-properties` and `simulate` JSON also on
+# a retry chain, and of `brg` and `solve` JSON on a 2-clock and a 3-clock
+# chain; any change to the rendered output shows up here
 GOLDEN = {
     'validate M1':
         (0, '7f25bb6c9df9236359a3a662f71363b7d3531ecfee6e5bf3069b2f3b65f0cf98'),
@@ -470,12 +471,23 @@ GOLDEN = {
         (0, '96aa61d9c913f676c59b00ca0063f76650eb47a4b43059888008cce93aaab24d'),
     'simulate chain2_2_2 --json':
         (0, '747bf77cc13cd08072e72e3322744e1901e0d79fefd98204ba10d366ff54f5d5'),
+    'brg chain2_4_3 --json':
+        (0, '5b627907fa309013cbe9565bbfc363aed0312519ded25d21a3a37c8215d7c47c'),
+    'solve chain2_4_3 --json':
+        (0, '2012be86f3d654eb5e097464229db8cb4556fc955020350095d114e25a5eba6f'),
+    'brg chain3_2_2 --json':
+        (0, '60919201f375a6ebcb2bc65a88d12a3c2d139e45574126a7749a3ceb53277d06'),
+    'solve chain3_2_2 --json':
+        (0, '1ed2495774c989c858fe3036305c350f672ea8d6536f235506d567a30bcef7fc'),
 }
 
 # retry chains written by `oracles.chain_document`, keyed by model name; the
 # bundled models have one edge per location, these have two
 CHAINS = {
     "chain2_2_2": (2, 2, 2, ("min", "max"), (Fraction(1, 2), Fraction(1, 3))),
+    "chain2_4_3": (4, 3, 2, ("min", "max", "max", "min"),
+                   (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(2, 3))),
+    "chain3_2_2": (2, 2, 3, ("max", "min"), (Fraction(1, 3), Fraction(3, 4))),
 }
 
 

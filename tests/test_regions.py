@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -146,6 +147,45 @@ def test_satisfies_agrees_with_pointwise_check(data):
     w = rg.sample_interior(r, random.Random(3)) if not rg.is_thin(r) else rg.representative(r)
     assert rg.region_of(w) == r
     assert rg.valuation_satisfies(w, phi) == rg.valuation_satisfies(v, phi)
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_parsed_atoms_carry_their_clock_indices(data):
+    """A parsed constraint equals, hashes and prints like one built from bare
+    atoms, decides every region and valuation alike, and looks no clock up
+    by name on its own context; on a context that orders the same clocks
+    differently it still reads its clocks by name."""
+    v = data.draw(valuations())
+    bare = data.draw(constraints(v.ctx))
+    parsed = rg.parse_constraint(bare.render(), v.ctx)
+    assert parsed == bare and hash(parsed) == hash(bare) and repr(parsed) == repr(bare)
+    r = rg.region_of(v)
+    expected = rg.satisfies(r, bare), rg.valuation_satisfies(v, bare)
+    lookups = []
+    real = rg.ClockContext.index
+    rg.ClockContext.index = lambda ctx, c: lookups.append(c) or real(ctx, c)
+    try:
+        assert (rg.satisfies(r, parsed), rg.valuation_satisfies(v, parsed)) == expected
+    finally:
+        rg.ClockContext.index = real
+    assert lookups == []
+    flipped = rg.ClockContext(v.ctx.clocks[::-1], v.ctx.k)
+    w = rg.ClockValuation(flipped, v.values[::-1])
+    assert (rg.satisfies(rg.region_of(w), parsed), rg.valuation_satisfies(w, parsed)) == expected
+
+
+@given(valuations(), st.integers(1, 6))
+@settings(max_examples=300)
+def test_closure_contains_scaled_agrees(v, multiple):
+    """The integer closure test of a point scaled by any multiple of its
+    denominators agrees with the Fraction one on every region of the
+    context, and accepts the point's own region."""
+    scale = multiple * math.lcm(*(x.denominator for x in v.values))
+    point = tuple(int(x * scale) for x in v.values)
+    for r in rg.enumerate_regions(v.ctx):
+        assert rg.closure_contains_scaled(r, point, scale) == rg.closure_contains(r, v)
+    assert rg.closure_contains_scaled(rg.region_of(v), point, scale)
 
 
 def test_parse_constraint():
