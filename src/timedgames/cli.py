@@ -62,13 +62,13 @@ def _num(v):
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
-    blob = json.dumps(payload, indent=2) + "\n"
+    """Render the JSON document only where it is written: --out or --json."""
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
-            fh.write(blob)
+            fh.write(json.dumps(payload, indent=2) + "\n")
     if getattr(args, "json", False) and not out:
-        sys.stdout.write(blob)
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         for line in lines:
             print(line)

@@ -32,6 +32,7 @@ from typing import Callable
 from .brg import BrgState, explore
 from .model import Arena, ConcreteState, Edge
 from .regions import (
+    REGION_CAP,
     ClockRegion,
     ClockValuation,
     DelayWindow,
@@ -323,12 +324,17 @@ def sample_states(
     arena: Arena, count: int, *, seed: int = 0, denominator: int = 8
 ) -> list[ConcreteState]:
     """Deterministic sample of non-final concrete states on a rational grid,
-    each satisfying its location invariant."""
+    each satisfying its location invariant.  A grid of more than REGION_CAP
+    points per location is refused before any is built."""
+    points = arena.ctx.k * denominator + 1
+    if points > REGION_CAP:
+        raise ValueError("a sample grid of %d points per location exceeds the cap of %d"
+                         % (points, REGION_CAP))
     pool = []
     for l in arena.locations:
         if l.final:
             continue
-        coords = [Fraction(j, denominator) for j in range(arena.ctx.k * denominator + 1)]
+        coords = [Fraction(j, denominator) for j in range(points)]
         # grid over all clocks would explode for many clocks; the bundled
         # models have one, and a diagonal slice keeps it honest otherwise
         if len(arena.ctx.clocks) == 1:

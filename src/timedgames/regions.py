@@ -25,6 +25,7 @@ form.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,6 +33,10 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 
 OPS = ("<", "<=", "=", ">=", ">")
+# The most regions `enumerate_regions` builds, and the most points per
+# location of a sample grid: far above the contexts in use (4 clocks with
+# k = 3 have 15,307 regions), far below what exhausts memory.
+REGION_CAP = 1_000_000
 
 
 class RegionError(ValueError):
@@ -551,8 +556,25 @@ def _ordered_partitions(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...
             yield (first,) + tail
 
 
+def region_count(ctx: ClockContext) -> int:
+    """The number of regions of the context, in closed form: m clocks with a
+    positive fraction take one of k integer parts each, the others one of
+    k + 1, and the positive fractions fall into one of the F(m) ordered
+    partitions of the m clocks (the Fubini numbers)."""
+    n, k = len(ctx.clocks), ctx.k
+    fubini = [1]
+    for m in range(1, n + 1):
+        fubini.append(sum(math.comb(m, j) * fubini[m - j] for j in range(1, m + 1)))
+    return sum(math.comb(n, m) * k**m * (k + 1) ** (n - m) * fubini[m] for m in range(n + 1))
+
+
 def enumerate_regions(ctx: ClockContext) -> list[ClockRegion]:
-    """All regions of the context, sorted by canonical key."""
+    """All regions of the context, sorted by canonical key; a context with
+    more than REGION_CAP regions is refused before any is built."""
+    count = region_count(ctx)
+    if count > REGION_CAP:
+        raise RegionError("%d regions (clocks %s, k = %d) exceed the cap of %d"
+                          % (count, ", ".join(ctx.clocks), ctx.k, REGION_CAP))
     n = len(ctx.clocks)
     out = []
     for ints in itertools.product(range(ctx.k + 1), repeat=n):

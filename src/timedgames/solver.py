@@ -17,7 +17,9 @@ yields both the residual of the optimality equations and every action that
 strictly beats the chosen one.  The improvement loop switches from that
 report, and the report of the last pair, with no switch left, is the
 certificate: zero residual, no better action and stochastic rows.  The
-rows are checked once per solve, not once per evaluation.
+rows are checked once per solve, as its exact row table is built.  That
+sweep is the one Bellman kernel, `_sweep`, which also runs every value
+iteration step and the warm-start choice, on a float row table.
 
 The discounted variant contracts, so it needs no reachability assumption;
 by default it treats final states as absorbing with value zero, which is the
@@ -39,15 +41,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import count, repeat
+from typing import Iterable, NamedTuple, Sequence
 
 from .brg import Brg, BoundaryAction
 from .model import sccs
 from .regions import ClockRegion, ClockValuation, representative
 
 INF = math.inf
-
-Value = object  # Fraction, float (value iteration), or math.inf
 
 
 class TargetUnreachableError(RuntimeError):
@@ -146,106 +147,94 @@ def check_almost_sure_reach(g: Brg) -> list[list[int]]:
         g, [i for i in range(g.n) if not g.is_final(i) and i not in g.fixed])
 
 
-# ------------------------------------------------------------ Bellman step
+# ------------------------------------------------------------ Bellman sweep
 
-def _one_step(g: Brg, i: int, j: int, values: Sequence, lam) -> Value:
-    acc = g.rewards[i][j]
-    for t, p in g.dists[i][j]:
-        acc = acc + p * values[t]
-    if lam is not None:
-        acc = lam * acc
-    return acc
+class _Rows(NamedTuple):
+    """All that a sweep reads of one graph under one objective; see `_row_table`."""
 
-
-def _best(g: Brg, i: int, values: Sequence, lam, start=None) -> tuple:
-    """The owner's optimal one-step value at state i against `values` and
-    the first action in canonical order attaining it; `start` is kept unless
-    another action is strictly better.  (None, None) when i has no action."""
-    minimize = g.owner(i) == "min"
-    best_j = start
-    best = None if start is None else _one_step(g, i, start, values, lam)
-    for j in range(len(g.actions[i])):
-        if j == start:
-            continue
-        cand = _one_step(g, i, j, values, lam)
-        if best is None or (cand < best if minimize else cand > best):
-            best, best_j = cand, j
-    return best, best_j
+    rows: list  # per state: [(index, reward, distribution), ...], or None
+    base: list  # per state: its value when it has no row or no action
+    minimize: list[bool]
+    lam: object  # the discount, None for expected time
+    improper: list[tuple[int, int]]  # non-stochastic (state, action) pairs
 
 
-def _sweep(
-    g: Brg, values: Sequence, choice: Sequence | None, lam, zero_final: bool
-) -> tuple[list, list]:
-    """One application of the optimality operator: per state the owner's
-    optimal one-step value against `values` and the action attaining it,
-    `choice[i]` unless another action is strictly better (without a choice,
-    the first in canonical order).  Absorbed final states and states without
-    an action get value zero and action None; a fixed state gets its value
-    and action None.  Exactness follows the input: Fraction values give a
-    Fraction result, floats give floats.  math.inf flows through either
-    way."""
-    out, acts = [], []
-    fixed = g.fixed
+def _stochastic(dist) -> bool:
+    """Whether the probabilities are nonnegative and sum to exactly 1.  Most
+    rows have one entry, which needs no Fraction sum."""
+    if len(dist) == 1:
+        return dist[0][1] == 1
+    return sum(p for _, p in dist) == 1 and all(p >= 0 for _, p in dist)
+
+
+def _row_table(g: Brg, lam, zero_final: bool, exact: bool) -> _Rows:
+    """The row table of `g`, built once per call site.  A state's row lists
+    its actions in canonical order as (index, reward, distribution); a fixed
+    state and an absorbed final state have None and keep their base value,
+    the fixed value or zero.  An exact table shares the graph's Fractions
+    and scans every row of the graph for stochasticity.  A float table
+    converts every number once, as numerator / denominator (float() of a
+    Fraction, less its dispatch), so it gives the floats that the exact rows
+    give on float values."""
+    rows, improper = [], []
     for i in range(g.n):
+        if exact:
+            improper += [(i, j) for j, dist in enumerate(g.dists[i]) if not _stochastic(dist)]
+        if i in g.fixed or zero_final and g.is_final(i):
+            rows.append(None)
+        elif exact:
+            rows.append(list(zip(count(), g.rewards[i], g.dists[i])))
+        else:
+            rows.append([(j, r.numerator / r.denominator,
+                          [(t, p.numerator / p.denominator) for t, p in dist])
+                         for j, r, dist in zip(count(), g.rewards[i], g.dists[i])])
+    base = [Fraction(0) if exact else 0.0] * g.n
+    for i, x in g.fixed.items():
+        base[i] = x if exact else float(x)
+    if lam is not None and not exact:
+        lam = float(lam)
+    return _Rows(rows, base, [o == "min" for o in g.owners], lam, improper)
+
+
+def _sweep(table: _Rows, values: Sequence, choice: Sequence | None = None) -> tuple[list, list]:
+    """One application of the optimality operator: per state the owner's
+    optimal one-step value, lam (r + sum of p v), against `values` and the
+    action attaining it, `choice[i]` unless another action is strictly
+    better (without a choice, the first in canonical order).  A state
+    without a row or an action gets its base value and action None.
+    Fractions stay exact, and math.inf flows through."""
+    lam = table.lam
+    starts = repeat(None) if choice is None else choice
+    out, acts = [], []
+    for row, mini, base, start in zip(table.rows, table.minimize, table.base, starts):
         best = j = None
-        if i in fixed:
-            best = fixed[i] if isinstance(values[i], Fraction) else float(fixed[i])
-        elif not (zero_final and g.is_final(i)):
-            best, j = _best(g, i, values, lam, None if choice is None else choice[i])
-        if best is None:
-            best = Fraction(0) if isinstance(values[i], Fraction) else 0.0
-        out.append(best)
+        if row:
+            if start is not None:
+                row = [row[start], *(a for a in row if a[0] != start)]
+            for k, r, succ in row:
+                acc = r
+                for t, p in succ:
+                    acc = acc + p * values[t]
+                if lam is not None:
+                    acc = lam * acc
+                if best is None or (acc < best if mini else acc > best):
+                    best, j = acc, k
+        out.append(base if best is None else best)
         acts.append(j)
     return out, acts
-
-
-def improve_step(g: Brg, values: Sequence, *, lam=None, zero_final: bool = True) -> list:
-    """The value column of one sweep of the optimality operator."""
-    return _sweep(g, values, None, lam, zero_final)[0]
 
 
 def value_iterate(
     g: Brg, cfg: SolveConfig, *, lam=None, zero_final: bool = True
 ) -> tuple[list[float], int, float]:
-    """Float fixpoint iteration from all zeros; returns (values, iterations,
-    last residual).  Monotone from below for the expected-time objective, a
-    contraction for the discounted one.
-
-    The sweeps run on float copies of the rewards and distributions, made
-    once per call, in the operation order of `improve_step` on float values
-    (reward plus each probability times successor value, then the discount),
-    so the iterates are the floats `improve_step` would produce.  A row is
-    None for an absorbed final state; it and a state with no action get 0,
-    and the iterate of a fixed state is pinned to its value.
-    """
-    lam_f = None if lam is None else float(lam)
-    pinned = [(i, float(x)) for i, x in g.fixed.items()]
-    rows = [
-        None if zero_final and g.is_final(i) else [
-            (float(r), [(t, float(p)) for t, p in dist])
-            for r, dist in zip(g.rewards[i], g.dists[i])
-        ]
-        for i in range(g.n)
-    ]
-    minimize = [g.owner(i) == "min" for i in range(g.n)]
-    v = [0.0] * g.n
-    for i, x in pinned:
-        v[i] = x
+    """Float fixpoint iteration from all zeros, fixed states at their
+    values; returns (values, iterations, last residual).  Monotone from
+    below for the expected-time objective, a contraction for the discounted
+    one.  Every iteration is one sweep of one float row table."""
+    table = _row_table(g, lam, zero_final, exact=False)
+    v = list(table.base)
     for it in range(1, cfg.max_iterations + 1):
-        w = []
-        for row, mini in zip(rows, minimize):
-            best = None
-            for r, succ in row or ():
-                acc = r
-                for t, p in succ:
-                    acc = acc + p * v[t]
-                if lam_f is not None:
-                    acc = lam_f * acc
-                if best is None or (acc < best if mini else acc > best):
-                    best = acc
-            w.append(0.0 if best is None else best)
-        for i, x in pinned:
-            w[i] = x
+        w = _sweep(table, v)[0]
         residual = max((abs(a - b) for a, b in zip(v, w)), default=0.0)
         v = w
         if residual <= cfg.tolerance:
@@ -259,11 +248,12 @@ def value_iterate(
 def extract_strategies(
     g: Brg, values: Sequence, *, lam=None, zero_final: bool = True
 ) -> list:
-    """Greedy positional choice per state (argmin for the minimizer, argmax
-    for the maximizer, first action in canonical order on ties): the action
-    column of one sweep.  Final states get None when they are treated as
-    absorbing."""
-    return _sweep(g, values, None, lam, zero_final)[1]
+    """Greedy positional choice per state against float values (argmin for
+    the minimizer, argmax for the maximizer, first action in canonical order
+    on ties): the action column of one sweep over a float row table, the
+    form `value_iterate` sweeps.  Final states get None when they are
+    treated as absorbing."""
+    return _sweep(_row_table(g, lam, zero_final, exact=False), values)[1]
 
 
 # ------------------------------------------------------- exact evaluation
@@ -353,24 +343,6 @@ def evaluate_pair_discounted(
     return _evaluate(g, choice, Fraction(lam), zero_final)
 
 
-def _stochastic(dist) -> bool:
-    """Whether the probabilities are nonnegative and sum to exactly 1.  Most
-    rows have one entry, which needs no Fraction sum."""
-    if len(dist) == 1:
-        return dist[0][1] == 1
-    return sum(p for _, p in dist) == 1 and all(p >= 0 for _, p in dist)
-
-
-def _improper_rows(g: Brg) -> list[tuple[int, int]]:
-    """The (state, action) pairs whose distribution is not stochastic."""
-    return [
-        (i, j)
-        for i, row in enumerate(g.dists)
-        for j, dist in enumerate(row)
-        if not _stochastic(dist)
-    ]
-
-
 def certify(
     g: Brg,
     values: Sequence,
@@ -378,7 +350,7 @@ def certify(
     *,
     lam=None,
     zero_final: bool = True,
-    improper_rows: list[tuple[int, int]] | None = None,
+    rows: _Rows | None = None,
 ) -> CertifyReport:
     """Certificate of a strategy pair at `values`, from one exact sweep of
     the optimality operator: its residual, the states where it moves the
@@ -388,11 +360,11 @@ def certify(
     expected-time objective this relies on the almost-sure reachability
     check, under which the optimality equations pin down a unique solution),
     provided every action's distribution is stochastic: nonnegative, summing
-    to exactly 1.  The rows are scanned unless `improper_rows` passes the
-    result of an earlier scan of the same graph."""
-    if improper_rows is None:
-        improper_rows = _improper_rows(g)
-    improved, best = _sweep(g, values, choice, lam, zero_final)
+    to exactly 1.  The exact row table is built unless `rows` passes the
+    one of an earlier call on the same graph and objective."""
+    if rows is None:
+        rows = _row_table(g, lam, zero_final, exact=True)
+    improved, best = _sweep(rows, values, choice)
     switches = [(i, j) for i, j in enumerate(best) if j is not None and j != choice[i]]
     violations = []
     residual: Fraction | float = Fraction(0)
@@ -403,7 +375,7 @@ def certify(
         violations.append(i)
         gap = INF if INF in (a, b) else abs(a - b)
         residual = max(residual, gap)
-    return CertifyReport(residual, violations, improper_rows, switches)
+    return CertifyReport(residual, violations, rows.improper, switches)
 
 
 # ------------------------------------------------------ strategy improvement
@@ -413,8 +385,8 @@ def _alternating_best_response(
 ) -> tuple[list, list, int, int, CertifyReport]:
     """Alternating best response from a warm-start pair; returns the values
     and choice of the final pair, the rounds, the exact evaluations and the
-    certificate of the final pair.  The rows are scanned for stochasticity
-    once, and every report carries that one scan.
+    certificate of the final pair.  The exact row table is built once, so
+    its one stochasticity scan serves every report.
 
     The inner loop is exact policy iteration for one player against the
     other's fixed strategy; once it stabilizes the other player switches.
@@ -424,10 +396,9 @@ def _alternating_best_response(
     the finitely many positional pairs cannot recur and the loop stops at a
     pair whose report has no switch left.
     """
-    order = ("min", "max") if cfg.improve_order == "min_first" else ("max", "min")
-    first, second = order
+    first = "min" if cfg.improve_order == "min_first" else "max"
     choice = list(choice)
-    improper = _improper_rows(g)
+    rows = _row_table(g, lam, zero_final, exact=True)
     rounds = 0
     evaluations = 0
     while True:
@@ -447,8 +418,7 @@ def _alternating_best_response(
                 raise ConvergenceError(
                     "strategy improvement exceeded %d evaluations" % cfg.max_iterations
                 )
-            report = certify(g, values, choice, lam=lam, zero_final=zero_final,
-                             improper_rows=improper)
+            report = certify(g, values, choice, lam=lam, zero_final=zero_final, rows=rows)
             switches = [(i, j) for i, j in report.switches if g.owner(i) == first]
             if not switches:
                 break

@@ -20,6 +20,10 @@ start region for every boundary it names (`boundary_coordinates`),
 `solve_two_sweeps` is the earlier improvement loop, which after each
 evaluation sweeps once to find switches and, at the end, once more to
 certify, instead of switching from and returning one `certify` report.
+`sweep_per_state` is the earlier Bellman sweep: it reads the graph's
+Fraction rows state by state (`one_step`, `_best`), converting them again
+on every float sweep, where the solver sweeps a row table built once per
+call site.  The two-sweep loop uses its arithmetic, not the solver's.
 `rooted_value_fresh` is the earlier `properties.value_at`, which explores
 and solves a whole fresh graph for every rooted query instead of reusing
 the arena's table of solved states.  `chain_document` writes the retry
@@ -192,18 +196,54 @@ def dense_evaluate(g, choice, lam=None, zero_final: bool = True) -> list:
     return values
 
 
+def one_step(g, i: int, j: int, values, lam):
+    """lam (r + sum of p v) of action j at state i, lam = 1 when None."""
+    acc = g.rewards[i][j]
+    for t, p in g.dists[i][j]:
+        acc = acc + p * values[t]
+    if lam is not None:
+        acc = lam * acc
+    return acc
+
+
 def _best(g, i: int, values, lam, start=None) -> tuple:
     """The owner's optimal one-step value at state i against `values` and
     the first action in canonical order attaining it; `start` is kept unless
     another action is strictly better.  (None, None) when i has no action."""
     minimize = g.owner(i) == "min"
     best_j = start
-    best = None if start is None else sv._one_step(g, i, start, values, lam)
+    best = None if start is None else one_step(g, i, start, values, lam)
     for j in range(len(g.actions[i])):
-        cand = sv._one_step(g, i, j, values, lam)
+        if j == start:
+            continue
+        cand = one_step(g, i, j, values, lam)
         if best is None or (cand < best if minimize else cand > best):
             best, best_j = cand, j
     return best, best_j
+
+
+def sweep_per_state(g, values, choice, lam, zero_final: bool) -> tuple[list, list]:
+    """One application of the optimality operator: per state the owner's
+    optimal one-step value against `values` and the action attaining it,
+    `choice[i]` unless another action is strictly better (without a choice,
+    the first in canonical order).  Absorbed final states and states without
+    an action get value zero and action None; a fixed state gets its value
+    and action None.  Exactness follows the input: Fraction values give a
+    Fraction result, floats give floats.  math.inf flows through either
+    way.  The reference for the solver's sweep over a row table."""
+    out, acts = [], []
+    fixed = g.fixed
+    for i in range(g.n):
+        best = j = None
+        if i in fixed:
+            best = fixed[i] if isinstance(values[i], Fraction) else float(fixed[i])
+        elif not (zero_final and g.is_final(i)):
+            best, j = _best(g, i, values, lam, None if choice is None else choice[i])
+        if best is None:
+            best = Fraction(0) if isinstance(values[i], Fraction) else 0.0
+        out.append(best)
+        acts.append(j)
+    return out, acts
 
 
 def _improve_step(g, values, *, lam=None, zero_final: bool = True) -> list:
@@ -225,7 +265,7 @@ def _certified(g, values, *, lam=None, zero_final: bool = True) -> bool:
         (i, j)
         for i, row in enumerate(g.dists)
         for j, dist in enumerate(row)
-        if not sv._stochastic(dist)
+        if sum(p for _, p in dist) != 1 or any(p < 0 for _, p in dist)
     ]
     improved = _improve_step(g, values, lam=lam, zero_final=zero_final)
     residual = Fraction(0)

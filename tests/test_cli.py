@@ -6,17 +6,26 @@ set not almost surely reached, 4 iteration budget exhausted.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracles import chain_document
+from timedgames import regions
 from timedgames.cli import main
 
 M1 = "models/M1.model"
@@ -318,6 +327,145 @@ def test_cli_import_loads_no_networkx():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_text_mode_renders_no_json(capsys, monkeypatch):
+    """Text output never builds the JSON document it does not print."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called in text mode")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    for argv in (("validate", M2), ("brg", M2), ("solve", M2), ("solve", "--exact", M2),
+                 ("discounted", "--lambda", "1/2", M2),
+                 ("check-properties", "--pairs", "2", "--states", "2", M1),
+                 ("simulate", "--runs", "20", M2)):
+        code, out, _ = run(capsys, argv[0], *argv[1:])
+        assert code == 0 and out, argv
+
+
+# ------------------------------------------------------ huge clock bounds
+
+def huge_m2(tmp_path) -> str:
+    path = tmp_path / "M2-huge.model"
+    path.write_text(Path(M2).read_text().replace("k: 2\n", "k: 1000000000\n"))
+    return str(path)
+
+
+def test_region_count_closed_form():
+    for n in (1, 2, 3):
+        for k in (1, 2, 3):
+            ctx = regions.ClockContext(tuple("cdef"[:n]), k)
+            assert regions.region_count(ctx) == len(regions.enumerate_regions(ctx))
+    assert regions.region_count(regions.ClockContext(tuple("cdef"), 3)) == 15307
+    assert regions.region_count(regions.ClockContext(("c",), 10**9)) == 2 * 10**9 + 1
+
+
+def test_huge_clock_bound_is_refused_before_allocating(capsys, tmp_path, monkeypatch):
+    """`validate` refuses a region count beyond the cap with exit 2 before
+    building a region; the commands that never enumerate regions still
+    run."""
+    def no_enumeration(*args):
+        raise AssertionError("regions enumerated")
+
+    monkeypatch.setattr(regions, "_ordered_partitions", no_enumeration)
+    path = huge_m2(tmp_path)
+    code, out, err = run(capsys, "validate", path)
+    assert code == 2 and out == "" and "the cap of %d" % regions.REGION_CAP in err
+    monkeypatch.undo()
+    for argv in (("solve", path), ("brg", path), ("simulate", "--runs", "20", path)):
+        assert run(capsys, *argv)[0] == 0, argv
+
+
+def test_huge_clock_bound_under_a_memory_limit(tmp_path):
+    """`validate` and `check-properties`, whose sample grid would be as
+    large, refuse in a fresh interpreter whose address space is limited to
+    1 GB: no MemoryError, no traceback, exit 2."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    path = huge_m2(tmp_path)
+    for sub in ("validate", "check-properties"):
+        done = subprocess.run([sys.executable, "-m", "timedgames.cli", sub, path],
+                              env=env, capture_output=True, text=True, timeout=60,
+                              preexec_fn=limit)
+        assert done.returncode == 2, (sub, done.stderr)
+        assert "the cap of" in done.stderr and "Traceback" not in done.stderr
+
+
+# ------------------------------------------------------ exit-code contract
+
+M2_DOC = yaml.safe_load(Path(M2).read_text())
+# replacement values for each field of M2 by its key, well and ill formed;
+# integers stay at most 10 so that no clock bound makes the graph large
+NAMES = ["l0", "lf", "l9", ""]
+RATIONALS = ["0", "1", "2", "1/2", "1/3", "-1/2", "3/2", "1/0", "x"]
+CONSTRAINTS = ["c <= 1", "c = 1", "c >= 1", "c < 1", "c > 2", "c <= 2 & c >= 1",
+               "d <= 1", "c <= 11", "c ==", ""]
+FIELD_VALUES = {
+    "clocks": [[], ["c"], ["c", "d"], ["c", "c"], "c"],
+    "k": [-1, 0, 1, 2, 3, 10, "2", None],
+    "name": NAMES, "source": NAMES, "target": NAMES, "location": NAMES,
+    "owner": ["min", "max", "nobody", None],
+    "final": [True, False, "no", 0],
+    "invariant": CONSTRAINTS, "guard": CONSTRAINTS,
+    "action": ["a", "f", "", 1],
+    "prob": RATIONALS, "c": RATIONALS,
+    "resets": [[], ["c"], ["d"], ["c", "c"], "c"],
+    "valuation": [{}, {"c": "1/2"}, {"c": "3"}, {"d": "0"}, []],
+}
+ANY_VALUE = [None, 1, "x", [], {}]
+CALLS = [("validate",), ("brg",), ("solve",), ("solve", "--exact"),
+         ("discounted", "--lambda", "1/2"),
+         ("check-properties", "--pairs", "2", "--states", "2", "--grid", "8"),
+         ("simulate", "--runs", "20", "--step-cap", "200")]
+
+
+def field_paths(node, path=()):
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from field_paths(child, path + (key,))
+
+
+@st.composite
+def m2_mutations(draw):
+    """M2 with one or two fields replaced, mostly by a value meant for the
+    field, or dropped."""
+    doc = copy.deepcopy(M2_DOC)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from([p for p in field_paths(doc) if p]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        how = draw(st.sampled_from(("field", "field", "field", "any", "drop")))
+        if how == "drop":
+            del parent[path[-1]]
+            continue
+        pool = FIELD_VALUES.get(path[-1], ANY_VALUE) if how == "field" else ANY_VALUE
+        parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(pool)))
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(m2_mutations())
+def test_exit_code_contract_on_mutated_models(text):
+    """Every subcommand on a mutated model ends in a documented exit code:
+    0, 2, 3 or 4, and 1 only from check-properties; no exception escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutant.model")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for call in CALLS:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([call[0], path, *call[1:]])
+            allowed = {0, 1, 2, 3, 4} if call[0] == "check-properties" else {0, 2, 3, 4}
+            assert code in allowed, (call, text)
 
 
 # ----------------------------------------------------------- golden output

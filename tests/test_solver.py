@@ -26,7 +26,7 @@ import networkx as nx
 import pytest
 
 from bundled import bundled
-from oracles import chain_document, dense_evaluate, solve_two_sweeps
+from oracles import chain_document, dense_evaluate, one_step, solve_two_sweeps, sweep_per_state
 from timedgames import brg as bg
 from timedgames import solver as sv
 from timedgames.model import parse_model, sccs
@@ -104,8 +104,8 @@ def test_certify_reports_switches_of_a_non_optimal_choice():
         g = graph(name)
         res = sv.solve_exact(g)
         sign = 1 if g.owner(0) == "min" else -1
-        one_step = [sv._one_step(g, 0, j, res.values, None) for j in range(len(g.actions[0]))]
-        worse = [j for j, v in enumerate(one_step) if sign * (v - res.values[0]) > 0]
+        steps = [one_step(g, 0, j, res.values, None) for j in range(len(g.actions[0]))]
+        worse = [j for j, v in enumerate(steps) if sign * (v - res.values[0]) > 0]
         if not worse:
             continue
         choice = list(res.choice)
@@ -113,7 +113,7 @@ def test_certify_reports_switches_of_a_non_optimal_choice():
         report = sv.certify(g, res.values, choice)
         assert report.residual == 0 and report.violations == [], name
         assert [i for i, _ in report.switches] == [0], name
-        assert one_step[report.switches[0][1]] == res.values[0], name
+        assert steps[report.switches[0][1]] == res.values[0], name
         assert not report.ok, name
         checked += 1
     assert checked >= 2
@@ -170,10 +170,11 @@ def test_value_iteration_budget_error():
 
 def test_improve_step_exact_m2():
     g = graph("M2")
+    table = sv._row_table(g, None, True, exact=True)
     v0 = [Fraction(0)] * g.n
-    v1 = sv.improve_step(g, v0)
+    v1 = sv._sweep(table, v0)[0]
     assert v1 == [Fraction(1), Fraction(0), Fraction(0)]
-    v2 = sv.improve_step(g, v1)
+    v2 = sv._sweep(table, v1)[0]
     assert v2 == [Fraction(3, 2), Fraction(0), Fraction(0)]
 
 
@@ -246,9 +247,9 @@ def warm_starts(g: bg.Brg, lam, zero_final: bool) -> dict[str, list]:
     live = [not (zero_final and g.is_final(i)) and bool(g.actions[i]) for i in range(g.n)]
     worst = []
     for i in range(g.n):
-        one_step = [sv._one_step(g, i, j, v, lam) for j in range(len(g.actions[i]))]
+        steps = [one_step(g, i, j, v, lam) for j in range(len(g.actions[i]))]
         pick = max if g.owner(i) == "min" else min
-        worst.append(one_step.index(pick(one_step)) if live[i] else None)
+        worst.append(steps.index(pick(steps)) if live[i] else None)
     rng = random.Random(g.n)
     starts = {"solver": sv.extract_strategies(g, v, lam=lam, zero_final=zero_final),
               "worst": worst}
@@ -293,42 +294,109 @@ def test_improvement_matches_two_sweep_oracle():
 
 
 def test_one_sweep_per_evaluation(monkeypatch):
-    """Each evaluation is followed by one `certify`, whose sweep calls
-    `_best` once per non-absorbed state, and the solve adds no certificate
-    of its own: its only other sweep is the float warm start's."""
-    calls, certs = [], []
-    real_best, real_certify = sv._best, sv.certify
+    """Each evaluation is followed by one `certify`, which makes one kernel
+    sweep over every non-absorbed state of the one exact row table of the
+    loop, and the solve adds no certificate of its own: its other sweeps
+    are the float ones, one per value iteration and one for the warm
+    start, over float tables built once per call site."""
+    sweeps, builds, certs = [], [], []
+    real_sweep, real_table, real_certify = sv._sweep, sv._row_table, sv.certify
 
-    def counted_best(g, i, *args):
-        calls.append(i)
-        return real_best(g, i, *args)
+    def counted_sweep(table, *args):
+        sweeps.append(table)
+        return real_sweep(table, *args)
+
+    def counted_table(*args, **kwargs):
+        table = real_table(*args, **kwargs)
+        builds.append(table)
+        return table
 
     def counted_certify(*args, **kwargs):
         certs.append(1)
         return real_certify(*args, **kwargs)
 
-    monkeypatch.setattr(sv, "_best", counted_best)
+    def exact(tables):
+        return [t for t in tables if isinstance(t.base[0], Fraction)]
+
+    monkeypatch.setattr(sv, "_sweep", counted_sweep)
+    monkeypatch.setattr(sv, "_row_table", counted_table)
     monkeypatch.setattr(sv, "certify", counted_certify)
     solved = set()
     for name, g, lam, zero_final, order, start, choice in sweep_cases():
         cfg = sv.SolveConfig(improve_order=order)
         case = (name, lam, zero_final, order, start)
         live = [i for i in range(g.n) if not (zero_final and g.is_final(i))]
-        calls.clear()
+        sweeps.clear()
+        builds.clear()
         certs.clear()
         evaluations = sv._alternating_best_response(
             g, choice, cfg, lam=lam, zero_final=zero_final)[3]
         assert len(certs) == evaluations, case
-        assert sorted(calls) == sorted(live * evaluations), case
+        assert len(builds) == len(exact(builds)) == 1, case
+        assert len(sweeps) == evaluations and all(t is builds[0] for t in sweeps), case
+        assert [i for i, row in enumerate(builds[0].rows) if row is not None] == live, case
         if case[:4] in solved:
             continue
         solved.add(case[:4])
-        calls.clear()
+        sweeps.clear()
+        builds.clear()
         certs.clear()
         res = (sv.solve_exact(g, cfg) if lam is None
                else sv.solve_discounted(g, lam, cfg, zero_final=zero_final))
         assert len(certs) == res.exact_evaluations, case
-        assert sorted(calls) == sorted(live * (1 + res.exact_evaluations)), case
+        assert len(exact(builds)) == 1 and len(builds) == 3, case
+        assert len(exact(sweeps)) == res.exact_evaluations, case
+        assert len(sweeps) == res.vi_iterations + 1 + res.exact_evaluations, case
+        for table in builds:
+            assert [i for i, row in enumerate(table.rows) if row is not None] == live, case
+
+
+def test_sweep_matches_per_state_oracle():
+    """The kernel's sweep over a row table gives the values and actions of
+    the earlier per-state sweep, float for float and Fraction for Fraction:
+    at the solved values, with their exact ties, and at value iteration's
+    floats, without a start choice and from every warm start."""
+    ties = kept = 0
+    for name, g, lam, zero_final, order, start, choice in sweep_cases():
+        if order != "min_first":
+            continue
+        case = (name, lam, zero_final, start)
+        res = (sv.solve_exact(g) if lam is None
+               else sv.solve_discounted(g, lam, zero_final=zero_final))
+        floats = sv.value_iterate(g, sv.SolveConfig(), lam=lam, zero_final=zero_final)[0]
+        for values, exact in ((res.values, True), (floats, False)):
+            table = sv._row_table(g, lam, zero_final, exact=exact)
+            for start_choice in (None, choice):
+                got = sv._sweep(table, values, start_choice)
+                want = sweep_per_state(g, values, start_choice, lam, zero_final)
+                assert list(map(repr, got[0])) == list(map(repr, want[0])), case
+                assert got[1] == want[1], case
+        for i in range(g.n):
+            if choice[i] is None:
+                continue
+            steps = [one_step(g, i, j, res.values, lam) for j in range(len(g.actions[i]))]
+            optimal = [j for j, x in enumerate(steps) if x == res.values[i]]
+            ties += len(optimal) > 1
+            kept += choice[i] in optimal[1:]
+    # the warm starts sit on exact ties past the first optimum, where the
+    # kernel must keep them
+    assert ties > 0 and kept > 0
+
+
+def test_sweep_matches_per_state_oracle_with_fixed_states():
+    """Fixed states keep their values in both forms of the row table."""
+    arena = bundled("M3")
+    full = bg.explore(arena)
+    values = sv.solve_exact(full).values
+    g = bg.explore(arena, known={full.states[i]: values[i] for i in range(1, full.n)})
+    assert g.fixed
+    exact = [values[0]] + [g.fixed[i] for i in range(1, g.n)]
+    for vals, is_exact in ((exact, True), ([float(x) for x in exact], False)):
+        for lam, zero_final in SWEEP_OBJECTIVES:
+            got = sv._sweep(sv._row_table(g, lam, zero_final, exact=is_exact), vals)
+            want = sweep_per_state(g, vals, None, lam, zero_final)
+            assert list(map(repr, got[0])) == list(map(repr, want[0]))
+            assert got[1] == want[1]
 
 
 def test_certificate_refuses_a_wrong_evaluation(monkeypatch):
@@ -624,20 +692,19 @@ def test_sccs_match_networkx_and_come_sinks_first():
 
 
 def test_value_iteration_kernel_matches_improve_step_floats():
-    """The float kernel of `value_iterate` performs the operations of
-    `improve_step` on float values in the same order, so every iterate, the
-    iteration count and the residual are the same floats."""
+    """Value iteration sweeps a float row table, which performs the
+    operations of the per-state sweep on float values in the same order, so
+    every iterate, the iteration count and the residual are the same
+    floats."""
     cfg = sv.SolveConfig()
     for name, g in differential_graphs().items():
         for lam in (None, Fraction(0), Fraction(1, 2), Fraction(9, 10)):
             for zero_final in (True, False):
                 if lam is None and (not zero_final or sv.check_almost_sure_reach(g)):
                     continue
-                lam_f = None if lam is None else float(lam)
                 v = [0.0] * g.n
                 for it in range(1, cfg.max_iterations + 1):
-                    w = [float(x) for x in
-                         sv.improve_step(g, v, lam=lam_f, zero_final=zero_final)]
+                    w = [float(x) for x in sweep_per_state(g, v, None, lam, zero_final)[0]]
                     residual = max((abs(a - b) for a, b in zip(v, w)), default=0.0)
                     v = w
                     if residual <= cfg.tolerance:
