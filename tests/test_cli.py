@@ -648,3 +648,59 @@ def test_golden_output(capsys, tmp_path, key):
         path.write_text(chain_document(*CHAINS[model]))
     code, out, _ = run(capsys, sub, str(path), *rest)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[key]
+
+
+# sha256 of stdout and of the written file for the commands that write one:
+# `brg --dot` and the `--out` document of `solve` and `discounted`; FILE is
+# a relative name in the test's directory, so the `dot` key stays stable
+FILE_GOLDEN = {
+    'brg M1 --json --dot FILE':
+        (0, 'c13ec3d507049bdf51e8d9c2054c5c471635c9650e1b55f5402829dfd83de050',
+         'bb97e4d50f91d26f655ce2e8c9014e4b43117b270a16e9d1bb0fc38b25975df3'),
+    'brg M3 --dot FILE':
+        (0, '30dd3a0ae648ba26b19eaa2a1f829fcc11fa632ce98b2cac79598389601ca454',
+         '5d39bf5052663cf846513ad3bc456eee40c56d77788376d01e6e073b59aa5eb2'),
+    'brg chain2_4_3 --json --dot FILE':
+        (0, '835c669a19c9ad6e3e8ead052ffc4c54206e285525b72ff1cf40cd12e4c67e64',
+         '700370d378f8dfcc23b6ab7e0e03d4dcf657ce27f6b7487621a381e08022c894'),
+    'solve M1 --exact --out FILE':
+        (0, '6195021e3450e7fd61a96ea2579e947c2c8f5003838f7183b89c014e6702d586',
+         'd00a18b206228b442d7047c0ef1ef7eaca8230919f0b47f38c3f201ad5bfb56d'),
+    'solve M2 --out FILE':
+        (0, 'bd174425e2db4ff2184fed7ce218a90ff599110d7c5d0331b67ad914901053b3',
+         'fa1ea670547c830afbb06609b864dd9dc165aa8abaa612e92b0d86f541421dbd'),
+    'solve M3 --exact --out FILE':
+        (0, '60a2112b4bea80e4f353500f53d4a4392fe63fb01111dc282329ce375f2ff117',
+         '09c47bec897ea02bfa6aa0bb322eff35ab69bf52804cb7f5b31dff57c2ab7d88'),
+    'solve chain2_4_3 --out FILE':
+        (0, 'f552d47cd5a138793e34377ecef2569b34da9922c0187f2408c341422d0b7e65',
+         '2012be86f3d654eb5e097464229db8cb4556fc955020350095d114e25a5eba6f'),
+    'solve chain3_2_2 --exact --out FILE':
+        (0, '24e011bcb3ca42f99d7b8b3966ac7576a6c56b4fa9420dd110cf0b336b39f1ea',
+         'd95e0504f197db2d2eb7e56e4e859756c0ac5de3505e3bc16cc12ab3b18be301'),
+    'discounted M1 --lambda 1/2 --out FILE':
+        (0, '69485efefe5830c8cbcd0c1714baadcb8788ef1508a85553bd5d93081bbc29b0',
+         '02e77bbd2770c02c3a4216eed1845b012631a09b427295d8b848237ac67cb440'),
+    'discounted M2 --lambda 1/2 --keep-final-rewards --out FILE':
+        (0, '78d5a1947027ba85b7cd38192337bce30f843028063b30ed2c63917066f08e39',
+         '946769396f7de3e578cd31e8e792417b7ee633103764e4d4451a65e76462d2ab'),
+    'discounted M3 --lambda 1/3 --out FILE':
+        (0, 'd31082af3765cc31fd199613fb766ca84288d933cd2b632c03cf9cf33b1b2d78',
+         '2fb29d0c7aa968849ad0a6732a87d41cd3df9c6c4116f529f307522f9c3c96f2'),
+    'discounted chain2_2_2 --lambda 9/10 --out FILE':
+        (0, '037e50b3c9ab272504c2c3b20bc23816e6f049d95b7b1e82fef8a9c89ca64dbe',
+         'a0b061d7d44bccdc34dbecadde4d2a156407d9fd9c2bef53e9caae4ace1ece20'),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FILE_GOLDEN))
+def test_golden_file_output(capsys, tmp_path, monkeypatch, key):
+    sub, model, *rest = key.split()
+    path = Path("models/%s.model" % model).resolve()
+    if model in CHAINS:
+        path = tmp_path / ("%s.model" % model)
+        path.write_text(chain_document(*CHAINS[model]))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, sub, str(path), *rest)
+    written = hashlib.sha256((tmp_path / "FILE").read_bytes()).hexdigest()
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), written) == FILE_GOLDEN[key]
