@@ -40,7 +40,9 @@ anywhere, shares one table.  The arena-level check that every edge's branch
 probabilities sum to 1 runs while that table is still empty, so once per
 arena rather than once per explore.  Equal actions, moves, target regions
 and reset sets are stored once per arena, so the table costs less memory
-than the per-state copies it replaces.  The time successor and the resets
+than the per-state copies it replaces.  Reset sets are resolved to clock
+indices when the arena is built, and each shared action looks up the index
+of its boundary clock once.  The time successor and the resets
 of each region are kept in a second table on the arena, so compiling the
 moves of many (l, zeta) builds and validates each region once.
 
@@ -117,11 +119,21 @@ class BoundaryAction:
     target: ClockRegion
     b: int | None
     c: str | None
-    # the label, rendered on first use; not part of equality, hashing or repr
+    # the label and the index of c in the context, made on first use; not
+    # part of equality, hashing or repr
     _label: str | None = field(default=None, init=False, repr=False, compare=False)
+    _ci: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def clock_index(self, ctx) -> int:
+        """The index of the boundary clock c in ctx, looked up once per object."""
+        ci = self._ci
+        if ci is None:
+            ci = ctx.index(self.c)
+            object.__setattr__(self, "_ci", ci)
+        return ci
 
     def sort_key(self, ctx) -> tuple:
-        ci = -1 if self.c is None else ctx.index(self.c)
+        ci = -1 if self.c is None else self.clock_index(ctx)
         return (self.action, -1 if self.b is None else self.b, ci, self.target.key())
 
     def label(self) -> str:
@@ -157,7 +169,8 @@ def _reset(arena: Arena, region: ClockRegion, clocks: frozenset[str]) -> ClockRe
 
 
 def boundary_actions(arena: Arena, location: str, region: ClockRegion) -> list[BoundaryAction]:
-    """The action set shared by all nodes with this location and region."""
+    """The action set shared by all nodes with this location and region, as
+    the arena's shared copy of each action."""
     inv = arena.location_named(location).invariant
     chain = list(invariant_chain(region, inv, partial(_successor, arena)))
     out: dict[tuple, BoundaryAction] = {}
@@ -174,7 +187,9 @@ def boundary_actions(arena: Arena, location: str, region: ClockRegion) -> list[B
                 ends = [lo, boundary(succ)]
             for b, c in ends:
                 out.setdefault((e.action, b, c, r.key()), BoundaryAction(e.action, r, b, c))
-    return sorted(out.values(), key=lambda a: a.sort_key(arena.ctx))
+    canon = arena._canon
+    return sorted((canon.setdefault(a, a) for a in out.values()),
+                  key=lambda a: a.sort_key(arena.ctx))
 
 
 def _moves(arena: Arena, location: str, region: ClockRegion) -> tuple:
@@ -189,7 +204,7 @@ def _moves(arena: Arena, location: str, region: ClockRegion) -> tuple:
     if entry is not None:
         return entry
     canon = arena._canon
-    acts = [canon.setdefault(a, a) for a in boundary_actions(arena, location, region)]
+    acts = boundary_actions(arena, location, region)
     moves = []
     for act in acts:
         e = arena.edge(location, act.action)
@@ -203,10 +218,8 @@ def _moves(arena: Arena, location: str, region: ClockRegion) -> tuple:
                     "edge (%s, %s) lands in [%s], outside the invariant of %s"
                     % (location, act.action, target_region.label(), br.target)
                 )
-            resets = frozenset(region.ctx.index(c) for c in br.resets)
-            branches.append((br.target, canon.setdefault(resets, resets),
-                             target_region, br.prob))
-        ci = None if act.c is None else region.ctx.index(act.c)
+            branches.append((br.target, arena._resets[br.resets], target_region, br.prob))
+        ci = None if act.c is None else act.clock_index(region.ctx)
         move = (act.b, ci, tuple(branches))
         moves.append(canon.setdefault(move, move))
     entry = arena._moves[key] = (acts, tuple(moves))

@@ -17,15 +17,26 @@ witness goes to stderr), 4 iteration budget exhausted.
 JSON output is deterministic: rationals appear as "num/den" strings next to
 a 12-significant-digit decimal rendering, and repeated invocations on the
 same inputs and seeds produce identical bytes.
+
+The document is streamed by `write_json`, which writes the bytes of
+`json.dumps(payload, indent=2)` without holding the whole text: string
+leaves go through json's C string encoder, and the long row lists (brg
+`nodes`, solve and discounted `values`) are generators whose rows are
+written as they are produced.  brg's node rows are filled into templates
+laid out once at their fixed depth, with each distinct reward and
+probability rendered once per command.  Text mode builds only what its
+lines print.  check-properties keeps its rows in lists: its `ok` key comes
+before them, so every check has run before the first byte is written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
+from types import GeneratorType
 
 from .brg import Brg, ExplorationLimit, explore, export_dot, DEFAULT_STATE_CAP
 from .model import ModelError, format_rational, load_model, parse_rational, validate
@@ -61,14 +72,82 @@ def _num(v):
     return {"rational": None, "decimal": "%.12g" % v}
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
-    """Render the JSON document only where it is written: --out or --json."""
+class Encoded(str):
+    """JSON text already laid out for its place in the document."""
+
+
+def _layout(value, nl: str, buf: list, flush=None) -> None:
+    """Append the text json.dumps(value, indent=2) gives for `value`, placed
+    where its line breaks are `nl`, to `buf`.  Keys must be strings.
+    Generators are laid out as lists; after each of their items `flush`,
+    when given, writes the buffer out."""
+    if isinstance(value, str):
+        buf.append(value if type(value) is Encoded else _string(value))
+    elif value is None:
+        buf.append("null")
+    elif value is True:
+        buf.append("true")
+    elif value is False:
+        buf.append("false")
+    elif isinstance(value, int):
+        buf.append(int.__repr__(value))
+    elif isinstance(value, float):
+        buf.append("NaN" if value != value else "Infinity" if value == math.inf
+                   else "-Infinity" if value == -math.inf else float.__repr__(value))
+    elif isinstance(value, dict):
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            buf.append(sep + _string(key) + ": ")
+            _layout(item, inner, buf, flush)
+            sep = "," + inner
+        buf.append("{}" if sep[0] == "{" else nl + "}")
+    elif isinstance(value, (list, tuple, GeneratorType)):
+        streamed = flush is not None and type(value) is GeneratorType
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in value:
+            buf.append(sep)
+            _layout(item, inner, buf, flush)
+            if streamed:
+                flush()
+            sep = "," + inner
+        buf.append("[]" if sep[0] == "[" else nl + "]")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(value).__name__)
+
+
+def _text(value, nl: str) -> Encoded:
+    """The layout of `value` where its line breaks are `nl`."""
+    buf: list[str] = []
+    _layout(value, nl, buf)
+    return Encoded("".join(buf))
+
+
+def write_json(write, payload) -> None:
+    """Write json.dumps(payload, indent=2) and a newline through `write`,
+    one call per item of each generator and one for the rest."""
+    buf: list[str] = []
+
+    def flush():
+        write("".join(buf))
+        buf.clear()
+
+    _layout(payload, "\n", buf, flush)
+    buf.append("\n")
+    flush()
+
+
+def _emit(args, payload: dict, lines) -> None:
+    """Write the JSON document to --out, or under --json to stdout; print the
+    text lines otherwise.  Both may be generators, consumed only here."""
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+            write_json(fh.write, payload)
     if getattr(args, "json", False) and not out:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        write_json(sys.stdout.write, payload)
     else:
         for line in lines:
             print(line)
@@ -96,55 +175,95 @@ def cmd_validate(args) -> int:
     return 0 if not findings else 2
 
 
+# brg's node rows sit at fixed depths: D[2] for the node, D[3] for its
+# actions, D[4] for an action, D[5] for its reward and successors, D[6] for a
+# successor pair.  Each template is laid out once, with %-placeholders.
+_D = ["\n" + "  " * depth for depth in range(7)]
+_NODE = _text({"id": Encoded("%d"), "state": Encoded("%s"), "owner": Encoded("%s"),
+               "final": Encoded("%s"), "actions": Encoded("%s")}, _D[2])
+_ACTION = _text({"label": Encoded("%s"), "reward": Encoded("%s"),
+                 "successors": Encoded("%s")}, _D[4])
+_PAIR = _text([Encoded("%d"), Encoded("%s")], _D[6])
+
+
+def _list(items: list[str], nl: str) -> str:
+    """Laid-out items as a list whose line breaks are `nl`."""
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+def _brg_nodes(g: Brg):
+    """brg's `nodes` rows.  Rewards and probabilities are rendered once per
+    object: `explore` shares one object per distinct reward and per branch
+    probability, and `g` keeps every object alive, so their ids are stable
+    keys that spare hashing a Fraction per lookup."""
+    rewards: dict[int, str] = {}
+    probs: dict[int, str] = {}
+    for i, s in enumerate(g.states):
+        acts = []
+        for a, r, dist in zip(g.actions[i], g.rewards[i], g.dists[i]):
+            reward = rewards.get(id(r))
+            if reward is None:
+                reward = rewards[id(r)] = _text(_num(r), _D[5])
+            pairs = []
+            for t, p in dist:
+                prob = probs.get(id(p))
+                if prob is None:
+                    prob = probs[id(p)] = _string(format_rational(p))
+                pairs.append(_PAIR % (t, prob))
+            acts.append(_ACTION % (_string(a.label()), reward, _list(pairs, _D[5])))
+        yield Encoded(_NODE % (i, _string(s.label()), _string(g.owner(i)),
+                               "true" if g.is_final(i) else "false", _list(acts, _D[3])))
+
+
+def _brg_lines(name: str, g: Brg, dot: str | None):
+    yield ("%s: %d states, %d actions, %d transitions"
+           % (name, g.n, g.action_count(), g.transition_count()))
+    for i, s in enumerate(g.states):
+        moves = ", ".join(a.label() for a in g.actions[i]) or "-"
+        yield "  %2d %-28s %s" % (i, s.label(), moves)
+    if dot:
+        yield "wrote %s" % dot
+
+
 def cmd_brg(args) -> int:
     arena = load_model(args.model)
     g = explore(arena, cap=args.cap)
-    state_rows = []
-    for i, s in enumerate(g.states):
-        acts = []
-        for j, a in enumerate(g.actions[i]):
-            acts.append({
-                "label": a.label(),
-                "reward": _num(g.rewards[i][j]),
-                "successors": [[t, format_rational(p)] for t, p in g.dists[i][j]],
-            })
-        state_rows.append({
-            "id": i,
-            "state": s.label(),
-            "owner": g.owner(i),
-            "final": g.is_final(i),
-            "actions": acts,
-        })
     payload = {
         "model": arena.name,
         "states": g.n,
         "actions": g.action_count(),
         "transitions": g.transition_count(),
-        "nodes": state_rows,
+        "nodes": _brg_nodes(g),
     }
-    lines = ["%s: %d states, %d actions, %d transitions"
-             % (arena.name, g.n, g.action_count(), g.transition_count())]
-    for row in state_rows:
-        moves = ", ".join(a["label"] for a in row["actions"]) or "-"
-        lines.append("  %2d %-28s %s" % (row["id"], row["state"], moves))
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(export_dot(g))
-        lines.append("wrote %s" % args.dot)
         payload["dot"] = args.dot
-    _emit(args, payload, lines)
+    _emit(args, payload, _brg_lines(arena.name, g, args.dot))
     return 0
 
 
-def _solve_rows(g: Brg, values, choice) -> list[dict]:
-    rows = []
+def _solve_rows(g: Brg, values, choice):
     for i in range(g.n):
         move = None
         if choice[i] is not None:
             move = g.actions[i][choice[i]].label()
-        rows.append({"id": i, "state": g.states[i].label(),
-                     "value": _num(values[i]), "move": move})
-    return rows
+        yield {"id": i, "state": g.states[i].label(),
+               "value": _num(values[i]), "move": move}
+
+
+def _solve_lines(head: str, g: Brg, values, choice, rational_only: bool):
+    """The text lines: the head, then one per state with its value as a
+    rational, or as a decimal where it has none unless `rational_only`."""
+    yield head
+    for row in _solve_rows(g, values, choice):
+        val = row["value"]["rational"]
+        if not rational_only:
+            val = val or row["value"]["decimal"]
+        yield "  %2d %-28s %-10s %s" % (row["id"], row["state"], val, row["move"] or "-")
 
 
 def cmd_solve(args) -> int:
@@ -171,23 +290,19 @@ def cmd_solve(args) -> int:
             "value_iterations": iters,
             "residual": _num(residual),
         }
+    v0 = _num(values[0])
     payload = {
         "model": arena.name,
         "objective": "expected-time",
         "exact": bool(args.exact),
         "states": g.n,
-        "initial": {"state": g.states[0].label(), "value": _num(values[0])},
+        "initial": {"state": g.states[0].label(), "value": v0},
         **payload_extra,
         "values": _solve_rows(g, values, choice),
     }
-    v0 = payload["initial"]["value"]
-    lines = ["%s: value %s at %s"
-             % (arena.name, v0["rational"] or v0["decimal"], g.states[0].label())]
-    for row in payload["values"]:
-        val = row["value"]["rational"] or row["value"]["decimal"]
-        lines.append("  %2d %-28s %-10s %s"
-                     % (row["id"], row["state"], val, row["move"] or "-"))
-    _emit(args, payload, lines)
+    head = ("%s: value %s at %s"
+            % (arena.name, v0["rational"] or v0["decimal"], g.states[0].label()))
+    _emit(args, payload, _solve_lines(head, g, values, choice, False))
     return 0
 
 
@@ -197,6 +312,7 @@ def cmd_discounted(args) -> int:
     lam = parse_rational(args.lam)
     cfg = _config(args)
     res = solve_discounted(g, lam, cfg, zero_final=not args.keep_final_rewards)
+    v0 = _num(res.values[0])
     payload = {
         "model": arena.name,
         "objective": "expected-discounted-time",
@@ -204,17 +320,12 @@ def cmd_discounted(args) -> int:
         "zero_final": res.zero_final,
         "states": g.n,
         "certified": res.certified,
-        "initial": {"state": g.states[0].label(), "value": _num(res.values[0])},
+        "initial": {"state": g.states[0].label(), "value": v0},
         "values": _solve_rows(g, res.values, res.choice),
     }
-    v0 = payload["initial"]["value"]
-    lines = ["%s: discounted value %s at lambda=%s"
-             % (arena.name, v0["rational"], format_rational(lam))]
-    for row in payload["values"]:
-        lines.append("  %2d %-28s %-10s %s"
-                     % (row["id"], row["state"], row["value"]["rational"],
-                        row["move"] or "-"))
-    _emit(args, payload, lines)
+    head = ("%s: discounted value %s at lambda=%s"
+            % (arena.name, v0["rational"], format_rational(lam)))
+    _emit(args, payload, _solve_lines(head, g, res.values, res.choice, True))
     return 0
 
 

@@ -68,7 +68,7 @@ def parse_rational(value) -> Fraction:
 
 def format_rational(value) -> str:
     """Render as "num/den" (denominator kept even when it is 1)."""
-    f = Fraction(value)
+    f = value if isinstance(value, Fraction) else Fraction(value)
     return "%d/%d" % (f.numerator, f.denominator)
 
 
@@ -119,9 +119,12 @@ class Arena:
     _by_name: dict[str, Location] = field(init=False, repr=False, compare=False)
     _by_key: dict[tuple[str, str], Edge] = field(init=False, repr=False, compare=False)
     _from: dict[str, tuple[Edge, ...]] = field(init=False, repr=False, compare=False)
+    # the clock indices of each branch's reset set, resolved once here
+    _resets: dict[frozenset[str], frozenset[int]] = field(init=False, repr=False,
+                                                          compare=False)
     # the region-level moves of the boundary region graph, compiled lazily by
     # `brg` per (location, region) and shared by every explore of the arena,
-    # and the one shared copy of each equal action, move, region and reset set
+    # and the one shared copy of each equal action, move and region
     _moves: dict = field(init=False, repr=False, compare=False)
     _canon: dict = field(init=False, repr=False, compare=False)
     # the time successor (key (region, None)) and the reset (key (region,
@@ -165,6 +168,9 @@ class Arena:
         object.__setattr__(self, "_by_name", names)
         object.__setattr__(self, "_by_key", by_key)
         object.__setattr__(self, "_from", {s: tuple(es) for s, es in outgoing.items()})
+        object.__setattr__(self, "_resets", {
+            br.resets: frozenset(map(self.ctx.index, br.resets))
+            for e in self.edges for br in e.branches})
         object.__setattr__(self, "_moves", {})
         object.__setattr__(self, "_canon", {})
         object.__setattr__(self, "_regions", {})

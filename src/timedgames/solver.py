@@ -44,9 +44,9 @@ from fractions import Fraction
 from itertools import count, repeat
 from typing import Iterable, NamedTuple, Sequence
 
-from .brg import Brg, BoundaryAction
+from .brg import Brg
 from .model import sccs
-from .regions import ClockRegion, ClockValuation, representative
+from .regions import ClockValuation
 
 INF = math.inf
 
@@ -496,115 +496,3 @@ class SimpleForm:
 
     def render(self) -> str:
         return str(self.e) if self.clock is None else "%d - %s" % (self.e, self.clock)
-
-
-def _compose_form(act: BoundaryAction, resets: frozenset[str], f: SimpleForm) -> SimpleForm:
-    """Pull a successor's form back through one boundary action.
-
-    Waiting to the boundary (b, c) costs b - nu(c) and afterwards the
-    boundary clock reads b, so a constant e' becomes (b + e') - nu(c) and a
-    slope on a reset clock turns into the same; a slope on a clock that
-    survives the jump is unchanged because the wait it charges cancels the
-    wait just paid.  The fire-now action only applies the resets.
-    """
-    if act.b is None:
-        if f.clock is not None and f.clock in resets:
-            return SimpleForm(f.e, None)
-        return f
-    assert act.c is not None
-    if f.clock is None or f.clock in resets:
-        return SimpleForm(act.b + f.e, act.c)
-    return SimpleForm(f.e, f.clock)
-
-
-def solve_simple_forms(g: Brg) -> dict[tuple[str, ClockRegion], SimpleForm]:
-    """Symbolic region-level solve for games without probabilistic branching.
-
-    Iterates the optimality operator on the lattice of simple forms per
-    (location, region) node, starting from zero on final locations and
-    "undefined" (plus infinity) elsewhere.  Under the almost-sure
-    reachability check the non-final region graph is acyclic, so the
-    iteration reaches its fixpoint and every node gets a finite form.
-    """
-    for row in g.dists:
-        for dist in row:
-            if len(dist) != 1:
-                raise ValueError(
-                    "simple-form solving needs point distributions; "
-                    "this graph branches probabilistically"
-                )
-    components = check_almost_sure_reach(g)
-    if components:
-        raise TargetUnreachableError(g, components)
-
-    arena = g.arena
-    reps: dict[tuple[str, ClockRegion], ClockValuation] = {}
-    node_state: dict[tuple[str, ClockRegion], int] = {}
-    for i, s in enumerate(g.states):
-        key = (s.location, s.region)
-        if key not in node_state:
-            node_state[key] = i
-            reps[key] = representative(s.region)
-
-    forms: dict[tuple[str, ClockRegion], SimpleForm | None] = {}
-    for key in node_state:
-        forms[key] = SimpleForm(0, None) if arena.is_final(key[0]) else None
-
-    def successor_key(key, j: int) -> tuple[tuple[str, ClockRegion], frozenset[str]]:
-        i = node_state[key]
-        act = g.actions[i][j]
-        e = arena.edge(key[0], act.action)
-        assert e is not None and len(e.branches) == 1
-        br = e.branches[0]
-        (t, _p), = g.dists[i][j]
-        succ = g.states[t]
-        return (succ.location, succ.region), br.resets
-
-    cap = 64 * len(node_state) + 64
-    for _ in range(cap):
-        changed = False
-        for key in node_state:
-            if arena.is_final(key[0]):
-                continue
-            i = node_state[key]
-            maximize = arena.owner_of(key[0]) == "max"
-            rep = reps[key]
-            best: SimpleForm | None = None
-            dead = False
-            for j in range(len(g.actions[i])):
-                skey, resets = successor_key(key, j)
-                f = forms[skey]
-                if f is None:
-                    if maximize:
-                        dead = True
-                        break
-                    continue
-                cand = _compose_form(g.actions[i][j], resets, f)
-                if best is None:
-                    best = cand
-                else:
-                    a, b = cand.eval(rep), best.eval(rep)
-                    if (a > b) if maximize else (a < b):
-                        best = cand
-            new = None if dead else best
-            old = forms[key]
-            same = (
-                (new is None and old is None)
-                or (new is not None and old is not None and new.eval(rep) == old.eval(rep))
-            )
-            if not same:
-                forms[key] = new
-                changed = True
-        if not changed:
-            break
-    else:
-        raise ConvergenceError("simple-form iteration did not stabilize")
-
-    out: dict[tuple[str, ClockRegion], SimpleForm] = {}
-    for key, f in forms.items():
-        if f is None:
-            raise ConvergenceError(
-                "no finite simple form for %s in [%s]" % (key[0], key[1].label())
-            )
-        out[key] = f
-    return out

@@ -27,11 +27,17 @@ call site.  The two-sweep loop uses its arithmetic, not the solver's.
 `rooted_value_fresh` is the earlier `properties.value_at`, which explores
 and solves a whole fresh graph for every rooted query instead of reusing
 the arena's table of solved states.  `chain_document` writes the retry
-chains that the differential tests generate.
+chains that the differential tests generate.  `json_indent2` is the earlier
+rendering of every CLI document, `json.dumps` with indent=2, which the
+streaming writer of `timedgames.cli` must reproduce byte for byte.
+`solve_simple_forms` is a symbolic region-level solve for games without
+probabilistic branching, a reference for `properties.fit_simple` and the
+exact solver on point-distribution games.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections import deque
@@ -59,6 +65,7 @@ from timedgames.model import (
 from timedgames.regions import (
     ClockConstraint,
     ClockRegion,
+    ClockValuation,
     RegionError,
     closure_contains,
     enumerate_regions,
@@ -66,6 +73,7 @@ from timedgames.regions import (
     is_thin,
     parse_constraint,
     region_of,
+    representative,
     reset_region,
     satisfies,
     time_successor,
@@ -586,6 +594,12 @@ def rooted_value_fresh(arena: Arena, location: str, valuation,
     return sv.solve_exact(explore(arena, root=root)).values[0]
 
 
+def json_indent2(payload) -> str:
+    """`payload` as json.dumps(payload, indent=2), json's pure-Python
+    encoder, followed by a newline."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def chain_document(n: int, k: int, clocks: int, owners, probs) -> str:
     """A retry chain: at l_i action `a` (guard c >= 1) advances with the
     location's probability and otherwise resets c and retries; `b` (guard
@@ -674,3 +688,115 @@ def simulate_run_per_step(
         state = ConcreteState(br.target, shifted.reset(br.resets))
         steps += 1
     return RunRecord(True, total, steps, state, tuple(trace))
+
+
+def _compose_form(act: BoundaryAction, resets: frozenset[str], f: sv.SimpleForm) -> sv.SimpleForm:
+    """Pull a successor's form back through one boundary action.
+
+    Waiting to the boundary (b, c) costs b - nu(c) and afterwards the
+    boundary clock reads b, so a constant e' becomes (b + e') - nu(c) and a
+    slope on a reset clock turns into the same; a slope on a clock that
+    survives the jump is unchanged because the wait it charges cancels the
+    wait just paid.  The fire-now action only applies the resets.
+    """
+    if act.b is None:
+        if f.clock is not None and f.clock in resets:
+            return sv.SimpleForm(f.e, None)
+        return f
+    assert act.c is not None
+    if f.clock is None or f.clock in resets:
+        return sv.SimpleForm(act.b + f.e, act.c)
+    return sv.SimpleForm(f.e, f.clock)
+
+
+def solve_simple_forms(g: Brg) -> dict[tuple[str, ClockRegion], sv.SimpleForm]:
+    """Symbolic region-level solve for games without probabilistic branching.
+
+    Iterates the optimality operator on the lattice of simple forms per
+    (location, region) node, starting from zero on final locations and
+    "undefined" (plus infinity) elsewhere.  Under the almost-sure
+    reachability check the non-final region graph is acyclic, so the
+    iteration reaches its fixpoint and every node gets a finite form.
+    """
+    for row in g.dists:
+        for dist in row:
+            if len(dist) != 1:
+                raise ValueError(
+                    "simple-form solving needs point distributions; "
+                    "this graph branches probabilistically"
+                )
+    components = sv.check_almost_sure_reach(g)
+    if components:
+        raise sv.TargetUnreachableError(g, components)
+
+    arena = g.arena
+    reps: dict[tuple[str, ClockRegion], ClockValuation] = {}
+    node_state: dict[tuple[str, ClockRegion], int] = {}
+    for i, s in enumerate(g.states):
+        key = (s.location, s.region)
+        if key not in node_state:
+            node_state[key] = i
+            reps[key] = representative(s.region)
+
+    forms: dict[tuple[str, ClockRegion], sv.SimpleForm | None] = {}
+    for key in node_state:
+        forms[key] = sv.SimpleForm(0, None) if arena.is_final(key[0]) else None
+
+    def successor_key(key, j: int) -> tuple[tuple[str, ClockRegion], frozenset[str]]:
+        i = node_state[key]
+        act = g.actions[i][j]
+        e = arena.edge(key[0], act.action)
+        assert e is not None and len(e.branches) == 1
+        br = e.branches[0]
+        (t, _p), = g.dists[i][j]
+        succ = g.states[t]
+        return (succ.location, succ.region), br.resets
+
+    cap = 64 * len(node_state) + 64
+    for _ in range(cap):
+        changed = False
+        for key in node_state:
+            if arena.is_final(key[0]):
+                continue
+            i = node_state[key]
+            maximize = arena.owner_of(key[0]) == "max"
+            rep = reps[key]
+            best: sv.SimpleForm | None = None
+            dead = False
+            for j in range(len(g.actions[i])):
+                skey, resets = successor_key(key, j)
+                f = forms[skey]
+                if f is None:
+                    if maximize:
+                        dead = True
+                        break
+                    continue
+                cand = _compose_form(g.actions[i][j], resets, f)
+                if best is None:
+                    best = cand
+                else:
+                    a, b = cand.eval(rep), best.eval(rep)
+                    if (a > b) if maximize else (a < b):
+                        best = cand
+            new = None if dead else best
+            old = forms[key]
+            same = (
+                (new is None and old is None)
+                or (new is not None and old is not None and new.eval(rep) == old.eval(rep))
+            )
+            if not same:
+                forms[key] = new
+                changed = True
+        if not changed:
+            break
+    else:
+        raise sv.ConvergenceError("simple-form iteration did not stabilize")
+
+    out: dict[tuple[str, ClockRegion], sv.SimpleForm] = {}
+    for key, f in forms.items():
+        if f is None:
+            raise sv.ConvergenceError(
+                "no finite simple form for %s in [%s]" % (key[0], key[1].label())
+            )
+        out[key] = f
+    return out

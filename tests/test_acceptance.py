@@ -35,7 +35,6 @@ from timedgames.solver import (
     certify,
     solve_discounted,
     solve_exact,
-    solve_simple_forms,
     value_iterate,
 )
 
@@ -170,7 +169,7 @@ def test_criterion_07_symbolic_forms_match_exact_solve():
         arena = bundled(name)
         g = explore(arena)
         res = solve_exact(g)
-        forms = solve_simple_forms(g)
+        forms = oracles.solve_simple_forms(g)
         assert forms
         for i, s in enumerate(g.states):
             form = forms[(s.location, s.region)]

@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import chain_document
-from timedgames import regions
+from timedgames import cli, regions
 from timedgames.cli import main
 
 M1 = "models/M1.model"
@@ -332,9 +332,10 @@ def test_cli_import_loads_no_networkx():
 def test_text_mode_renders_no_json(capsys, monkeypatch):
     """Text output never builds the JSON document it does not print."""
     def refuse(*args, **kwargs):
-        raise AssertionError("json.dumps called in text mode")
+        raise AssertionError("JSON rendered in text mode")
 
     monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(cli, "_layout", refuse)
     for argv in (("validate", M2), ("brg", M2), ("solve", M2), ("solve", "--exact", M2),
                  ("discounted", "--lambda", "1/2", M2),
                  ("check-properties", "--pairs", "2", "--states", "2", M1),

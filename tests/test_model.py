@@ -51,6 +51,24 @@ def test_parse_rational():
     assert md.format_rational(Fraction(1, 3)) == "1/3"
 
 
+def test_format_rational_of_an_int():
+    assert [md.format_rational(n) for n in (0, 3, -4, 10**30)] == [
+        "0/1", "3/1", "-4/1", "%d/1" % 10**30]
+
+
+def test_format_rational_of_a_string():
+    assert [md.format_rational(t) for t in ("6/4", "-2/8", " 7 ", "0/5", "-0.25")] == [
+        "3/2", "-1/4", "7/1", "0/1", "-1/4"]
+
+
+def test_format_rational_of_a_fraction():
+    """A Fraction is read as it is, with the text a rebuilt one would give."""
+    values = (Fraction(-6, 4), Fraction(0), Fraction(10**20 + 1, 3), Fraction(5))
+    assert [md.format_rational(f) for f in values] == [
+        "-3/2", "0/1", "%d/3" % (10**20 + 1), "5/1"]
+    assert all(md.format_rational(f) == md.format_rational(Fraction(f)) for f in values)
+
+
 def _m1_text(**edits) -> str:
     arena = bundled("M1")
     text = md.dump_model(arena)

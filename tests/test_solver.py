@@ -26,7 +26,14 @@ import networkx as nx
 import pytest
 
 from bundled import bundled
-from oracles import chain_document, dense_evaluate, one_step, solve_two_sweeps, sweep_per_state
+from oracles import (
+    chain_document,
+    dense_evaluate,
+    one_step,
+    solve_simple_forms,
+    solve_two_sweeps,
+    sweep_per_state,
+)
 from timedgames import brg as bg
 from timedgames import solver as sv
 from timedgames.model import parse_model, sccs
@@ -521,7 +528,7 @@ def test_discounted_needs_no_reachability_assumption():
 
 def test_simple_forms_m1():
     g = graph("M1")
-    forms = sv.solve_simple_forms(g)
+    forms = solve_simple_forms(g)
     assert forms[("l0", g.states[0].region)] == sv.SimpleForm(1, "c")
     res = sv.solve_exact(g)
     for i, s in enumerate(g.states):
@@ -530,7 +537,7 @@ def test_simple_forms_m1():
 
 def test_simple_forms_m1x():
     g = bg.explore(bundled("M1x"))
-    forms = sv.solve_simple_forms(g)
+    forms = solve_simple_forms(g)
     assert forms[("l0", g.states[0].region)] == sv.SimpleForm(2, "c")
     res = sv.solve_exact(g)
     for i, s in enumerate(g.states):
@@ -539,19 +546,19 @@ def test_simple_forms_m1x():
 
 def test_simple_forms_fire_now_region_is_zero():
     g = rooted(bundled("M1"), "5/4")
-    forms = sv.solve_simple_forms(g)
+    forms = solve_simple_forms(g)
     assert forms[("l0", g.states[0].region)] == sv.SimpleForm(0, None)
 
 
 def test_simple_forms_reject_probabilistic_branching():
     with pytest.raises(ValueError, match="point"):
-        sv.solve_simple_forms(graph("M2"))
+        solve_simple_forms(graph("M2"))
 
 
 def test_simple_forms_respect_reachability_assumption():
     arena = bundled("M2-unreachable")
     with pytest.raises(sv.TargetUnreachableError):
-        sv.solve_simple_forms(bg.explore(arena))
+        solve_simple_forms(bg.explore(arena))
 
 
 # ------------------------------------------- component-wise evaluation
