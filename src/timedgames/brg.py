@@ -33,18 +33,33 @@ in the closure of zeta because b is at least the supremum of c over zeta.
 Construction splits every move into a region-level half and a point half.
 The region-level half depends only on (l, zeta): the canonical action list,
 each action's boundary (b, c), and per branch the target location, the
-clocks it resets and the target region, whose target invariant is checked
-there.  `_moves` compiles it the first time a state with that (l, zeta) is
-expanded and keeps it on the arena, so every explore of the arena, rooted
-anywhere, shares one table.  The arena-level check that every edge's branch
-probabilities sum to 1 runs while that table is still empty, so once per
-arena rather than once per explore.  Equal actions, moves, target regions
-and reset sets are stored once per arena, so the table costs less memory
-than the per-state copies it replaces.  Reset sets are resolved to clock
-indices when the arena is built, and each shared action looks up the index
-of its boundary clock once.  The time successor and the resets
-of each region are kept in a second table on the arena, so compiling the
-moves of many (l, zeta) builds and validates each region once.
+reset and the target region, whose target invariant is checked there.  It
+is kept on the arena, so every explore of the arena, rooted anywhere,
+shares it, in tables that are each filled once per key and arena:
+
+  * a slice per (l, r): whether r lies inside the invariant of l, and if
+    so r's time successor and the actions r adds to the action set of
+    every (l, zeta) whose invariant chain passes through it, with their
+    sort keys, once for r starting the chain and once for r reached later
+    (they differ only in a thick r's infimum endpoint, which for a later r
+    is read off r itself, so no predecessor is built).  Each invariant and
+    guard is read once per region here.  The action list of (l, zeta) is
+    the merge of the slices along its chain;
+  * a move per (l, action): the boundary b, the index of the boundary
+    clock c and the branches, compiled in canonical order the first time an
+    action list holds the action, so a branch outside its target invariant
+    raises for the first such action of the first state that needs it;
+  * per (l, zeta), the action list and its moves, looked up once per
+    expanded state;
+  * the time successor and the resets of every region the slices and moves
+    were built from, so each region is built and validated once per arena.
+
+Equal actions and regions are stored once per arena, and regions cache
+their hash, since they key every table.  Reset sets are resolved when the
+arena is built, to getters that zero their clocks on an integer point.  The
+arena-level check that every edge's branch probabilities sum to 1 runs
+while the table of action lists is still empty, so once per arena rather
+than once per explore.
 
 The point half runs on the integer lattice.  Every valuation reachable from
 the root nu lies in (1/D) Z^n, where D is the lcm of the denominators of
@@ -55,7 +70,10 @@ resets the integer tuple, checks that the successor lies in the closure of
 its region (`closure_contains_scaled`), and interns it on (location,
 point, region).  Only a state seen for the first time gets its `Fraction`
 valuation and its `BrgState`, is looked up in `known`, and is queued; the
-rewards are the fractions t/D, built once per distinct t.
+rewards are the fractions t/D, built once per distinct t.  Equal reward
+lists are shared, and so are equal distributions: a one-branch action's
+per successor, any other's per branches and successors, so only their
+first occurrence is merged and sorted.
 
 A node's successors, and so its value, depend only on the node, not on the
 root it was reached from.  `explore` therefore takes a table `known` of states already solved, with
@@ -71,7 +89,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from operator import itemgetter
 
 from .model import Arena, ModelError, distribution_findings
 from .regions import (
@@ -80,7 +98,6 @@ from .regions import (
     boundary,
     closure_contains,
     closure_contains_scaled,
-    invariant_chain,
     is_thin,
     region_of,
     reset_region,
@@ -90,6 +107,8 @@ from .regions import (
 )
 
 DEFAULT_STATE_CAP = 100_000
+# the trailing 0 a reset getter reads for each clock it zeroes
+_ZERO = (0,)
 
 
 class ExplorationLimit(RuntimeError):
@@ -148,6 +167,18 @@ class BoundaryAction:
         return text
 
 
+class _Fractions(dict):
+    """n / scale per integer n, each built once, on first lookup."""
+
+    def __init__(self, scale: int):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, n: int) -> Fraction:
+        f = self[n] = Fraction(n, self.scale)
+        return f
+
+
 def _successor(arena: Arena, region: ClockRegion) -> ClockRegion | None:
     """`time_successor`, built once per region and arena."""
     key = (region, None)
@@ -168,61 +199,102 @@ def _reset(arena: Arena, region: ClockRegion, clocks: frozenset[str]) -> ClockRe
     return table[key]
 
 
+def _slice(arena: Arena, location: str, region: ClockRegion) -> tuple | None:
+    """What `region` adds to the action set of every (location, zeta) whose
+    invariant chain passes through it: None when the region breaks the
+    invariant of the location, which ends the chain, else (first, later,
+    successor).  `first` holds the region's actions when it starts the
+    chain and `later` when it does not, each as (sort key, canonical
+    action); `successor` is its time successor.  The two differ only for a
+    thick region, whose infimum endpoint is fire-now when it starts the
+    chain and otherwise the boundary of the thin region time passed before
+    it, the instant its first positive block left the integer: (ints[c], c)
+    for the first clock c of that block."""
+    if not satisfies(region, arena.location_named(location).invariant):
+        return None
+    edges = [e for e in arena.edges_from(location) if satisfies(region, e.guard)]
+    succ = _successor(arena, region)
+    canon, ctx = arena._canon, arena.ctx
+
+    def items(b, c) -> list[tuple]:
+        out = []
+        for e in edges:
+            act = BoundaryAction(e.action, region, b, c)
+            act = canon.setdefault(act, act)
+            out.append((act.sort_key(ctx), act))
+        return out
+
+    if is_thin(region):
+        first = later = items(*boundary(region))
+    else:
+        assert succ is not None  # thick regions always have one
+        c = min(region.blocks[1])
+        hi = items(*boundary(succ))
+        first = items(None, None) + hi
+        later = items(region.ints[c], ctx.clocks[c]) + hi
+    return first, later, succ
+
+
 def boundary_actions(arena: Arena, location: str, region: ClockRegion) -> list[BoundaryAction]:
     """The action set shared by all nodes with this location and region, as
-    the arena's shared copy of each action."""
-    inv = arena.location_named(location).invariant
-    chain = list(invariant_chain(region, inv, partial(_successor, arena)))
-    out: dict[tuple, BoundaryAction] = {}
-    for idx, r in enumerate(chain):
-        for e in arena.edges_from(location):
-            if not satisfies(r, e.guard):
-                continue
-            if is_thin(r):
-                ends = [boundary(r)]
-            else:
-                succ = _successor(arena, r)
-                assert succ is not None  # thick regions always have one
-                lo = (None, None) if idx == 0 else boundary(chain[idx - 1])
-                ends = [lo, boundary(succ)]
-            for b, c in ends:
-                out.setdefault((e.action, b, c, r.key()), BoundaryAction(e.action, r, b, c))
-    canon = arena._canon
-    return sorted((canon.setdefault(a, a) for a in out.values()),
-                  key=lambda a: a.sort_key(arena.ctx))
+    the arena's shared copy of each action: the slices of the regions on
+    its invariant chain, in canonical order.  Each slice is built once per
+    (location, region) and arena, so each invariant and guard is read once
+    per region there."""
+    slices = arena._slices
+    items = []
+    r, first = region, True
+    while r is not None:
+        key = (location, r)
+        if key not in slices:
+            slices[key] = _slice(arena, location, r)
+        entry = slices[key]
+        if entry is None:
+            break
+        items += entry[0] if first else entry[1]
+        r, first = entry[2], False
+    items.sort(key=itemgetter(0))
+    return [act for _, act in items]
+
+
+def _compile_move(arena: Arena, location: str, act: BoundaryAction) -> tuple:
+    """The move of `act` from `location`: its boundary b, the index of its
+    boundary clock c (None for the fire-now endpoint) and its branches as
+    (target location, reset getter, target region, probability).  Raises
+    ModelError when a branch lands outside the invariant of its target."""
+    e = arena.edge(location, act.action)
+    assert e is not None
+    branches = []
+    for br in e.branches:
+        target_region = _reset(arena, act.target, br.resets)
+        if not satisfies(target_region, arena.location_named(br.target).invariant):
+            raise ModelError(
+                "edge (%s, %s) lands in [%s], outside the invariant of %s"
+                % (location, act.action, target_region.label(), br.target)
+            )
+        branches.append((br.target, arena._resets[br.resets], target_region, br.prob))
+    ci = None if act.c is None else act.clock_index(arena.ctx)
+    return act.b, ci, tuple(branches)
 
 
 def _moves(arena: Arena, location: str, region: ClockRegion) -> tuple:
-    """The region-level half of every move from (location, region), compiled
-    once per arena and kept on it: the canonical action list, and for each
-    action its boundary b, the index of its boundary clock c (None for the
-    fire-now endpoint) and its branches as (target location, reset clock
-    indices, target region, probability).  Raises ModelError when a branch
-    lands outside the invariant of its target."""
+    """The region-level half of every move from (location, region), kept on
+    the arena: the canonical action list and the move of each action, which
+    is compiled once per (location, action) and arena.  The moves are
+    compiled in canonical order, so a branch outside its target invariant
+    raises for the first such action, and nothing is kept for it."""
     key = (location, region)
     entry = arena._moves.get(key)
-    if entry is not None:
-        return entry
-    canon = arena._canon
-    acts = boundary_actions(arena, location, region)
-    moves = []
-    for act in acts:
-        e = arena.edge(location, act.action)
-        assert e is not None
-        branches = []
-        for br in e.branches:
-            target_region = _reset(arena, act.target, br.resets)
-            inv = arena.location_named(br.target).invariant
-            if not satisfies(target_region, inv):
-                raise ModelError(
-                    "edge (%s, %s) lands in [%s], outside the invariant of %s"
-                    % (location, act.action, target_region.label(), br.target)
-                )
-            branches.append((br.target, arena._resets[br.resets], target_region, br.prob))
-        ci = None if act.c is None else act.clock_index(region.ctx)
-        move = (act.b, ci, tuple(branches))
-        moves.append(canon.setdefault(move, move))
-    entry = arena._moves[key] = (acts, tuple(moves))
+    if entry is None:
+        acts = boundary_actions(arena, location, region)
+        table = arena._action_moves
+        moves = []
+        for act in acts:
+            move = table.get((location, act))
+            if move is None:
+                move = table[location, act] = _compile_move(arena, location, act)
+            moves.append(move)
+        entry = arena._moves[key] = (acts, tuple(moves))
     return entry
 
 
@@ -244,6 +316,9 @@ class Brg:
     owners: list[str] = field(default_factory=list)
     finals: list[bool] = field(default_factory=list)
     fixed: dict[int, Fraction] = field(default_factory=dict)
+    # the float row table the last `solver.value_iterate` built, with its
+    # objective, for the `solver.extract_strategies` that follows it
+    _float_rows: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -294,46 +369,43 @@ def explore(
     g = Brg(arena)
     ctx = root.valuation.ctx
     scale = math.lcm(*(v.denominator for v in root.valuation.values))
-    fractions: dict[int, Fraction] = {}
-
-    def fraction(n: int) -> Fraction:
-        """n / scale, built once per n."""
-        f = fractions.get(n)
-        if f is None:
-            f = fractions[n] = Fraction(n, scale)
-        return f
+    fraction = _Fractions(scale).__getitem__
 
     # states by (location, scaled point, id of the canonical region); every
     # region in a key is an object of the arena's table, so equal regions
     # are the same object there
     index: dict[tuple, int] = {}
     points: list[tuple[int, ...]] = []
+    # equal reward lists and distributions are shared: reward lists by their
+    # scaled delays, the distribution ((j, 1),) of a one-branch edge by its
+    # successor j, and any other by its branches and their successors
+    reward_lists: dict[tuple[int, ...], list[Fraction]] = {}
+    certain: dict[int, tuple] = {}
+    merged: dict[tuple, tuple] = {}
 
     def intern(location: str, point: tuple[int, ...], region: ClockRegion) -> int:
-        key = (location, point, id(region))
-        i = index.get(key)
-        if i is None:
-            if len(g.states) >= cap:
-                raise ExplorationLimit(
-                    "state cap %d crossed while exploring %s" % (cap, arena.name or "arena")
-                )
-            s = BrgState(location, ClockValuation(ctx, tuple(map(fraction, point))), region)
-            i = len(g.states)
-            index[key] = i
-            g.states.append(s)
-            points.append(point)
-            loc = arena.location_named(location)
-            g.owners.append(loc.owner)
-            g.finals.append(loc.final)
-            if known is not None and s in known:
-                g.fixed[i] = known[s]
-            queue.append(i)
+        """The id of a state not in `index`, which it adds and queues."""
+        if len(g.states) >= cap:
+            raise ExplorationLimit(
+                "state cap %d crossed while exploring %s" % (cap, arena.name or "arena")
+            )
+        s = BrgState(location, ClockValuation(ctx, tuple(map(fraction, point))), region)
+        i = index[location, point, id(region)] = len(g.states)
+        g.states.append(s)
+        points.append(point)
+        loc = arena.location_named(location)
+        g.owners.append(loc.owner)
+        g.finals.append(loc.final)
+        if known is not None and s in known:
+            g.fixed[i] = known[s]
+        queue.append(i)
         return i
 
     queue: deque[int] = deque()
     intern(root.location,
            tuple(v.numerator * (scale // v.denominator) for v in root.valuation.values),
            arena._canon.setdefault(root.region, root.region))
+    table = arena._moves
     while queue:
         i = queue.popleft()
         if i in g.fixed:
@@ -342,34 +414,52 @@ def explore(
             g.dists.append([])
             continue
         s = g.states[i]
-        acts, moves = _moves(arena, s.location, s.region)
+        entry = table.get((s.location, s.region))
+        acts, moves = entry if entry is not None else _moves(arena, s.location, s.region)
         g.actions.append(acts)
         p = points[i]
         # the scaled cost b*D - p(c) of steering to each action's boundary
-        delays = []
-        for act, (b, ci, _) in zip(acts, moves):
-            t = 0 if ci is None else b * scale - p[ci]
-            if t < 0:
-                raise ModelError(
-                    "negative delay %s for %s at %s; valuation outside the region closure"
-                    % (Fraction(t, scale), act.label(), s.label())
-                )
-            delays.append(t)
-        g.rewards.append([fraction(t) for t in delays])
+        delays = tuple([0 if ci is None else b * scale - p[ci] for b, ci, _ in moves])
+        if delays and min(delays) < 0:
+            k = next(k for k, t in enumerate(delays) if t < 0)
+            raise ModelError(
+                "negative delay %s for %s at %s; valuation outside the region closure"
+                % (Fraction(delays[k], scale), acts[k].label(), s.label())
+            )
+        rewards = reward_lists.get(delays)
+        if rewards is None:
+            rewards = reward_lists[delays] = list(map(fraction, delays))
+        g.rewards.append(rewards)
         # successors: shift to the boundary, then branch and reset
         row = []
         for t, (_, _, branches) in zip(delays, moves):
-            shifted = tuple(v + t for v in p) if t else p
-            dist: dict[int, Fraction] = {}
-            for target, resets, region, prob in branches:
-                if resets:
-                    point = tuple(0 if j in resets else v for j, v in enumerate(shifted))
-                else:
-                    point = shifted
+            shifted = tuple(map(t.__add__, p)) if t else p
+            if len(branches) == 1:
+                ((target, reset, region, prob),) = branches
+                point = reset(shifted + _ZERO) if reset else shifted
                 assert closure_contains_scaled(region, point, scale)
-                j = intern(target, point, region)
-                dist[j] = dist[j] + prob if j in dist else prob
-            row.append(tuple(sorted(dist.items())))
+                j = index.get((target, point, id(region)))
+                if j is None:
+                    j = intern(target, point, region)
+                dist = certain.get(j)
+                if dist is None:
+                    dist = certain[j] = ((j, prob),)
+                row.append(dist)
+                continue
+            succ = [id(branches)]
+            for target, reset, region, prob in branches:
+                point = reset(shifted + _ZERO) if reset else shifted
+                assert closure_contains_scaled(region, point, scale)
+                j = index.get((target, point, id(region)))
+                succ.append(intern(target, point, region) if j is None else j)
+            key = tuple(succ)
+            dist = merged.get(key)
+            if dist is None:
+                mass: dict[int, Fraction] = {}
+                for j, (_, _, _, prob) in zip(key[1:], branches):
+                    mass[j] = mass[j] + prob if j in mass else prob
+                dist = merged[key] = tuple(sorted(mass.items()))
+            row.append(dist)
         g.dists.append(row)
     return g
 
@@ -388,15 +478,26 @@ def export_dot(g: Brg) -> str:
         lines.append(
             "  s%d [shape=%s%s, label=%s];" % (i, shape, extra, _gvquote(s.label()))
         )
+    # each reward and probability rendered once per object: `explore` shares
+    # one object per distinct reward and branch probability, and `g` keeps
+    # them alive, so their ids are stable keys
+    costs: dict[int, str] = {}
+    probs: dict[int, str] = {}
     for i in range(g.n):
-        for j, a in enumerate(g.actions[i]):
+        for j, (a, r, dist) in enumerate(zip(g.actions[i], g.rewards[i], g.dists[i])):
             mid = "s%d_a%d" % (i, j)
+            cost = costs.get(id(r))
+            if cost is None:
+                cost = costs[id(r)] = str(r)
             lines.append("  %s [shape=point];" % mid)
             lines.append(
                 "  s%d -> %s [label=%s];"
-                % (i, mid, _gvquote("%s  cost %s" % (a.label(), g.rewards[i][j])))
+                % (i, mid, _gvquote("%s  cost %s" % (a.label(), cost)))
             )
-            for t, p in g.dists[i][j]:
-                lines.append("  %s -> s%d [label=%s];" % (mid, t, _gvquote(str(p))))
+            for t, p in dist:
+                prob = probs.get(id(p))
+                if prob is None:
+                    prob = probs[id(p)] = _gvquote(str(p))
+                lines.append("  %s -> s%d [label=%s];" % (mid, t, prob))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,8 @@ smallest positive fraction, and from a thick region the clocks with the
 largest fraction reach the next integer.  `invariant_chain` is the part of
 that future a location invariant lets time pass through, and `boundary`
 names the instant (b, c) at which a thin region on it is hit, as the delay
-b - nu(c); every module that lets time pass reads those two.
+b - nu(c); every module that lets time pass reads those two (`brg` walks
+the same chain one memoized region at a time).
 
 Everything here is exact.  Valuation coordinates are ``fractions.Fraction``
 and all comparisons are decided with integer arithmetic on the canonical
@@ -204,25 +205,32 @@ class ClockRegion:
     ctx: ClockContext
     ints: tuple[int, ...]
     blocks: tuple[tuple[int, ...], ...]
+    # the hash of the fields, computed once: regions key every table of the
+    # boundary region graph's construction; not part of equality or repr
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.ctx.clocks)
-        if len(self.ints) != n:
+        n, k = len(self.ctx.clocks), self.ctx.k
+        ints, blocks = self.ints, self.blocks
+        if len(ints) != n:
             raise RegionError("region arity mismatch")
-        if any(not (0 <= m <= self.ctx.k) for m in self.ints):
-            raise RegionError("integer parts out of range: %r" % (self.ints,))
-        seen = [i for b in self.blocks for i in b]
-        if sorted(seen) != list(range(n)):
+        if min(ints) < 0 or max(ints) > k:
+            raise RegionError("integer parts out of range: %r" % (ints,))
+        if sorted([i for b in blocks for i in b]) != list(range(n)):
             raise RegionError("blocks are not a partition of the clocks")
-        if not self.blocks:
+        if not blocks:
             raise RegionError("zero block must be present (possibly empty)")
-        if any(not b for b in self.blocks[1:]):
+        if not all(blocks[1:]):
             raise RegionError("positive fraction blocks must be nonempty")
-        if any(tuple(sorted(b)) != b for b in self.blocks):
-            raise RegionError("blocks must list clock indices in ascending order")
-        for i, m in enumerate(self.ints):
-            if m == self.ctx.k and i not in self.blocks[0]:
-                raise RegionError("clock at the bound k must have zero fraction")
+        for b in blocks:
+            if tuple(sorted(b)) != b:
+                raise RegionError("blocks must list clock indices in ascending order")
+        if k in ints and any(m == k and i not in blocks[0] for i, m in enumerate(ints)):
+            raise RegionError("clock at the bound k must have zero fraction")
+        object.__setattr__(self, "_hash", hash((self.ctx, self.ints, self.blocks)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def key(self) -> tuple:
         """Total order on regions of one context, used for determinism."""
@@ -334,13 +342,13 @@ def boundary(thin: ClockRegion) -> tuple[int, str]:
 def reset_region(region: ClockRegion, clocks: frozenset[str] | set[str]) -> ClockRegion:
     """The region after setting the given clocks to zero."""
     idxs = {region.ctx.index(c) for c in clocks}
-    ints = tuple(0 if i in idxs else m for i, m in enumerate(region.ints))
-    zero = tuple(sorted(set(region.blocks[0]) | idxs))
-    positive = tuple(
-        tuple(i for i in b if i not in idxs) for b in region.blocks[1:]
-    )
-    blocks = (zero,) + tuple(b for b in positive if b)
-    return ClockRegion(region.ctx, ints, blocks)
+    ints = tuple([0 if i in idxs else m for i, m in enumerate(region.ints)])
+    blocks = [tuple(sorted(idxs.union(region.blocks[0])))]
+    for b in region.blocks[1:]:
+        kept = tuple([i for i in b if i not in idxs])
+        if kept:
+            blocks.append(kept)
+    return ClockRegion(region.ctx, ints, tuple(blocks))
 
 
 def _clock_indices(atom: SimpleConstraint, ctx: ClockContext) -> tuple[int, int | None]:
@@ -398,7 +406,10 @@ def satisfies(region: ClockRegion, constraint: ClockConstraint) -> bool:
     either everywhere or nowhere on a region; this decides which, from the
     canonical form alone.
     """
-    return all(_atom_holds(region, a) for a in constraint.atoms)
+    for atom in constraint.atoms:
+        if not _atom_holds(region, atom):
+            return False
+    return True
 
 
 def valuation_satisfies(valuation: ClockValuation, constraint: ClockConstraint) -> bool:
@@ -458,15 +469,17 @@ def closure_contains_scaled(region: ClockRegion, point: Sequence[int], scale: in
     block and nondecreasing from one block to the next, inside [0, 1].  A
     point it accepts is nonnegative."""
     ints = region.ints
-    for i in region.blocks[0]:
+    blocks = iter(region.blocks)
+    for i in next(blocks):
         if point[i] != ints[i] * scale:
             return False
     low = 0
-    for b in region.blocks[1:]:
-        f = point[b[0]] - ints[b[0]] * scale
+    for b in blocks:
+        i = b[0]
+        f = point[i] - ints[i] * scale
         if not low <= f <= scale:
             return False
-        for i in b[1:]:
+        for i in b:
             if point[i] - ints[i] * scale != f:
                 return False
         low = f

@@ -230,7 +230,8 @@ def value_iterate(
     """Float fixpoint iteration from all zeros, fixed states at their
     values; returns (values, iterations, last residual).  Monotone from
     below for the expected-time objective, a contraction for the discounted
-    one.  Every iteration is one sweep of one float row table."""
+    one.  Every iteration is one sweep of one float row table, which is
+    kept on `g` for the `extract_strategies` that follows."""
     table = _row_table(g, lam, zero_final, exact=False)
     v = list(table.base)
     for it in range(1, cfg.max_iterations + 1):
@@ -238,6 +239,7 @@ def value_iterate(
         residual = max((abs(a - b) for a, b in zip(v, w)), default=0.0)
         v = w
         if residual <= cfg.tolerance:
+            g._float_rows = (lam, zero_final, table)
             return v, it, residual
     raise ConvergenceError(
         "value iteration did not reach tolerance %g in %d iterations"
@@ -252,8 +254,15 @@ def extract_strategies(
     the minimizer, argmax for the maximizer, first action in canonical order
     on ties): the action column of one sweep over a float row table, the
     form `value_iterate` sweeps.  Final states get None when they are
-    treated as absorbing."""
-    return _sweep(_row_table(g, lam, zero_final, exact=False), values)[1]
+    treated as absorbing.  The table is the one the last `value_iterate` on
+    `g` kept when it had the same objective, else a new one; either way `g`
+    keeps none afterwards."""
+    kept, g._float_rows = g._float_rows, None
+    if kept is not None and kept[:2] == (lam, zero_final):
+        table = kept[2]
+    else:
+        table = _row_table(g, lam, zero_final, exact=False)
+    return _sweep(table, values)[1]
 
 
 # ------------------------------------------------------- exact evaluation

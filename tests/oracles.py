@@ -17,6 +17,12 @@ walks of the future chain: `boundary_actions_rewalk` walks it again from the
 start region for every boundary it names (`boundary_coordinates`),
 `timed_action_allowed_walk` checks the invariant region by region, and
 `region_actions_available` is the earlier dead-region test of `validate`.
+`moves_per_key` and `boundary_actions_per_key` are the earlier compile of
+the region-level moves, which walked the whole invariant chain of every
+(location, region), read every guard on each region of it and built every
+action's move again, instead of assembling the action set from per-region
+slices and compiling each move once per (location, action); the moves they
+compile keep the arena's reset getters, as the package's do.
 `solve_two_sweeps` is the earlier improvement loop, which after each
 evaluation sweeps once to find switches and, at the end, once more to
 certify, instead of switching from and returning one `certify` report.
@@ -42,6 +48,7 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
+from functools import partial
 
 import networkx as nx
 
@@ -51,6 +58,8 @@ from timedgames.brg import (
     Brg,
     BrgState,
     ExplorationLimit,
+    _reset,
+    _successor,
     explore,
 )
 from timedgames.model import (
@@ -67,9 +76,11 @@ from timedgames.regions import (
     ClockRegion,
     ClockValuation,
     RegionError,
+    boundary,
     closure_contains,
     enumerate_regions,
     future_chain,
+    invariant_chain,
     is_thin,
     parse_constraint,
     region_of,
@@ -439,6 +450,64 @@ def boundary_actions_rewalk(arena: Arena, location: str, region: ClockRegion) ->
             for a in acts:
                 out.setdefault((a.action, a.b, a.c, a.target.key()), a)
     return sorted(out.values(), key=lambda a: a.sort_key(arena.ctx))
+
+
+def boundary_actions_per_key(arena: Arena, location: str, region: ClockRegion) -> list[BoundaryAction]:
+    """The action set shared by all nodes with this location and region, as
+    the arena's shared copy of each action."""
+    inv = arena.location_named(location).invariant
+    chain = list(invariant_chain(region, inv, partial(_successor, arena)))
+    out: dict[tuple, BoundaryAction] = {}
+    for idx, r in enumerate(chain):
+        for e in arena.edges_from(location):
+            if not satisfies(r, e.guard):
+                continue
+            if is_thin(r):
+                ends = [boundary(r)]
+            else:
+                succ = _successor(arena, r)
+                assert succ is not None  # thick regions always have one
+                lo = (None, None) if idx == 0 else boundary(chain[idx - 1])
+                ends = [lo, boundary(succ)]
+            for b, c in ends:
+                out.setdefault((e.action, b, c, r.key()), BoundaryAction(e.action, r, b, c))
+    canon = arena._canon
+    return sorted((canon.setdefault(a, a) for a in out.values()),
+                  key=lambda a: a.sort_key(arena.ctx))
+
+
+def moves_per_key(arena: Arena, location: str, region: ClockRegion) -> tuple:
+    """The region-level half of every move from (location, region), compiled
+    once per arena and kept on it: the canonical action list, and for each
+    action its boundary b, the index of its boundary clock c (None for the
+    fire-now endpoint) and its branches as (target location, the arena's
+    reset getter, target region, probability).  Raises ModelError when a branch
+    lands outside the invariant of its target."""
+    key = (location, region)
+    entry = arena._moves.get(key)
+    if entry is not None:
+        return entry
+    canon = arena._canon
+    acts = boundary_actions_per_key(arena, location, region)
+    moves = []
+    for act in acts:
+        e = arena.edge(location, act.action)
+        assert e is not None
+        branches = []
+        for br in e.branches:
+            target_region = _reset(arena, act.target, br.resets)
+            inv = arena.location_named(br.target).invariant
+            if not satisfies(target_region, inv):
+                raise ModelError(
+                    "edge (%s, %s) lands in [%s], outside the invariant of %s"
+                    % (location, act.action, target_region.label(), br.target)
+                )
+            branches.append((br.target, arena._resets[br.resets], target_region, br.prob))
+        ci = None if act.c is None else act.clock_index(region.ctx)
+        move = (act.b, ci, tuple(branches))
+        moves.append(canon.setdefault(move, move))
+    entry = arena._moves[key] = (acts, tuple(moves))
+    return entry
 
 
 def timed_action_allowed_walk(arena: Arena, state: ConcreteState, ta: TimedAction) -> bool:

@@ -24,8 +24,10 @@ from timedgames.regions import (
     RegionError,
     closure_contains,
     enumerate_regions,
+    invariant_chain,
     region_of,
     sample_closure,
+    time_successor,
     valuation_satisfies,
 )
 
@@ -218,7 +220,8 @@ def test_export_dot_shape():
 
 def differential_arenas() -> dict[str, Arena]:
     arenas = {p.stem: load_model(str(p)) for p in sorted(MODELS.glob("*.model"))}
-    # parallel branches that land on one successor state merge their mass
+    # parallel branches that land on one successor state merge their mass,
+    # and b and c reach the same two successors with different masses
     arenas["merging"] = parse_model("""
 clocks: [c, d]
 k: 2
@@ -234,6 +237,18 @@ edges:
       - {prob: "1/4", resets: [], target: lf}
       - {prob: "1/4", resets: [c, d], target: l0}
       - {prob: "1/4", resets: [d, c], target: l0}
+  - source: l0
+    action: b
+    guard: "c >= 1"
+    branches:
+      - {prob: "1/3", resets: [], target: lf}
+      - {prob: "2/3", resets: [c, d], target: l0}
+  - source: l0
+    action: c
+    guard: "c >= 1"
+    branches:
+      - {prob: "3/4", resets: [], target: lf}
+      - {prob: "1/4", resets: [c, d], target: l0}
   - {source: lf, action: f, guard: "d >= 1", branches: [{prob: "1/1", resets: [d], target: lf}]}
 initial: {location: l0, valuation: {c: "0", d: "0"}}
 """)
@@ -345,6 +360,101 @@ def test_boundary_actions_match_rewalking_oracle():
                 assert got == expected, (name, loc.name, r.label())
 
 
+def readable(arena: Arena, moves) -> list:
+    """Compiled moves with each branch's reset getter read as the set of
+    clock indices it zeroes, so moves of two equal arenas compare equal."""
+    n = len(arena.ctx.clocks)
+    probe = tuple(range(1, n + 1)) + (0,)
+
+    def zeroed(reset):
+        return None if reset is None else frozenset(
+            i for i, v in enumerate(reset(probe)) if v == 0)
+
+    return [(b, ci, [(t, zeroed(reset), region, p) for t, reset, region, p in branches])
+            for b, ci, branches in moves]
+
+
+def compiled(compile, arena: Arena, location: str, region: ClockRegion):
+    """The actions and readable moves from (location, region), or the type
+    and text of what was raised."""
+    try:
+        acts, moves = compile(arena, location, region)
+    except (ModelError, RegionError) as exc:
+        return type(exc), str(exc)
+    return acts, readable(arena, moves)
+
+
+def test_moves_match_per_key_oracle():
+    """The same actions and moves, or the same error, as the earlier
+    compile, which walked the whole invariant chain of each (location,
+    region) and compiled every move again, on every region of every
+    location, unreachable and invariant-breaking pairs included.  The two
+    run on equal arenas, since both keep what they compile on the arena."""
+    arenas = dict(differential_arenas(), bad_invariant=bad_invariant_arena())
+    twins = dict(differential_arenas(), bad_invariant=bad_invariant_arena())
+    clocks, errors = set(), 0
+    for name, arena in arenas.items():
+        twin = twins[name]
+        assert twin == arena and twin is not arena
+        clocks.add(len(arena.ctx.clocks))
+        for loc in arena.locations:
+            for r in enumerate_regions(arena.ctx):
+                got = compiled(bg._moves, arena, loc.name, r)
+                want = compiled(oracles.moves_per_key, twin, loc.name, r)
+                assert got == want, (name, loc.name, r.label())
+                errors += isinstance(got[0], type)
+    assert clocks == {1, 2, 3} and errors > 0
+
+
+def test_reset_getters_zero_their_clocks():
+    """The getter each reset set is resolved to maps a point extended by a
+    trailing 0 to the point with exactly those clocks zeroed."""
+    for name, arena in differential_arenas().items():
+        n = len(arena.ctx.clocks)
+        point = tuple(range(1, n + 1))
+        for e in arena.edges:
+            for br in e.branches:
+                reset = arena._resets[br.resets]
+                want = tuple(0 if c in br.resets else v for c, v in zip(arena.ctx.clocks, point))
+                assert (reset(point + (0,)) if reset else point) == want, (name, br)
+
+
+def count_guard_reads(monkeypatch) -> list:
+    reads = []
+    real = bg.satisfies
+
+    def counted(region, constraint):
+        reads.append((region, id(constraint)))
+        return real(region, constraint)
+
+    monkeypatch.setattr(bg, "satisfies", counted)
+    return reads
+
+
+def test_guards_read_once_per_location_region_edge(monkeypatch):
+    """Compiling every (location, region) of an arena, and exploring it
+    from every state of its graph, reads each edge's guard at most once per
+    region."""
+    reads = count_guard_reads(monkeypatch)
+    for name, arena in differential_arenas().items():
+        edge_of = {id(e.guard): e for e in arena.edges}
+        # each guard object belongs to one edge and is no invariant
+        assert len(edge_of) == len(arena.edges), name
+        assert not edge_of.keys() & {id(l.invariant) for l in arena.locations}, name
+        reads.clear()
+        g = bg.explore(arena)
+        for s in g.states:
+            bg.explore(arena, root=s)
+        for loc in arena.locations:
+            for r in enumerate_regions(arena.ctx):
+                try:
+                    bg._moves(arena, loc.name, r)
+                except ModelError:
+                    pass
+        guard_reads = [(r, i) for r, i in reads if i in edge_of]
+        assert guard_reads and len(guard_reads) == len(set(guard_reads)), name
+
+
 def bad_invariant_arena() -> Arena:
     return parse_model("""
 clocks: [c]
@@ -378,22 +488,31 @@ def test_explore_errors_match_per_state_oracle(case):
 
 # ------------------------------------------------- the shared per-arena table
 
-def count_compiles(monkeypatch) -> list:
+def count_calls(monkeypatch, name: str) -> list:
+    """The (location, region or action) of every call of `bg.<name>`."""
     calls = []
-    real = bg.boundary_actions
+    real = getattr(bg, name)
 
-    def counted(arena, location, region):
-        calls.append((location, region))
-        return real(arena, location, region)
+    def counted(arena, location, x):
+        calls.append((location, x))
+        return real(arena, location, x)
 
-    monkeypatch.setattr(bg, "boundary_actions", counted)
+    monkeypatch.setattr(bg, name, counted)
     return calls
+
+
+def count_compiles(monkeypatch) -> list:
+    return count_calls(monkeypatch, "boundary_actions")
 
 
 def test_moves_compile_once_per_location_region(monkeypatch):
     """Many rooted solves on a fresh arena compile each (location, region)
-    once, and a second explore of the same arena compiles nothing new."""
+    once, build each slice once per (location, region) on their invariant
+    chains and each move once per (location, action) in their action sets,
+    and a second explore of the same arena compiles nothing new."""
     calls = count_compiles(monkeypatch)
+    slices = count_calls(monkeypatch, "_slice")
+    moves = count_calls(monkeypatch, "_compile_move")
     seen = set()
     real_explore = properties.explore
 
@@ -406,8 +525,9 @@ def test_moves_compile_once_per_location_region(monkeypatch):
     for name in ("M1", "M3"):
         arena = bundled(name)
         assert not arena._moves and not arena._solved and not arena._regions
-        calls.clear()
-        seen.clear()
+        assert not arena._slices and not arena._action_moves
+        for log in (calls, slices, moves, seen):
+            log.clear()
         for loc in arena.locations:
             for j in range(17):
                 point = val(arena, F(j, 8))
@@ -415,8 +535,28 @@ def test_moves_compile_once_per_location_region(monkeypatch):
                     properties.value_at(arena, loc.name, point)
         assert len(calls) == len(set(calls)) == len(seen)
         assert set(calls) == seen
+        assert len(slices) == len(set(slices)) == len(arena._slices)
+        assert set(slices) == chain_keys(arena)
+        assert len(moves) == len(set(moves)) == len(arena._action_moves)
+        assert set(moves) == {(l, a) for (l, _), (acts, _) in arena._moves.items() for a in acts}
         bg.explore(arena)
-        assert len(calls) == len(seen)
+        assert (len(calls), len(slices), len(moves)) == (len(seen), len(set(slices)),
+                                                         len(set(moves)))
+
+
+def chain_keys(arena: Arena) -> set:
+    """(location, region) of every region on the invariant chain of each
+    compiled (location, region), with the region that ends the chain."""
+    keys = set()
+    for location, region in arena._moves:
+        inv = arena.location_named(location).invariant
+        r = region
+        for r in invariant_chain(region, inv):
+            keys.add((location, r))
+            r = time_successor(r)
+        if r is not None:
+            keys.add((location, r))
+    return keys
 
 
 def count_regions(monkeypatch) -> list:
@@ -443,10 +583,22 @@ def test_regions_built_once_per_arena(monkeypatch):
         g = bg.explore(arena)
         made = sum(r is not None for r in arena._regions.values())
         assert made and len(built) == 1 + made, name
+        # the slices and moves hold only canonical regions of the arena,
+        # so they built none of their own
+        canon = {id(r) for r in arena._canon.values() if isinstance(r, ClockRegion)}
+        for (_, region), entry in arena._slices.items():
+            if entry is not None:
+                first, later, succ = entry
+                assert all(id(a.target) in canon for _, a in first + later), name
+                assert succ is None or id(succ) in canon, name
+        for b, ci, branches in arena._action_moves.values():
+            assert all(id(region) in canon for _, _, region, _ in branches), name
+        tables = (len(arena._slices), len(arena._action_moves), len(arena._moves))
         built.clear()
         for s in g.states:
             bg.explore(arena, root=s)
         assert built == [], name
+        assert (len(arena._slices), len(arena._action_moves), len(arena._moves)) == tables
         bg.explore(arena)
         assert len(built) == 1, name  # region_of of the initial valuation
 
@@ -493,12 +645,17 @@ def test_moves_table_is_invisible(monkeypatch):
     used, fresh = bundled("M3"), bundled("M3")
     point = val(used, "1/4")
     assert properties.value_at(used, "l0", point) == F(5, 4)
-    assert used._moves and used._solved and used._regions
-    assert not fresh._moves and not fresh._solved and not fresh._regions
+    tables = ("_moves", "_solved", "_regions", "_slices", "_action_moves")
+    assert all(getattr(used, t) for t in tables)
+    assert not any(getattr(fresh, t) for t in tables)
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     calls = count_compiles(monkeypatch)
     assert properties.value_at(fresh, "l0", point) == F(5, 4)
     assert sorted(calls, key=repr) == sorted(used._moves, key=repr)
     assert fresh._solved == used._solved and fresh._moves.keys() == used._moves.keys()
-    assert fresh._regions == used._regions
+    assert fresh._regions == used._regions and fresh._slices == used._slices
+    keys = list(used._action_moves)
+    assert fresh._action_moves.keys() == used._action_moves.keys()
+    assert (readable(fresh, [fresh._action_moves[k] for k in keys])
+            == readable(used, [used._action_moves[k] for k in keys]))
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)

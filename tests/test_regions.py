@@ -134,6 +134,28 @@ def test_reset_commutes_with_region_of(v):
         assert rg.reset_region(rg.region_of(v), names) == rg.region_of(v.reset(names))
 
 
+@given(valuations())
+@settings(max_examples=200)
+def test_equal_regions_hash_equal_whatever_built_them(v):
+    """A region's hash is computed once, from the fields that equality
+    compares, and is itself neither compared nor shown: equal regions built
+    directly, by `region_of`, by `time_successor` and by `reset_region`
+    hash equal."""
+    ctx = v.ctx
+    r = rg.region_of(v)
+    twin = rg.ClockRegion(rg.ClockContext(ctx.clocks, ctx.k), tuple(r.ints), r.blocks)
+    assert twin == r and hash(twin) == hash(r) == hash((r.ctx, r.ints, r.blocks))
+    assert repr(twin) == repr(r) and "_hash" not in repr(r)
+    eps = oracles.elapse_witness(v.values, ctx.k)
+    if eps is not None:
+        succ, direct = rg.time_successor(r), rg.region_of(v.shift(eps))
+        assert succ == direct and hash(succ) == hash(direct)
+    for mask in range(1, 1 << len(ctx.clocks)):
+        names = {ctx.clocks[i] for i in range(len(ctx.clocks)) if mask >> i & 1}
+        reset, direct = rg.reset_region(r, names), rg.region_of(v.reset(names))
+        assert reset == direct and hash(reset) == hash(direct)
+
+
 # ------------------------------------------------------------- constraints
 
 @given(st.data())

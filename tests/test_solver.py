@@ -300,12 +300,46 @@ def test_improvement_matches_two_sweep_oracle():
     assert most[0] >= 2 and most[1] >= 3
 
 
+def test_extraction_sweeps_the_value_iteration_table(monkeypatch):
+    """The warm start of every improvement case sweeps the float row table
+    that value iteration kept on the graph: extraction builds no table,
+    keeps none on the graph, and chooses what a sweep of a freshly built
+    table chooses.  Under another objective it builds its own."""
+    builds = []
+    real = sv._row_table
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "_row_table", counted)
+    checked = 0
+    for name, g, lam, zero_final, order, start, choice in sweep_cases():
+        if start != "solver":
+            continue
+        case = (name, lam, zero_final, order)
+        v = sv.value_iterate(g, sv.SolveConfig(), lam=lam, zero_final=zero_final)[0]
+        assert g._float_rows is not None, case
+        builds.clear()
+        got = sv.extract_strategies(g, v, lam=lam, zero_final=zero_final)
+        assert builds == [] and g._float_rows is None, case
+        assert got == choice == sv._sweep(real(g, lam, zero_final, exact=False), v)[1], case
+        checked += 1
+    assert checked == 504 // 4  # one warm start of four per case
+    other = Fraction(1, 3)
+    v = sv.value_iterate(g, sv.SolveConfig(), lam=lam, zero_final=zero_final)[0]
+    builds.clear()
+    got = sv.extract_strategies(g, v, lam=other, zero_final=zero_final)
+    assert len(builds) == 1 and g._float_rows is None
+    assert got == sv._sweep(real(g, other, zero_final, exact=False), v)[1]
+
+
 def test_one_sweep_per_evaluation(monkeypatch):
     """Each evaluation is followed by one `certify`, which makes one kernel
     sweep over every non-absorbed state of the one exact row table of the
     loop, and the solve adds no certificate of its own: its other sweeps
     are the float ones, one per value iteration and one for the warm
-    start, over float tables built once per call site."""
+    start, all over the one float table that value iteration built."""
     sweeps, builds, certs = [], [], []
     real_sweep, real_table, real_certify = sv._sweep, sv._row_table, sv.certify
 
@@ -351,9 +385,12 @@ def test_one_sweep_per_evaluation(monkeypatch):
         res = (sv.solve_exact(g, cfg) if lam is None
                else sv.solve_discounted(g, lam, cfg, zero_final=zero_final))
         assert len(certs) == res.exact_evaluations, case
-        assert len(exact(builds)) == 1 and len(builds) == 3, case
+        assert len(exact(builds)) == 1 and len(builds) == 2, case
         assert len(exact(sweeps)) == res.exact_evaluations, case
         assert len(sweeps) == res.vi_iterations + 1 + res.exact_evaluations, case
+        (floats,) = [t for t in builds if not isinstance(t.base[0], Fraction)]
+        assert sum(t is floats for t in sweeps) == res.vi_iterations + 1, case
+        assert g._float_rows is None, case
         for table in builds:
             assert [i for i, row in enumerate(table.rows) if row is not None] == live, case
 
