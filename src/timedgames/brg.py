@@ -34,8 +34,8 @@ Construction splits every move into a region-level half and a point half.
 The region-level half depends only on (l, zeta): the canonical action list,
 each action's boundary (b, c), and per branch the target location, the
 reset and the target region, whose target invariant is checked there.  It
-is kept on the arena, so every explore of the arena, rooted anywhere,
-shares it, in tables that are each filled once per key and arena:
+is kept in one record of tables per arena (`tables`), so every explore of
+the arena, rooted anywhere, shares it; each table is filled once per key:
 
   * a slice per (l, r): whether r lies inside the invariant of l, and if
     so r's time successor and the actions r adds to the action set of
@@ -55,10 +55,10 @@ shares it, in tables that are each filled once per key and arena:
     were built from, so each region is built and validated once per arena.
 
 Equal actions and regions are stored once per arena, and regions cache
-their hash, since they key every table.  Reset sets are resolved when the
-arena is built, to getters that zero their clocks on an integer point.  The
-arena-level check that every edge's branch probabilities sum to 1 runs
-while the table of action lists is still empty, so once per arena rather
+their hash, since they key every table.  Reset sets are resolved, with the
+record, to getters that zero their clocks on an integer point.  The record
+is made only once every edge's branch probabilities sum to exactly 1, so
+that check runs before anything is compiled, and once per arena rather
 than once per explore.
 
 The point half runs on the integer lattice.  Every valuation reachable from
@@ -90,9 +90,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .model import Arena, ModelError, distribution_findings
 from .regions import (
+    ClockContext,
     ClockRegion,
     ClockValuation,
     boundary,
@@ -167,6 +169,49 @@ class BoundaryAction:
         return text
 
 
+def _reset_getter(ctx: ClockContext, resets: frozenset[str]) -> Callable | None:
+    """A getter that zeroes the clocks of `resets` on a point of ctx
+    extended by a trailing 0, reading that 0 for each reset clock; None for
+    the empty set.  One clock reads the slice holding the 0, since a single
+    index would give a number rather than a tuple."""
+    if not resets:
+        return None
+    idxs = set(map(ctx.index, resets))  # refuses an unknown clock
+    n = len(ctx.clocks)
+    if n == 1:
+        return itemgetter(slice(1, 2))
+    return itemgetter(*(n if i in idxs else i for i in range(n)))
+
+
+class ArenaTables(NamedTuple):
+    """The per-arena record: the tables the module docstring lists, filled
+    by `_moves`, `boundary_actions`, `_compile_move`, `_successor` and
+    `_reset`, and the getter of each branch's reset set."""
+
+    moves: dict
+    slices: dict
+    action_moves: dict
+    regions: dict
+    canon: dict
+    resets: dict[frozenset[str], Callable | None]
+
+
+def tables(arena: Arena) -> ArenaTables:
+    """The arena's tables, made empty the first time the arena is compiled
+    or explored, once every edge's branch probabilities sum to exactly 1;
+    until then each call refuses the first edge that does not."""
+    t = arena._brg
+    if t is None:
+        improper = distribution_findings(arena)
+        if improper:
+            raise ModelError(improper[0])
+        resets = {br.resets: _reset_getter(arena.ctx, br.resets)
+                  for e in arena.edges for br in e.branches}
+        t = ArenaTables({}, {}, {}, {}, {}, resets)
+        object.__setattr__(arena, "_brg", t)
+    return t
+
+
 class _Fractions(dict):
     """n / scale per integer n, each built once, on first lookup."""
 
@@ -182,21 +227,21 @@ class _Fractions(dict):
 def _successor(arena: Arena, region: ClockRegion) -> ClockRegion | None:
     """`time_successor`, built once per region and arena."""
     key = (region, None)
-    table = arena._regions
-    if key not in table:
+    t = tables(arena)
+    if key not in t.regions:
         succ = time_successor(region)
-        table[key] = None if succ is None else arena._canon.setdefault(succ, succ)
-    return table[key]
+        t.regions[key] = None if succ is None else t.canon.setdefault(succ, succ)
+    return t.regions[key]
 
 
 def _reset(arena: Arena, region: ClockRegion, clocks: frozenset[str]) -> ClockRegion:
     """`reset_region`, built once per region, reset set and arena."""
     key = (region, clocks)
-    table = arena._regions
-    if key not in table:
+    t = tables(arena)
+    if key not in t.regions:
         target = reset_region(region, clocks)
-        table[key] = arena._canon.setdefault(target, target)
-    return table[key]
+        t.regions[key] = t.canon.setdefault(target, target)
+    return t.regions[key]
 
 
 def _slice(arena: Arena, location: str, region: ClockRegion) -> tuple | None:
@@ -214,7 +259,7 @@ def _slice(arena: Arena, location: str, region: ClockRegion) -> tuple | None:
         return None
     edges = [e for e in arena.edges_from(location) if satisfies(region, e.guard)]
     succ = _successor(arena, region)
-    canon, ctx = arena._canon, arena.ctx
+    canon, ctx = tables(arena).canon, arena.ctx
 
     def items(b, c) -> list[tuple]:
         out = []
@@ -241,7 +286,7 @@ def boundary_actions(arena: Arena, location: str, region: ClockRegion) -> list[B
     its invariant chain, in canonical order.  Each slice is built once per
     (location, region) and arena, so each invariant and guard is read once
     per region there."""
-    slices = arena._slices
+    slices = tables(arena).slices
     items = []
     r, first = region, True
     while r is not None:
@@ -264,7 +309,7 @@ def _compile_move(arena: Arena, location: str, act: BoundaryAction) -> tuple:
     ModelError when a branch lands outside the invariant of its target."""
     e = arena.edge(location, act.action)
     assert e is not None
-    branches = []
+    resets, branches = tables(arena).resets, []
     for br in e.branches:
         target_region = _reset(arena, act.target, br.resets)
         if not satisfies(target_region, arena.location_named(br.target).invariant):
@@ -272,29 +317,30 @@ def _compile_move(arena: Arena, location: str, act: BoundaryAction) -> tuple:
                 "edge (%s, %s) lands in [%s], outside the invariant of %s"
                 % (location, act.action, target_region.label(), br.target)
             )
-        branches.append((br.target, arena._resets[br.resets], target_region, br.prob))
+        branches.append((br.target, resets[br.resets], target_region, br.prob))
     ci = None if act.c is None else act.clock_index(arena.ctx)
     return act.b, ci, tuple(branches)
 
 
 def _moves(arena: Arena, location: str, region: ClockRegion) -> tuple:
-    """The region-level half of every move from (location, region), kept on
-    the arena: the canonical action list and the move of each action, which
-    is compiled once per (location, action) and arena.  The moves are
-    compiled in canonical order, so a branch outside its target invariant
-    raises for the first such action, and nothing is kept for it."""
+    """The region-level half of every move from (location, region), kept in
+    the arena's tables: the canonical action list and the move of each
+    action, which is compiled once per (location, action) and arena.  The
+    moves are compiled in canonical order, so a branch outside its target
+    invariant raises for the first such action, and nothing is kept for it."""
     key = (location, region)
-    entry = arena._moves.get(key)
+    t = tables(arena)
+    entry = t.moves.get(key)
     if entry is None:
         acts = boundary_actions(arena, location, region)
-        table = arena._action_moves
+        table = t.action_moves
         moves = []
         for act in acts:
             move = table.get((location, act))
             if move is None:
                 move = table[location, act] = _compile_move(arena, location, act)
             moves.append(move)
-        entry = arena._moves[key] = (acts, tuple(moves))
+        entry = t.moves[key] = (acts, tuple(moves))
     return entry
 
 
@@ -350,14 +396,9 @@ def explore(
     own valuation.  States are numbered in discovery order, which together
     with the canonical action order makes the graph a deterministic function
     of the input.  Edges whose branch probabilities do not sum to exactly 1
-    are refused, so nothing downstream solves or plays a non-stochastic game;
-    the check runs only while the arena's table of moves is empty, since
-    nothing is compiled into it before the check has passed.
+    are refused, so nothing downstream solves or plays a non-stochastic game.
     """
-    if not arena._moves:
-        improper = distribution_findings(arena)
-        if improper:
-            raise ModelError(improper[0])
+    t = tables(arena)
     if root is None:
         loc, v = arena.initial
         root = BrgState(loc, v, region_of(v))
@@ -404,8 +445,8 @@ def explore(
     queue: deque[int] = deque()
     intern(root.location,
            tuple(v.numerator * (scale // v.denominator) for v in root.valuation.values),
-           arena._canon.setdefault(root.region, root.region))
-    table = arena._moves
+           t.canon.setdefault(root.region, root.region))
+    table = t.moves
     while queue:
         i = queue.popleft()
         if i in g.fixed:

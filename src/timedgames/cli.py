@@ -429,7 +429,7 @@ def cmd_simulate(args) -> int:
         "reached": est.reached,
         "unreached_fraction": est.unreached_fraction,
         "estimate": _num(est.mean_exact),
-        "halfwidth": est.halfwidth,
+        "halfwidth": est.halfwidth if est.reached else None,
         "certified_value": _num(value),
         "abs_error": _num(abs_error),
     }

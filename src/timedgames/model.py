@@ -24,8 +24,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import yaml
 
@@ -106,20 +105,6 @@ class TimedAction(NamedTuple):
     action: str
 
 
-def _reset_getter(ctx: ClockContext, resets: frozenset[str]) -> Callable | None:
-    """A getter that zeroes the clocks of `resets` on a point of ctx
-    extended by a trailing 0, reading that 0 for each reset clock; None for
-    the empty set.  One clock reads the slice holding the 0, since a single
-    index would give a number rather than a tuple."""
-    if not resets:
-        return None
-    idxs = set(map(ctx.index, resets))  # refuses an unknown clock
-    n = len(ctx.clocks)
-    if n == 1:
-        return itemgetter(slice(1, 2))
-    return itemgetter(*(n if i in idxs else i for i in range(n)))
-
-
 @dataclass(frozen=True)
 class Arena:
     """A probabilistic timed game: locations with owners, guarded edges,
@@ -134,24 +119,10 @@ class Arena:
     _by_name: dict[str, Location] = field(init=False, repr=False, compare=False)
     _by_key: dict[tuple[str, str], Edge] = field(init=False, repr=False, compare=False)
     _from: dict[str, tuple[Edge, ...]] = field(init=False, repr=False, compare=False)
-    # each branch's reset set resolved once here, as a getter that maps a
-    # point extended by a trailing 0 to the point with those clocks zeroed
-    # (None for the empty set)
-    _resets: dict[frozenset[str], Callable | None] = field(init=False, repr=False,
-                                                           compare=False)
-    # the region-level moves of the boundary region graph, compiled lazily by
-    # `brg` per (location, region) and shared by every explore of the arena,
-    # and the one shared copy of each equal action and region
-    _moves: dict = field(init=False, repr=False, compare=False)
-    _canon: dict = field(init=False, repr=False, compare=False)
-    # what those moves are assembled from: the actions each region of an
-    # invariant chain contributes, per (location, region), and the move of
-    # each action, per (location, action)
-    _slices: dict = field(init=False, repr=False, compare=False)
-    _action_moves: dict = field(init=False, repr=False, compare=False)
-    # the time successor (key (region, None)) and the reset (key (region,
-    # clocks)) of every region those moves were compiled from, built once
-    _regions: dict = field(init=False, repr=False, compare=False)
+    # `brg`'s record of the boundary region graph's region-level moves,
+    # made by `brg.tables` once the arena's distributions are checked and
+    # shared by every explore of the arena
+    _brg: object = field(default=None, init=False, repr=False, compare=False)
     # the certified value of every boundary region graph state solved so far,
     # written by `properties.value_at` and closed under successors
     _solved: dict = field(init=False, repr=False, compare=False)
@@ -190,14 +161,6 @@ class Arena:
         object.__setattr__(self, "_by_name", names)
         object.__setattr__(self, "_by_key", by_key)
         object.__setattr__(self, "_from", {s: tuple(es) for s, es in outgoing.items()})
-        object.__setattr__(self, "_resets", {
-            br.resets: _reset_getter(self.ctx, br.resets)
-            for e in self.edges for br in e.branches})
-        object.__setattr__(self, "_moves", {})
-        object.__setattr__(self, "_canon", {})
-        object.__setattr__(self, "_slices", {})
-        object.__setattr__(self, "_action_moves", {})
-        object.__setattr__(self, "_regions", {})
         object.__setattr__(self, "_solved", {})
 
     def location_named(self, name: str) -> Location:

@@ -95,11 +95,8 @@ class SolveResult:
     values: list
     choice: list
     certified: bool
-    mode: str
-    lam: Fraction | None
     zero_final: bool
     vi_iterations: int
-    vi_residual: float
     improvement_rounds: int
     exact_evaluations: int
 
@@ -445,7 +442,7 @@ def _alternating_best_response(
 def _solve(g: Brg, cfg: SolveConfig, lam: Fraction | None, zero_final: bool) -> SolveResult:
     """Float warm start, then exact alternating best response, whose last
     report is the certificate."""
-    v_float, vi_iters, vi_residual = value_iterate(g, cfg, lam=lam, zero_final=zero_final)
+    v_float, vi_iters, _ = value_iterate(g, cfg, lam=lam, zero_final=zero_final)
     choice = extract_strategies(g, v_float, lam=lam, zero_final=zero_final)
     values, choice, rounds, evaluations, report = _alternating_best_response(
         g, choice, cfg, lam=lam, zero_final=zero_final
@@ -454,11 +451,8 @@ def _solve(g: Brg, cfg: SolveConfig, lam: Fraction | None, zero_final: bool) -> 
         values=values,
         choice=choice,
         certified=report.ok,
-        mode="expected-time" if lam is None else "discounted",
-        lam=lam,
         zero_final=zero_final,
         vi_iterations=vi_iters,
-        vi_residual=vi_residual,
         improvement_rounds=rounds,
         exact_evaluations=evaluations,
     )

@@ -60,6 +60,7 @@ from timedgames.brg import (
     ExplorationLimit,
     _reset,
     _successor,
+    tables,
     explore,
 )
 from timedgames.model import (
@@ -471,23 +472,24 @@ def boundary_actions_per_key(arena: Arena, location: str, region: ClockRegion) -
                 ends = [lo, boundary(succ)]
             for b, c in ends:
                 out.setdefault((e.action, b, c, r.key()), BoundaryAction(e.action, r, b, c))
-    canon = arena._canon
+    canon = tables(arena).canon
     return sorted((canon.setdefault(a, a) for a in out.values()),
                   key=lambda a: a.sort_key(arena.ctx))
 
 
 def moves_per_key(arena: Arena, location: str, region: ClockRegion) -> tuple:
     """The region-level half of every move from (location, region), compiled
-    once per arena and kept on it: the canonical action list, and for each
-    action its boundary b, the index of its boundary clock c (None for the
-    fire-now endpoint) and its branches as (target location, the arena's
+    once per arena and kept in its tables: the canonical action list, and for
+    each action its boundary b, the index of its boundary clock c (None for
+    the fire-now endpoint) and its branches as (target location, the arena's
     reset getter, target region, probability).  Raises ModelError when a branch
     lands outside the invariant of its target."""
     key = (location, region)
-    entry = arena._moves.get(key)
+    t = tables(arena)
+    entry = t.moves.get(key)
     if entry is not None:
         return entry
-    canon = arena._canon
+    canon = t.canon
     acts = boundary_actions_per_key(arena, location, region)
     moves = []
     for act in acts:
@@ -502,11 +504,11 @@ def moves_per_key(arena: Arena, location: str, region: ClockRegion) -> tuple:
                     "edge (%s, %s) lands in [%s], outside the invariant of %s"
                     % (location, act.action, target_region.label(), br.target)
                 )
-            branches.append((br.target, arena._resets[br.resets], target_region, br.prob))
+            branches.append((br.target, t.resets[br.resets], target_region, br.prob))
         ci = None if act.c is None else act.clock_index(region.ctx)
         move = (act.b, ci, tuple(branches))
         moves.append(canon.setdefault(move, move))
-    entry = arena._moves[key] = (acts, tuple(moves))
+    entry = t.moves[key] = (acts, tuple(moves))
     return entry
 
 

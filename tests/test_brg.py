@@ -276,7 +276,7 @@ def test_explore_matches_per_state_oracle():
     rooted explore of an arena sharing its compiled moves."""
     rng = random.Random(3)
     for name, arena in differential_arenas().items():
-        assert not arena._moves, name
+        assert arena._brg is None, name
         g = bg.explore(arena)
         assert outcome(bg.explore, arena) == outcome(oracles.explore_per_state, arena), name
         for key in dict.fromkeys((s.location, s.region) for s in g.states):
@@ -414,7 +414,7 @@ def test_reset_getters_zero_their_clocks():
         point = tuple(range(1, n + 1))
         for e in arena.edges:
             for br in e.branches:
-                reset = arena._resets[br.resets]
+                reset = bg.tables(arena).resets[br.resets]
                 want = tuple(0 if c in br.resets else v for c, v in zip(arena.ctx.clocks, point))
                 assert (reset(point + (0,)) if reset else point) == want, (name, br)
 
@@ -524,8 +524,7 @@ def test_moves_compile_once_per_location_region(monkeypatch):
     monkeypatch.setattr(properties, "explore", recording)
     for name in ("M1", "M3"):
         arena = bundled(name)
-        assert not arena._moves and not arena._solved and not arena._regions
-        assert not arena._slices and not arena._action_moves
+        assert arena._brg is None and not arena._solved
         for log in (calls, slices, moves, seen):
             log.clear()
         for loc in arena.locations:
@@ -535,10 +534,11 @@ def test_moves_compile_once_per_location_region(monkeypatch):
                     properties.value_at(arena, loc.name, point)
         assert len(calls) == len(set(calls)) == len(seen)
         assert set(calls) == seen
-        assert len(slices) == len(set(slices)) == len(arena._slices)
+        t = bg.tables(arena)
+        assert len(slices) == len(set(slices)) == len(t.slices)
         assert set(slices) == chain_keys(arena)
-        assert len(moves) == len(set(moves)) == len(arena._action_moves)
-        assert set(moves) == {(l, a) for (l, _), (acts, _) in arena._moves.items() for a in acts}
+        assert len(moves) == len(set(moves)) == len(t.action_moves)
+        assert set(moves) == {(l, a) for (l, _), (acts, _) in t.moves.items() for a in acts}
         bg.explore(arena)
         assert (len(calls), len(slices), len(moves)) == (len(seen), len(set(slices)),
                                                          len(set(moves)))
@@ -548,7 +548,7 @@ def chain_keys(arena: Arena) -> set:
     """(location, region) of every region on the invariant chain of each
     compiled (location, region), with the region that ends the chain."""
     keys = set()
-    for location, region in arena._moves:
+    for location, region in bg.tables(arena).moves:
         inv = arena.location_named(location).invariant
         r = region
         for r in invariant_chain(region, inv):
@@ -581,24 +581,25 @@ def test_regions_built_once_per_arena(monkeypatch):
         arena = arenas[name]
         built.clear()
         g = bg.explore(arena)
-        made = sum(r is not None for r in arena._regions.values())
+        t = bg.tables(arena)
+        made = sum(r is not None for r in t.regions.values())
         assert made and len(built) == 1 + made, name
         # the slices and moves hold only canonical regions of the arena,
         # so they built none of their own
-        canon = {id(r) for r in arena._canon.values() if isinstance(r, ClockRegion)}
-        for (_, region), entry in arena._slices.items():
+        canon = {id(r) for r in t.canon.values() if isinstance(r, ClockRegion)}
+        for (_, region), entry in t.slices.items():
             if entry is not None:
                 first, later, succ = entry
                 assert all(id(a.target) in canon for _, a in first + later), name
                 assert succ is None or id(succ) in canon, name
-        for b, ci, branches in arena._action_moves.values():
+        for b, ci, branches in t.action_moves.values():
             assert all(id(region) in canon for _, _, region, _ in branches), name
-        tables = (len(arena._slices), len(arena._action_moves), len(arena._moves))
+        tables = (len(t.slices), len(t.action_moves), len(t.moves))
         built.clear()
         for s in g.states:
             bg.explore(arena, root=s)
         assert built == [], name
-        assert (len(arena._slices), len(arena._action_moves), len(arena._moves)) == tables
+        assert (len(t.slices), len(t.action_moves), len(t.moves)) == tables
         bg.explore(arena)
         assert len(built) == 1, name  # region_of of the initial valuation
 
@@ -627,35 +628,41 @@ def test_action_label_rendered_once(monkeypatch):
 
 def test_distribution_check_precedes_expansion():
     """A non-stochastic edge is refused with its text before any state is
-    expanded, ahead of a bad root, and again on every later explore."""
+    expanded, ahead of a bad root, and again on every later explore.  A
+    direct compile of one (location, region) is refused alike, so it cannot
+    let a later explore through, and no refusal leaves tables on the arena."""
     text = (MODELS / "M2.model").read_text()
     arena = parse_model(text.replace('prob: "1/2", resets: [c]', 'prob: "1/4", resets: [c]'))
+    refused = r"^edge \(l0, a\): branch probabilities sum to 3/4, not 1$"
+    with pytest.raises(ModelError, match=refused):
+        bg._moves(arena, "l0", region_of(arena.initial.valuation))
+    assert arena._brg is None
     bad_root = state(arena, "l0", "1/2", region_point="3/2")
-    for root in (None, bad_root, None):
-        with pytest.raises(ModelError, match=r"^edge \(l0, a\): branch probabilities "
-                                             r"sum to 3/4, not 1$"):
+    for root in (None, bad_root, state(arena, "l0", "1/2"), None):
+        with pytest.raises(ModelError, match=refused):
             bg.explore(arena, root=root)
-        assert not arena._moves
+        assert arena._brg is None
 
 
 def test_moves_table_is_invisible(monkeypatch):
-    """Neither the table of moves nor the table of solved states changes
-    equality, hash or repr of the arena, and an equal arena with empty
-    tables computes the same value into its own tables."""
+    """Neither the tables of moves nor the table of solved states changes
+    equality, hash or repr of the arena, and an equal arena with no tables
+    yet computes the same value into its own tables."""
     used, fresh = bundled("M3"), bundled("M3")
     point = val(used, "1/4")
     assert properties.value_at(used, "l0", point) == F(5, 4)
-    tables = ("_moves", "_solved", "_regions", "_slices", "_action_moves")
-    assert all(getattr(used, t) for t in tables)
-    assert not any(getattr(fresh, t) for t in tables)
+    u = bg.tables(used)
+    assert used._solved and u.moves and u.regions and u.slices and u.action_moves
+    assert fresh._brg is None and not fresh._solved
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     calls = count_compiles(monkeypatch)
     assert properties.value_at(fresh, "l0", point) == F(5, 4)
-    assert sorted(calls, key=repr) == sorted(used._moves, key=repr)
-    assert fresh._solved == used._solved and fresh._moves.keys() == used._moves.keys()
-    assert fresh._regions == used._regions and fresh._slices == used._slices
-    keys = list(used._action_moves)
-    assert fresh._action_moves.keys() == used._action_moves.keys()
-    assert (readable(fresh, [fresh._action_moves[k] for k in keys])
-            == readable(used, [used._action_moves[k] for k in keys]))
+    f = bg.tables(fresh)
+    assert sorted(calls, key=repr) == sorted(u.moves, key=repr)
+    assert fresh._solved == used._solved and f.moves.keys() == u.moves.keys()
+    assert f.regions == u.regions and f.slices == u.slices
+    keys = list(u.action_moves)
+    assert f.action_moves.keys() == u.action_moves.keys()
+    assert (readable(fresh, [f.action_moves[k] for k in keys])
+            == readable(used, [u.action_moves[k] for k in keys]))
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)

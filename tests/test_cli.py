@@ -469,6 +469,23 @@ def test_exit_code_contract_on_mutated_models(text):
             assert code in allowed, (call, text)
 
 
+def _not_json(constant: str):
+    raise ValueError("%s is not JSON" % constant)
+
+
+@pytest.mark.parametrize("model", ["M1", "M1x", "M2", "M3"])
+def test_json_documents_parse_strictly(capsys, model):
+    """Every subcommand's --json document is JSON under RFC 8259, with no
+    NaN or Infinity, also from a simulation in which no run reaches the
+    final set."""
+    path = "models/%s.model" % model
+    calls = CALLS + [("simulate", "--runs", "20", "--step-cap", "0")]
+    for call in calls:
+        code, out, _ = run(capsys, call[0], path, *call[1:], "--json")
+        assert code == 0, call
+        json.loads(out, parse_constant=_not_json)
+
+
 # ----------------------------------------------------------- golden output
 
 # sha256 of stdout (and the exit code) for each subcommand in text and JSON
