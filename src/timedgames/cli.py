@@ -411,7 +411,7 @@ def cmd_simulate(args) -> int:
         strategy,
         args.runs,
         seed=args.seed,
-        epsilon=parse_rational(args.epsilon),
+        epsilon=args.epsilon,
         step_cap=args.step_cap,
         decaying=args.decaying_epsilon,
     )
@@ -445,6 +445,43 @@ def cmd_simulate(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+# Numeric options are checked as they are parsed, before any model is
+# loaded; argparse names the option in the message and exits with 2.
+
+def _at_least(low: int):
+    """The argparse type of an integer option whose values start at `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+
+    return parse
+
+
+def _tolerance(text: str) -> float:
+    """The argparse type of --tolerance: a finite number of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected a number, got %r" % text) from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError("must be finite and at least 0, got %r" % text)
+    return value
+
+
+def _rational(text: str) -> Fraction:
+    """The argparse type of a NUM/DEN option."""
+    try:
+        return parse_rational(text)
+    except (ModelError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("%r is not an exact rational" % text) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="timedgames",
@@ -472,9 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--exact", action="store_true",
                     help="certify exact rational values (default: float "
                          "value iteration)")
-    sp.add_argument("--tolerance", type=float, default=None,
+    sp.add_argument("--tolerance", type=_tolerance, default=None,
                     help="value iteration stopping tolerance")
-    sp.add_argument("--max-iterations", type=int, default=None)
+    sp.add_argument("--max-iterations", type=_at_least(1), default=None)
     sp.add_argument("--out", metavar="FILE", help="write the JSON document here")
 
     sp = add("discounted", cmd_discounted, help="expected discounted time")
@@ -483,29 +520,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--keep-final-rewards", action="store_true",
                     help="let final states keep acting instead of absorbing "
                          "them at value zero")
-    sp.add_argument("--tolerance", type=float, default=None)
-    sp.add_argument("--max-iterations", type=int, default=None)
+    sp.add_argument("--tolerance", type=_tolerance, default=None)
+    sp.add_argument("--max-iterations", type=_at_least(1), default=None)
     sp.add_argument("--out", metavar="FILE", help="write the JSON document here")
 
     sp = add("check-properties", cmd_check_properties,
              help="test value-function properties on reachable regions")
-    sp.add_argument("--pairs", type=int, default=40,
+    sp.add_argument("--pairs", type=_at_least(1), default=40,
                     help="sampled pairs per region and per check")
-    sp.add_argument("--grid", type=int, default=64,
+    sp.add_argument("--grid", type=_at_least(1), default=64,
                     help="delay grid denominator for the one-step check")
     sp.add_argument("--K", dest="k_bound", default=None, metavar="NUM/DEN",
                     help="Lipschitz bound (default 1 + number of clocks)")
-    sp.add_argument("--states", type=int, default=6,
+    sp.add_argument("--states", type=_at_least(1), default=6,
                     help="sampled states for the one-step check")
     sp.add_argument("--seed", type=int, default=0)
 
     sp = add("simulate", cmd_simulate, help="Monte Carlo play of the "
                                             "certified strategies")
-    sp.add_argument("--runs", type=int, default=10_000)
+    sp.add_argument("--runs", type=_at_least(1), default=10_000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--epsilon", default="1/1000", metavar="NUM/DEN",
+    sp.add_argument("--epsilon", type=_rational, default="1/1000", metavar="NUM/DEN",
                     help="concretization slack inside open windows")
-    sp.add_argument("--step-cap", type=int, default=10_000)
+    sp.add_argument("--step-cap", type=_at_least(0), default=10_000)
     sp.add_argument("--decaying-epsilon", action="store_true",
                     help="halve the slack after every step of a run")
     return p

@@ -201,8 +201,12 @@ def _typed(value, kind: type, what: str):
 
 
 def parse_model(text: str, name: str = "") -> Arena:
+    """The arena of a model document.  PyYAML's libyaml loader parses it
+    when that extension is installed, its pure-Python safe loader
+    otherwise; both build documents with the same safe constructor and
+    resolver."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ModelError("not valid YAML: %s" % exc) from exc
     if not isinstance(doc, dict):

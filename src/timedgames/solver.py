@@ -1,7 +1,9 @@
 """Solvers for the finite min/max game induced by a boundary region graph.
 
 The expected-time pipeline is: check that the target set is reached almost
-surely under every strategy pair (no end component among non-final states),
+surely under every strategy pair (no end component among non-final states;
+one Tarjan pass splits those states into strongly connected components, and
+only a component of several states or with a self-loop is searched),
 run float value iteration for a warm start, extract positional strategies,
 then improve them in exact rational arithmetic, alternating best responses
 until neither player can switch.  Every strategy pair is valued by an exact
@@ -17,9 +19,11 @@ yields both the residual of the optimality equations and every action that
 strictly beats the chosen one.  The improvement loop switches from that
 report, and the report of the last pair, with no switch left, is the
 certificate: zero residual, no better action and stochastic rows.  The
-rows are checked once per solve, as its exact row table is built.  That
-sweep is the one Bellman kernel, `_sweep`, which also runs every value
-iteration step and the warm-start choice, on a float row table.
+rows are checked once per solve, as its exact row table is built, and there
+once per distribution object: `explore` shares one among all the actions
+with the same branches to the same successors.  That sweep is the one Bellman
+kernel, `_sweep`, which also runs every value iteration step and the
+warm-start choice, on a float row table.
 
 The discounted variant contracts, so it needs no reachability assumption;
 by default it treats final states as absorbing with value zero, which is the
@@ -139,9 +143,21 @@ def _end_components(g: Brg, states: Iterable[int]) -> list[list[int]]:
 def check_almost_sure_reach(g: Brg) -> list[list[int]]:
     """End components among the non-final states outside `g.fixed`; empty
     means every strategy pair reaches the final set (or a fixed state) with
-    probability one."""
-    return _end_components(
-        g, [i for i in range(g.n) if not g.is_final(i) and i not in g.fixed])
+    probability one.  An end component is strongly connected under all
+    actions, so it lies inside one strongly connected component of the live
+    states' graph that has several states or a self-loop.  One Tarjan pass
+    finds those, and the end-component search runs only on them."""
+    live = [not final and i not in g.fixed for i, final in enumerate(g.finals)]
+    states = [i for i, ok in enumerate(live) if ok]
+    succ: list = [()] * g.n
+    for s in states:
+        succ[s] = {t for dist in g.dists[s] for t, _ in dist if live[t]}
+    components = []
+    for comp in sccs(states, succ):
+        if len(comp) > 1 or comp[0] in succ[comp[0]]:
+            components += _end_components(g, comp)
+    components.sort()
+    return components
 
 
 # ------------------------------------------------------------ Bellman sweep
@@ -169,22 +185,39 @@ def _row_table(g: Brg, lam, zero_final: bool, exact: bool) -> _Rows:
     its actions in canonical order as (index, reward, distribution); a fixed
     state and an absorbed final state have None and keep their base value,
     the fixed value or zero.  An exact table shares the graph's Fractions
-    and scans every row of the graph for stochasticity.  A float table
-    converts every number once, as numerator / denominator (float() of a
+    and checks every distribution of the graph for stochasticity, listing
+    each (state, action) pair whose distribution fails.  A float table
+    converts every number as numerator / denominator (float() of a
     Fraction, less its dispatch), so it gives the floats that the exact rows
-    give on float values."""
+    give on float values.  `explore` shares one object per distinct
+    distribution and reward list, so both check or convert each distinct
+    object once, keyed by its id() while `g` keeps it alive."""
     rows, improper = [], []
+    if exact:
+        distinct = {id(dist): dist for dists in g.dists for dist in dists}
+        bad = {key for key, dist in distinct.items() if not _stochastic(dist)}
+        if bad:
+            improper = [(i, j) for i, dists in enumerate(g.dists)
+                        for j, dist in enumerate(dists) if id(dist) in bad]
+    floats: dict[int, list] = {}
     for i in range(g.n):
-        if exact:
-            improper += [(i, j) for j, dist in enumerate(g.dists[i]) if not _stochastic(dist)]
         if i in g.fixed or zero_final and g.is_final(i):
             rows.append(None)
         elif exact:
             rows.append(list(zip(count(), g.rewards[i], g.dists[i])))
         else:
-            rows.append([(j, r.numerator / r.denominator,
-                          [(t, p.numerator / p.denominator) for t, p in dist])
-                         for j, r, dist in zip(count(), g.rewards[i], g.dists[i])])
+            rewards = floats.get(id(g.rewards[i]))
+            if rewards is None:
+                rewards = floats[id(g.rewards[i])] = [r.numerator / r.denominator
+                                                      for r in g.rewards[i]]
+            dists = []
+            for dist in g.dists[i]:
+                pairs = floats.get(id(dist))
+                if pairs is None:
+                    pairs = floats[id(dist)] = [(t, p.numerator / p.denominator)
+                                                for t, p in dist]
+                dists.append(pairs)
+            rows.append(list(zip(count(), rewards, dists)))
     base = [Fraction(0) if exact else 0.0] * g.n
     for i, x in g.fixed.items():
         base[i] = x if exact else float(x)

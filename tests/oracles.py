@@ -23,6 +23,11 @@ the region-level moves, which walked the whole invariant chain of every
 action's move again, instead of assembling the action set from per-region
 slices and compiling each move once per (location, action); the moves they
 compile keep the arena's reset getters, as the package's do.
+`end_components_whole` is the earlier reach check, which searched all
+live states for end components at once instead of only the cyclic
+components of one Tarjan pass, and `row_table_per_action` the earlier row
+table, which checked and converted the distribution of every action instead
+of each distinct distribution object once.
 `solve_two_sweeps` is the earlier improvement loop, which after each
 evaluation sweeps once to find switches and, at the end, once more to
 certify, instead of switching from and returning one `certify` report.
@@ -43,6 +48,7 @@ exact solver on point-distribution games.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -347,6 +353,40 @@ def solve_two_sweeps(g, choice, cfg, *, lam, zero_final) -> tuple:
             return values, choice, rounds, evaluations, certified
         for i, j in switches:
             choice[i] = j
+
+
+def end_components_whole(g) -> list[list[int]]:
+    """End components among the non-final states outside `g.fixed`, from one
+    end-component search over all of them at once.  The reference for the
+    solver's reach check, which searches only inside the cyclic strongly
+    connected components of the live states."""
+    return sv._end_components(
+        g, [i for i in range(g.n) if not g.is_final(i) and i not in g.fixed])
+
+
+def row_table_per_action(g, lam, zero_final: bool, exact: bool):
+    """The solver's row table, built by checking (exact) or converting
+    (float) the distribution and reward of every action, however many
+    actions share one object.  The reference for `solver._row_table`."""
+    rows, improper = [], []
+    for i in range(g.n):
+        if exact:
+            improper += [(i, j) for j, dist in enumerate(g.dists[i])
+                         if not sv._stochastic(dist)]
+        if i in g.fixed or zero_final and g.is_final(i):
+            rows.append(None)
+        elif exact:
+            rows.append(list(zip(itertools.count(), g.rewards[i], g.dists[i])))
+        else:
+            rows.append([(j, r.numerator / r.denominator,
+                          [(t, p.numerator / p.denominator) for t, p in dist])
+                         for j, r, dist in zip(itertools.count(), g.rewards[i], g.dists[i])])
+    base = [Fraction(0) if exact else 0.0] * g.n
+    for i, x in g.fixed.items():
+        base[i] = x if exact else float(x)
+    if lam is not None and not exact:
+        lam = float(lam)
+    return sv._Rows(rows, base, [o == "min" for o in g.owners], lam, improper)
 
 
 def enumerate_zeno_cycles(arena: Arena) -> list[list[str]]:

@@ -11,7 +11,9 @@ import copy
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -467,6 +469,95 @@ def test_exit_code_contract_on_mutated_models(text):
                 code = main([call[0], path, *call[1:]])
             allowed = {0, 1, 2, 3, 4} if call[0] == "check-properties" else {0, 2, 3, 4}
             assert code in allowed, (call, text)
+
+
+def _finite_at_least_zero(text: str) -> bool:
+    try:
+        value = float(text)
+    except ValueError:
+        return False
+    return math.isfinite(value) and value >= 0
+
+
+def _integer_at_least(low: int):
+    def ok(text: str) -> bool:
+        try:
+            return int(text) >= low
+        except ValueError:
+            return False
+    return ok
+
+
+# each numeric option, the calls of CALLS that take it and which values it
+# accepts; a rational --epsilon of the wrong sign is the simulator's to refuse
+NUMERIC_OPTIONS = {
+    "--tolerance": (("solve", "discounted"), _finite_at_least_zero),
+    "--max-iterations": (("solve", "discounted"), _integer_at_least(1)),
+    "--pairs": (("check-properties",), _integer_at_least(1)),
+    "--grid": (("check-properties",), _integer_at_least(1)),
+    "--states": (("check-properties",), _integer_at_least(1)),
+    "--runs": (("simulate",), _integer_at_least(1)),
+    "--step-cap": (("simulate",), _integer_at_least(0)),
+    "--epsilon": (("simulate",), lambda text: re.fullmatch(r"-?\d+(/0*[1-9]\d*)?", text)),
+}
+OPTION_VALUES = ["nan", "inf", "-inf", "-5", "-1", "0", "1", "3", "1e-6", "0.5",
+                 "1/2", "1/0", "x", ""]
+
+
+@st.composite
+def option_mutations(draw):
+    """A call of CALLS on M2 with one numeric option set to a drawn value."""
+    option = draw(st.sampled_from(sorted(NUMERIC_OPTIONS)))
+    commands, _ = NUMERIC_OPTIONS[option]
+    call = draw(st.sampled_from([c for c in CALLS if c[0] in commands]))
+    return call, option, draw(st.sampled_from(OPTION_VALUES))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(option_mutations())
+def test_exit_code_contract_on_mutated_options(mutation):
+    """A value a numeric option does not accept ends in exit 2 before any
+    model is loaded; any other value ends in a documented exit code."""
+    (command, *rest), option, value = mutation
+    loads = []
+    real = cli.load_model
+
+    def loading(path):
+        loads.append(path)
+        return real(path)
+
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        mp.setattr(cli, "load_model", loading)
+        try:
+            code = main([command, M2, *rest, "%s=%s" % (option, value)])
+        except SystemExit as exc:
+            code = exc.code
+    if not NUMERIC_OPTIONS[option][1](value):
+        assert (code, loads) == (2, []), mutation
+        assert "argument %s: " % option in err.getvalue(), mutation
+    else:
+        allowed = {0, 1, 2, 3, 4} if command == "check-properties" else {0, 2, 3, 4}
+        assert code in allowed and loads == [M2], mutation
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--tolerance", "nan"), ("solve", "--tolerance=-1"),
+    ("solve", "--max-iterations", "0"), ("solve", "--max-iterations=-5"),
+    ("discounted", "--lambda", "1/2", "--max-iterations", "0"),
+    ("check-properties", "--pairs", "0"), ("check-properties", "--grid=-3"),
+    ("check-properties", "--grid", "0"), ("check-properties", "--states=-1"),
+    ("simulate", "--step-cap=-1"), ("simulate", "--epsilon", "1/0"),
+], ids=" ".join)
+def test_bad_numeric_option_is_refused_before_loading(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "load_model", lambda path: pytest.fail("model loaded"))
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], M1, *argv[1:]])
+    option = next(a for a in reversed(argv) if a.startswith("--")).split("=")[0]
+    assert exc.value.code == 2
+    assert "error: argument %s: " % option in capsys.readouterr().err
 
 
 def _not_json(constant: str):

@@ -6,10 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
 
 import oracles
-from bundled import BUNDLED, bundled
-from oracles import enumerate_zeno_cycles
+from bundled import BUNDLED, MODELS, bundled
+from oracles import chain_document, enumerate_zeno_cycles
+from test_cli import m2_mutations
 from timedgames import model as md
 from timedgames.regions import (
     ClockContext,
@@ -36,6 +39,99 @@ def test_unreachable_variant_parses_and_validates():
     # structurally fine: the trouble it exists for is semantic (no path to
     # the final location), which is the solver's job to detect
     assert md.validate(arena) == []
+
+
+# ------------------------------------------------------------ YAML loaders
+
+needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                                   reason="PyYAML is installed without libyaml")
+LOADERS = [pytest.param("libyaml", marks=needs_libyaml), "pure"]
+M1_TEXT = (MODELS / "M1.model").read_text()
+
+
+def parse_with(loader: str, text: str):
+    """`parse_model(text)` with PyYAML's libyaml loader present, or hidden
+    so that the pure-Python safe loader parses; an exception is returned as
+    (type, message)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if loader == "pure":
+            mp.delattr(yaml, "CSafeLoader", raising=False)
+        try:
+            return md.parse_model(text)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
+def assert_loaders_agree(text: str, case) -> None:
+    docs = [yaml.load(text, Loader=loader) for loader in (yaml.CSafeLoader, yaml.SafeLoader)]
+    assert docs[0] == docs[1], case
+    assert parse_with("libyaml", text) == parse_with("pure", text), case
+
+
+def test_parse_model_prefers_the_libyaml_loader(monkeypatch):
+    """The libyaml loader parses when PyYAML has it, the pure-Python safe
+    loader otherwise."""
+    used = []
+    real = yaml.load
+
+    def recording(stream, Loader):
+        used.append(Loader)
+        return real(stream, Loader=Loader)
+
+    want = bundled("M1")
+    preferred = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    monkeypatch.setattr(yaml, "load", recording)
+    assert md.parse_model(M1_TEXT, name="M1") == want
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert md.parse_model(M1_TEXT, name="M1") == want
+    assert used == [preferred, yaml.SafeLoader]
+
+
+@needs_libyaml
+def test_loaders_agree_on_bundled_models_and_chains():
+    """Both loaders give equal documents and equal arenas on every bundled
+    model and on retry chains of one to three clocks."""
+    texts = {path.name: path.read_text() for path in sorted(MODELS.glob("*.model"))}
+    rng = random.Random(4)
+    probs = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4))
+    for n, k, clocks in ((1, 1, 1), (2, 2, 2), (4, 3, 2), (12, 3, 1), (4, 3, 3)):
+        owners = [rng.choice(("min", "max")) for _ in range(n)]
+        texts["chain(%d,%d,%d)" % (n, k, clocks)] = chain_document(
+            n, k, clocks, owners, [rng.choice(probs) for _ in range(n)])
+    for name, text in texts.items():
+        assert_loaders_agree(text, name)
+        assert isinstance(parse_with("libyaml", text), md.Arena), name
+
+
+@needs_libyaml
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(m2_mutations())
+def test_loaders_agree_on_mutated_models(text):
+    """M2 documents mutated as in the CLI's exit-code test parse to equal
+    documents under both loaders, and to equal arenas or equal errors."""
+    assert_loaders_agree(text, text)
+
+
+MALFORMED_YAML = {
+    "unclosed flow collection": M1_TEXT.replace("clocks: [c]", "clocks: [c"),
+    "tab indentation": M1_TEXT.replace("  location: l0", "\tlocation: l0"),
+    "two documents": M1_TEXT + "---\n" + M1_TEXT,
+    "python tag": M1_TEXT.replace("k: 2", "k: !!python/object:fractions.Fraction {}"),
+    "control character": M1_TEXT.replace("name: l0", "name: l\x070"),
+}
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("case", MALFORMED_YAML)
+def test_malformed_yaml_is_a_model_error(loader, case):
+    kind, message = parse_with(loader, MALFORMED_YAML[case])
+    assert kind is md.ModelError and message.startswith("not valid YAML"), message
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_empty_text_is_not_a_mapping(loader):
+    assert parse_with(loader, "") == (md.ModelError, "model document must be a mapping")
 
 
 # ----------------------------------------------------------------- parsing

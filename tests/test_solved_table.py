@@ -234,7 +234,9 @@ def test_uncertified_solve_is_refused(monkeypatch, capsys, sub, module):
 
 def test_rows_are_checked_once_per_solve(monkeypatch):
     """The stochasticity scan runs once per solve, not after every
-    evaluation; a warm start cut after one sweep forces several."""
+    evaluation (a warm start cut after one sweep forces several), and
+    checks each distribution object that `explore` shares once, not once
+    per action that uses it."""
     calls = []
     real = sv._stochastic
 
@@ -246,7 +248,9 @@ def test_rows_are_checked_once_per_solve(monkeypatch):
     g = explore(parse_model(chain(("min", "max"))))
     res = sv.solve_exact(g, sv.SolveConfig(tolerance=1e9))
     assert res.certified and res.exact_evaluations > 1
-    assert len(calls) == sum(len(row) for row in g.dists)
+    distinct = {id(dist) for row in g.dists for dist in row}
+    assert sorted(map(id, calls)) == sorted(distinct)
+    assert len(calls) == 46 < sum(len(row) for row in g.dists) == 304
 
 
 def test_fixed_states_are_absorbed_at_their_value():

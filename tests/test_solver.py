@@ -29,7 +29,9 @@ from bundled import bundled
 from oracles import (
     chain_document,
     dense_evaluate,
+    end_components_whole,
     one_step,
+    row_table_per_action,
     solve_simple_forms,
     solve_two_sweeps,
     sweep_per_state,
@@ -70,6 +72,91 @@ def test_unreachable_model_yields_end_component():
     with pytest.raises(sv.TargetUnreachableError) as exc:
         sv.solve_exact(g)
     assert exc.value.components == [[0]]
+
+
+def uniform(*targets: int) -> tuple:
+    """The distribution spreading probability evenly over `targets`."""
+    return tuple((t, Fraction(1, len(targets))) for t in targets)
+
+
+def hand_graph(dists, finals, fixed=()) -> bg.Brg:
+    """A graph built by hand on M1's arena: state i has one action of
+    reward 1 per distribution in dists[i], the objects given; it is final
+    where finals[i], and each state of `fixed` has value 0."""
+    m1 = graph("M1")
+    return bg.Brg(m1.arena, states=[m1.states[0]] * len(dists),
+                  actions=[[m1.actions[0][0]] * len(row) for row in dists],
+                  rewards=[[Fraction(1)] * len(row) for row in dists],
+                  dists=[list(row) for row in dists], owners=["min"] * len(dists),
+                  finals=list(finals), fixed=dict.fromkeys(fixed, Fraction(0)))
+
+
+def random_hand_graph(rng: random.Random) -> bg.Brg:
+    """Up to 8 states, some final or fixed, each live one with up to three
+    actions of up to three successors."""
+    n = rng.randint(1, 8)
+    finals = [rng.random() < 0.2 for _ in range(n)]
+    fixed = [i for i in range(n) if not finals[i] and rng.random() < 0.1]
+    dists = [[] if i in fixed else
+             [uniform(*sorted(rng.sample(range(n), rng.randint(1, min(3, n)))))
+              for _ in range(rng.randint(1, 3))]
+             for i in range(n)]
+    return hand_graph(dists, finals, fixed)
+
+
+# the end components of graphs built by hand: a multi-state end component
+# kept by one of two actions, a self-loop singleton, a self-loop that also
+# leaves, a cycle whose every action exits, a cycle with an end component
+# inside it beside a self-loop it cannot reach, and a fixed successor
+HAND_REACH = {
+    "multi-state": (([uniform(1)], [uniform(2), uniform(3)], [uniform(0)], [uniform(3)]),
+                    (False, False, False, True), (), [[0, 1, 2]]),
+    "self-loop": (([uniform(0), uniform(1)], [uniform(1)]), (False, True), (), [[0]]),
+    "leaky self-loop": (([uniform(0, 1)], [uniform(1)]), (False, True), (), []),
+    "cycle with exits": (([uniform(1, 2)], [uniform(0, 2)], [uniform(2)]),
+                         (False, False, True), (), []),
+    "end component inside a cycle": (
+        ([uniform(1)], [uniform(0), uniform(2)], [uniform(0, 4)], [uniform(3)], [uniform(4)]),
+        (False, False, False, False, True), (), [[0, 1], [3]]),
+    "fixed successor": (([uniform(1)], []), (False, False), (1,), []),
+}
+
+
+@pytest.mark.parametrize("case", HAND_REACH)
+def test_reach_check_on_hand_built_graphs(case):
+    dists, finals, fixed, want = HAND_REACH[case]
+    g = hand_graph(dists, finals, fixed)
+    assert sv.check_almost_sure_reach(g) == end_components_whole(g) == want
+
+
+def test_reach_check_matches_whole_graph_oracle():
+    """The end components found inside the cyclic components of one Tarjan
+    pass are those of one search over all live states: on the bundled and
+    differential games, on seeded retry chains, on rooted graphs cut at
+    solved states and on random graphs built by hand."""
+    graphs = differential_graphs()
+    assert sv.check_almost_sure_reach(graphs["M2-unreachable"]) == [[0]]
+    rng = random.Random(5)
+    probs = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4))
+    for n, k, clocks in ((2, 2, 2), (3, 2, 1), (4, 3, 2), (12, 3, 1)):
+        owners = [rng.choice(("min", "max")) for _ in range(n)]
+        doc = chain_document(n, k, clocks, owners, [rng.choice(probs) for _ in range(n)])
+        graphs["chain(%d,%d,%d)" % (n, k, clocks)] = bg.explore(parse_model(doc))
+    m3 = bg.explore(bundled("M3"))
+    values = sv.solve_exact(m3).values
+    graphs["M3 cut"] = bg.explore(m3.arena, known={m3.states[i]: values[i]
+                                                   for i in range(1, m3.n)})
+    found = 0
+    for name, g in graphs.items():
+        got = sv.check_almost_sure_reach(g)
+        assert got == end_components_whole(g), name
+        found += bool(got)
+    for seed in range(300):
+        g = random_hand_graph(random.Random(seed))
+        got = sv.check_almost_sure_reach(g)
+        assert got == end_components_whole(g), seed
+        found += bool(got)
+    assert found > 100
 
 
 # ---------------------------------------------------------- exact pipeline
@@ -441,6 +528,64 @@ def test_sweep_matches_per_state_oracle_with_fixed_states():
             want = sweep_per_state(g, vals, None, lam, zero_final)
             assert list(map(repr, got[0])) == list(map(repr, want[0]))
             assert got[1] == want[1]
+
+
+def _bits(x):
+    """`x` with every float replaced by its hex form, so that equal means
+    bit for bit equal."""
+    if isinstance(x, float):
+        return float.hex(x)
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(_bits, x))
+    return x
+
+
+def assert_same_table(g, lam, zero_final, case) -> None:
+    for exact in (True, False):
+        got = sv._row_table(g, lam, zero_final, exact=exact)
+        want = row_table_per_action(g, lam, zero_final, exact=exact)
+        assert _bits(list(got)) == _bits(list(want)), (case, exact)
+
+
+def test_row_table_matches_per_action_oracle():
+    """Checking and converting each shared distribution object once gives
+    the table that doing it for every action gives, entry by entry, float
+    bits and improper pairs included: on the improvement cases, on larger
+    seeded retry chains and on a rooted graph cut at solved states."""
+    cases = 0
+    for name, g, lam, zero_final, order, start, _ in sweep_cases():
+        assert_same_table(g, lam, zero_final, (name, lam, zero_final, order, start))
+        cases += 1
+    assert cases == 504
+    rng = random.Random(8)
+    probs = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4))
+    for n, k, clocks in ((4, 3, 2), (12, 3, 1), (3, 2, 3)):
+        owners = [rng.choice(("min", "max")) for _ in range(n)]
+        doc = chain_document(n, k, clocks, owners, [rng.choice(probs) for _ in range(n)])
+        g = bg.explore(parse_model(doc))
+        for lam, zero_final in SWEEP_OBJECTIVES:
+            assert_same_table(g, lam, zero_final, (n, k, clocks, lam, zero_final))
+    m3 = bg.explore(bundled("M3"))
+    values = sv.solve_exact(m3).values
+    g = bg.explore(m3.arena, known={m3.states[i]: values[i] for i in range(1, m3.n)})
+    for lam, zero_final in SWEEP_OBJECTIVES:
+        assert_same_table(g, lam, zero_final, ("M3 cut", lam, zero_final))
+
+
+def test_shared_improper_distribution_is_listed_at_every_use():
+    """One non-stochastic distribution object used by two states is checked
+    once, yet every (state, action) pair that uses it is listed, and
+    neither the certificate nor the solve certifies the graph."""
+    shared = ((1, Fraction(1, 4)), (2, Fraction(1, 2)))
+    g = hand_graph([[shared, uniform(2)], [uniform(2), shared], [uniform(2)]],
+                   (False, False, True))
+    for lam, zero_final in SWEEP_OBJECTIVES:
+        assert_same_table(g, lam, zero_final, (lam, zero_final))
+    assert sv._row_table(g, None, True, exact=True).improper == [(0, 0), (1, 1)]
+    report = sv.certify(g, [Fraction(1), Fraction(1), Fraction(0)], [1, 0, None])
+    assert report.residual == 0 and report.switches == []
+    assert report.improper_rows == [(0, 0), (1, 1)] and not report.ok
+    assert not sv.solve_exact(g).certified
 
 
 def test_certificate_refuses_a_wrong_evaluation(monkeypatch):
