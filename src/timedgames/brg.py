@@ -69,18 +69,24 @@ Per state and action it computes the scaled cost b*D - p(c), shifts and
 resets the integer tuple, checks that the successor lies in the closure of
 its region (`closure_contains_scaled`), and interns it on (location,
 point, region).  Only a state seen for the first time gets its `Fraction`
-valuation and its `BrgState`, is looked up in `known`, and is queued; the
-rewards are the fractions t/D, built once per distinct t.  Equal reward
-lists are shared, and so are equal distributions: a one-branch action's
-per successor, any other's per branches and successors, so only their
-first occurrence is merged and sorted.
+valuation, built without the sign and arity checks that the integer point
+already passes, and its `BrgState`, is looked up in `known` by its key, and
+is queued; the rewards are the fractions t/D, built once per distinct t.
+`Brg` keeps the integer points and D.  Equal reward lists are shared, and
+so are equal distributions: a one-branch action's per successor, any
+other's per branches and successors, so only their first occurrence is
+merged and sorted.
 
 A node's successors, and so its value, depend only on the node, not on the
-root it was reached from.  `explore` therefore takes a table `known` of states already solved, with
-their values: such a state is interned but not expanded, and `Brg.fixed`
-records its value, which the solver substitutes as a constant.  A rooted
-query then builds only the part of the graph below its root that no earlier
-query has solved.
+root it was reached from.  `explore` therefore takes a table `known` of
+states already solved, with their values: such a state is interned but not
+expanded, and `Brg.fixed` records its value, which the solver substitutes
+as a constant.  A rooted query then builds only the part of the graph below
+its root that no earlier query has solved.  The table is keyed by
+`state_key`: the location, the point and D reduced by their gcd, and the
+region, so a state has one key whatever the lattice of the root it was
+reached from, and a key is made from integers (`Brg.key`, and `root_key`
+for a query's root) without building a `BrgState`.
 """
 
 from __future__ import annotations
@@ -97,13 +103,15 @@ from .regions import (
     ClockContext,
     ClockRegion,
     ClockValuation,
+    RegionError,
     boundary,
-    closure_contains,
     closure_contains_scaled,
     is_thin,
+    region_form,
     region_of,
     reset_region,
     satisfies,
+    scaled_point,
     time_successor,
     valuation_satisfies,
 )
@@ -185,8 +193,8 @@ def _reset_getter(ctx: ClockContext, resets: frozenset[str]) -> Callable | None:
 
 class ArenaTables(NamedTuple):
     """The per-arena record: the tables the module docstring lists, filled
-    by `_moves`, `boundary_actions`, `_compile_move`, `_successor` and
-    `_reset`, and the getter of each branch's reset set."""
+    by `_moves`, `boundary_actions`, `_compile_move`, `_successor`,
+    `_reset` and `root_key`, and the getter of each branch's reset set."""
 
     moves: dict
     slices: dict
@@ -194,6 +202,8 @@ class ArenaTables(NamedTuple):
     regions: dict
     canon: dict
     resets: dict[frozenset[str], Callable | None]
+    # the canonical region of each (ints, blocks) form `root_key` was asked for
+    forms: dict
 
 
 def tables(arena: Arena) -> ArenaTables:
@@ -207,7 +217,7 @@ def tables(arena: Arena) -> ArenaTables:
             raise ModelError(improper[0])
         resets = {br.resets: _reset_getter(arena.ctx, br.resets)
                   for e in arena.edges for br in e.branches}
-        t = ArenaTables({}, {}, {}, {}, {}, resets)
+        t = ArenaTables({}, {}, {}, {}, {}, resets, {})
         object.__setattr__(arena, "_brg", t)
     return t
 
@@ -242,6 +252,38 @@ def _reset(arena: Arena, region: ClockRegion, clocks: frozenset[str]) -> ClockRe
         target = reset_region(region, clocks)
         t.regions[key] = t.canon.setdefault(target, target)
     return t.regions[key]
+
+
+def root_key(arena: Arena, location: str, valuation: ClockValuation) -> tuple:
+    """`state_key` of the node (location, valuation, region of the
+    valuation), made from the valuation as integers; its last item is the
+    arena's copy of that region, which is built and validated once per
+    (ints, blocks) form and arena."""
+    point, scale = scaled_point(valuation)
+    form = region_form(point, scale, arena.ctx.k)
+    t = tables(arena)
+    region = t.forms.get(form)
+    if region is None:
+        region = ClockRegion(arena.ctx, *form)
+        region = t.forms[form] = t.canon.setdefault(region, region)
+    return location, point, scale, region
+
+
+def _state_key(location: str, point: tuple[int, ...], scale: int,
+               region: ClockRegion) -> tuple:
+    """`state_key` of the state at point/scale, reduced to the smallest scale."""
+    d = math.gcd(scale, *point)
+    if d > 1:
+        point, scale = tuple([x // d for x in point]), scale // d
+    return location, point, scale, region
+
+
+def state_key(s: BrgState) -> tuple:
+    """The key of a state in a table of solved states (`explore`'s `known`,
+    `Arena._solved`): (location, point, D, region), the valuation as the
+    integer point over the smallest D.  Equal states have equal keys,
+    whichever lattice they were explored on."""
+    return (s.location, *scaled_point(s.valuation), s.region)
 
 
 def _slice(arena: Arena, location: str, region: ClockRegion) -> tuple | None:
@@ -352,7 +394,8 @@ class Brg:
     `finals` hold the owner and final flag of the state's location.
     `fixed` maps the id of each state taken from `explore`'s `known` table
     to its value; such a state is not expanded, so its action, reward and
-    distribution lists are empty."""
+    distribution lists are empty.  `points` holds each state's valuation as
+    integers scaled by `scale`, the lcm of the root's denominators."""
 
     arena: Arena
     states: list[BrgState] = field(default_factory=list)
@@ -362,6 +405,8 @@ class Brg:
     owners: list[str] = field(default_factory=list)
     finals: list[bool] = field(default_factory=list)
     fixed: dict[int, Fraction] = field(default_factory=dict)
+    points: list[tuple[int, ...]] = field(default_factory=list, repr=False)
+    scale: int = 1
     # the float row table the last `solver.value_iterate` built, with its
     # objective, for the `solver.extract_strategies` that follows it
     _float_rows: tuple | None = field(default=None, repr=False, compare=False)
@@ -372,6 +417,11 @@ class Brg:
 
     def owner(self, i: int) -> str:
         return self.owners[i]
+
+    def key(self, i: int) -> tuple:
+        """`state_key` of state i, made from its integer point."""
+        s = self.states[i]
+        return _state_key(s.location, self.points[i], self.scale, s.region)
 
     def is_final(self, i: int) -> bool:
         return self.finals[i]
@@ -387,10 +437,11 @@ def explore(
     arena: Arena,
     root: BrgState | None = None,
     cap: int = DEFAULT_STATE_CAP,
-    known: dict[BrgState, Fraction] | None = None,
+    known: dict[tuple, Fraction] | None = None,
 ) -> Brg:
     """Breadth-first reachable construction from the root, stopping at the
-    states of `known`, whose values go to `Brg.fixed`.
+    states of `known`, a table keyed by `state_key`, whose values go to
+    `Brg.fixed`.
 
     The default root pairs the arena's initial state with the region of its
     own valuation.  States are numbered in discovery order, which together
@@ -402,21 +453,23 @@ def explore(
     if root is None:
         loc, v = arena.initial
         root = BrgState(loc, v, region_of(v))
-    if not closure_contains(root.region, root.valuation):
+    ctx = root.valuation.ctx
+    if ctx != root.region.ctx:
+        raise RegionError("context mismatch")
+    root_point, scale = scaled_point(root.valuation)
+    if not closure_contains_scaled(root.region, root_point, scale):
         raise ModelError("root valuation must lie in the closure of its region")
     if not valuation_satisfies(root.valuation, arena.location_named(root.location).invariant):
         raise ModelError("root state violates its location invariant")
 
-    g = Brg(arena)
-    ctx = root.valuation.ctx
-    scale = math.lcm(*(v.denominator for v in root.valuation.values))
+    g = Brg(arena, scale=scale)
     fraction = _Fractions(scale).__getitem__
 
     # states by (location, scaled point, id of the canonical region); every
     # region in a key is an object of the arena's table, so equal regions
     # are the same object there
     index: dict[tuple, int] = {}
-    points: list[tuple[int, ...]] = []
+    points = g.points
     # equal reward lists and distributions are shared: reward lists by their
     # scaled delays, the distribution ((j, 1),) of a one-branch edge by its
     # successor j, and any other by its branches and their successors
@@ -430,22 +483,24 @@ def explore(
             raise ExplorationLimit(
                 "state cap %d crossed while exploring %s" % (cap, arena.name or "arena")
             )
-        s = BrgState(location, ClockValuation(ctx, tuple(map(fraction, point))), region)
+        # the point is nonnegative and has one coordinate per clock
+        s = BrgState(location, ClockValuation.trusted(ctx, tuple(map(fraction, point))),
+                     region)
         i = index[location, point, id(region)] = len(g.states)
         g.states.append(s)
         points.append(point)
         loc = arena.location_named(location)
         g.owners.append(loc.owner)
         g.finals.append(loc.final)
-        if known is not None and s in known:
-            g.fixed[i] = known[s]
+        if known:
+            value = known.get(_state_key(location, point, scale, region))
+            if value is not None:
+                g.fixed[i] = value
         queue.append(i)
         return i
 
     queue: deque[int] = deque()
-    intern(root.location,
-           tuple(v.numerator * (scale // v.denominator) for v in root.valuation.values),
-           t.canon.setdefault(root.region, root.region))
+    intern(root.location, root_point, t.canon.setdefault(root.region, root.region))
     table = t.moves
     while queue:
         i = queue.popleft()

@@ -309,7 +309,7 @@ def cmd_solve(args) -> int:
 def cmd_discounted(args) -> int:
     arena = load_model(args.model)
     g = explore(arena)
-    lam = parse_rational(args.lam)
+    lam = _rational_option("--lambda", args.lam)
     cfg = _config(args)
     res = solve_discounted(g, lam, cfg, zero_final=not args.keep_final_rewards)
     v0 = _num(res.values[0])
@@ -332,7 +332,7 @@ def cmd_discounted(args) -> int:
 def cmd_check_properties(args) -> int:
     arena = load_model(args.model)
     g = explore(arena)
-    k_bound = (parse_rational(args.k_bound) if args.k_bound is not None
+    k_bound = (_rational_option("--K", args.k_bound) if args.k_bound is not None
                else Fraction(1 + len(arena.ctx.clocks)))
     seen = {}
     for s in g.states:
@@ -480,6 +480,15 @@ def _rational(text: str) -> Fraction:
         return parse_rational(text)
     except (ModelError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("%r is not an exact rational" % text) from None
+
+
+def _rational_option(option: str, text: str) -> Fraction:
+    """A NUM/DEN option that its subcommand reads after loading the model,
+    refused as bad input (exit 2) with the option and the text named."""
+    try:
+        return _rational(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ModelError("argument %s: %s" % (option, exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

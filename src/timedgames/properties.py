@@ -2,8 +2,11 @@
 
 The central object is `value_at`, the certified game value from an arbitrary
 concrete state, computed by rooting the boundary region graph there and
-solving only the states that no earlier query on the arena has solved.  On
-top of it:
+solving only the states that no earlier query on the arena has solved: by
+one exact Bellman pass sinks first when none of them lies on a cycle, as on
+almost every rooted graph, else by the certified `solve_exact`.  Solved
+states are kept per arena under integer keys, so a repeated query builds no
+graph state.  On top of it:
 
   * `fit_simple` reconstructs a one-clock affine form e - nu(c) (or a
     constant) for the value function on a region, when one exists;
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .brg import BrgState, explore
+from .brg import BrgState, explore, root_key
 from .model import Arena, ConcreteState, Edge
 from .regions import (
     REGION_CAP,
@@ -46,7 +49,7 @@ from .regions import (
     satisfies,
     valuation_satisfies,
 )
-from .solver import ConvergenceError, SimpleForm, solve_exact
+from .solver import ConvergenceError, SimpleForm, acyclic_values, solve_exact
 
 Evaluator = Callable[[str, ClockValuation], Fraction]
 
@@ -56,24 +59,33 @@ def value_at(arena: Arena, location: str, valuation: ClockValuation) -> Fraction
     value of the boundary region graph node rooted at that exact state.
 
     A node's value does not depend on the root it was explored from, so the
-    arena keeps one table of every node solved so far (`Arena._solved`).  A
-    query answers from it, or explores below its root only as far as the
-    table does not reach, solves that part with the table's values as
-    constants, and adds the newly solved nodes to the table.  A query that
-    raises, including on an uncertified solve, leaves the table unchanged.
+    arena keeps one table of every node solved so far (`Arena._solved`),
+    keyed by `brg.state_key`.  The root's key and region are made from its
+    valuation as integers, so a query the table answers builds no graph
+    state.  Otherwise the query explores below its root only as far as the
+    table does not reach and solves that part with the table's values as
+    constants: when no live state of it lies on a cycle, by one exact
+    Bellman pass sinks first (`solver.acyclic_values`), which needs no
+    certificate since it solves the optimality equations outright; else by
+    the certified `solve_exact`, with its reach check and its refusal of an
+    uncertified solve.  The newly solved nodes go to the table.  A query
+    that raises leaves the table unchanged.
     """
-    root = BrgState(location, valuation, region_of(valuation))
+    key = root_key(arena, location, valuation)
     table = arena._solved
-    value = table.get(root)
+    value = table.get(key)
     if value is None:
+        root = BrgState(location, valuation, key[-1])
         g = explore(arena, root=root, known=table)
-        res = solve_exact(g)
-        if not res.certified:
-            raise ConvergenceError("the exact solve rooted at %s is not certified"
-                                   % root.label())
-        table.update((s, v) for i, (s, v) in enumerate(zip(g.states, res.values))
-                     if i not in g.fixed)
-        value = res.values[0]
+        values = acyclic_values(g)
+        if values is None:
+            res = solve_exact(g)
+            if not res.certified:
+                raise ConvergenceError("the exact solve rooted at %s is not certified"
+                                       % root.label())
+            values = res.values
+        table.update((g.key(i), v) for i, v in enumerate(values) if i not in g.fixed)
+        value = values[0]
     return value
 
 

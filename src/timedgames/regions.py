@@ -85,6 +85,17 @@ class ClockValuation:
             raise RegionError("clock values must be nonnegative: %r" % (self.values,))
 
     @classmethod
+    def trusted(cls, ctx: ClockContext, values: tuple[Fraction, ...]) -> "ClockValuation":
+        """The valuation without the arity and sign checks, for coordinates
+        already known to be nonnegative and one per clock of ctx: the
+        boundary region graph builds its points n/D from nonnegative
+        integers n, one per clock."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "ctx", ctx)
+        object.__setattr__(v, "values", values)
+        return v
+
+    @classmethod
     def from_map(cls, ctx: ClockContext, mapping: Mapping[str, Fraction]) -> "ClockValuation":
         missing = [c for c in ctx.clocks if c not in mapping]
         if missing:
@@ -102,13 +113,13 @@ class ClockValuation:
         t = Fraction(t)
         if t < 0:
             raise RegionError("cannot shift by negative time %s" % t)
-        return ClockValuation(self.ctx, tuple(v + t for v in self.values))
+        return ClockValuation.trusted(self.ctx, tuple([v + t for v in self.values]))
 
     def reset(self, clocks: frozenset[str] | set[str]) -> "ClockValuation":
         idxs = {self.ctx.index(c) for c in clocks}
-        return ClockValuation(
+        return ClockValuation.trusted(
             self.ctx,
-            tuple(Fraction(0) if i in idxs else v for i, v in enumerate(self.values)),
+            tuple([Fraction(0) if i in idxs else v for i, v in enumerate(self.values)]),
         )
 
     def as_dict(self) -> dict[str, Fraction]:
@@ -260,23 +271,36 @@ class ClockRegion:
         return ", ".join(parts)
 
 
+def scaled_point(valuation: ClockValuation) -> tuple[tuple[int, ...], int]:
+    """(point, D): the valuation as integers over D, the lcm of the
+    denominators of its coordinates.  The smallest such D, so no integer
+    above 1 divides D and every coordinate of the point."""
+    scale = math.lcm(*(v.denominator for v in valuation.values))
+    return tuple([v.numerator * (scale // v.denominator) for v in valuation.values]), scale
+
+
+def region_form(point: Sequence[int], scale: int, k: int) -> tuple[tuple, tuple]:
+    """The (ints, blocks) of the canonical region holding the valuation
+    point/scale, given as nonnegative integers scaled by `scale`: integer
+    parts, then the clocks grouped by their fractional part, the zero block
+    first and the others by increasing fraction.  A clock above k is
+    refused."""
+    limit = k * scale
+    groups: dict[int, list[int]] = {}
+    ints = []
+    for i, p in enumerate(point):
+        if p > limit:
+            raise RegionError("clock value %s exceeds bound k=%d" % (Fraction(p, scale), k))
+        m, f = divmod(p, scale)
+        ints.append(m)
+        groups.setdefault(f, []).append(i)
+    zero = tuple(groups.pop(0, ()))
+    return tuple(ints), (zero,) + tuple([tuple(groups[f]) for f in sorted(groups)])
+
+
 def region_of(valuation: ClockValuation) -> ClockRegion:
     """The canonical region containing a valuation with all clocks in [0, k]."""
-    ctx = valuation.ctx
-    ints = []
-    fracs = []
-    for v in valuation.values:
-        if v > ctx.k:
-            raise RegionError("clock value %s exceeds bound k=%d" % (v, ctx.k))
-        m = v.numerator // v.denominator
-        ints.append(m)
-        fracs.append(v - m)
-    groups: dict[Fraction, list[int]] = {}
-    for i, f in enumerate(fracs):
-        groups.setdefault(f, []).append(i)
-    zero = tuple(groups.pop(Fraction(0), []))
-    blocks = (zero,) + tuple(tuple(groups[f]) for f in sorted(groups))
-    return ClockRegion(ctx, tuple(ints), blocks)
+    return ClockRegion(valuation.ctx, *region_form(*scaled_point(valuation), valuation.ctx.k))
 
 
 def is_thin(region: ClockRegion) -> bool:
@@ -554,7 +578,8 @@ def sample_closure(region: ClockRegion, rng, denominator: int = 64) -> ClockValu
     for j, b in enumerate(region.blocks[1:]):
         for i in b:
             values[i] += Fraction(numerators[j], denominator)
-    return ClockValuation(region.ctx, tuple(values))
+    # nonnegative integer parts plus nonnegative fractions, one per clock
+    return ClockValuation.trusted(region.ctx, tuple(values))
 
 
 def _ordered_partitions(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:

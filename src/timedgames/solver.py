@@ -38,6 +38,13 @@ final states, each at its value instead of zero: every pass substitutes that
 value as a constant, and the reach check and the certificate cover only the
 other states.  That is sound because no action of a solved state leads
 outside the solved part, so no end component straddles the two.
+
+A rooted query needs only values, which are unique.  `acyclic_values` gives
+them with no warm start, extraction, evaluation or certificate when the
+Tarjan pass of the reach check finds every component of the live states
+trivial, one state without a self-loop: one exact Bellman pass, sinks
+first, is then the solution of the optimality equations.  On any other
+graph it returns None and the caller runs `solve_exact`.
 """
 
 from __future__ import annotations
@@ -140,6 +147,23 @@ def _end_components(g: Brg, states: Iterable[int]) -> list[list[int]]:
     return result
 
 
+def _live_components(g: Brg) -> tuple[list[list[int]], list]:
+    """The strongly connected components of the live states, neither final
+    nor fixed, under all actions, sinks first (one Tarjan pass), and each
+    live state's set of live successors."""
+    live = [not final and i not in g.fixed for i, final in enumerate(g.finals)]
+    states = [i for i, ok in enumerate(live) if ok]
+    succ: list = [()] * g.n
+    for s in states:
+        succ[s] = {t for dist in g.dists[s] for t, _ in dist if live[t]}
+    return sccs(states, succ), succ
+
+
+def _trivial(comp: list[int], succ: list) -> bool:
+    """A component of one state without a self-loop."""
+    return len(comp) == 1 and comp[0] not in succ[comp[0]]
+
+
 def check_almost_sure_reach(g: Brg) -> list[list[int]]:
     """End components among the non-final states outside `g.fixed`; empty
     means every strategy pair reaches the final set (or a fixed state) with
@@ -147,14 +171,10 @@ def check_almost_sure_reach(g: Brg) -> list[list[int]]:
     actions, so it lies inside one strongly connected component of the live
     states' graph that has several states or a self-loop.  One Tarjan pass
     finds those, and the end-component search runs only on them."""
-    live = [not final and i not in g.fixed for i, final in enumerate(g.finals)]
-    states = [i for i, ok in enumerate(live) if ok]
-    succ: list = [()] * g.n
-    for s in states:
-        succ[s] = {t for dist in g.dists[s] for t, _ in dist if live[t]}
+    comps, succ = _live_components(g)
     components = []
-    for comp in sccs(states, succ):
-        if len(comp) > 1 or comp[0] in succ[comp[0]]:
+    for comp in comps:
+        if not _trivial(comp, succ):
             components += _end_components(g, comp)
     components.sort()
     return components
@@ -511,6 +531,40 @@ def solve_discounted(
     if not (0 <= lam < 1):
         raise ValueError("discount factor must lie in [0, 1), got %s" % lam)
     return _solve(g, cfg or SolveConfig(), lam, zero_final)
+
+
+# ------------------------------------------------------------ rooted values
+
+def acyclic_values(g: Brg) -> list | None:
+    """Exact expected-time values of `g` from one Bellman pass, sinks first,
+    when every strongly connected component of its live states is trivial;
+    None when one is not, and `solve_exact` has to decide.
+
+    On such a graph each live state takes its owner's exact optimum of
+    r + sum p v over successors valued before it; final states are 0 and
+    fixed states keep their value.  Every play reaches a final or fixed
+    state, so the optimality equations have one solution and this is it,
+    the values `solve_exact` would certify (topological value iteration,
+    Dai et al. 2011, with one sweep per trivial component).  A live state
+    with no action raises the `ValueError` that `solve_exact` raises for
+    it.  No strategy is computed."""
+    comps, succ = _live_components(g)
+    if not all(_trivial(comp, succ) for comp in comps):
+        return None
+    missing = [s for (s,) in comps if not g.actions[s]]
+    if missing:
+        raise ValueError("choice vector leaves state %d unset" % min(missing))
+    values: list = [g.fixed.get(i, Fraction(0)) for i in range(g.n)]
+    for (s,) in comps:
+        minimize = g.owners[s] == "min"
+        best = None
+        for r, dist in zip(g.rewards[s], g.dists[s]):
+            for t, p in dist:
+                r = r + p * values[t]
+            if best is None or (r < best if minimize else r > best):
+                best = r
+        values[s] = best
+    return values
 
 
 # ------------------------------------------------------------ simple forms

@@ -35,9 +35,13 @@ certify, instead of switching from and returning one `certify` report.
 Fraction rows state by state (`one_step`, `_best`), converting them again
 on every float sweep, where the solver sweeps a row table built once per
 call site.  The two-sweep loop uses its arithmetic, not the solver's.
-`rooted_value_fresh` is the earlier `properties.value_at`, which explores
+`rooted_value_fresh` is the first `properties.value_at`, which explores
 and solves a whole fresh graph for every rooted query instead of reusing
-the arena's table of solved states.  `chain_document` writes the retry
+the arena's table of solved states.  `value_at_solve_exact` is the next
+one: it reuses the table, but finds the root's key through a `BrgState` and
+`region_of`, and solves every rooted graph with the certified
+`solve_exact` instead of one exact pass sinks first where the graph's live
+states are acyclic.  `chain_document` writes the retry
 chains that the differential tests generate.  `json_indent2` is the earlier
 rendering of every CLI document, `json.dumps` with indent=2, which the
 streaming writer of `timedgames.cli` must reproduce byte for byte.
@@ -66,6 +70,7 @@ from timedgames.brg import (
     ExplorationLimit,
     _reset,
     _successor,
+    state_key,
     tables,
     explore,
 )
@@ -633,7 +638,7 @@ def action_successors(
 
 def explore_per_state(arena: Arena, root: BrgState | None = None,
                       cap: int = DEFAULT_STATE_CAP,
-                      known: dict[BrgState, Fraction] | None = None) -> Brg:
+                      known: dict[tuple, Fraction] | None = None) -> Brg:
     """Breadth-first reachable construction from the root, every move
     derived afresh at every state (action sets cached per explore only).
     A state of `known` is interned with its value in `Brg.fixed` but not
@@ -666,8 +671,8 @@ def explore_per_state(arena: Arena, root: BrgState | None = None,
             loc = arena.location_named(s.location)
             g.owners.append(loc.owner)
             g.finals.append(loc.final)
-            if known is not None and s in known:
-                g.fixed[i] = known[s]
+            if known is not None and state_key(s) in known:
+                g.fixed[i] = known[state_key(s)]
             queue.append(i)
         return i
 
@@ -703,6 +708,26 @@ def rooted_value_fresh(arena: Arena, location: str, valuation,
     from that node alone."""
     root = BrgState(location, valuation, region or region_of(valuation))
     return sv.solve_exact(explore(arena, root=root)).values[0]
+
+
+def value_at_solve_exact(arena: Arena, location: str, valuation) -> Fraction:
+    """The value of the node rooted at (location, valuation), from the
+    arena's table of solved states or from `solve_exact` on the graph
+    explored below the root as far as the table does not reach, whose
+    solved states it adds to the table."""
+    root = BrgState(location, valuation, region_of(valuation))
+    table = arena._solved
+    value = table.get(state_key(root))
+    if value is None:
+        g = explore(arena, root=root, known=table)
+        res = sv.solve_exact(g)
+        if not res.certified:
+            raise sv.ConvergenceError("the exact solve rooted at %s is not certified"
+                                      % root.label())
+        table.update((state_key(s), v) for i, (s, v) in enumerate(zip(g.states, res.values))
+                     if i not in g.fixed)
+        value = res.values[0]
+    return value
 
 
 def json_indent2(payload) -> str:

@@ -339,7 +339,7 @@ def test_explore_with_known_table_matches_oracle():
         g = bg.explore(arena)
         for _ in range(3):
             chosen = rng.sample(g.states, max(1, g.n // 3))
-            known = {s: F(j, 7) for j, s in enumerate(chosen)}
+            known = {bg.state_key(s): F(j, 7) for j, s in enumerate(chosen)}
             for root in [None] + rng.sample(g.states, min(4, g.n)):
                 got = outcome(bg.explore, arena, root=root, known=known)
                 expected = outcome(oracles.explore_per_state, arena, root=root, known=known)

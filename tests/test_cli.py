@@ -167,6 +167,13 @@ def test_discounted_rejects_bad_lambda(capsys, lam):
     code, _, err = run(capsys, "discounted", M2, "--lambda", lam)
     assert code == 2
     assert "error:" in err
+    if lam in ("abc", "1/0"):
+        # not a rational: the message names the option and the text, and
+        # so does check-properties for the same text as --K
+        assert "argument --lambda: %r" % lam in err
+        code, out, err = run(capsys, "check-properties", M2, "--K", lam)
+        assert code == 2 and out == ""
+        assert err == "error: argument --K: %r is not an exact rational\n" % lam
 
 
 def test_simulate_json_deterministic(capsys):

@@ -23,8 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundled import bundled
-from timedgames import properties
-from timedgames.brg import BrgState
+from timedgames import brg, properties
+from timedgames.brg import BrgState, state_key
 from timedgames.model import ConcreteState, TimedAction, parse_model, timed_action_allowed
 from timedgames.properties import (
     check_quasi_simple,
@@ -91,13 +91,35 @@ def test_value_at_is_cached(monkeypatch):
     v = val(arena, "3/8")
     root = BrgState("l0", v, region_of(v))
     assert value_at(arena, "l0", v) == Fraction(13, 8)
-    assert len(explores) == 1 and arena._solved[root] == Fraction(13, 8)
+    assert len(explores) == 1 and arena._solved[state_key(root)] == Fraction(13, 8)
     table = dict(arena._solved)
     assert value_at(arena, "l0", v) == Fraction(13, 8)
     zero = val(arena, 0)
-    assert BrgState("l0", zero, region_of(zero)) in table
+    assert state_key(BrgState("l0", zero, region_of(zero))) in table
     assert value_at(arena, "l0", zero) == 2
     assert len(explores) == 1 and arena._solved == table
+
+
+def test_cached_query_builds_no_state_or_region(monkeypatch):
+    """A query the table answers, at a point solved before or at another
+    point of an already queried region, builds no `BrgState`, no region
+    and no graph."""
+    arena = bundled("M3")
+    first, other = val(arena, "1/4"), val(arena, "3/8")
+    assert value_at(arena, "l0", first) == Fraction(5, 4)
+    assert value_at(arena, "l1", other) == Fraction(5, 8)
+    built = []
+
+    def refuse(*args, **kwargs):
+        built.append(args)
+        raise AssertionError("built on a cached query")
+
+    for module, name in ((properties, "BrgState"), (properties, "explore"),
+                         (properties, "region_of"), (brg, "ClockRegion")):
+        monkeypatch.setattr(module, name, refuse)
+    assert value_at(arena, "l0", first) == Fraction(5, 4)
+    assert value_at(arena, "l1", other) == Fraction(5, 8)
+    assert built == []
 
 
 def test_fit_simple_slope_forms():

@@ -11,13 +11,14 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 import oracles
 from bundled import BUNDLED, MODELS, bundled
 from timedgames import cli, properties
 from timedgames import solver as sv
-from timedgames.brg import BrgState, explore
+from timedgames.brg import BrgState, explore, state_key
 from timedgames.model import ModelError, load_model, parse_model
 from timedgames.properties import check_quasi_simple, grid_one_step_value, sample_states
 from timedgames.regions import ClockValuation, region_of
@@ -82,8 +83,26 @@ def assert_match_oracle(calls):
     return len(seen)
 
 
-def assert_table_matches_oracle(arena):
-    for s, value in arena._solved.items():
+def table_states(arena):
+    """The table's entries as (state, value), each key checked to be the
+    `state_key` of the state it names."""
+    out = []
+    for key, value in arena._solved.items():
+        location, point, scale, region = key
+        s = BrgState(location, ClockValuation(arena.ctx, tuple(
+            Fraction(x, scale) for x in point)), region)
+        assert state_key(s) == key
+        out.append((s, value))
+    return out
+
+
+def assert_table_matches_oracle(arena, sample=None):
+    """Every entry, or a seeded sample of `sample` entries, equals a fresh
+    solve rooted at its node."""
+    entries = table_states(arena)
+    if sample is not None and sample < len(entries):
+        entries = random.Random(4).sample(entries, sample)
+    for s, value in entries:
         assert value == oracles.rooted_value_fresh(
             arena, s.location, s.valuation, s.region), s.label()
 
@@ -121,8 +140,7 @@ def test_every_table_entry_matches_fresh_solve(monkeypatch, capsys, tmp_path, ow
     arenas = record_arenas(monkeypatch)
     assert check_properties(tmp_path, chain(owners), "--pairs", "6", "--states", "3") == 0
     capsys.readouterr()
-    table = arenas[0]._solved
-    assert any(s.region != region_of(s.valuation) for s in table)
+    assert any(s.region != region_of(s.valuation) for s, _ in table_states(arenas[0]))
     assert_table_matches_oracle(arenas[0])
 
 
@@ -217,6 +235,8 @@ def uncertified(monkeypatch, module):
     monkeypatch.setattr(module, "solve_exact", solve)
 
 
+# check-properties solves with `solve_exact` only a rooted graph with a
+# cycle among its live states: on M2 the first query, rooted at l0 with c = 0
 @pytest.mark.parametrize("sub, module", [("check-properties", properties),
                                          ("simulate", cli)])
 def test_uncertified_solve_is_refused(monkeypatch, capsys, sub, module):
@@ -224,7 +244,8 @@ def test_uncertified_solve_is_refused(monkeypatch, capsys, sub, module):
     line, no traceback."""
     uncertified(monkeypatch, module)
     arenas = record_arenas(monkeypatch)
-    code = cli.main([sub, "--json", str(MODELS / "M3.model")])
+    model = "M2" if sub == "check-properties" else "M3"
+    code = cli.main([sub, "--json", str(MODELS / ("%s.model" % model))])
     out, err = capsys.readouterr()
     assert code == 4 and out == ""
     assert err.startswith("error: ") and "not certified" in err
@@ -260,7 +281,7 @@ def test_fixed_states_are_absorbed_at_their_value():
     arena = bundled("M3")
     full = explore(arena)
     values = sv.solve_exact(full).values
-    cut = {full.states[i]: values[i] for i in range(1, full.n)}
+    cut = {state_key(full.states[i]): values[i] for i in range(1, full.n)}
     g = explore(arena, known=cut)
     assert g.n < full.n and set(g.fixed) == set(range(1, g.n))
     assert sv.value_iterate(g, sv.SolveConfig())[0][1:] == [float(g.fixed[i])
@@ -269,4 +290,166 @@ def test_fixed_states_are_absorbed_at_their_value():
     assert res.certified and res.values[0] == values[0] == Fraction(3, 2)
     assert res.choice[1:] == [None] * (g.n - 1)
     root = BrgState(*arena.initial, region_of(arena.initial.valuation))
-    assert explore(arena, root=root, known={root: Fraction(7)}).fixed == {0: 7}
+    assert explore(arena, root=root, known={state_key(root): Fraction(7)}).fixed == {0: 7}
+
+
+# ------------------------------------------------- sinks-first rooted solve
+
+PROBS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4))
+
+
+def seeded_chains():
+    """Retry chains (2, 2, 2) and (3, 2, 2), each with alternating owners
+    starting with either player and seeded advance probabilities."""
+    rng = random.Random(17)
+    docs = {}
+    for n in (2, 3):
+        for first, second in CHAIN_OWNERS:
+            owners = [(first, second)[i % 2] for i in range(n)]
+            probs = [rng.choice(PROBS) for _ in range(n)]
+            docs["chain(%d,2,2) %s first" % (n, first)] = oracles.chain_document(
+                n, 2, 2, owners, probs)
+    return docs
+
+
+def answer(fn, arena, location, valuation):
+    """The value, or the type and text of what was raised."""
+    try:
+        return fn(arena, location, valuation)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def cli_points(monkeypatch, capsys, path, *options):
+    """The points `check-properties` queries on the model at `path`, in
+    call order, repeats included; the recording is undone afterwards."""
+    calls = record_queries(monkeypatch)
+    cli.main(["check-properties", "--json", str(path), *options])
+    capsys.readouterr()
+    monkeypatch.undo()
+    return [(location, valuation) for (_, location, valuation), _ in calls]
+
+
+def assert_matches_both_oracles(load, points, sample=None):
+    """Every query answers as the earlier `value_at` (`solve_exact` on every
+    rooted graph) does, with the same error where it raises, and leaves a
+    table of the same size after each query (the same table after one that
+    raises) and the same table at the end; every value, and every table
+    entry or a seeded sample of `sample` of them, equals a fresh solve
+    rooted at that node."""
+    fast, slow = load(), load()
+    fresh = {}
+    for location, valuation in points:
+        got = answer(properties.value_at, fast, location, valuation)
+        assert got == answer(oracles.value_at_solve_exact, slow, location, valuation), (
+            location, valuation.values)
+        assert len(fast._solved) == len(slow._solved)
+        if isinstance(got, tuple):
+            assert fast._solved == slow._solved
+        if (location, valuation) not in fresh:
+            fresh[location, valuation] = fresh_outcome(fast, location, valuation)
+        expected = fresh[location, valuation]
+        assert got == expected or got[0] is expected, (location, valuation.values)
+    assert fast._solved == slow._solved
+    assert_table_matches_oracle(fast, sample)
+    return fast
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_value_at_matches_oracles_on_bundled_models(monkeypatch, capsys, name):
+    path = MODELS / ("%s.model" % name)
+    arena = load_model(str(path))
+    points = cli_points(monkeypatch, capsys, path)
+    points += [(s.location, s.valuation) for s in sample_states(arena, 12, seed=5)]
+    # every location, final ones and points outside the invariant included
+    points += [(loc.name, ClockValuation(arena.ctx, (Fraction(x, 2),)))
+               for loc in arena.locations for x in range(4)]
+    fast = assert_matches_both_oracles(lambda: load_model(str(path)), points)
+    if name == "M2-unreachable":
+        # only queries rooted at the final location have values
+        assert {s.location for s, _ in table_states(fast)} == {"lf"}
+
+
+def test_value_at_matches_oracles_on_seeded_chains(monkeypatch, capsys, tmp_path):
+    for label, doc in seeded_chains().items():
+        path = tmp_path / "chain.model"
+        path.write_text(doc)
+        points = cli_points(monkeypatch, capsys, path, "--pairs", "3", "--states", "3")
+        assert len(points) > 200, label
+        # thousands of entries: the oracle table covers them all, and a
+        # sample is solved afresh
+        assert_matches_both_oracles(lambda: parse_model(doc), points, sample=500)
+
+
+def test_value_at_solves_exactly_only_cyclic_graphs(monkeypatch, capsys, tmp_path):
+    """`solve_exact` runs on no rooted graph of the (2, 2, 2) chains, whose
+    live states are acyclic below every root, and on M2's graph rooted at
+    l0 with c = 0, whose retry loop is a self-loop."""
+    solved = []
+    real = properties.solve_exact
+
+    def counted(g, *args, **kwargs):
+        solved.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(properties, "solve_exact", counted)
+    for owners in CHAIN_OWNERS:
+        assert check_properties(tmp_path, chain(owners)) == 0
+    assert solved == []
+    assert cli.main(["check-properties", "--json", str(MODELS / "M2.model")]) == 0
+    capsys.readouterr()
+    assert solved and all(sv.acyclic_values(g) is None for g in solved)
+
+
+STUCK = """clocks: [c]
+k: 1
+locations:
+  - {name: l0, owner: min, final: false, invariant: "c <= 1"}
+  - {name: l1, owner: max, final: false, invariant: "c <= 1"}
+  - {name: lf, owner: min, final: true, invariant: "c <= 1"}
+edges:
+  - source: l0
+    action: a
+    guard: "c = 1"
+    branches:
+      - {prob: "1/2", resets: [c], target: %s}
+      - {prob: "1/2", resets: [], target: lf}
+initial: {location: l0, valuation: {c: "0/1"}}
+"""
+
+
+@pytest.mark.parametrize("retry, kinds", [("l1", [ValueError] * 3),
+                                          ("l0", [ValueError, Fraction, Fraction])])
+def test_live_state_without_action_raises_as_solve_exact_does(retry, kinds):
+    """l1 has no edge.  Reached in an acyclic graph, the sinks-first pass
+    raises the `ValueError` that `solve_exact` raises; with l0 retrying on
+    itself instead, its graph is cyclic and `solve_exact` decides."""
+    doc = STUCK % retry
+    got = []
+    for location, x in (("l1", Fraction(1, 2)), ("l0", Fraction(0)), ("l0", Fraction(1))):
+        fast, slow = parse_model(doc), parse_model(doc)
+        v = ClockValuation(fast.ctx, (x,))
+        got.append(answer(properties.value_at, fast, location, v))
+        assert got[-1] == answer(oracles.value_at_solve_exact, slow, location, v)
+        assert fast._solved == slow._solved
+    assert [g[0] if isinstance(g, tuple) else type(g) for g in got] == kinds
+
+
+def test_acyclic_values_equal_solve_exact_on_whole_graphs():
+    """On every whole graph whose live states are acyclic the pass gives the
+    certified values, and it declines every graph with a cycle."""
+    graphs = {name: explore(bundled(name)) for name in BUNDLED}
+    for label, doc in seeded_chains().items():
+        graphs[label] = explore(parse_model(doc))
+    declined = 0
+    for label, g in graphs.items():
+        live = nx.DiGraph((i, t) for i in range(g.n) if not g.finals[i]
+                          for dist in g.dists[i] for t, _ in dist if not g.finals[t])
+        values = sv.acyclic_values(g)
+        assert (values is None) == (not nx.is_directed_acyclic_graph(live)), label
+        if values is None:
+            declined += 1
+            continue
+        res = sv.solve_exact(g)
+        assert res.certified and values == res.values, label
+    assert 0 < declined < len(graphs)

@@ -144,7 +144,7 @@ def test_reach_check_matches_whole_graph_oracle():
         graphs["chain(%d,%d,%d)" % (n, k, clocks)] = bg.explore(parse_model(doc))
     m3 = bg.explore(bundled("M3"))
     values = sv.solve_exact(m3).values
-    graphs["M3 cut"] = bg.explore(m3.arena, known={m3.states[i]: values[i]
+    graphs["M3 cut"] = bg.explore(m3.arena, known={bg.state_key(m3.states[i]): values[i]
                                                    for i in range(1, m3.n)})
     found = 0
     for name, g in graphs.items():
@@ -519,7 +519,8 @@ def test_sweep_matches_per_state_oracle_with_fixed_states():
     arena = bundled("M3")
     full = bg.explore(arena)
     values = sv.solve_exact(full).values
-    g = bg.explore(arena, known={full.states[i]: values[i] for i in range(1, full.n)})
+    g = bg.explore(arena, known={bg.state_key(full.states[i]): values[i]
+                                 for i in range(1, full.n)})
     assert g.fixed
     exact = [values[0]] + [g.fixed[i] for i in range(1, g.n)]
     for vals, is_exact in ((exact, True), ([float(x) for x in exact], False)):
@@ -567,7 +568,8 @@ def test_row_table_matches_per_action_oracle():
             assert_same_table(g, lam, zero_final, (n, k, clocks, lam, zero_final))
     m3 = bg.explore(bundled("M3"))
     values = sv.solve_exact(m3).values
-    g = bg.explore(m3.arena, known={m3.states[i]: values[i] for i in range(1, m3.n)})
+    g = bg.explore(m3.arena, known={bg.state_key(m3.states[i]): values[i]
+                                    for i in range(1, m3.n)})
     for lam, zero_final in SWEEP_OBJECTIVES:
         assert_same_table(g, lam, zero_final, ("M3 cut", lam, zero_final))
 
