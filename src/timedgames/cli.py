@@ -255,14 +255,12 @@ def _solve_rows(g: Brg, values, choice):
                "value": _num(values[i]), "move": move}
 
 
-def _solve_lines(head: str, g: Brg, values, choice, rational_only: bool):
+def _solve_lines(head: str, g: Brg, values, choice):
     """The text lines: the head, then one per state with its value as a
-    rational, or as a decimal where it has none unless `rational_only`."""
+    rational, or as a decimal where it has none."""
     yield head
     for row in _solve_rows(g, values, choice):
-        val = row["value"]["rational"]
-        if not rational_only:
-            val = val or row["value"]["decimal"]
+        val = row["value"]["rational"] or row["value"]["decimal"]
         yield "  %2d %-28s %-10s %s" % (row["id"], row["state"], val, row["move"] or "-")
 
 
@@ -302,7 +300,7 @@ def cmd_solve(args) -> int:
     }
     head = ("%s: value %s at %s"
             % (arena.name, v0["rational"] or v0["decimal"], g.states[0].label()))
-    _emit(args, payload, _solve_lines(head, g, values, choice, False))
+    _emit(args, payload, _solve_lines(head, g, values, choice))
     return 0
 
 
@@ -325,7 +323,7 @@ def cmd_discounted(args) -> int:
     }
     head = ("%s: discounted value %s at lambda=%s"
             % (arena.name, v0["rational"], format_rational(lam)))
-    _emit(args, payload, _solve_lines(head, g, res.values, res.choice, True))
+    _emit(args, payload, _solve_lines(head, g, res.values, res.choice))
     return 0
 
 

@@ -343,18 +343,14 @@ def sample_states(
         raise ValueError("a sample grid of %d points per location exceeds the cap of %d"
                          % (points, REGION_CAP))
     pool = []
+    clocks = len(arena.ctx.clocks)
     for l in arena.locations:
         if l.final:
             continue
-        coords = [Fraction(j, denominator) for j in range(points)]
-        # grid over all clocks would explode for many clocks; the bundled
-        # models have one, and a diagonal slice keeps it honest otherwise
-        if len(arena.ctx.clocks) == 1:
-            grid = [(c,) for c in coords]
-        else:
-            grid = [(c,) * len(arena.ctx.clocks) for c in coords]
-        for values in grid:
-            v = ClockValuation(arena.ctx, values)
+        # a grid over all clocks would explode for many clocks; the diagonal
+        # slice, every clock at one grid value, is the whole grid for one clock
+        for j in range(points):
+            v = ClockValuation(arena.ctx, (Fraction(j, denominator),) * clocks)
             if valuation_satisfies(v, l.invariant):
                 pool.append(ConcreteState(l.name, v))
     rng = random.Random(seed)

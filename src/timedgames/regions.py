@@ -456,7 +456,8 @@ def valuation_satisfies(valuation: ClockValuation, constraint: ClockConstraint) 
 
 
 def closure_contains(region: ClockRegion, valuation: ClockValuation) -> bool:
-    """Whether the valuation lies in the topological closure of the region.
+    """Whether the valuation lies in the topological closure of the region:
+    `closure_contains_scaled` at the valuation's integer point.
 
     The closure keeps zero-block clocks pinned to their integer, lets a
     positive-block clock range over the closed unit interval above its
@@ -465,33 +466,15 @@ def closure_contains(region: ClockRegion, valuation: ClockValuation) -> bool:
     """
     if valuation.ctx != region.ctx:
         raise RegionError("context mismatch")
-    fracs: list[Fraction | None] = [None] * len(valuation.values)
-    for i, v in enumerate(valuation.values):
-        m = region.ints[i]
-        if i in region.blocks[0]:
-            if v != m:
-                return False
-            continue
-        if not (m <= v <= m + 1):
-            return False
-        fracs[i] = v - m
-    positive = region.blocks[1:]
-    for b in positive:
-        vals = {fracs[i] for i in b}
-        if len(vals) != 1:
-            return False
-    for b1, b2 in zip(positive, positive[1:]):
-        if fracs[b1[0]] > fracs[b2[0]]:  # type: ignore[operator]
-            return False
-    return True
+    return closure_contains_scaled(region, *scaled_point(valuation))
 
 
 def closure_contains_scaled(region: ClockRegion, point: Sequence[int], scale: int) -> bool:
-    """`closure_contains` for the valuation point/scale, given as integers
-    scaled by the positive integer `scale`: zero-block clocks sit on their
-    integer, and the fractions of the positive blocks are equal within a
-    block and nondecreasing from one block to the next, inside [0, 1].  A
-    point it accepts is nonnegative."""
+    """Whether the valuation point/scale, given as integers scaled by the
+    positive integer `scale`, lies in the closure of the region: zero-block
+    clocks sit on their integer, and the fractions of the positive blocks
+    are equal within a block and nondecreasing from one block to the next,
+    inside [0, 1].  A point it accepts is nonnegative."""
     ints = region.ints
     blocks = iter(region.blocks)
     for i in next(blocks):

@@ -7,11 +7,12 @@ only a component of several states or with a self-loop is searched),
 run float value iteration for a warm start, extract positional strategies,
 then improve them in exact rational arithmetic, alternating best responses
 until neither player can switch.  Every strategy pair is valued by an exact
-solve of its Markov chain.  That solve splits the chain into strongly
-connected components and solves them sinks first, each as a small rational
-system whose right-hand side substitutes the values of the successors
-already solved (Tarjan 1972; the decomposition of topological value
-iteration, Dai et al. 2011).  The same pass marks the components whose
+solve of its Markov chain, `_evaluate`: one pass that splits the live states
+into strongly connected components and values them sinks first, each with
+the values of the successors already solved as constants (Tarjan 1972; the
+decomposition of topological value iteration, Dai et al. 2011).  A
+component of one state without a self-loop takes one exact backup, a larger
+one a small rational system.  The same pass marks the components whose
 expected time diverges.
 
 Each evaluation is followed by one exact Bellman sweep, `certify`, which
@@ -39,12 +40,10 @@ value as a constant, and the reach check and the certificate cover only the
 other states.  That is sound because no action of a solved state leads
 outside the solved part, so no end component straddles the two.
 
-A rooted query needs only values, which are unique.  `acyclic_values` gives
-them with no warm start, extraction, evaluation or certificate when the
-Tarjan pass of the reach check finds every component of the live states
-trivial, one state without a self-loop: one exact Bellman pass, sinks
-first, is then the solution of the optimality equations.  On any other
-graph it returns None and the caller runs `solve_exact`.
+A rooted query needs only values, which are unique.  `acyclic_values` is
+the same pass with no choice, each backup over all of a state's actions: on
+a graph whose live components are all trivial it solves the optimality
+equations outright, and on any other it returns None for `solve_exact`.
 """
 
 from __future__ import annotations
@@ -147,15 +146,21 @@ def _end_components(g: Brg, states: Iterable[int]) -> list[list[int]]:
     return result
 
 
-def _live_components(g: Brg) -> tuple[list[list[int]], list]:
-    """The strongly connected components of the live states, neither final
-    nor fixed, under all actions, sinks first (one Tarjan pass), and each
-    live state's set of live successors."""
-    live = [not final and i not in g.fixed for i, final in enumerate(g.finals)]
+def _live_components(g: Brg, choice: Sequence | None = None,
+                     zero_final: bool = True) -> tuple[list[list[int]], list]:
+    """The strongly connected components of the live states, neither fixed
+    nor absorbed final, sinks first (one Tarjan pass), and each live state's
+    set of live successors: under the actions of `choice`, or under all
+    actions without one.  A state that `choice` leaves unset has none."""
+    live = [not (zero_final and final) and i not in g.fixed
+            for i, final in enumerate(g.finals)]
     states = [i for i, ok in enumerate(live) if ok]
     succ: list = [()] * g.n
     for s in states:
-        succ[s] = {t for dist in g.dists[s] for t, _ in dist if live[t]}
+        if choice is None:
+            succ[s] = {t for dist in g.dists[s] for t, _ in dist if live[t]}
+        elif choice[s] is not None:
+            succ[s] = {t for t, _ in g.dists[s][choice[s]] if live[t]}
     return sccs(states, succ), succ
 
 
@@ -335,43 +340,64 @@ def _solve_linear_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list
     return [a[i][n] for i in range(n)]
 
 
-def _evaluate(g: Brg, choice: Sequence, lam: Fraction | None, zero_final: bool) -> list:
-    """Exact value of the Markov chain fixed by the choice vector, the
-    solution of v = lam (r + P v) with lam = 1 for expected time (lam None).
-    Absorbed final states have value zero and fixed states their value; only
-    expected time can diverge.
+def _evaluate(g: Brg, choice: Sequence | None, lam: Fraction | None = None,
+              zero_final: bool = True) -> list | None:
+    """Exact values of `g` from one pass over its live states, sinks first:
+    of the Markov chain fixed by `choice`, v = lam (r + P v) with lam = 1
+    for expected time (lam None); with no choice, of the game when every
+    live component is trivial, else None, before any state is refused.
+    Absorbed final states are zero and fixed states keep their value.
 
-    Components of the chain are solved sinks first, so every successor
-    outside the component at hand already has its value.  For expected time
-    a component is infinite when it has no successor outside itself (it
-    never reaches the absorbed set, and time keeps accumulating on it by
-    non-Zenoness) or when such a successor is infinite; otherwise it reaches
-    the absorbed set and its system is nonsingular.  Discounting (lam < 1)
-    makes every system nonsingular.
+    A trivial component, one state without a self-loop, takes one exact
+    backup of its owner's best allowed action, the chosen one or any; a
+    state with none is refused here.  A larger component of a chain is a
+    rational system with the values outside it as constants.  Only expected
+    time can diverge: a component is infinite when it has no successor
+    outside itself (it never reaches the absorbed set, and time keeps
+    accumulating on it by non-Zenoness) or when such a successor is
+    infinite, checked outright since 0 * inf is nan.  Otherwise its system
+    is nonsingular, as discounting (lam < 1) makes every system.
     """
-    absorbed = [i in g.fixed or zero_final and g.is_final(i) for i in range(g.n)]
-    succ: list = []
-    for i in range(g.n):
-        if absorbed[i]:
-            succ.append(())
-        elif choice[i] is None:
-            raise ValueError("choice vector leaves state %d unset" % i)
-        else:
-            succ.append([t for t, _ in g.dists[i][choice[i]]])
+    comps, succ = _live_components(g, choice, zero_final)
+    if choice is None and not all(_trivial(comp, succ) for comp in comps):
+        return None
+    diverges = choice is not None and lam is None
     factor = Fraction(1) if lam is None else lam
     values: list = [g.fixed.get(i, Fraction(0)) for i in range(g.n)]
-    for comp in sccs(range(g.n), succ):
-        if absorbed[comp[0]]:  # no successors, so a singleton
+    for comp in comps:
+        if _trivial(comp, succ):
+            s = comp[0]
+            if choice is None:
+                moves = zip(g.rewards[s], g.dists[s])
+            elif choice[s] is None:
+                moves = ()
+            else:
+                moves = ((g.rewards[s][choice[s]], g.dists[s][choice[s]]),)
+            minimize = g.owners[s] == "min"
+            best = None
+            for r, dist in moves:
+                if diverges and (not dist or any(values[t] == INF for t, _ in dist)):
+                    r = INF
+                else:
+                    for t, p in dist:
+                        r = r + p * values[t]
+                    if lam is not None:
+                        r = lam * r
+                if best is None or (r < best if minimize else r > best):
+                    best = r
+            if best is None:
+                raise ValueError("state %s has no action" % g.states[s].label())
+            values[s] = best
             continue
         pos = {i: r for r, i in enumerate(comp)}
-        if lam is None:
-            outside = [values[t] for i in comp for t in succ[i] if t not in pos]
+        if diverges:
+            outside = [values[t] for i in comp for t, _ in g.dists[i][choice[i]]
+                       if t not in pos]
             if not outside or INF in outside:
                 for i in comp:
                     values[i] = INF
                 continue
-        rows = []
-        rhs = []
+        rows, rhs = [], []
         for i in comp:
             j = choice[i]
             row = [Fraction(0)] * len(comp)
@@ -536,35 +562,11 @@ def solve_discounted(
 # ------------------------------------------------------------ rooted values
 
 def acyclic_values(g: Brg) -> list | None:
-    """Exact expected-time values of `g` from one Bellman pass, sinks first,
-    when every strongly connected component of its live states is trivial;
-    None when one is not, and `solve_exact` has to decide.
-
-    On such a graph each live state takes its owner's exact optimum of
-    r + sum p v over successors valued before it; final states are 0 and
-    fixed states keep their value.  Every play reaches a final or fixed
-    state, so the optimality equations have one solution and this is it,
-    the values `solve_exact` would certify (topological value iteration,
-    Dai et al. 2011, with one sweep per trivial component).  A live state
-    with no action raises the `ValueError` that `solve_exact` raises for
-    it.  No strategy is computed."""
-    comps, succ = _live_components(g)
-    if not all(_trivial(comp, succ) for comp in comps):
-        return None
-    missing = [s for (s,) in comps if not g.actions[s]]
-    if missing:
-        raise ValueError("choice vector leaves state %d unset" % min(missing))
-    values: list = [g.fixed.get(i, Fraction(0)) for i in range(g.n)]
-    for (s,) in comps:
-        minimize = g.owners[s] == "min"
-        best = None
-        for r, dist in zip(g.rewards[s], g.dists[s]):
-            for t, p in dist:
-                r = r + p * values[t]
-            if best is None or (r < best if minimize else r > best):
-                best = r
-        values[s] = best
-    return values
+    """Exact expected-time values of `g` from the pass of `_evaluate` with
+    no choice, the values `solve_exact` would certify, when every strongly
+    connected component of its live states is trivial; None when one is
+    not, and `solve_exact` has to decide.  No strategy is computed."""
+    return _evaluate(g, None)
 
 
 # ------------------------------------------------------------ simple forms

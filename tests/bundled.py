@@ -11,6 +11,10 @@ M3   min/max handoff: the failed branch of M2 hands control to a
 
 `models/M2-unreachable.model` is the fifth file: M2 with the success branch
 removed, so the final location is never reached.
+
+`STUCK % target` is a three-location game whose l1 has no edge: l0 fires at
+c = 1 and reaches lf or, with probability 1/2, the given target with c
+reset, l1 (stuck) or l0 itself (a retry loop).
 """
 
 from __future__ import annotations
@@ -26,3 +30,20 @@ BUNDLED = ("M1", "M1x", "M2", "M3")
 def bundled(name: str) -> Arena:
     """A fresh `Arena` of models/<name>.model."""
     return load_model(str(MODELS / ("%s.model" % name)))
+
+
+STUCK = """clocks: [c]
+k: 1
+locations:
+  - {name: l0, owner: min, final: false, invariant: "c <= 1"}
+  - {name: l1, owner: max, final: false, invariant: "c <= 1"}
+  - {name: lf, owner: min, final: true, invariant: "c <= 1"}
+edges:
+  - source: l0
+    action: a
+    guard: "c = 1"
+    branches:
+      - {prob: "1/2", resets: [c], target: %s}
+      - {prob: "1/2", resets: [], target: lf}
+initial: {location: l0, valuation: {c: "0/1"}}
+"""

@@ -28,6 +28,13 @@ live states for end components at once instead of only the cyclic
 components of one Tarjan pass, and `row_table_per_action` the earlier row
 table, which checked and converted the distribution of every action instead
 of each distinct distribution object once.
+`evaluate_per_component_system` is the earlier pair evaluation, which
+solves every component of the chain as a linear system, a single state
+without a self-loop too, and `acyclic_values_own_pass` the earlier value
+pass of a rooted query, with its own successor graph, Tarjan pass and
+backup loop; the solver now runs both as one pass over the live states.
+`closure_contains_fractions` is the earlier closure test, on the Fractions
+of the valuation instead of its integer point.
 `solve_two_sweeps` is the earlier improvement loop, which after each
 evaluation sweeps once to find switches and, at the end, once more to
 certify, instead of switching from and returning one `certify` report.
@@ -82,6 +89,7 @@ from timedgames.model import (
     ModelError,
     TimedAction,
     distribution_findings,
+    sccs,
 )
 from timedgames.regions import (
     ClockConstraint,
@@ -89,7 +97,6 @@ from timedgames.regions import (
     ClockValuation,
     RegionError,
     boundary,
-    closure_contains,
     enumerate_regions,
     future_chain,
     invariant_chain,
@@ -103,6 +110,7 @@ from timedgames.regions import (
     valuation_satisfies,
 )
 from timedgames import solver as sv
+from timedgames.solver import INF, _solve_linear_exact
 from timedgames.simulate import (
     ConcretizedStrategy,
     RunRecord,
@@ -394,6 +402,135 @@ def row_table_per_action(g, lam, zero_final: bool, exact: bool):
     return sv._Rows(rows, base, [o == "min" for o in g.owners], lam, improper)
 
 
+def evaluate_per_component_system(g, choice, lam, zero_final: bool) -> list:
+    """Exact value of the Markov chain fixed by the choice vector, the
+    solution of v = lam (r + P v) with lam = 1 for expected time (lam None).
+    Absorbed final states have value zero and fixed states their value; only
+    expected time can diverge.
+
+    Components of the chain are solved sinks first, so every successor
+    outside the component at hand already has its value.  For expected time
+    a component is infinite when it has no successor outside itself (it
+    never reaches the absorbed set, and time keeps accumulating on it by
+    non-Zenoness) or when such a successor is infinite; otherwise it reaches
+    the absorbed set and its system is nonsingular.  Discounting (lam < 1)
+    makes every system nonsingular.
+    """
+    absorbed = [i in g.fixed or zero_final and g.is_final(i) for i in range(g.n)]
+    succ: list = []
+    for i in range(g.n):
+        if absorbed[i]:
+            succ.append(())
+        elif choice[i] is None:
+            raise ValueError("choice vector leaves state %d unset" % i)
+        else:
+            succ.append([t for t, _ in g.dists[i][choice[i]]])
+    factor = Fraction(1) if lam is None else lam
+    values: list = [g.fixed.get(i, Fraction(0)) for i in range(g.n)]
+    for comp in sccs(range(g.n), succ):
+        if absorbed[comp[0]]:  # no successors, so a singleton
+            continue
+        pos = {i: r for r, i in enumerate(comp)}
+        if lam is None:
+            outside = [values[t] for i in comp for t in succ[i] if t not in pos]
+            if not outside or INF in outside:
+                for i in comp:
+                    values[i] = INF
+                continue
+        rows = []
+        rhs = []
+        for i in comp:
+            j = choice[i]
+            row = [Fraction(0)] * len(comp)
+            row[pos[i]] += 1
+            b = g.rewards[i][j]
+            for t, p in g.dists[i][j]:
+                if t in pos:
+                    row[pos[t]] -= factor * p
+                else:
+                    b += p * values[t]
+            rows.append(row)
+            rhs.append(factor * b)
+        for i, x in zip(comp, _solve_linear_exact(rows, rhs)):
+            values[i] = x
+    return values
+
+
+def _live_components_all_actions(g) -> tuple[list[list[int]], list]:
+    """The strongly connected components of the live states, neither final
+    nor fixed, under all actions, sinks first (one Tarjan pass), and each
+    live state's set of live successors."""
+    live = [not final and i not in g.fixed for i, final in enumerate(g.finals)]
+    states = [i for i, ok in enumerate(live) if ok]
+    succ: list = [()] * g.n
+    for s in states:
+        succ[s] = {t for dist in g.dists[s] for t, _ in dist if live[t]}
+    return sccs(states, succ), succ
+
+
+def acyclic_values_own_pass(g) -> list | None:
+    """Exact expected-time values of `g` from one Bellman pass, sinks first,
+    when every strongly connected component of its live states is trivial;
+    None when one is not, and `solve_exact` has to decide.
+
+    On such a graph each live state takes its owner's exact optimum of
+    r + sum p v over successors valued before it; final states are 0 and
+    fixed states keep their value.  Every play reaches a final or fixed
+    state, so the optimality equations have one solution and this is it,
+    the values `solve_exact` would certify (topological value iteration,
+    Dai et al. 2011, with one sweep per trivial component).  A live state
+    with no action raises the `ValueError` that `solve_exact` raises for
+    it.  No strategy is computed."""
+    comps, succ = _live_components_all_actions(g)
+    if not all(len(comp) == 1 and comp[0] not in succ[comp[0]] for comp in comps):
+        return None
+    missing = [s for (s,) in comps if not g.actions[s]]
+    if missing:
+        raise ValueError("choice vector leaves state %d unset" % min(missing))
+    values: list = [g.fixed.get(i, Fraction(0)) for i in range(g.n)]
+    for (s,) in comps:
+        minimize = g.owners[s] == "min"
+        best = None
+        for r, dist in zip(g.rewards[s], g.dists[s]):
+            for t, p in dist:
+                r = r + p * values[t]
+            if best is None or (r < best if minimize else r > best):
+                best = r
+        values[s] = best
+    return values
+
+
+def closure_contains_fractions(region: ClockRegion, valuation: ClockValuation) -> bool:
+    """Whether the valuation lies in the topological closure of the region.
+
+    The closure keeps zero-block clocks pinned to their integer, lets a
+    positive-block clock range over the closed unit interval above its
+    integer part, keeps fractions inside one block equal, and relaxes the
+    strict fraction order between blocks to non-strict.
+    """
+    if valuation.ctx != region.ctx:
+        raise RegionError("context mismatch")
+    fracs: list[Fraction | None] = [None] * len(valuation.values)
+    for i, v in enumerate(valuation.values):
+        m = region.ints[i]
+        if i in region.blocks[0]:
+            if v != m:
+                return False
+            continue
+        if not (m <= v <= m + 1):
+            return False
+        fracs[i] = v - m
+    positive = region.blocks[1:]
+    for b in positive:
+        vals = {fracs[i] for i in b}
+        if len(vals) != 1:
+            return False
+    for b1, b2 in zip(positive, positive[1:]):
+        if fracs[b1[0]] > fracs[b2[0]]:  # type: ignore[operator]
+            return False
+    return True
+
+
 def enumerate_zeno_cycles(arena: Arena) -> list[list[str]]:
     """Every simple location cycle that fails the structural non-Zenoness
     test, by enumerating the cycles and their branch combinations.
@@ -631,7 +768,7 @@ def action_successors(
                 % (state.location, act.action, target_region.label(), br.target)
             )
         succ = BrgState(br.target, shifted.reset(br.resets), target_region)
-        assert closure_contains(succ.region, succ.valuation)
+        assert closure_contains_fractions(succ.region, succ.valuation)
         out[succ] = out.get(succ, Fraction(0)) + br.prob
     return out
 
@@ -649,7 +786,7 @@ def explore_per_state(arena: Arena, root: BrgState | None = None,
     if root is None:
         loc, v = arena.initial
         root = BrgState(loc, v, region_of(v))
-    if not closure_contains(root.region, root.valuation):
+    if not closure_contains_fractions(root.region, root.valuation):
         raise ModelError("root valuation must lie in the closure of its region")
     if not valuation_satisfies(root.valuation, arena.location_named(root.location).invariant):
         raise ModelError("root state violates its location invariant")

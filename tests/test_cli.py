@@ -26,6 +26,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bundled import STUCK
 from oracles import chain_document
 from timedgames import cli, regions
 from timedgames.cli import main
@@ -263,6 +264,22 @@ def test_non_stochastic_edge_is_input_error(capsys, tmp_path, model, old, new):
     code, out, _ = run(capsys, "validate", path)
     assert code == 2
     assert "branch probabilities sum to" in out
+
+
+def test_location_without_action_is_refused_by_label(capsys, tmp_path):
+    """l1 has no edge, and the exact solve reaches it with c = 0.  Every
+    exact caller refuses with exit 2 and names the state by its label, not
+    by an internal index."""
+    path = tmp_path / "stuck.model"
+    path.write_text(STUCK % "l1")
+    for sub in (("solve", "--exact"), ("solve", "--exact", "--json"),
+                ("discounted", "--lambda", "1/2"), ("simulate",), ("check-properties",),
+                ("check-properties", "--json")):
+        code, out, err = run(capsys, sub[0], str(path), *sub[1:])
+        assert code == 2, sub
+        assert out == ""
+        assert "state l1 | c=0 | [c=0] has no action" in err, sub
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("old, new, where", [

@@ -201,13 +201,47 @@ def test_parsed_atoms_carry_their_clock_indices(data):
 @settings(max_examples=300)
 def test_closure_contains_scaled_agrees(v, multiple):
     """The integer closure test of a point scaled by any multiple of its
-    denominators agrees with the Fraction one on every region of the
-    context, and accepts the point's own region."""
+    denominators agrees with the earlier Fraction one on every region of
+    the context, and accepts the point's own region."""
     scale = multiple * math.lcm(*(x.denominator for x in v.values))
     point = tuple(int(x * scale) for x in v.values)
     for r in rg.enumerate_regions(v.ctx):
-        assert rg.closure_contains_scaled(r, point, scale) == rg.closure_contains(r, v)
+        assert (rg.closure_contains_scaled(r, point, scale)
+                == oracles.closure_contains_fractions(r, v))
     assert rg.closure_contains_scaled(rg.region_of(v), point, scale)
+
+
+def test_closure_contains_matches_fraction_oracle():
+    """On seeded valuations, random ones, points of a region's closure with
+    coordinates on block boundaries (integer or equal fractions) and the
+    same points pushed just outside, the closure test agrees with the
+    earlier Fraction one on every region; both outcomes occur."""
+    rng = random.Random(41)
+    outcomes = set()
+    for n in (1, 2, 3):
+        for k in (1, 2):
+            ctx = rg.ClockContext(NAMES[:n], k)
+            regions = list(rg.enumerate_regions(ctx))
+            points = [rg.ClockValuation(ctx, oracles.random_valuation(rng, n, k))
+                      for _ in range(20)]
+            for r in rng.sample(regions, min(len(regions), 12)):
+                closed = rg.sample_closure(r, rng, denominator=rng.choice((1, 2, 4)))
+                points.append(closed)
+                for i in range(n):
+                    nudged = list(closed.values)
+                    nudged[i] += Fraction(rng.choice((-1, 1)), 128)
+                    if 0 <= nudged[i] <= k:
+                        points.append(rg.ClockValuation(ctx, tuple(nudged)))
+            for v in points:
+                for r in regions:
+                    got = rg.closure_contains(r, v)
+                    assert got == oracles.closure_contains_fractions(r, v), (r, v)
+                    outcomes.add(got)
+    assert outcomes == {True, False}
+    other = rg.region_of(rg.ClockValuation(rg.ClockContext(("y",), 1), (Fraction(0),)))
+    with pytest.raises(rg.RegionError):
+        rg.closure_contains(other, rg.ClockValuation(rg.ClockContext(("x",), 1),
+                                                     (Fraction(0),)))
 
 
 def test_parse_constraint():

@@ -15,7 +15,7 @@ import networkx as nx
 import pytest
 
 import oracles
-from bundled import BUNDLED, MODELS, bundled
+from bundled import BUNDLED, MODELS, STUCK, bundled
 from timedgames import cli, properties
 from timedgames import solver as sv
 from timedgames.brg import BrgState, explore, state_key
@@ -401,23 +401,6 @@ def test_value_at_solves_exactly_only_cyclic_graphs(monkeypatch, capsys, tmp_pat
     assert solved and all(sv.acyclic_values(g) is None for g in solved)
 
 
-STUCK = """clocks: [c]
-k: 1
-locations:
-  - {name: l0, owner: min, final: false, invariant: "c <= 1"}
-  - {name: l1, owner: max, final: false, invariant: "c <= 1"}
-  - {name: lf, owner: min, final: true, invariant: "c <= 1"}
-edges:
-  - source: l0
-    action: a
-    guard: "c = 1"
-    branches:
-      - {prob: "1/2", resets: [c], target: %s}
-      - {prob: "1/2", resets: [], target: lf}
-initial: {location: l0, valuation: {c: "0/1"}}
-"""
-
-
 @pytest.mark.parametrize("retry, kinds", [("l1", [ValueError] * 3),
                                           ("l0", [ValueError, Fraction, Fraction])])
 def test_live_state_without_action_raises_as_solve_exact_does(retry, kinds):
@@ -433,6 +416,32 @@ def test_live_state_without_action_raises_as_solve_exact_does(retry, kinds):
         assert got[-1] == answer(oracles.value_at_solve_exact, slow, location, v)
         assert fast._solved == slow._solved
     assert [g[0] if isinstance(g, tuple) else type(g) for g in got] == kinds
+
+
+def test_pass_matches_own_pass_oracle_on_every_rooted_graph(monkeypatch, capsys, tmp_path):
+    """On every rooted graph `check-properties` explores on the bundled
+    models and the (2, 2, 2) and (3, 2, 2) chains, the shared pass gives
+    the values of the earlier pass of its own, or declines the graph as
+    that did."""
+    outcomes = []
+    real = properties.acyclic_values
+
+    def compared(g):
+        values = real(g)
+        assert values == oracles.acyclic_values_own_pass(g)
+        outcomes.append(values is None)
+        return values
+
+    monkeypatch.setattr(properties, "acyclic_values", compared)
+    for name in ALL_MODELS:
+        cli.main(["check-properties", "--json", str(MODELS / ("%s.model" % name))])
+    for doc in seeded_chains().values():
+        path = tmp_path / "chain.model"
+        path.write_text(doc)
+        assert cli.main(["check-properties", "--json", str(path),
+                         "--pairs", "3", "--states", "3"]) == 0
+    capsys.readouterr()
+    assert outcomes.count(False) > 1000 and outcomes.count(True) > 0
 
 
 def test_acyclic_values_equal_solve_exact_on_whole_graphs():

@@ -30,6 +30,7 @@ from oracles import (
     chain_document,
     dense_evaluate,
     end_components_whole,
+    evaluate_per_component_system,
     one_step,
     row_table_per_action,
     solve_simple_forms,
@@ -865,6 +866,148 @@ def test_evaluate_pair_exact_diverges_on_closed_cycles():
     assert by_loc["l0"] == by_loc["l1"] == {True}
     assert by_loc["l2"] == {False}
     assert any(len(c) >= 2 for c in chain_sccs(g, choice))
+
+
+# ------------------------------------------------- the sinks-first pass
+
+def seeded_chain_graphs() -> dict[str, bg.Brg]:
+    """Retry chains (2, 2, 2) and (3, 2, 2) with seeded owners and advance
+    probabilities."""
+    rng = random.Random(23)
+    probs = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4))
+    graphs = {}
+    for n in (2, 3, 3):
+        owners = [rng.choice(("min", "max")) for _ in range(n)]
+        doc = chain_document(n, 2, 2, owners, [rng.choice(probs) for _ in range(n)])
+        graphs["chain(%d,2,2) %s" % (n, "-".join(owners))] = bg.explore(parse_model(doc))
+    return graphs
+
+
+def visited_choices(monkeypatch, solve) -> list[list]:
+    """Every choice vector the improvement loop evaluates while `solve()`
+    runs, as it stood at the evaluation."""
+    seen = []
+    real = sv._evaluate
+
+    def recording(g, choice, *args):
+        seen.append(list(choice))
+        return real(g, choice, *args)
+
+    monkeypatch.setattr(sv, "_evaluate", recording)
+    try:
+        solve()
+    finally:
+        monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("lam", [None, Fraction(0), Fraction(1, 2), Fraction(9, 10)],
+                         ids=["expected-time", "0", "1/2", "9/10"])
+@pytest.mark.parametrize("zero_final", [True, False], ids=["absorbing", "live-final"])
+def test_pass_matches_oracles_on_visited_choices(monkeypatch, lam, zero_final):
+    """On every pair the improvement loop visits, and on random ones, the
+    one pass gives the values, infinite ones included, of the earlier
+    evaluation that solved every component as a system and of one dense
+    solve."""
+    rng = random.Random(29)
+    solved = visited = 0
+    for name, g in {**differential_graphs(), **seeded_chain_graphs()}.items():
+        choices = random_choices(g, rng, 3)
+        if lam is not None:
+            solved += 1
+            choices += visited_choices(monkeypatch, lambda: sv.solve_discounted(
+                g, lam, zero_final=zero_final))
+        elif zero_final and sv.check_almost_sure_reach(g) == []:
+            solved += 1
+            choices += visited_choices(monkeypatch, lambda: sv.solve_exact(g))
+        visited += len(choices) - 3
+        for choice in choices:
+            got = sv._evaluate(g, choice, lam, zero_final)
+            assert got == evaluate_per_component_system(g, choice, lam, zero_final), name
+            assert got == dense_evaluate(g, choice, lam, zero_final), name
+    # expected time with live final states has no solve
+    assert visited >= solved > 0 or lam is None and not zero_final
+
+
+# chains fixed by hand on graphs built by hand: (dists of each state's one
+# action, finals, fixed); a leaky self-loop, a closed cycle that an acyclic
+# state enters, a cycle with an exit, a probability-0 branch into a closed
+# cycle, and a fixed successor
+HAND_CHAINS = {
+    "leaky self-loop": (([uniform(0, 1)], [uniform(1)]), (False, True), ()),
+    "closed cycle entered": (([uniform(1)], [uniform(0)], [uniform(0, 3)], [uniform(3)]),
+                             (False, False, False, True), ()),
+    "cycle with exit": (([uniform(1)], [uniform(0, 2)], [uniform(2)]),
+                        (False, False, True), ()),
+    "p = 0 into a closed cycle": (([uniform(0)], [((0, Fraction(0)), (2, Fraction(1)))],
+                                   [uniform(2)]), (False, False, True), ()),
+    "fixed successor": (([uniform(1, 2)], [], [uniform(2)]), (False, False, True), (1,)),
+}
+
+
+@pytest.mark.parametrize("case", HAND_CHAINS)
+@pytest.mark.parametrize("lam", [None, Fraction(0), Fraction(1, 2)], ids=["expected-time", "0", "1/2"])
+@pytest.mark.parametrize("zero_final", [True, False], ids=["absorbing", "live-final"])
+def test_pass_matches_oracles_on_hand_chains(case, lam, zero_final):
+    dists, finals, fixed = HAND_CHAINS[case]
+    g = hand_graph(dists, finals, fixed)
+    choice = [0 if row else None for row in dists]
+    got = sv._evaluate(g, choice, lam, zero_final)
+    assert got == evaluate_per_component_system(g, choice, lam, zero_final)
+    if not fixed:
+        assert got == dense_evaluate(g, choice, lam, zero_final)
+    if case == "closed cycle entered" and lam is None:
+        assert got[:3] == [math.inf] * 3
+    if case == "p = 0 into a closed cycle" and lam is None and zero_final:
+        assert got[:2] == [math.inf] * 2
+
+
+@pytest.mark.parametrize("lam", [None, Fraction(1, 2)], ids=["expected-time", "1/2"])
+def test_linear_solve_runs_once_per_nontrivial_component(monkeypatch, lam):
+    """The pass solves a system only for a component of several states or
+    with a self-loop, once each (for expected time, each finite one); every
+    other state takes one backup."""
+    sizes = []
+    real = sv._solve_linear_exact
+
+    def counted(rows, rhs):
+        sizes.append(len(rows))
+        return real(rows, rhs)
+
+    monkeypatch.setattr(sv, "_solve_linear_exact", counted)
+    rng = random.Random(31)
+    trivial = 0
+    for name, g in {**differential_graphs(), **seeded_chain_graphs()}.items():
+        for choice in random_choices(g, rng, 3):
+            del sizes[:]
+            values = sv._evaluate(g, choice, lam, True)
+            succ = [[] if g.is_final(i) else [t for t, _ in g.dists[i][choice[i]]]
+                    for i in range(g.n)]
+            want = []
+            for comp in sccs(range(g.n), succ):
+                if len(comp) > 1 or comp[0] in succ[comp[0]]:
+                    if values[comp[0]] != math.inf:
+                        want.append(len(comp))
+                elif not g.is_final(comp[0]):
+                    trivial += 1
+            assert sorted(sizes) == sorted(want), (name, choice)
+    assert trivial > 100
+
+
+def test_end_component_is_refused_before_a_state_without_action():
+    """State 0 loops on itself with its only action and state 1 has none.
+    The reach check refuses the graph first, and the value pass declines
+    it as cyclic instead of refusing state 1; without the loop the pass
+    refuses state 1, naming it by its label."""
+    g = hand_graph(([uniform(0), uniform(1)], [], [uniform(2)]), (False, False, True))
+    with pytest.raises(sv.TargetUnreachableError):
+        sv.solve_exact(g)
+    assert sv.acyclic_values(g) is None
+    g = hand_graph(([uniform(1)], [], [uniform(2)]), (False, False, True))
+    with pytest.raises(ValueError, match="state %s has no action" % g.states[1].label()):
+        sv.acyclic_values(g)
+    with pytest.raises(ValueError, match="has no action"):
+        sv.solve_exact(g)
 
 
 def test_sccs_match_networkx_and_come_sinks_first():
