@@ -2,7 +2,8 @@
 with the expected-time game on the underlying timed arena.
 
 A node is a pair of a concrete state and a region, ((l, nu), (l, zeta)) with
-nu in the closure of zeta; we store it as (location, valuation, region).
+nu in the closure of zeta; we store it as the tuple `BrgState` (location,
+point, scale, region), nu being point/scale in lowest terms.
 The region component says which region's action set the node plays; the
 valuation component pins the exact point whose value the node carries.  The
 root uses the region of its own valuation; off-diagonal nodes (valuation on
@@ -68,12 +69,11 @@ to 0.  So `explore` carries each point as a tuple of integers scaled by D.
 Per state and action it computes the scaled cost b*D - p(c), shifts and
 resets the integer tuple, checks that the successor lies in the closure of
 its region (`closure_contains_scaled`), and interns it on (location,
-point, region).  Only a state seen for the first time gets its `Fraction`
-valuation, built without the sign and arity checks that the integer point
-already passes, and its `BrgState`, is looked up in `known` by its key, and
-is queued; the rewards are the fractions t/D, built once per distinct t.
-`Brg` keeps the integer points and D.  Equal reward lists are shared, and
-so are equal distributions: a one-branch action's per successor, any
+point, region).  Only a state seen for the first time is reduced by the
+gcd of its point and D into its `BrgState`, looked up in `known` and
+queued; no `Fraction` valuation is built for it.  The rewards are the
+fractions t/D, built once per distinct t.  Equal reward lists are shared,
+and so are equal distributions: a one-branch action's per successor, any
 other's per branches and successors, so only their first occurrence is
 merged and sorted.
 
@@ -82,11 +82,11 @@ root it was reached from.  `explore` therefore takes a table `known` of
 states already solved, with their values: such a state is interned but not
 expanded, and `Brg.fixed` records its value, which the solver substitutes
 as a constant.  A rooted query then builds only the part of the graph below
-its root that no earlier query has solved.  The table is keyed by
-`state_key`: the location, the point and D reduced by their gcd, and the
-region, so a state has one key whatever the lattice of the root it was
-reached from, and a key is made from integers (`Brg.key`, and `root_key`
-for a query's root) without building a `BrgState`.
+its root that no earlier query has solved.  The table is keyed by the
+states themselves: a `BrgState` is in lowest terms, so a node is one key
+whatever the lattice of the root it was reached from, and `root_key` makes
+a query's root from its valuation as integers, building its region once
+per (ints, blocks) form and arena.
 """
 
 from __future__ import annotations
@@ -108,7 +108,6 @@ from .regions import (
     closure_contains_scaled,
     is_thin,
     region_form,
-    region_of,
     reset_region,
     satisfies,
     scaled_point,
@@ -125,17 +124,32 @@ class ExplorationLimit(RuntimeError):
     """Raised when the explored graph crosses the configured state cap."""
 
 
-@dataclass(frozen=True)
-class BrgState:
+class BrgState(NamedTuple):
+    """A node ((l, nu), (l, zeta)) as (location, point, scale, region): nu
+    is point/scale, in lowest terms, so equal nodes are equal tuples
+    whichever lattice they were explored on, and a state is its own key in
+    a table of solved states."""
+
     location: str
-    valuation: ClockValuation
+    point: tuple[int, ...]
+    scale: int
     region: ClockRegion
 
+    @property
+    def valuation(self) -> ClockValuation:
+        """point/scale as Fractions, built on every read."""
+        scale = self.scale
+        return ClockValuation(self.region.ctx, tuple([Fraction(n, scale) for n in self.point]))
+
     def label(self) -> str:
-        vals = ",".join(
-            "%s=%s" % (c, v) for c, v in self.valuation.as_dict().items()
-        )
-        return "%s | %s | [%s]" % (self.location, vals, self.region.label())
+        """Each coordinate as str(Fraction(n, scale)) would render it,
+        reduced from the integers."""
+        scale, vals = self.scale, []
+        for c, n in zip(self.region.ctx.clocks, self.point):
+            d = math.gcd(n, scale)
+            vals.append("%s=%d" % (c, n // d) if d == scale
+                        else "%s=%d/%d" % (c, n // d, scale // d))
+        return "%s | %s | [%s]" % (self.location, ",".join(vals), self.region.label())
 
 
 @dataclass(frozen=True)
@@ -254,11 +268,10 @@ def _reset(arena: Arena, region: ClockRegion, clocks: frozenset[str]) -> ClockRe
     return t.regions[key]
 
 
-def root_key(arena: Arena, location: str, valuation: ClockValuation) -> tuple:
-    """`state_key` of the node (location, valuation, region of the
-    valuation), made from the valuation as integers; its last item is the
-    arena's copy of that region, which is built and validated once per
-    (ints, blocks) form and arena."""
+def root_key(arena: Arena, location: str, valuation: ClockValuation) -> BrgState:
+    """The node (location, valuation, region of the valuation), made from
+    the valuation as integers; its region is the arena's copy, which is
+    built and validated once per (ints, blocks) form and arena."""
     point, scale = scaled_point(valuation)
     form = region_form(point, scale, arena.ctx.k)
     t = tables(arena)
@@ -266,24 +279,7 @@ def root_key(arena: Arena, location: str, valuation: ClockValuation) -> tuple:
     if region is None:
         region = ClockRegion(arena.ctx, *form)
         region = t.forms[form] = t.canon.setdefault(region, region)
-    return location, point, scale, region
-
-
-def _state_key(location: str, point: tuple[int, ...], scale: int,
-               region: ClockRegion) -> tuple:
-    """`state_key` of the state at point/scale, reduced to the smallest scale."""
-    d = math.gcd(scale, *point)
-    if d > 1:
-        point, scale = tuple([x // d for x in point]), scale // d
-    return location, point, scale, region
-
-
-def state_key(s: BrgState) -> tuple:
-    """The key of a state in a table of solved states (`explore`'s `known`,
-    `Arena._solved`): (location, point, D, region), the valuation as the
-    integer point over the smallest D.  Equal states have equal keys,
-    whichever lattice they were explored on."""
-    return (s.location, *scaled_point(s.valuation), s.region)
+    return BrgState(location, point, scale, region)
 
 
 def _slice(arena: Arena, location: str, region: ClockRegion) -> tuple | None:
@@ -388,14 +384,14 @@ def _moves(arena: Arena, location: str, region: ClockRegion) -> tuple:
 
 @dataclass
 class Brg:
-    """The explored graph.  Parallel lists indexed by state id: the action
-    list of each state is in canonical order, each distribution is a tuple
+    """The explored graph.  Parallel lists indexed by state id: each state
+    is its `BrgState`, which is also its key in a table of solved states,
+    its action list is in canonical order, each distribution is a tuple
     of (successor id, probability) sorted by successor id, and `owners` and
     `finals` hold the owner and final flag of the state's location.
     `fixed` maps the id of each state taken from `explore`'s `known` table
     to its value; such a state is not expanded, so its action, reward and
-    distribution lists are empty.  `points` holds each state's valuation as
-    integers scaled by `scale`, the lcm of the root's denominators."""
+    distribution lists are empty."""
 
     arena: Arena
     states: list[BrgState] = field(default_factory=list)
@@ -405,8 +401,6 @@ class Brg:
     owners: list[str] = field(default_factory=list)
     finals: list[bool] = field(default_factory=list)
     fixed: dict[int, Fraction] = field(default_factory=dict)
-    points: list[tuple[int, ...]] = field(default_factory=list, repr=False)
-    scale: int = 1
     # the float row table the last `solver.value_iterate` built, with its
     # objective, for the `solver.extract_strategies` that follows it
     _float_rows: tuple | None = field(default=None, repr=False, compare=False)
@@ -417,11 +411,6 @@ class Brg:
 
     def owner(self, i: int) -> str:
         return self.owners[i]
-
-    def key(self, i: int) -> tuple:
-        """`state_key` of state i, made from its integer point."""
-        s = self.states[i]
-        return _state_key(s.location, self.points[i], self.scale, s.region)
 
     def is_final(self, i: int) -> bool:
         return self.finals[i]
@@ -437,39 +426,42 @@ def explore(
     arena: Arena,
     root: BrgState | None = None,
     cap: int = DEFAULT_STATE_CAP,
-    known: dict[tuple, Fraction] | None = None,
+    known: dict[BrgState, Fraction] | None = None,
 ) -> Brg:
     """Breadth-first reachable construction from the root, stopping at the
-    states of `known`, a table keyed by `state_key`, whose values go to
+    states of `known`, a table of solved states, whose values go to
     `Brg.fixed`.
 
     The default root pairs the arena's initial state with the region of its
-    own valuation.  States are numbered in discovery order, which together
-    with the canonical action order makes the graph a deterministic function
-    of the input.  Edges whose branch probabilities do not sum to exactly 1
+    own valuation (`root_key`).  A root's point must have one nonnegative
+    coordinate per clock of its region, over a positive scale, and lie in
+    the closure of its region and inside the invariant of its location.
+    States are numbered in discovery order, which together with the
+    canonical action order makes the graph a deterministic function of the
+    input.  Edges whose branch probabilities do not sum to exactly 1
     are refused, so nothing downstream solves or plays a non-stochastic game.
     """
     t = tables(arena)
     if root is None:
-        loc, v = arena.initial
-        root = BrgState(loc, v, region_of(v))
-    ctx = root.valuation.ctx
-    if ctx != root.region.ctx:
+        root = root_key(arena, *arena.initial)
+    location, root_point, scale, region = root
+    if len(root_point) != len(region.ctx.clocks):
         raise RegionError("context mismatch")
-    root_point, scale = scaled_point(root.valuation)
-    if not closure_contains_scaled(root.region, root_point, scale):
+    if scale < 1 or min(root_point) < 0:
+        raise RegionError("clock values must be nonnegative: %r over %r" % (root_point, scale))
+    if not closure_contains_scaled(region, root_point, scale):
         raise ModelError("root valuation must lie in the closure of its region")
-    if not valuation_satisfies(root.valuation, arena.location_named(root.location).invariant):
+    if not valuation_satisfies(root.valuation, arena.location_named(location).invariant):
         raise ModelError("root state violates its location invariant")
 
-    g = Brg(arena, scale=scale)
+    g = Brg(arena)
     fraction = _Fractions(scale).__getitem__
 
-    # states by (location, scaled point, id of the canonical region); every
-    # region in a key is an object of the arena's table, so equal regions
-    # are the same object there
+    # states by (location, point on the root's lattice, id of the canonical
+    # region); every region in a key is an object of the arena's table, so
+    # equal regions are the same object there
     index: dict[tuple, int] = {}
-    points = g.points
+    points: list[tuple[int, ...]] = []
     # equal reward lists and distributions are shared: reward lists by their
     # scaled delays, the distribution ((j, 1),) of a one-branch edge by its
     # successor j, and any other by its branches and their successors
@@ -483,24 +475,24 @@ def explore(
             raise ExplorationLimit(
                 "state cap %d crossed while exploring %s" % (cap, arena.name or "arena")
             )
-        # the point is nonnegative and has one coordinate per clock
-        s = BrgState(location, ClockValuation.trusted(ctx, tuple(map(fraction, point))),
-                     region)
         i = index[location, point, id(region)] = len(g.states)
-        g.states.append(s)
         points.append(point)
+        d = math.gcd(scale, *point)
+        s = (BrgState(location, point, scale, region) if d == 1 else
+             BrgState(location, tuple([x // d for x in point]), scale // d, region))
+        g.states.append(s)
         loc = arena.location_named(location)
         g.owners.append(loc.owner)
         g.finals.append(loc.final)
         if known:
-            value = known.get(_state_key(location, point, scale, region))
+            value = known.get(s)
             if value is not None:
                 g.fixed[i] = value
         queue.append(i)
         return i
 
     queue: deque[int] = deque()
-    intern(root.location, root_point, t.canon.setdefault(root.region, root.region))
+    intern(location, root_point, t.canon.setdefault(region, region))
     table = t.moves
     while queue:
         i = queue.popleft()

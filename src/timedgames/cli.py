@@ -281,6 +281,10 @@ def cmd_solve(args) -> int:
         components = check_almost_sure_reach(g)
         if components:
             raise TargetUnreachableError(g, components)
+        # a live state without an action has no value, as the exact path says
+        stuck = next((i for i in range(g.n) if not g.actions[i] and not g.finals[i]), None)
+        if stuck is not None:
+            raise ValueError("state %s has no action" % g.states[stuck].label())
         values, iters, residual = value_iterate(g, cfg)
         choice = extract_strategies(g, values)
         payload_extra = {

@@ -5,8 +5,8 @@ concrete state, computed by rooting the boundary region graph there and
 solving only the states that no earlier query on the arena has solved: by
 one exact Bellman pass sinks first when none of them lies on a cycle, as on
 almost every rooted graph, else by the certified `solve_exact`.  Solved
-states are kept per arena under integer keys, so a repeated query builds no
-graph state.  On top of it:
+states are kept per arena, each its own key, so a repeated query builds no
+valuation, region or graph.  On top of it:
 
   * `fit_simple` reconstructs a one-clock affine form e - nu(c) (or a
     constant) for the value function on a region, when one exists;
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .brg import BrgState, explore, root_key
+from .brg import explore, root_key
 from .model import Arena, ConcreteState, Edge
 from .regions import (
     REGION_CAP,
@@ -60,22 +60,22 @@ def value_at(arena: Arena, location: str, valuation: ClockValuation) -> Fraction
 
     A node's value does not depend on the root it was explored from, so the
     arena keeps one table of every node solved so far (`Arena._solved`),
-    keyed by `brg.state_key`.  The root's key and region are made from its
-    valuation as integers, so a query the table answers builds no graph
-    state.  Otherwise the query explores below its root only as far as the
-    table does not reach and solves that part with the table's values as
-    constants: when no live state of it lies on a cycle, by one exact
+    keyed by the `BrgState`s themselves.  The root state is made from the
+    valuation as integers (`brg.root_key`) and is looked up, explored from
+    and stored as it is, so a query the table answers builds no valuation,
+    region or graph.  Otherwise the query explores below its root only as
+    far as the table does not reach and solves that part with the table's
+    values as constants: when no live state of it lies on a cycle, by one exact
     Bellman pass sinks first (`solver.acyclic_values`), which needs no
     certificate since it solves the optimality equations outright; else by
     the certified `solve_exact`, with its reach check and its refusal of an
     uncertified solve.  The newly solved nodes go to the table.  A query
     that raises leaves the table unchanged.
     """
-    key = root_key(arena, location, valuation)
+    root = root_key(arena, location, valuation)
     table = arena._solved
-    value = table.get(key)
+    value = table.get(root)
     if value is None:
-        root = BrgState(location, valuation, key[-1])
         g = explore(arena, root=root, known=table)
         values = acyclic_values(g)
         if values is None:
@@ -84,7 +84,8 @@ def value_at(arena: Arena, location: str, valuation: ClockValuation) -> Fraction
                 raise ConvergenceError("the exact solve rooted at %s is not certified"
                                        % root.label())
             values = res.values
-        table.update((g.key(i), v) for i, v in enumerate(values) if i not in g.fixed)
+        table.update((s, v) for i, (s, v) in enumerate(zip(g.states, values))
+                     if i not in g.fixed)
         value = values[0]
     return value
 

@@ -9,7 +9,9 @@ exception: it is the earlier boundary region graph construction, which
 redoes the region-level work of every move (resets, target invariants,
 fresh regions) at every state instead of compiling it once per arena, and
 carries every valuation as a tuple of Fractions instead of integer points
-of the root's lattice.
+of the root's lattice: its states are `FractionState`s, the earlier node
+record, whose `label` is the earlier rendering of a node through its
+Fractions, and `scaled_state` converts one to the package's `BrgState`.
 `simulate_run_per_step` is the earlier simulator, which redoes the region
 lookup, the concretization, the legality check and the branch weights at
 every step instead of playing a compiled step table.  Both use the earlier
@@ -45,10 +47,10 @@ call site.  The two-sweep loop uses its arithmetic, not the solver's.
 `rooted_value_fresh` is the first `properties.value_at`, which explores
 and solves a whole fresh graph for every rooted query instead of reusing
 the arena's table of solved states.  `value_at_solve_exact` is the next
-one: it reuses the table, but finds the root's key through a `BrgState` and
-`region_of`, and solves every rooted graph with the certified
-`solve_exact` instead of one exact pass sinks first where the graph's live
-states are acyclic.  `chain_document` writes the retry
+one: it reuses the table, but finds the root's region through `region_of`
+on the valuation's Fractions, and solves every rooted graph with the
+certified `solve_exact` instead of one exact pass sinks first where the
+graph's live states are acyclic.  `chain_document` writes the retry
 chains that the differential tests generate.  `json_indent2` is the earlier
 rendering of every CLI document, `json.dumps` with indent=2, which the
 streaming writer of `timedgames.cli` must reproduce byte for byte.
@@ -64,6 +66,7 @@ import json
 import math
 import random
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -77,7 +80,6 @@ from timedgames.brg import (
     ExplorationLimit,
     _reset,
     _successor,
-    state_key,
     tables,
     explore,
 )
@@ -106,6 +108,7 @@ from timedgames.regions import (
     representative,
     reset_region,
     satisfies,
+    scaled_point,
     time_successor,
     valuation_satisfies,
 )
@@ -737,7 +740,28 @@ def region_actions_available(arena: Arena, location: str, region: ClockRegion) -
     return False
 
 
-def action_delay(state: BrgState, act: BoundaryAction) -> Fraction:
+@dataclass(frozen=True)
+class FractionState:
+    """The earlier record of a graph node: (location, valuation, region),
+    the valuation a tuple of Fractions."""
+
+    location: str
+    valuation: ClockValuation
+    region: ClockRegion
+
+    def label(self) -> str:
+        vals = ",".join(
+            "%s=%s" % (c, v) for c, v in self.valuation.as_dict().items()
+        )
+        return "%s | %s | [%s]" % (self.location, vals, self.region.label())
+
+
+def scaled_state(s: FractionState) -> BrgState:
+    """The package's state of the same node: its valuation through `scaled_point`."""
+    return BrgState(s.location, *scaled_point(s.valuation), s.region)
+
+
+def action_delay(state: FractionState, act: BoundaryAction) -> Fraction:
     """The exact cost b - nu(c) of steering to the action's boundary."""
     if act.b is None:
         return Fraction(0)
@@ -752,13 +776,13 @@ def action_delay(state: BrgState, act: BoundaryAction) -> Fraction:
 
 
 def action_successors(
-    arena: Arena, state: BrgState, act: BoundaryAction
-) -> dict[BrgState, Fraction]:
+    arena: Arena, state: FractionState, act: BoundaryAction
+) -> dict[FractionState, Fraction]:
     """Successor distribution: shift to the boundary, then branch and reset."""
     e = arena.edge(state.location, act.action)
     assert e is not None
     shifted = state.valuation.shift(action_delay(state, act))
-    out: dict[BrgState, Fraction] = {}
+    out: dict[FractionState, Fraction] = {}
     for br in e.branches:
         target_region = reset_region(act.target, br.resets)
         inv = arena.location_named(br.target).invariant
@@ -767,7 +791,7 @@ def action_successors(
                 "edge (%s, %s) lands in [%s], outside the invariant of %s"
                 % (state.location, act.action, target_region.label(), br.target)
             )
-        succ = BrgState(br.target, shifted.reset(br.resets), target_region)
+        succ = FractionState(br.target, shifted.reset(br.resets), target_region)
         assert closure_contains_fractions(succ.region, succ.valuation)
         out[succ] = out.get(succ, Fraction(0)) + br.prob
     return out
@@ -777,25 +801,28 @@ def explore_per_state(arena: Arena, root: BrgState | None = None,
                       cap: int = DEFAULT_STATE_CAP,
                       known: dict[tuple, Fraction] | None = None) -> Brg:
     """Breadth-first reachable construction from the root, every move
-    derived afresh at every state (action sets cached per explore only).
-    A state of `known` is interned with its value in `Brg.fixed` but not
-    expanded."""
+    derived afresh at every state (action sets cached per explore only),
+    on `FractionState`s; a root is given as a package `BrgState`.  A state
+    whose `scaled_state` is in `known` is interned with its value in
+    `Brg.fixed` but not expanded."""
     improper = distribution_findings(arena)
     if improper:
         raise ModelError(improper[0])
     if root is None:
         loc, v = arena.initial
-        root = BrgState(loc, v, region_of(v))
+        root = FractionState(loc, v, region_of(v))
+    else:
+        root = FractionState(root.location, root.valuation, root.region)
     if not closure_contains_fractions(root.region, root.valuation):
         raise ModelError("root valuation must lie in the closure of its region")
     if not valuation_satisfies(root.valuation, arena.location_named(root.location).invariant):
         raise ModelError("root state violates its location invariant")
 
     g = Brg(arena)
-    index: dict[BrgState, int] = {}
+    index: dict[FractionState, int] = {}
     action_cache: dict[tuple[str, ClockRegion], list[BoundaryAction]] = {}
 
-    def intern(s: BrgState) -> int:
+    def intern(s: FractionState) -> int:
         i = index.get(s)
         if i is None:
             if len(g.states) >= cap:
@@ -808,8 +835,8 @@ def explore_per_state(arena: Arena, root: BrgState | None = None,
             loc = arena.location_named(s.location)
             g.owners.append(loc.owner)
             g.finals.append(loc.final)
-            if known is not None and state_key(s) in known:
-                g.fixed[i] = known[state_key(s)]
+            if known is not None and scaled_state(s) in known:
+                g.fixed[i] = known[scaled_state(s)]
             queue.append(i)
         return i
 
@@ -843,7 +870,7 @@ def rooted_value_fresh(arena: Arena, location: str, valuation,
     """The value of the graph node (location, valuation, region), the region
     of the valuation by default, from a graph explored and solved afresh
     from that node alone."""
-    root = BrgState(location, valuation, region or region_of(valuation))
+    root = BrgState(location, *scaled_point(valuation), region or region_of(valuation))
     return sv.solve_exact(explore(arena, root=root)).values[0]
 
 
@@ -852,16 +879,16 @@ def value_at_solve_exact(arena: Arena, location: str, valuation) -> Fraction:
     arena's table of solved states or from `solve_exact` on the graph
     explored below the root as far as the table does not reach, whose
     solved states it adds to the table."""
-    root = BrgState(location, valuation, region_of(valuation))
+    root = BrgState(location, *scaled_point(valuation), region_of(valuation))
     table = arena._solved
-    value = table.get(state_key(root))
+    value = table.get(root)
     if value is None:
         g = explore(arena, root=root, known=table)
         res = sv.solve_exact(g)
         if not res.certified:
             raise sv.ConvergenceError("the exact solve rooted at %s is not certified"
                                       % root.label())
-        table.update((state_key(s), v) for i, (s, v) in enumerate(zip(g.states, res.values))
+        table.update((s, v) for i, (s, v) in enumerate(zip(g.states, res.values))
                      if i not in g.fixed)
         value = res.values[0]
     return value

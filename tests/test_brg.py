@@ -19,6 +19,7 @@ from timedgames import brg as bg
 from timedgames import properties
 from timedgames.model import Arena, ModelError, load_model, parse_model
 from timedgames.regions import (
+    ClockContext,
     ClockRegion,
     ClockValuation,
     RegionError,
@@ -27,6 +28,7 @@ from timedgames.regions import (
     invariant_chain,
     region_of,
     sample_closure,
+    scaled_point,
     time_successor,
     valuation_satisfies,
 )
@@ -43,7 +45,7 @@ def val(arena: Arena, x) -> ClockValuation:
 def state(arena: Arena, loc: str, x, region_point=None) -> bg.BrgState:
     v = val(arena, x)
     r = region_of(val(arena, region_point)) if region_point is not None else region_of(v)
-    return bg.BrgState(loc, v, r)
+    return bg.BrgState(loc, *scaled_point(v), r)
 
 
 def test_m1_structure():
@@ -262,26 +264,32 @@ initial: {location: l0, valuation: {c: "0", d: "0"}}
 
 
 def outcome(build, arena: Arena, **kwargs):
-    """The graph's parallel lists, or the type and text of what was raised."""
+    """The graph's parallel lists and its labels, or the type and text of
+    what was raised.  The oracle's states are converted to `BrgState`s."""
     try:
         g = build(arena, **kwargs)
     except (ModelError, RegionError, bg.ExplorationLimit) as exc:
         return type(exc), str(exc)
-    return g.states, g.actions, g.rewards, g.dists, g.owners, g.finals, g.fixed
+    states = g.states
+    if build is oracles.explore_per_state:
+        states = [oracles.scaled_state(s) for s in states]
+    return (states, [s.label() for s in g.states], g.actions, g.rewards, g.dists,
+            g.owners, g.finals, g.fixed)
 
 
 def test_explore_matches_per_state_oracle():
-    """Same graph as the per-state construction from the initial state and
-    from seeded points in the closure of every reachable region, with every
-    rooted explore of an arena sharing its compiled moves."""
+    """Same graph and labels as the per-state construction from the initial
+    state and from seeded points in the closure of every reachable region,
+    on the lattices D = 1, 4 and 64, with every rooted explore of an arena
+    sharing its compiled moves."""
     rng = random.Random(3)
     for name, arena in differential_arenas().items():
         assert arena._brg is None, name
         g = bg.explore(arena)
         assert outcome(bg.explore, arena) == outcome(oracles.explore_per_state, arena), name
         for key in dict.fromkeys((s.location, s.region) for s in g.states):
-            for _ in range(3):
-                root = bg.BrgState(key[0], sample_closure(key[1], rng), key[1])
+            for d in (1, 4, 64, 64, 64):
+                root = bg.BrgState(key[0], *scaled_point(sample_closure(key[1], rng, d)), key[1])
                 got = outcome(bg.explore, arena, root=root)
                 assert got == outcome(oracles.explore_per_state, arena, root=root), (name, root)
 
@@ -314,17 +322,19 @@ def test_explore_matches_oracle_on_other_lattices_and_at_the_bound():
         g = bg.explore(arena)
         roots = []
         for key in dict.fromkeys((s.location, s.region) for s in g.states):
-            roots.append(bg.BrgState(key[0], mixed_lattice_point(key[1], rng), key[1]))
+            roots.append(bg.BrgState(key[0], *scaled_point(mixed_lattice_point(key[1], rng)),
+                                     key[1]))
         regions = enumerate_regions(arena.ctx)
         at_bound = [r for r in regions if arena.ctx.k in r.ints]
         three_blocks = [r for r in regions if len(r.blocks) == 4]
         for loc in arena.locations:
             for r in rng.sample(at_bound, min(4, len(at_bound))):
-                roots.append(bg.BrgState(loc.name, mixed_lattice_point(r, rng), r))
+                roots.append(bg.BrgState(loc.name, *scaled_point(mixed_lattice_point(r, rng)), r))
             for r in rng.sample(three_blocks, min(4, len(three_blocks))):
-                roots.append(bg.BrgState(loc.name, mixed_lattice_point(r, rng, True), r))
+                roots.append(bg.BrgState(loc.name,
+                                         *scaled_point(mixed_lattice_point(r, rng, True)), r))
         for root in roots:
-            scales.add(math.lcm(*(v.denominator for v in root.valuation.values)))
+            scales.add(root.scale)
             got = outcome(bg.explore, arena, root=root)
             assert got == outcome(oracles.explore_per_state, arena, root=root), (name, root)
     assert 1344 in scales and 21 in scales
@@ -339,11 +349,47 @@ def test_explore_with_known_table_matches_oracle():
         g = bg.explore(arena)
         for _ in range(3):
             chosen = rng.sample(g.states, max(1, g.n // 3))
-            known = {bg.state_key(s): F(j, 7) for j, s in enumerate(chosen)}
+            known = {s: F(j, 7) for j, s in enumerate(chosen)}
             for root in [None] + rng.sample(g.states, min(4, g.n)):
                 got = outcome(bg.explore, arena, root=root, known=known)
                 expected = outcome(oracles.explore_per_state, arena, root=root, known=known)
                 assert got == expected, (name, root)
+
+
+def test_label_renders_each_coordinate_as_its_fraction():
+    """Every coordinate n over D renders as str(Fraction(n, D)), on points
+    in lowest terms or not."""
+    ctx = ClockContext(("x", "y"), 3)
+    for scale in (1, 2, 3, 4, 6, 64, 1344):
+        for n in range(0, 3 * scale + 1, max(1, scale // 16)):
+            point = (n, 3 * scale - n)
+            s = bg.BrgState("l0", point, scale, region_of(
+                ClockValuation(ctx, tuple(F(x, scale) for x in point))))
+            old = oracles.FractionState(s.location, s.valuation, s.region)
+            assert s.label() == old.label(), (point, scale)
+
+
+def test_one_node_from_two_lattices_is_one_state():
+    """A node reached from roots on the lattices D = 4 and D = 64 is one
+    state, equal and equally hashed in both graphs, and one entry of the
+    arena's table of solved states after a query from each root."""
+    for name in ("M2", "M3", "chain2_2_2"):
+        arena = differential_arenas()[name]
+        loc, v = arena.initial
+        r = region_of(v)
+        quarter = ClockValuation(arena.ctx, tuple(x + F(1, 4) for x in v.values))
+        fine = ClockValuation(arena.ctx, tuple(x + F(5, 64) for x in v.values))
+        graphs = [bg.explore(arena, root=bg.root_key(arena, loc, w)) for w in (quarter, fine)]
+        assert [g.states[0].scale for g in graphs] == [4, 64], name
+        shared = set(graphs[0].states) & set(graphs[1].states)
+        assert shared, name
+        for w in (quarter, fine):
+            properties.value_at(arena, loc, w)
+        assert set(arena._solved) == set(graphs[0].states) | set(graphs[1].states), name
+        # a root off its lowest terms is the same node as the reduced one
+        point, scale = scaled_point(v)
+        doubled = bg.BrgState(loc, tuple(2 * x for x in point), 2 * scale, r)
+        assert bg.explore(arena, root=doubled).states[0] == bg.root_key(arena, loc, v)
 
 
 def test_boundary_actions_match_rewalking_oracle():
@@ -574,7 +620,8 @@ def count_regions(monkeypatch) -> list:
 def test_regions_built_once_per_arena(monkeypatch):
     """An explore builds and validates the root's region and one region per
     time successor or reset it has not met before on the arena; a second
-    explore, rooted anywhere in the first graph, builds none."""
+    explore, rooted anywhere in the first graph or at the initial state,
+    builds none."""
     arenas = differential_arenas()
     built = count_regions(monkeypatch)
     for name in ("M3", "merging", "chain2_3_2", "chain3_2_2"):
@@ -600,8 +647,9 @@ def test_regions_built_once_per_arena(monkeypatch):
             bg.explore(arena, root=s)
         assert built == [], name
         assert (len(t.slices), len(t.action_moves), len(t.moves)) == tables
+        # the default root's region is the arena's copy (`root_key`)
         bg.explore(arena)
-        assert len(built) == 1, name  # region_of of the initial valuation
+        assert built == [], name
 
 
 def test_action_label_rendered_once(monkeypatch):

@@ -267,12 +267,12 @@ def test_non_stochastic_edge_is_input_error(capsys, tmp_path, model, old, new):
 
 
 def test_location_without_action_is_refused_by_label(capsys, tmp_path):
-    """l1 has no edge, and the exact solve reaches it with c = 0.  Every
-    exact caller refuses with exit 2 and names the state by its label, not
-    by an internal index."""
+    """l1 has no edge, and the graph reaches it with c = 0.  The float
+    solve and every exact caller refuse with exit 2 and name the state by
+    its label, not by an internal index."""
     path = tmp_path / "stuck.model"
     path.write_text(STUCK % "l1")
-    for sub in (("solve", "--exact"), ("solve", "--exact", "--json"),
+    for sub in (("solve",), ("solve", "--json"), ("solve", "--exact"), ("solve", "--exact", "--json"),
                 ("discounted", "--lambda", "1/2"), ("simulate",), ("check-properties",),
                 ("check-properties", "--json")):
         code, out, err = run(capsys, sub[0], str(path), *sub[1:])
@@ -280,6 +280,21 @@ def test_location_without_action_is_refused_by_label(capsys, tmp_path):
         assert out == ""
         assert "state l1 | c=0 | [c=0] has no action" in err, sub
         assert "Traceback" not in err
+
+
+def test_end_component_is_refused_before_a_location_without_action(capsys, tmp_path):
+    """The maximizer can retry at l0 forever, and l1 has no edge: the float
+    and the exact solve both report the end component with exit 3."""
+    path = tmp_path / "loop.model"
+    path.write_text((STUCK % "l1").replace(
+        "  - {name: l0, owner: min,", "  - {name: l0, owner: max,").replace(
+        "initial:", "  - source: l0\n    action: b\n    guard: \"c = 1\"\n    branches:\n"
+        "      - {prob: \"1/1\", resets: [c], target: l0}\ninitial:"))
+    for sub in (("solve",), ("solve", "--exact")):
+        code, out, err = run(capsys, sub[0], str(path), *sub[1:])
+        assert code == 3, sub
+        assert "end component: l0 | c=0 | [c=0]" in err, sub
+        assert "has no action" not in err
 
 
 @pytest.mark.parametrize("old, new, where", [

@@ -23,8 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundled import bundled
-from timedgames import brg, properties
-from timedgames.brg import BrgState, state_key
+from timedgames import brg, properties, regions
+from timedgames.brg import BrgState
 from timedgames.model import ConcreteState, TimedAction, parse_model, timed_action_allowed
 from timedgames.properties import (
     check_quasi_simple,
@@ -34,7 +34,7 @@ from timedgames.properties import (
     sample_states,
     value_at,
 )
-from timedgames.regions import ClockValuation, region_of, sample_closure
+from timedgames.regions import ClockValuation, region_of, sample_closure, scaled_point
 from timedgames.solver import SimpleForm
 
 M1 = bundled("M1")
@@ -89,21 +89,21 @@ def test_value_at_is_cached(monkeypatch):
 
     monkeypatch.setattr(properties, "explore", counted)
     v = val(arena, "3/8")
-    root = BrgState("l0", v, region_of(v))
+    root = BrgState("l0", *scaled_point(v), region_of(v))
     assert value_at(arena, "l0", v) == Fraction(13, 8)
-    assert len(explores) == 1 and arena._solved[state_key(root)] == Fraction(13, 8)
+    assert len(explores) == 1 and arena._solved[root] == Fraction(13, 8)
     table = dict(arena._solved)
     assert value_at(arena, "l0", v) == Fraction(13, 8)
     zero = val(arena, 0)
-    assert state_key(BrgState("l0", zero, region_of(zero))) in table
+    assert BrgState("l0", *scaled_point(zero), region_of(zero)) in table
     assert value_at(arena, "l0", zero) == 2
     assert len(explores) == 1 and arena._solved == table
 
 
-def test_cached_query_builds_no_state_or_region(monkeypatch):
+def test_cached_query_builds_no_valuation_region_or_graph(monkeypatch):
     """A query the table answers, at a point solved before or at another
-    point of an already queried region, builds no `BrgState`, no region
-    and no graph."""
+    point of an already queried region, builds no valuation, no region and
+    no graph: its root state, made from integers, is the table's key."""
     arena = bundled("M3")
     first, other = val(arena, "1/4"), val(arena, "3/8")
     assert value_at(arena, "l0", first) == Fraction(5, 4)
@@ -114,9 +114,11 @@ def test_cached_query_builds_no_state_or_region(monkeypatch):
         built.append(args)
         raise AssertionError("built on a cached query")
 
-    for module, name in ((properties, "BrgState"), (properties, "explore"),
-                         (properties, "region_of"), (brg, "ClockRegion")):
-        monkeypatch.setattr(module, name, refuse)
+    for owner, name in ((regions.ClockValuation, "__post_init__"),
+                        (regions.ClockValuation, "trusted"), (brg, "ClockRegion"),
+                        (properties, "region_of"), (properties, "explore"),
+                        (brg, "Brg")):
+        monkeypatch.setattr(owner, name, refuse)
     assert value_at(arena, "l0", first) == Fraction(5, 4)
     assert value_at(arena, "l1", other) == Fraction(5, 8)
     assert built == []

@@ -18,10 +18,10 @@ import oracles
 from bundled import BUNDLED, MODELS, STUCK, bundled
 from timedgames import cli, properties
 from timedgames import solver as sv
-from timedgames.brg import BrgState, explore, state_key
+from timedgames.brg import BrgState, explore, root_key
 from timedgames.model import ModelError, load_model, parse_model
 from timedgames.properties import check_quasi_simple, grid_one_step_value, sample_states
-from timedgames.regions import ClockValuation, region_of
+from timedgames.regions import ClockValuation, region_of, scaled_point
 from timedgames.solver import TargetUnreachableError
 
 ALL_MODELS = BUNDLED + ("M2-unreachable",)
@@ -84,14 +84,12 @@ def assert_match_oracle(calls):
 
 
 def table_states(arena):
-    """The table's entries as (state, value), each key checked to be the
-    `state_key` of the state it names."""
+    """The table's entries as (state, value), each key checked to be a
+    `BrgState` of the arena's clocks in lowest terms."""
     out = []
-    for key, value in arena._solved.items():
-        location, point, scale, region = key
-        s = BrgState(location, ClockValuation(arena.ctx, tuple(
-            Fraction(x, scale) for x in point)), region)
-        assert state_key(s) == key
+    for s, value in arena._solved.items():
+        assert isinstance(s, BrgState) and s.region.ctx == arena.ctx
+        assert s == BrgState(s.location, *scaled_point(s.valuation), s.region)
         out.append((s, value))
     return out
 
@@ -281,7 +279,7 @@ def test_fixed_states_are_absorbed_at_their_value():
     arena = bundled("M3")
     full = explore(arena)
     values = sv.solve_exact(full).values
-    cut = {state_key(full.states[i]): values[i] for i in range(1, full.n)}
+    cut = dict(zip(full.states[1:], values[1:]))
     g = explore(arena, known=cut)
     assert g.n < full.n and set(g.fixed) == set(range(1, g.n))
     assert sv.value_iterate(g, sv.SolveConfig())[0][1:] == [float(g.fixed[i])
@@ -289,8 +287,8 @@ def test_fixed_states_are_absorbed_at_their_value():
     res = sv.solve_exact(g)
     assert res.certified and res.values[0] == values[0] == Fraction(3, 2)
     assert res.choice[1:] == [None] * (g.n - 1)
-    root = BrgState(*arena.initial, region_of(arena.initial.valuation))
-    assert explore(arena, root=root, known={state_key(root): Fraction(7)}).fixed == {0: 7}
+    root = root_key(arena, *arena.initial)
+    assert explore(arena, root=root, known={root: Fraction(7)}).fixed == {0: 7}
 
 
 # ------------------------------------------------- sinks-first rooted solve

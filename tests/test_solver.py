@@ -40,7 +40,7 @@ from oracles import (
 from timedgames import brg as bg
 from timedgames import solver as sv
 from timedgames.model import parse_model, sccs
-from timedgames.regions import ClockValuation, region_of
+from timedgames.regions import ClockValuation, region_of, scaled_point
 
 EXPECTED = {
     "M1": Fraction(1),
@@ -56,7 +56,7 @@ def graph(name: str) -> bg.Brg:
 
 def rooted(arena, x: str | int, loc: str = "l0") -> bg.Brg:
     v = ClockValuation(arena.ctx, (Fraction(x),))
-    return bg.explore(arena, root=bg.BrgState(loc, v, region_of(v)))
+    return bg.explore(arena, root=bg.BrgState(loc, *scaled_point(v), region_of(v)))
 
 
 # ------------------------------------------------------------- assumptions
@@ -145,8 +145,7 @@ def test_reach_check_matches_whole_graph_oracle():
         graphs["chain(%d,%d,%d)" % (n, k, clocks)] = bg.explore(parse_model(doc))
     m3 = bg.explore(bundled("M3"))
     values = sv.solve_exact(m3).values
-    graphs["M3 cut"] = bg.explore(m3.arena, known={bg.state_key(m3.states[i]): values[i]
-                                                   for i in range(1, m3.n)})
+    graphs["M3 cut"] = bg.explore(m3.arena, known=dict(zip(m3.states[1:], values[1:])))
     found = 0
     for name, g in graphs.items():
         got = sv.check_almost_sure_reach(g)
@@ -520,8 +519,7 @@ def test_sweep_matches_per_state_oracle_with_fixed_states():
     arena = bundled("M3")
     full = bg.explore(arena)
     values = sv.solve_exact(full).values
-    g = bg.explore(arena, known={bg.state_key(full.states[i]): values[i]
-                                 for i in range(1, full.n)})
+    g = bg.explore(arena, known=dict(zip(full.states[1:], values[1:])))
     assert g.fixed
     exact = [values[0]] + [g.fixed[i] for i in range(1, g.n)]
     for vals, is_exact in ((exact, True), ([float(x) for x in exact], False)):
@@ -569,8 +567,7 @@ def test_row_table_matches_per_action_oracle():
             assert_same_table(g, lam, zero_final, (n, k, clocks, lam, zero_final))
     m3 = bg.explore(bundled("M3"))
     values = sv.solve_exact(m3).values
-    g = bg.explore(m3.arena, known={bg.state_key(m3.states[i]): values[i]
-                                    for i in range(1, m3.n)})
+    g = bg.explore(m3.arena, known=dict(zip(m3.states[1:], values[1:])))
     for lam, zero_final in SWEEP_OBJECTIVES:
         assert_same_table(g, lam, zero_final, ("M3 cut", lam, zero_final))
 
