@@ -110,9 +110,9 @@ from .regions import (
     region_form,
     reset_region,
     satisfies,
+    satisfies_scaled,
     scaled_point,
     time_successor,
-    valuation_satisfies,
 )
 
 DEFAULT_STATE_CAP = 100_000
@@ -434,7 +434,7 @@ def explore(
 
     The default root pairs the arena's initial state with the region of its
     own valuation (`root_key`).  A root's point must have one nonnegative
-    coordinate per clock of its region, over a positive scale, and lie in
+    integer per clock of its region, over a positive integer scale, and lie in
     the closure of its region and inside the invariant of its location.
     States are numbered in discovery order, which together with the
     canonical action order makes the graph a deterministic function of the
@@ -447,11 +447,14 @@ def explore(
     location, root_point, scale, region = root
     if len(root_point) != len(region.ctx.clocks):
         raise RegionError("context mismatch")
-    if scale < 1 or min(root_point) < 0:
-        raise RegionError("clock values must be nonnegative: %r over %r" % (root_point, scale))
+    if (not all([isinstance(x, int) for x in (scale, *root_point)])
+            or scale < 1 or min(root_point) < 0):
+        raise RegionError("root point must be nonnegative integers over a positive "
+                          "integer scale: %r over %r" % (root_point, scale))
     if not closure_contains_scaled(region, root_point, scale):
         raise ModelError("root valuation must lie in the closure of its region")
-    if not valuation_satisfies(root.valuation, arena.location_named(location).invariant):
+    if not satisfies_scaled(region.ctx, root_point, scale,
+                            arena.location_named(location).invariant):
         raise ModelError("root state violates its location invariant")
 
     g = Brg(arena)

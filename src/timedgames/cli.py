@@ -336,6 +336,8 @@ def cmd_check_properties(args) -> int:
     g = explore(arena)
     k_bound = (_rational_option("--K", args.k_bound) if args.k_bound is not None
                else Fraction(1 + len(arena.ctx.clocks)))
+    if k_bound < 0:
+        raise ModelError("argument --K: must be at least 0, got %s" % k_bound)
     seen = {}
     for s in g.states:
         seen.setdefault((s.location, s.region.key()), s)

@@ -189,6 +189,8 @@ def check_quasi_simple(
     """
     ev = evaluator or _default_evaluator(arena)
     K = Fraction(k_bound) if k_bound is not None else Fraction(1 + len(arena.ctx.clocks))
+    if K < 0:
+        raise ValueError("Lipschitz bound K must be at least 0, got %s" % K)
     report = PropertyReport(location, region, K)
     if len(region.blocks) == 1:
         # every clock sits on an integer: the closure is a single point, so

@@ -18,22 +18,29 @@ names the instant (b, c) at which a thin region on it is hit, as the delay
 b - nu(c); every module that lets time pass reads those two (`brg` walks
 the same chain one memoized region at a time).
 
-Everything here is exact.  Valuation coordinates are ``fractions.Fraction``
-and all comparisons are decided with integer arithmetic on the canonical
-form.
+Everything here is exact.  Valuation coordinates are ``fractions.Fraction``.
+One evaluator, `satisfies_scaled`, decides every clock constraint at a
+point: a valuation, an integer point of the boundary region graph's
+lattice, or a region's representative, which each region computes once.  A
+constraint with integer constants holds on every point of a region or on
+none, so deciding it at the representative decides the region.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
 
-OPS = ("<", "<=", "=", ">=", ">")
+# the operators of an atom and the comparison each makes
+_COMPARE = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+            ">=": operator.ge, ">": operator.gt}
+OPS = tuple(_COMPARE)
 # The most regions `enumerate_regions` builds, and the most points per
 # location of a sample grid: far above the contexts in use (4 clocks with
 # k = 3 have 15,307 regions), far below what exhausts memory.
@@ -219,6 +226,9 @@ class ClockRegion:
     # the hash of the fields, computed once: regions key every table of the
     # boundary region graph's construction; not part of equality or repr
     _hash: int = field(init=False, repr=False, compare=False)
+    # the representative as integers over len(blocks): a clock of block j
+    # sits at its integer part plus j/len(blocks); not part of equality or repr
+    _point: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, k = len(self.ctx.clocks), self.ctx.k
@@ -239,6 +249,11 @@ class ClockRegion:
         if k in ints and any(m == k and i not in blocks[0] for i, m in enumerate(ints)):
             raise RegionError("clock at the bound k must have zero fraction")
         object.__setattr__(self, "_hash", hash((self.ctx, self.ints, self.blocks)))
+        scale, point = len(blocks), list(ints)
+        for j, b in enumerate(blocks):
+            for i in b:
+                point[i] = point[i] * scale + j
+        object.__setattr__(self, "_point", tuple(point))
 
     def __hash__(self) -> int:
         return self._hash
@@ -246,12 +261,6 @@ class ClockRegion:
     def key(self) -> tuple:
         """Total order on regions of one context, used for determinism."""
         return (self.ints, self.blocks)
-
-    def block_of(self, idx: int) -> int:
-        for j, b in enumerate(self.blocks):
-            if idx in b:
-                return j
-        raise RegionError("clock index %d not in region" % idx)
 
     def label(self) -> str:
         """Human-readable description, e.g. ``0<x<1, y=1, frac(x)<frac(z)``."""
@@ -383,76 +392,33 @@ def _clock_indices(atom: SimpleConstraint, ctx: ClockContext) -> tuple[int, int 
     return ctx.index(atom.left), None if atom.right is None else ctx.index(atom.right)
 
 
-def _atom_holds(region: ClockRegion, atom: SimpleConstraint) -> bool:
-    i, j = _clock_indices(atom, region.ctx)
-    m = region.ints[i]
-    if atom.right is None:
-        zero = i in region.blocks[0]
-        n = atom.bound
-        if atom.op == "<":
-            return m < n
-        if atom.op == "<=":
-            return m < n or (m == n and zero)
-        if atom.op == "=":
-            return m == n and zero
-        if atom.op == ">=":
-            return m >= n
-        return m > n or (m == n and not zero)
-    d = m - region.ints[j]
-    bi, bj = region.block_of(i), region.block_of(j)
-    n = atom.bound
-    if bi == bj:
-        # equal fractions, the difference is exactly the integer d
-        if atom.op == "<":
-            return d < n
-        if atom.op == "<=":
-            return d <= n
-        if atom.op == "=":
-            return d == n
-        if atom.op == ">=":
-            return d >= n
-        return d > n
-    if bi > bj:
-        lo = d  # difference lies strictly inside (d, d+1)
-    else:
-        lo = d - 1  # strictly inside (d-1, d)
-    if atom.op in ("<", "<="):
-        return lo + 1 <= n
-    if atom.op == "=":
-        return False
-    return n <= lo
+def satisfies_scaled(ctx: ClockContext, point: Sequence, scale: int,
+                     constraint: ClockConstraint) -> bool:
+    """Whether the valuation point/scale of ctx satisfies every atom of the
+    constraint: each atom compares point[i], or point[i] - point[j] for a
+    diagonal, with its bound times `scale`.  The coordinates may be
+    integers over a positive integer scale, or Fractions over 1."""
+    for atom in constraint.atoms:
+        i, j = _clock_indices(atom, ctx)
+        lhs = point[i] if j is None else point[i] - point[j]
+        if not _COMPARE[atom.op](lhs, atom.bound * scale):
+            return False
+    return True
 
 
 def satisfies(region: ClockRegion, constraint: ClockConstraint) -> bool:
     """Whether every point of the region satisfies the constraint.
 
-    Constraint constants are integers bounded by k, so a constraint holds
-    either everywhere or nowhere on a region; this decides which, from the
-    canonical form alone.
+    Constraint constants are integers and every clock of the region is
+    bounded by k, so a constraint holds either everywhere or nowhere on a
+    region; this decides which at the region's representative.
     """
-    for atom in constraint.atoms:
-        if not _atom_holds(region, atom):
-            return False
-    return True
+    return satisfies_scaled(region.ctx, region._point, len(region.blocks), constraint)
 
 
 def valuation_satisfies(valuation: ClockValuation, constraint: ClockConstraint) -> bool:
     """Pointwise constraint check, used by the concrete semantics."""
-    values = valuation.values
-    for atom in constraint.atoms:
-        i, j = _clock_indices(atom, valuation.ctx)
-        lhs = values[i] if j is None else values[i] - values[j]
-        n = atom.bound
-        ok = (
-            lhs < n if atom.op == "<"
-            else lhs <= n if atom.op == "<="
-            else lhs == n if atom.op == "="
-            else lhs >= n if atom.op == ">="
-            else lhs > n
-        )
-        if not ok:
-            return False
-    return True
+    return satisfies_scaled(valuation.ctx, valuation.values, 1, constraint)
 
 
 def closure_contains(region: ClockRegion, valuation: ClockValuation) -> bool:
@@ -531,13 +497,9 @@ def delay_window(valuation: ClockValuation, target: ClockRegion) -> DelayWindow 
 
 
 def representative(region: ClockRegion) -> ClockValuation:
-    """The canonical interior point: positive block j gets fraction j/(m+1)."""
-    m = len(region.blocks) - 1
-    values = [Fraction(region.ints[i]) for i in range(len(region.ints))]
-    for j, b in enumerate(region.blocks[1:], start=1):
-        for i in b:
-            values[i] += Fraction(j, m + 1)
-    return ClockValuation(region.ctx, tuple(values))
+    """The canonical interior point: positive block j gets fraction j/len(blocks)."""
+    scale = len(region.blocks)
+    return ClockValuation(region.ctx, tuple([Fraction(p, scale) for p in region._point]))
 
 
 def sample_interior(region: ClockRegion, rng, denominator: int = 64) -> ClockValuation:

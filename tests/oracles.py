@@ -37,6 +37,11 @@ pass of a rooted query, with its own successor graph, Tarjan pass and
 backup loop; the solver now runs both as one pass over the live states.
 `closure_contains_fractions` is the earlier closure test, on the Fractions
 of the valuation instead of its integer point.
+`satisfies_symbolic` is the earlier region-level constraint check, which
+decides each atom by cases on the integer parts, the zero block and the
+order of the fraction blocks instead of at the region's representative, and
+`valuation_satisfies_fractions` the earlier pointwise check, one case per
+operator on the valuation's Fractions.
 `solve_two_sweeps` is the earlier improvement loop, which after each
 evaluation sweeps once to find switches and, at the end, once more to
 certify, instead of switching from and returning one `certify` report.
@@ -530,6 +535,75 @@ def closure_contains_fractions(region: ClockRegion, valuation: ClockValuation) -
             return False
     for b1, b2 in zip(positive, positive[1:]):
         if fracs[b1[0]] > fracs[b2[0]]:  # type: ignore[operator]
+            return False
+    return True
+
+
+def _atom_holds_symbolic(region: ClockRegion, atom) -> bool:
+    """The atom decided from the canonical form alone: integer parts, the
+    zero block and the order of the fraction blocks."""
+    ctx = region.ctx
+    i = ctx.index(atom.left)
+    m = region.ints[i]
+    n = atom.bound
+    if atom.right is None:
+        zero = i in region.blocks[0]
+        if atom.op == "<":
+            return m < n
+        if atom.op == "<=":
+            return m < n or (m == n and zero)
+        if atom.op == "=":
+            return m == n and zero
+        if atom.op == ">=":
+            return m >= n
+        return m > n or (m == n and not zero)
+    j = ctx.index(atom.right)
+    d = m - region.ints[j]
+    bi, bj = (next(b for b, block in enumerate(region.blocks) if c in block) for c in (i, j))
+    if bi == bj:
+        # equal fractions, the difference is exactly the integer d
+        if atom.op == "<":
+            return d < n
+        if atom.op == "<=":
+            return d <= n
+        if atom.op == "=":
+            return d == n
+        if atom.op == ">=":
+            return d >= n
+        return d > n
+    if bi > bj:
+        lo = d  # difference lies strictly inside (d, d+1)
+    else:
+        lo = d - 1  # strictly inside (d-1, d)
+    if atom.op in ("<", "<="):
+        return lo + 1 <= n
+    if atom.op == "=":
+        return False
+    return n <= lo
+
+
+def satisfies_symbolic(region: ClockRegion, constraint: ClockConstraint) -> bool:
+    """Whether the constraint holds on the region, decided symbolically."""
+    return all(_atom_holds_symbolic(region, atom) for atom in constraint.atoms)
+
+
+def valuation_satisfies_fractions(valuation: ClockValuation, constraint: ClockConstraint) -> bool:
+    """Whether the valuation satisfies the constraint, one case per operator
+    on the Fractions of its coordinates."""
+    ctx, values = valuation.ctx, valuation.values
+    for atom in constraint.atoms:
+        lhs = values[ctx.index(atom.left)]
+        if atom.right is not None:
+            lhs -= values[ctx.index(atom.right)]
+        n = atom.bound
+        ok = (
+            lhs < n if atom.op == "<"
+            else lhs <= n if atom.op == "<="
+            else lhs == n if atom.op == "="
+            else lhs >= n if atom.op == ">="
+            else lhs > n
+        )
+        if not ok:
             return False
     return True
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,22 @@ def test_rooted_exploration_inside_thick_region_fires_now():
         "a at c=2 in [c=2]",
     ]
     assert g.rewards[0] == [F(0), F(3, 4), F(3, 4)]
+
+
+@pytest.mark.parametrize("point,scale", [
+    ((F(1, 2),), 1), ((0.5,), 1), ((1,), 2.0), ((-1,), 2), ((1,), 0),
+])
+def test_root_point_not_nonnegative_integers_is_refused(monkeypatch, point, scale):
+    """A root whose point or scale is not made of integers, or is out of
+    range, is refused with a RegionError naming the point, before the
+    closure and invariant checks read it."""
+    arena = bundled("M2")
+    region = ClockRegion(arena.ctx, (0,), ((), (0,)))  # 0<c<1
+    assert bg.explore(arena, root=bg.BrgState("l0", (1,), 2, region)).n > 1
+    monkeypatch.setattr(bg, "closure_contains_scaled", lambda *a: pytest.fail("closure read"))
+    monkeypatch.setattr(bg, "satisfies_scaled", lambda *a: pytest.fail("invariant read"))
+    with pytest.raises(RegionError, match=re.escape("%r over %r" % (point, scale))):
+        bg.explore(arena, root=bg.BrgState("l0", point, scale, region))
 
 
 def test_state_cap():

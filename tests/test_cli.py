@@ -177,6 +177,17 @@ def test_discounted_rejects_bad_lambda(capsys, lam):
         assert err == "error: argument --K: %r is not an exact rational\n" % lam
 
 
+@pytest.mark.parametrize("k", ["-1", "-2/4"])
+def test_check_properties_refuses_a_negative_k(capsys, k):
+    """A negative --K is bad input (exit 2), not a property violation
+    (exit 1); --K 0 is a bound like any other."""
+    code, out, err = run(capsys, "check-properties", M1, "--K=%s" % k)
+    assert (code, out) == (2, "")
+    assert err == "error: argument --K: must be at least 0, got %s\n" % Fraction(k)
+    code, _, err = run(capsys, "check-properties", M1, "--K", "0")
+    assert code in (0, 1) and err == ""
+
+
 def test_simulate_json_deterministic(capsys):
     args = ("simulate", M1, "--runs", "20", "--seed", "3", "--json")
     code, out1, _ = run(capsys, *args)

@@ -172,6 +172,13 @@ def test_quasi_simple_slope_is_tight():
     assert report.max_lipschitz_ratio == 1
 
 
+def test_quasi_simple_refuses_a_negative_bound():
+    with pytest.raises(ValueError, match="must be at least 0, got -1/2"):
+        check_quasi_simple(M1, "l0", reg(M1, "1/2"), pairs=10, k_bound=Fraction(-1, 2))
+    # K = 0 is a bound like any other, which V = 1 - x breaks
+    assert not check_quasi_simple(M1, "l0", reg(M1, "1/2"), pairs=10, k_bound=Fraction(0)).ok
+
+
 def test_quasi_simple_point_region_is_vacuous():
     report = check_quasi_simple(M1, "l0", reg(M1, 0), pairs=10, seed=2)
     assert report.ok

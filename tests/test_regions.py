@@ -197,6 +197,53 @@ def test_parsed_atoms_carry_their_clock_indices(data):
     assert (rg.satisfies(rg.region_of(w), parsed), rg.valuation_satisfies(w, parsed)) == expected
 
 
+def all_atoms(ctx: rg.ClockContext) -> list[rg.SimpleConstraint]:
+    """Every single-clock and diagonal atom of ctx with every operator and
+    every bound from -1 to k + 1, carrying its clock indices as parsed
+    atoms do."""
+    pairs = [(i, None) for i in range(len(ctx.clocks))]
+    pairs += [(i, j) for i in range(len(ctx.clocks)) for j in range(len(ctx.clocks)) if i != j]
+    return [
+        rg.SimpleConstraint(ctx.clocks[i], None if j is None else ctx.clocks[j], op, n, ctx, i, j)
+        for i, j in pairs for op in rg.OPS for n in range(-1, ctx.k + 2)
+    ]
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_satisfies_matches_symbolic_oracle_on_every_region(n, k):
+    """Deciding an atom at a region's representative agrees with the
+    symbolic case analysis of the canonical form, on every region and for
+    every atom."""
+    ctx = rg.ClockContext(NAMES[:n], k)
+    atoms = all_atoms(ctx)
+    for r in rg.enumerate_regions(ctx):
+        for atom in atoms:
+            phi = rg.ClockConstraint((atom,))
+            assert rg.satisfies(r, phi) == oracles.satisfies_symbolic(r, phi), (r, atom)
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_valuation_satisfies_matches_fraction_oracle(data):
+    """The pointwise check agrees with one case per operator on the
+    Fractions, also for clocks above k and bounds outside [0, k], and so
+    does the same point as integers over any common denominator."""
+    ctx = data.draw(contexts())
+    vals = []
+    for _ in ctx.clocks:
+        den = data.draw(st.integers(1, 8))
+        vals.append(Fraction(data.draw(st.integers(0, (ctx.k + 2) * den)), den))
+    v = rg.ClockValuation(ctx, tuple(vals))
+    atoms = data.draw(st.lists(st.sampled_from(all_atoms(ctx)), max_size=3))
+    phi = rg.ClockConstraint(tuple(atoms))
+    expected = oracles.valuation_satisfies_fractions(v, phi)
+    assert rg.valuation_satisfies(v, phi) == expected
+    point, scale = rg.scaled_point(v)
+    multiple = data.draw(st.integers(1, 4))
+    assert rg.satisfies_scaled(ctx, [p * multiple for p in point], scale * multiple,
+                               phi) == expected
+
+
 @given(valuations(), st.integers(1, 6))
 @settings(max_examples=300)
 def test_closure_contains_scaled_agrees(v, multiple):
