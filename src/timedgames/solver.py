@@ -20,9 +20,14 @@ yields both the residual of the optimality equations and every action that
 strictly beats the chosen one.  The improvement loop switches from that
 report, and the report of the last pair, with no switch left, is the
 certificate: zero residual, no better action and stochastic rows.  The
-rows are checked once per solve, as its exact row table is built, and there
-once per distribution object: `explore` shares one among all the actions
-with the same branches to the same successors.  That sweep is the one Bellman
+certificate is exact integer arithmetic over one common denominator: the
+exact row table, built once per solve, holds every reward and probability
+as an int over their common denominator Q, and each `certify` scales the
+values and the rewards to one denominator S, so that every backup is an
+exact integer sum and scaling by S > 0 keeps every comparison.  The rows
+are checked once per solve, as that table is built, and there once per
+distribution object: `explore` shares one among all the actions with the
+same branches to the same successors.  That sweep is the one Bellman
 kernel, `_sweep`, which also runs every value iteration step and the
 warm-start choice, on a float row table.
 
@@ -194,61 +199,89 @@ class _Rows(NamedTuple):
     base: list  # per state: its value when it has no row or no action
     minimize: list[bool]
     lam: object  # the discount, None for expected time
+
+
+class _ExactRows(NamedTuple):
+    """The exact row table of one graph, every reward and probability an int
+    over one common denominator; see `_exact_table`."""
+
+    rows: list  # per state: (rewards, [((successor, p), ...), ...]), or None
+    minimize: list[bool]
     improper: list[tuple[int, int]]  # non-stochastic (state, action) pairs
+    scale: int  # the common denominator
 
 
-def _stochastic(dist) -> bool:
-    """Whether the probabilities are nonnegative and sum to exactly 1.  Most
-    rows have one entry, which needs no Fraction sum."""
+def _stochastic(dist, scale: int) -> bool:
+    """Whether the probabilities, ints over `scale`, are nonnegative and sum
+    to exactly `scale`.  Most rows have one entry, which needs no sum."""
     if len(dist) == 1:
-        return dist[0][1] == 1
-    return sum(p for _, p in dist) == 1 and all(p >= 0 for _, p in dist)
+        return dist[0][1] == scale
+    return sum(p for _, p in dist) == scale and all(p >= 0 for _, p in dist)
 
 
-def _row_table(g: Brg, lam, zero_final: bool, exact: bool) -> _Rows:
-    """The row table of `g`, built once per call site.  A state's row lists
-    its actions in canonical order as (index, reward, distribution); a fixed
-    state and an absorbed final state have None and keep their base value,
-    the fixed value or zero.  An exact table shares the graph's Fractions
-    and checks every distribution of the graph for stochasticity, listing
-    each (state, action) pair whose distribution fails.  A float table
-    converts every number as numerator / denominator (float() of a
-    Fraction, less its dispatch), so it gives the floats that the exact rows
-    give on float values.  `explore` shares one object per distinct
-    distribution and reward list, so both check or convert each distinct
-    object once, keyed by its id() while `g` keeps it alive."""
-    rows, improper = [], []
-    if exact:
-        distinct = {id(dist): dist for dists in g.dists for dist in dists}
-        bad = {key for key, dist in distinct.items() if not _stochastic(dist)}
-        if bad:
-            improper = [(i, j) for i, dists in enumerate(g.dists)
-                        for j, dist in enumerate(dists) if id(dist) in bad]
+def _row_table(g: Brg, lam, zero_final: bool) -> _Rows:
+    """The float row table of `g`, built once per call site.  A state's row
+    lists its actions in canonical order as (index, reward, distribution); a
+    fixed state and an absorbed final state have None and keep their base
+    value, the fixed value or zero.  Every number is converted as numerator
+    / denominator (float() of a Fraction, less its dispatch), so a sweep
+    gives the floats that the graph's Fractions give on float values.
+    `explore` shares one object per distinct distribution and reward list,
+    so each distinct object is converted once, keyed by its id() while `g`
+    keeps it alive."""
+    rows = []
     floats: dict[int, list] = {}
     for i in range(g.n):
         if i in g.fixed or zero_final and g.is_final(i):
             rows.append(None)
-        elif exact:
-            rows.append(list(zip(count(), g.rewards[i], g.dists[i])))
-        else:
-            rewards = floats.get(id(g.rewards[i]))
-            if rewards is None:
-                rewards = floats[id(g.rewards[i])] = [r.numerator / r.denominator
-                                                      for r in g.rewards[i]]
-            dists = []
-            for dist in g.dists[i]:
-                pairs = floats.get(id(dist))
-                if pairs is None:
-                    pairs = floats[id(dist)] = [(t, p.numerator / p.denominator)
-                                                for t, p in dist]
-                dists.append(pairs)
-            rows.append(list(zip(count(), rewards, dists)))
-    base = [Fraction(0) if exact else 0.0] * g.n
+            continue
+        rewards = floats.get(id(g.rewards[i]))
+        if rewards is None:
+            rewards = floats[id(g.rewards[i])] = [r.numerator / r.denominator
+                                                  for r in g.rewards[i]]
+        dists = []
+        for dist in g.dists[i]:
+            pairs = floats.get(id(dist))
+            if pairs is None:
+                pairs = floats[id(dist)] = [(t, p.numerator / p.denominator)
+                                            for t, p in dist]
+            dists.append(pairs)
+        rows.append(list(zip(count(), rewards, dists)))
+    base = [0.0] * g.n
     for i, x in g.fixed.items():
-        base[i] = x if exact else float(x)
-    if lam is not None and not exact:
-        lam = float(lam)
-    return _Rows(rows, base, [o == "min" for o in g.owners], lam, improper)
+        base[i] = float(x)
+    return _Rows(rows, base, [o == "min" for o in g.owners],
+                 None if lam is None else float(lam))
+
+
+def _exact_table(g: Brg, zero_final: bool) -> _ExactRows:
+    """The exact row table of `g`, built once per solve: Q is the least
+    common multiple of the denominators of every reward and probability of
+    the graph, and each becomes the int r Q or p Q.  A state's row is its
+    reward list and its distributions, in canonical order; a fixed state
+    and an absorbed final state have None.  `explore` shares one object per
+    distinct distribution and reward list, so each distinct object is
+    converted once, keyed by its id() while `g` keeps it alive, and each
+    distinct distribution of the graph is checked for stochasticity once,
+    on its ints; every (state, action) pair whose distribution fails is
+    listed."""
+    rewards = {id(r): r for r in g.rewards}
+    dists = {id(dist): dist for row in g.dists for dist in row}
+    dens = {x.denominator for r in rewards.values() for x in r}
+    dens.update(p.denominator for dist in dists.values() for _, p in dist)
+    scale = math.lcm(*dens)
+    per = {d: scale // d for d in dens}
+    ints: dict[int, object] = {
+        key: [x.numerator * per[x.denominator] for x in r] for key, r in rewards.items()}
+    for key, dist in dists.items():
+        ints[key] = tuple((t, p.numerator * per[p.denominator]) for t, p in dist)
+    bad = {key for key in dists if not _stochastic(ints[key], scale)}
+    improper = [(i, j) for i, row in enumerate(g.dists)
+                for j, dist in enumerate(row) if id(dist) in bad] if bad else []
+    rows = [None if i in g.fixed or zero_final and g.is_final(i)
+            else (ints[id(g.rewards[i])], [ints[id(dist)] for dist in g.dists[i]])
+            for i in range(g.n)]
+    return _ExactRows(rows, [o == "min" for o in g.owners], improper, scale)
 
 
 def _sweep(table: _Rows, values: Sequence, choice: Sequence | None = None) -> tuple[list, list]:
@@ -257,7 +290,7 @@ def _sweep(table: _Rows, values: Sequence, choice: Sequence | None = None) -> tu
     action attaining it, `choice[i]` unless another action is strictly
     better (without a choice, the first in canonical order).  A state
     without a row or an action gets its base value and action None.
-    Fractions stay exact, and math.inf flows through."""
+    Ints and Fractions stay exact, and math.inf flows through."""
     lam = table.lam
     starts = repeat(None) if choice is None else choice
     out, acts = [], []
@@ -287,7 +320,7 @@ def value_iterate(
     below for the expected-time objective, a contraction for the discounted
     one.  Every iteration is one sweep of one float row table, which is
     kept on `g` for the `extract_strategies` that follows."""
-    table = _row_table(g, lam, zero_final, exact=False)
+    table = _row_table(g, lam, zero_final)
     v = list(table.base)
     for it in range(1, cfg.max_iterations + 1):
         w = _sweep(table, v)[0]
@@ -316,7 +349,7 @@ def extract_strategies(
     if kept is not None and kept[:2] == (lam, zero_final):
         table = kept[2]
     else:
-        table = _row_table(g, lam, zero_final, exact=False)
+        table = _row_table(g, lam, zero_final)
     return _sweep(table, values)[1]
 
 
@@ -435,7 +468,7 @@ def certify(
     *,
     lam=None,
     zero_final: bool = True,
-    rows: _Rows | None = None,
+    rows: _ExactRows | None = None,
 ) -> CertifyReport:
     """Certificate of a strategy pair at `values`, from one exact sweep of
     the optimality operator: its residual, the states where it moves the
@@ -446,20 +479,54 @@ def certify(
     check, under which the optimality equations pin down a unique solution),
     provided every action's distribution is stochastic: nonnegative, summing
     to exactly 1.  The exact row table is built unless `rows` passes the
-    one of an earlier call on the same graph and objective."""
+    one of an earlier call on the same graph and `zero_final`.
+
+    The sweep is exact integer arithmetic over one common denominator.  The
+    values, ints or Fractions or math.inf, are scaled by V, the least common
+    multiple of the denominators of the finite values and the fixed values,
+    each reward list of the table (over Q) by V once, and the discount
+    lam = a / b is applied as a.  A backup then is S = Q V b times its
+    rational value, an exact int (or inf, or nan where 0 * inf is), and
+    scaling by the positive S keeps every comparison, the sweep's ties
+    included; the residual is the largest gap over S.  An infinite value
+    meets those ints as a float, so a backup over one raises OverflowError
+    once its int passes 2**1024; only a divergent pair has infinite values,
+    and no solve certifies one."""
     if rows is None:
-        rows = _row_table(g, lam, zero_final, exact=True)
-    improved, best = _sweep(rows, values, choice)
+        rows = _exact_table(g, zero_final)
+    num, den = (None, 1) if lam is None else Fraction(lam).as_integer_ratio()
+    dens = {x.denominator for x in values if not isinstance(x, float)}
+    dens.update(x.denominator for x in g.fixed.values())
+    vscale = math.lcm(*dens)
+    per = {d: vscale // d for d in dens}
+    scale = rows.scale * vscale * den
+    scaled = [x if isinstance(x, float) else x.numerator * per[x.denominator]
+              for x in values]
+    rewards: dict[int, list] = {}
+    sweep_rows = []
+    for row in rows.rows:
+        if row is not None:
+            r, dists = row
+            key = id(r)
+            if key not in rewards:
+                rewards[key] = [x * vscale for x in r]
+            row = list(zip(count(), rewards[key], dists))
+        sweep_rows.append(row)
+    base = [0] * g.n
+    for i, x in g.fixed.items():
+        base[i] = x.numerator * (scale // x.denominator)
+    improved, best = _sweep(_Rows(sweep_rows, base, rows.minimize, num), scaled, choice)
     switches = [(i, j) for i, j in enumerate(best) if j is not None and j != choice[i]]
     violations = []
-    residual: Fraction | float = Fraction(0)
-    for i in range(g.n):
-        a, b = values[i], improved[i]
+    gap = 0
+    factor = scale // vscale
+    for i, (a, b) in enumerate(zip(scaled, improved)):
+        a = a * factor
         if a == b:
             continue
         violations.append(i)
-        gap = INF if INF in (a, b) else abs(a - b)
-        residual = max(residual, gap)
+        gap = max(gap, INF if INF in (a, b) else abs(a - b))
+    residual = INF if gap == INF else Fraction(gap, scale)
     return CertifyReport(residual, violations, rows.improper, switches)
 
 
@@ -483,7 +550,7 @@ def _alternating_best_response(
     """
     first = "min" if cfg.improve_order == "min_first" else "max"
     choice = list(choice)
-    rows = _row_table(g, lam, zero_final, exact=True)
+    rows = _exact_table(g, zero_final)
     rounds = 0
     evaluations = 0
     while True:

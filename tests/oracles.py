@@ -27,9 +27,12 @@ slices and compiling each move once per (location, action); the moves they
 compile keep the arena's reset getters, as the package's do.
 `end_components_whole` is the earlier reach check, which searched all
 live states for end components at once instead of only the cyclic
-components of one Tarjan pass, and `row_table_per_action` the earlier row
-table, which checked and converted the distribution of every action instead
-of each distinct distribution object once.
+components of one Tarjan pass, and `row_table_per_action` and
+`exact_table_per_action` the earlier row tables, which converted (and
+checked) the distribution of every action instead of each distinct
+distribution object once.  `certify_fraction_rows` is the earlier
+certificate, which swept the graph's own Fractions, where the solver sweeps
+ints over one common denominator.
 `evaluate_per_component_system` is the earlier pair evaluation, which
 solves every component of the chain as a linear system, a single state
 without a self-loop too, and `acyclic_values_own_pass` the earlier value
@@ -385,29 +388,80 @@ def end_components_whole(g) -> list[list[int]]:
         g, [i for i in range(g.n) if not g.is_final(i) and i not in g.fixed])
 
 
-def row_table_per_action(g, lam, zero_final: bool, exact: bool):
-    """The solver's row table, built by checking (exact) or converting
-    (float) the distribution and reward of every action, however many
-    actions share one object.  The reference for `solver._row_table`."""
-    rows, improper = [], []
+def row_table_per_action(g, lam, zero_final: bool):
+    """The solver's float row table, built by converting the distribution
+    and reward of every action, however many actions share one object.  The
+    reference for `solver._row_table`."""
+    rows = []
     for i in range(g.n):
-        if exact:
-            improper += [(i, j) for j, dist in enumerate(g.dists[i])
-                         if not sv._stochastic(dist)]
         if i in g.fixed or zero_final and g.is_final(i):
             rows.append(None)
-        elif exact:
-            rows.append(list(zip(itertools.count(), g.rewards[i], g.dists[i])))
         else:
             rows.append([(j, r.numerator / r.denominator,
                           [(t, p.numerator / p.denominator) for t, p in dist])
                          for j, r, dist in zip(itertools.count(), g.rewards[i], g.dists[i])])
-    base = [Fraction(0) if exact else 0.0] * g.n
+    base = [0.0] * g.n
     for i, x in g.fixed.items():
-        base[i] = x if exact else float(x)
-    if lam is not None and not exact:
-        lam = float(lam)
-    return sv._Rows(rows, base, [o == "min" for o in g.owners], lam, improper)
+        base[i] = float(x)
+    return sv._Rows(rows, base, [o == "min" for o in g.owners],
+                    None if lam is None else float(lam))
+
+
+def fraction_stochastic(dist) -> bool:
+    """Whether the Fraction probabilities are nonnegative and sum to 1."""
+    return sum(p for _, p in dist) == 1 and all(p >= 0 for _, p in dist)
+
+
+def exact_table_per_action(g, zero_final: bool):
+    """The solver's exact row table, built by converting the reward and the
+    distribution of every action to ints over the common denominator, and
+    checking every action's distribution on its Fractions, however many
+    actions share one object.  The reference for `solver._exact_table`."""
+    scale = math.lcm(*{x.denominator for row in g.rewards for x in row},
+                     *{p.denominator for row in g.dists for dist in row for _, p in dist})
+    improper = [(i, j) for i, row in enumerate(g.dists)
+                for j, dist in enumerate(row) if not fraction_stochastic(dist)]
+    rows = [None if i in g.fixed or zero_final and g.is_final(i)
+            else ([int(r * scale) for r in g.rewards[i]],
+                  [tuple((t, int(p * scale)) for t, p in dist) for dist in g.dists[i]])
+            for i in range(g.n)]
+    return sv._ExactRows(rows, [o == "min" for o in g.owners], improper, scale)
+
+
+def fraction_row_table(g, lam, zero_final: bool):
+    """The earlier exact row table: the graph's own Fractions in the form a
+    sweep reads, a fixed state at its value and an absorbed final state at
+    zero, with the (state, action) pairs whose distribution is not
+    stochastic."""
+    rows = [None if i in g.fixed or zero_final and g.is_final(i)
+            else list(zip(itertools.count(), g.rewards[i], g.dists[i]))
+            for i in range(g.n)]
+    base = [Fraction(0)] * g.n
+    for i, x in g.fixed.items():
+        base[i] = x
+    improper = [(i, j) for i, row in enumerate(g.dists)
+                for j, dist in enumerate(row) if not fraction_stochastic(dist)]
+    return sv._Rows(rows, base, [o == "min" for o in g.owners], lam), improper
+
+
+def certify_fraction_rows(g, values, choice, *, lam=None, zero_final: bool = True):
+    """The earlier certificate: one sweep of the solver's kernel over the
+    graph's Fraction rows, a gcd on every add and multiply, and the residual
+    as the largest gap between the values and the sweep.  The reference for
+    `solver.certify`, which sweeps ints over one common denominator."""
+    rows, improper = fraction_row_table(g, lam, zero_final)
+    improved, best = sv._sweep(rows, values, choice)
+    switches = [(i, j) for i, j in enumerate(best) if j is not None and j != choice[i]]
+    violations = []
+    residual = Fraction(0)
+    for i in range(g.n):
+        a, b = values[i], improved[i]
+        if a == b:
+            continue
+        violations.append(i)
+        gap = INF if INF in (a, b) else abs(a - b)
+        residual = max(residual, gap)
+    return sv.CertifyReport(residual, violations, improper, switches)
 
 
 def evaluate_per_component_system(g, choice, lam, zero_final: bool) -> list:

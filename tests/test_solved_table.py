@@ -254,21 +254,24 @@ def test_uncertified_solve_is_refused(monkeypatch, capsys, sub, module):
 def test_rows_are_checked_once_per_solve(monkeypatch):
     """The stochasticity scan runs once per solve, not after every
     evaluation (a warm start cut after one sweep forces several), and
-    checks each distribution object that `explore` shares once, not once
-    per action that uses it."""
+    checks each distribution object that `explore` shares once, in its ints
+    over the common denominator, not once per action that uses it."""
     calls = []
     real = sv._stochastic
 
-    def counted(dist):
-        calls.append(dist)
-        return real(dist)
+    def counted(dist, scale):
+        calls.append((dist, scale))
+        return real(dist, scale)
 
     monkeypatch.setattr(sv, "_stochastic", counted)
     g = explore(parse_model(chain(("min", "max"))))
     res = sv.solve_exact(g, sv.SolveConfig(tolerance=1e9))
     assert res.certified and res.exact_evaluations > 1
-    distinct = {id(dist) for row in g.dists for dist in row}
-    assert sorted(map(id, calls)) == sorted(distinct)
+    distinct = {id(dist): dist for row in g.dists for dist in row}
+    (scale,) = {q for _, q in calls}
+    assert len({id(dist) for dist, _ in calls}) == len(calls)
+    assert sorted(dist for dist, _ in calls) == sorted(
+        tuple((t, int(p * scale)) for t, p in dist) for dist in distinct.values())
     assert len(calls) == 46 < sum(len(row) for row in g.dists) == 304
 
 

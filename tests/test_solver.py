@@ -27,10 +27,14 @@ import pytest
 
 from bundled import bundled
 from oracles import (
+    certify_fraction_rows,
     chain_document,
     dense_evaluate,
     end_components_whole,
     evaluate_per_component_system,
+    exact_table_per_action,
+    fraction_row_table,
+    fraction_stochastic,
     one_step,
     row_table_per_action,
     solve_simple_forms,
@@ -232,6 +236,7 @@ def two_state_graph(row) -> bg.Brg:
 def test_certify_refuses_non_stochastic_rows(row, value):
     g = two_state_graph(row)
     report = sv.certify(g, [value, Fraction(0)], [0, None])
+    assert report == certify_fraction_rows(g, [value, Fraction(0)], [0, None])
     assert report.residual == 0 and report.violations == [] and report.switches == []
     assert report.improper_rows == [(0, 0)]
     assert not report.ok
@@ -263,13 +268,18 @@ def test_value_iteration_budget_error():
 
 
 def test_improve_step_exact_m2():
+    """M2's exact table holds its reward 1 and its branches 1/2 over Q = 2,
+    and the exact sweep moves 0 to 1 to 3/2 at l0: each step's gap is the
+    residual of `certify` at the values before it."""
     g = graph("M2")
-    table = sv._row_table(g, None, True, exact=True)
-    v0 = [Fraction(0)] * g.n
-    v1 = sv._sweep(table, v0)[0]
-    assert v1 == [Fraction(1), Fraction(0), Fraction(0)]
-    v2 = sv._sweep(table, v1)[0]
-    assert v2 == [Fraction(3, 2), Fraction(0), Fraction(0)]
+    table = sv._exact_table(g, True)
+    assert table == sv._ExactRows([([2], [((0, 1), (1, 1))]), None, None],
+                                  [True] * 3, [], 2)
+    steps = [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(7, 4)]
+    for v, nxt in zip(steps, steps[1:]):
+        report = sv.certify(g, [v, Fraction(0), Fraction(0)], [0, None, None], rows=table)
+        assert report.violations == [0] and report.residual == nxt - v
+    assert sv.certify(g, [Fraction(2), Fraction(0), Fraction(0)], [0, None, None]).ok
 
 
 def test_evaluate_pair_exact_m2():
@@ -410,7 +420,7 @@ def test_extraction_sweeps_the_value_iteration_table(monkeypatch):
         builds.clear()
         got = sv.extract_strategies(g, v, lam=lam, zero_final=zero_final)
         assert builds == [] and g._float_rows is None, case
-        assert got == choice == sv._sweep(real(g, lam, zero_final, exact=False), v)[1], case
+        assert got == choice == sv._sweep(real(g, lam, zero_final), v)[1], case
         checked += 1
     assert checked == 504 // 4  # one warm start of four per case
     other = Fraction(1, 3)
@@ -418,7 +428,16 @@ def test_extraction_sweeps_the_value_iteration_table(monkeypatch):
     builds.clear()
     got = sv.extract_strategies(g, v, lam=other, zero_final=zero_final)
     assert len(builds) == 1 and g._float_rows is None
-    assert got == sv._sweep(real(g, other, zero_final, exact=False), v)[1]
+    assert got == sv._sweep(real(g, other, zero_final), v)[1]
+
+
+def reads_exact_table(sweep, table) -> bool:
+    """Whether the rows a sweep read are those of the exact row table: the
+    same states have one, over the table's own distribution objects."""
+    return all(row is None if ex is None else
+               row is not None and len(row) == len(ex[1])
+               and all(dist is own for (_, _, dist), own in zip(row, ex[1]))
+               for row, ex in zip(sweep.rows, table.rows))
 
 
 def test_one_sweep_per_evaluation(monkeypatch):
@@ -427,66 +446,82 @@ def test_one_sweep_per_evaluation(monkeypatch):
     loop, and the solve adds no certificate of its own: its other sweeps
     are the float ones, one per value iteration and one for the warm
     start, all over the one float table that value iteration built."""
-    sweeps, builds, certs = [], [], []
-    real_sweep, real_table, real_certify = sv._sweep, sv._row_table, sv.certify
+    sweeps, floats, exacts, certs = [], [], [], []
+    real_sweep, real_table, real_exact, real_certify = (
+        sv._sweep, sv._row_table, sv._exact_table, sv.certify)
 
     def counted_sweep(table, *args):
         sweeps.append(table)
         return real_sweep(table, *args)
 
-    def counted_table(*args, **kwargs):
-        table = real_table(*args, **kwargs)
-        builds.append(table)
-        return table
+    def counted(real, builds):
+        def build(*args, **kwargs):
+            table = real(*args, **kwargs)
+            builds.append(table)
+            return table
+        return build
 
     def counted_certify(*args, **kwargs):
         certs.append(1)
         return real_certify(*args, **kwargs)
 
-    def exact(tables):
-        return [t for t in tables if isinstance(t.base[0], Fraction)]
+    def clear():
+        for calls in (sweeps, floats, exacts, certs):
+            calls.clear()
 
     monkeypatch.setattr(sv, "_sweep", counted_sweep)
-    monkeypatch.setattr(sv, "_row_table", counted_table)
+    monkeypatch.setattr(sv, "_row_table", counted(real_table, floats))
+    monkeypatch.setattr(sv, "_exact_table", counted(real_exact, exacts))
     monkeypatch.setattr(sv, "certify", counted_certify)
     solved = set()
     for name, g, lam, zero_final, order, start, choice in sweep_cases():
         cfg = sv.SolveConfig(improve_order=order)
         case = (name, lam, zero_final, order, start)
         live = [i for i in range(g.n) if not (zero_final and g.is_final(i))]
-        sweeps.clear()
-        builds.clear()
-        certs.clear()
+        clear()
         evaluations = sv._alternating_best_response(
             g, choice, cfg, lam=lam, zero_final=zero_final)[3]
         assert len(certs) == evaluations, case
-        assert len(builds) == len(exact(builds)) == 1, case
-        assert len(sweeps) == evaluations and all(t is builds[0] for t in sweeps), case
-        assert [i for i, row in enumerate(builds[0].rows) if row is not None] == live, case
+        assert len(exacts) == 1 and floats == [], case
+        assert [i for i, row in enumerate(exacts[0].rows) if row is not None] == live, case
+        assert len(sweeps) == evaluations, case
+        assert all(reads_exact_table(t, exacts[0]) for t in sweeps), case
         if case[:4] in solved:
             continue
         solved.add(case[:4])
-        sweeps.clear()
-        builds.clear()
-        certs.clear()
+        clear()
         res = (sv.solve_exact(g, cfg) if lam is None
                else sv.solve_discounted(g, lam, cfg, zero_final=zero_final))
         assert len(certs) == res.exact_evaluations, case
-        assert len(exact(builds)) == 1 and len(builds) == 2, case
-        assert len(exact(sweeps)) == res.exact_evaluations, case
+        assert len(exacts) == 1 and len(floats) == 1, case
         assert len(sweeps) == res.vi_iterations + 1 + res.exact_evaluations, case
-        (floats,) = [t for t in builds if not isinstance(t.base[0], Fraction)]
-        assert sum(t is floats for t in sweeps) == res.vi_iterations + 1, case
+        assert sum(t is floats[0] for t in sweeps) == res.vi_iterations + 1, case
+        assert sum(reads_exact_table(t, exacts[0]) for t in sweeps) == res.exact_evaluations, case
         assert g._float_rows is None, case
-        for table in builds:
+        for table in floats + exacts:
             assert [i for i, row in enumerate(table.rows) if row is not None] == live, case
+
+
+def certify_per_state(g, values, choice, lam, zero_final) -> sv.CertifyReport:
+    """The certificate that the per-state sweep gives: the states it moves,
+    their largest gap, and every state where it leaves `choice`."""
+    want, acts = sweep_per_state(g, values, choice, lam, zero_final)
+    moved = [i for i in range(g.n) if values[i] != want[i]]
+    gaps = [math.inf if math.inf in (values[i], want[i]) else abs(values[i] - want[i])
+            for i in moved]
+    improper = [(i, j) for i, row in enumerate(g.dists)
+                for j, dist in enumerate(row) if not fraction_stochastic(dist)]
+    return sv.CertifyReport(max(gaps, default=Fraction(0)), moved, improper,
+                            [(i, j) for i, j in enumerate(acts) if j not in (None, choice[i])])
 
 
 def test_sweep_matches_per_state_oracle():
     """The kernel's sweep over a row table gives the values and actions of
     the earlier per-state sweep, float for float and Fraction for Fraction:
     at the solved values, with their exact ties, and at value iteration's
-    floats, without a start choice and from every warm start."""
+    floats, without a start choice and from every warm start.  The integer
+    sweep of `certify` gives the certificate the per-state sweep gives, its
+    switches at those ties included."""
     ties = kept = 0
     for name, g, lam, zero_final, order, start, choice in sweep_cases():
         if order != "min_first":
@@ -495,13 +530,16 @@ def test_sweep_matches_per_state_oracle():
         res = (sv.solve_exact(g) if lam is None
                else sv.solve_discounted(g, lam, zero_final=zero_final))
         floats = sv.value_iterate(g, sv.SolveConfig(), lam=lam, zero_final=zero_final)[0]
-        for values, exact in ((res.values, True), (floats, False)):
-            table = sv._row_table(g, lam, zero_final, exact=exact)
+        tables = ((res.values, fraction_row_table(g, lam, zero_final)[0]),
+                  (floats, sv._row_table(g, lam, zero_final)))
+        for values, table in tables:
             for start_choice in (None, choice):
                 got = sv._sweep(table, values, start_choice)
                 want = sweep_per_state(g, values, start_choice, lam, zero_final)
                 assert list(map(repr, got[0])) == list(map(repr, want[0])), case
                 assert got[1] == want[1], case
+        assert certify_per_state(g, res.values, choice, lam, zero_final) == \
+            sv.certify(g, res.values, choice, lam=lam, zero_final=zero_final), case
         for i in range(g.n):
             if choice[i] is None:
                 continue
@@ -515,19 +553,26 @@ def test_sweep_matches_per_state_oracle():
 
 
 def test_sweep_matches_per_state_oracle_with_fixed_states():
-    """Fixed states keep their values in both forms of the row table."""
+    """Fixed states keep their values in both forms of the row table, and
+    in the certificate's integer sweep."""
     arena = bundled("M3")
     full = bg.explore(arena)
     values = sv.solve_exact(full).values
     g = bg.explore(arena, known=dict(zip(full.states[1:], values[1:])))
     assert g.fixed
     exact = [values[0]] + [g.fixed[i] for i in range(1, g.n)]
-    for vals, is_exact in ((exact, True), ([float(x) for x in exact], False)):
-        for lam, zero_final in SWEEP_OBJECTIVES:
-            got = sv._sweep(sv._row_table(g, lam, zero_final, exact=is_exact), vals)
+    floats = [float(x) for x in exact]
+    for lam, zero_final in SWEEP_OBJECTIVES:
+        tables = ((exact, fraction_row_table(g, lam, zero_final)[0]),
+                  (floats, sv._row_table(g, lam, zero_final)))
+        for vals, table in tables:
+            got = sv._sweep(table, vals)
             want = sweep_per_state(g, vals, None, lam, zero_final)
             assert list(map(repr, got[0])) == list(map(repr, want[0]))
             assert got[1] == want[1]
+        choice = [0] + [None] * (g.n - 1)
+        assert certify_per_state(g, exact, choice, lam, zero_final) == \
+            sv.certify(g, exact, choice, lam=lam, zero_final=zero_final)
 
 
 def _bits(x):
@@ -541,17 +586,18 @@ def _bits(x):
 
 
 def assert_same_table(g, lam, zero_final, case) -> None:
-    for exact in (True, False):
-        got = sv._row_table(g, lam, zero_final, exact=exact)
-        want = row_table_per_action(g, lam, zero_final, exact=exact)
-        assert _bits(list(got)) == _bits(list(want)), (case, exact)
+    got = sv._row_table(g, lam, zero_final)
+    want = row_table_per_action(g, lam, zero_final)
+    assert _bits(list(got)) == _bits(list(want)), case
+    assert sv._exact_table(g, zero_final) == exact_table_per_action(g, zero_final), case
 
 
 def test_row_table_matches_per_action_oracle():
     """Checking and converting each shared distribution object once gives
     the table that doing it for every action gives, entry by entry, float
-    bits and improper pairs included: on the improvement cases, on larger
-    seeded retry chains and on a rooted graph cut at solved states."""
+    bits, ints over the common denominator and improper pairs included: on
+    the improvement cases, on larger seeded retry chains and on a rooted
+    graph cut at solved states."""
     cases = 0
     for name, g, lam, zero_final, order, start, _ in sweep_cases():
         assert_same_table(g, lam, zero_final, (name, lam, zero_final, order, start))
@@ -581,8 +627,14 @@ def test_shared_improper_distribution_is_listed_at_every_use():
                    (False, False, True))
     for lam, zero_final in SWEEP_OBJECTIVES:
         assert_same_table(g, lam, zero_final, (lam, zero_final))
-    assert sv._row_table(g, None, True, exact=True).improper == [(0, 0), (1, 1)]
-    report = sv.certify(g, [Fraction(1), Fraction(1), Fraction(0)], [1, 0, None])
+    assert sv._exact_table(g, True).improper == [(0, 0), (1, 1)]
+    values, choice = [Fraction(1), Fraction(1), Fraction(0)], [1, 0, None]
+    for lam, zero_final in SWEEP_OBJECTIVES:
+        report = sv.certify(g, values, choice, lam=lam, zero_final=zero_final)
+        assert report == certify_fraction_rows(g, values, choice, lam=lam,
+                                               zero_final=zero_final), (lam, zero_final)
+        assert report.improper_rows == [(0, 0), (1, 1)]
+    report = sv.certify(g, values, choice)
     assert report.residual == 0 and report.switches == []
     assert report.improper_rows == [(0, 0), (1, 1)] and not report.ok
     assert not sv.solve_exact(g).certified
