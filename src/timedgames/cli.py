@@ -14,6 +14,14 @@ violations, 2 bad input (file, model, constraint, or option), 3 the final
 set is not reached almost surely under some strategy pair (an end-component
 witness goes to stderr), 4 iteration budget exhausted.
 
+Every numeric option is checked over its whole range as it is parsed, before
+any model is loaded; a value outside it exits with 2 and argparse names the
+option.  The ranges: --tolerance a finite number of at least 0; --cap,
+--max-iterations, --pairs, --states and --runs an integer of at least 1;
+--step-cap an integer of at least 0; --seed any integer; --grid an integer
+from 1 to regions.REGION_CAP; --lambda a rational in [0, 1); --K a rational
+of at least 0; --epsilon a rational greater than 0.
+
 JSON output is deterministic: rationals appear as "num/den" strings next to
 a 12-significant-digit decimal rendering, and repeated invocations on the
 same inputs and seeds produce identical bytes.
@@ -44,10 +52,11 @@ from .properties import (
     check_quasi_simple,
     fit_simple,
     grid_one_step_value,
+    lipschitz_bound,
     sample_states,
     value_at,
 )
-from .regions import RegionError
+from .regions import REGION_CAP, RegionError
 from .simulate import ConcretizedStrategy, StrategyGapError, estimate_value
 from .solver import (
     ConvergenceError,
@@ -311,14 +320,13 @@ def cmd_solve(args) -> int:
 def cmd_discounted(args) -> int:
     arena = load_model(args.model)
     g = explore(arena)
-    lam = _rational_option("--lambda", args.lam)
-    cfg = _config(args)
-    res = solve_discounted(g, lam, cfg, zero_final=not args.keep_final_rewards)
+    res = solve_discounted(g, args.lam, _config(args),
+                           zero_final=not args.keep_final_rewards)
     v0 = _num(res.values[0])
     payload = {
         "model": arena.name,
         "objective": "expected-discounted-time",
-        "lambda": format_rational(lam),
+        "lambda": format_rational(args.lam),
         "zero_final": res.zero_final,
         "states": g.n,
         "certified": res.certified,
@@ -326,7 +334,7 @@ def cmd_discounted(args) -> int:
         "values": _solve_rows(g, res.values, res.choice),
     }
     head = ("%s: discounted value %s at lambda=%s"
-            % (arena.name, v0["rational"], format_rational(lam)))
+            % (arena.name, v0["rational"], format_rational(args.lam)))
     _emit(args, payload, _solve_lines(head, g, res.values, res.choice))
     return 0
 
@@ -334,10 +342,7 @@ def cmd_discounted(args) -> int:
 def cmd_check_properties(args) -> int:
     arena = load_model(args.model)
     g = explore(arena)
-    k_bound = (_rational_option("--K", args.k_bound) if args.k_bound is not None
-               else Fraction(1 + len(arena.ctx.clocks)))
-    if k_bound < 0:
-        raise ModelError("argument --K: must be at least 0, got %s" % k_bound)
+    k_bound = lipschitz_bound(arena, args.k_bound)
     seen = {}
     for s in g.states:
         seen.setdefault((s.location, s.region.key()), s)
@@ -449,50 +454,28 @@ def cmd_simulate(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
-# Numeric options are checked as they are parsed, before any model is
-# loaded; argparse names the option in the message and exits with 2.
+def _number(parse, ok, domain: str):
+    """The argparse type of a numeric option: `parse` reads the text and
+    `ok` tells whether the value lies in `domain`, the words the message
+    names it by.  A text outside the domain exits with 2, the option named,
+    before any model is loaded."""
 
-def _at_least(low: int):
-    """The argparse type of an integer option whose values start at `low`."""
-
-    def parse(text: str) -> int:
+    def check(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
-        if value < low:
-            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
-        return value
+            value = parse(text)
+            if ok(value):
+                return value
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise argparse.ArgumentTypeError("expected %s, got %r" % (domain, text))
 
-    return parse
-
-
-def _tolerance(text: str) -> float:
-    """The argparse type of --tolerance: a finite number of at least 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a number, got %r" % text) from None
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError("must be finite and at least 0, got %r" % text)
-    return value
+    return check
 
 
-def _rational(text: str) -> Fraction:
-    """The argparse type of a NUM/DEN option."""
-    try:
-        return parse_rational(text)
-    except (ModelError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("%r is not an exact rational" % text) from None
-
-
-def _rational_option(option: str, text: str) -> Fraction:
-    """A NUM/DEN option that its subcommand reads after loading the model,
-    refused as bad input (exit 2) with the option and the text named."""
-    try:
-        return _rational(text)
-    except argparse.ArgumentTypeError as exc:
-        raise ModelError("argument %s: %s" % (option, exc)) from None
+_TOLERANCE = _number(float, lambda x: math.isfinite(x) and x >= 0,
+                     "a finite number of at least 0")
+_COUNT = _number(int, lambda n: n >= 1, "an integer of at least 1")
+_SEED = _number(int, lambda n: True, "an integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("validate", cmd_validate, help="report structural findings")
 
     sp = add("brg", cmd_brg, help="build the boundary region graph")
-    sp.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP,
+    sp.add_argument("--cap", type=_COUNT, default=DEFAULT_STATE_CAP,
                     help="abort exploration beyond this many states")
     sp.add_argument("--dot", metavar="FILE", help="also write a DOT rendering")
 
@@ -522,40 +505,49 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--exact", action="store_true",
                     help="certify exact rational values (default: float "
                          "value iteration)")
-    sp.add_argument("--tolerance", type=_tolerance, default=None,
+    sp.add_argument("--tolerance", type=_TOLERANCE, default=None,
                     help="value iteration stopping tolerance")
-    sp.add_argument("--max-iterations", type=_at_least(1), default=None)
+    sp.add_argument("--max-iterations", type=_COUNT, default=None)
     sp.add_argument("--out", metavar="FILE", help="write the JSON document here")
 
     sp = add("discounted", cmd_discounted, help="expected discounted time")
     sp.add_argument("--lambda", dest="lam", required=True, metavar="NUM/DEN",
+                    type=_number(parse_rational, lambda q: 0 <= q < 1,
+                                 "a rational in [0, 1)"),
                     help="discount factor, a rational in [0, 1)")
     sp.add_argument("--keep-final-rewards", action="store_true",
                     help="let final states keep acting instead of absorbing "
                          "them at value zero")
-    sp.add_argument("--tolerance", type=_tolerance, default=None)
-    sp.add_argument("--max-iterations", type=_at_least(1), default=None)
+    sp.add_argument("--tolerance", type=_TOLERANCE, default=None)
+    sp.add_argument("--max-iterations", type=_COUNT, default=None)
     sp.add_argument("--out", metavar="FILE", help="write the JSON document here")
 
     sp = add("check-properties", cmd_check_properties,
              help="test value-function properties on reachable regions")
-    sp.add_argument("--pairs", type=_at_least(1), default=40,
+    sp.add_argument("--pairs", type=_COUNT, default=40,
                     help="sampled pairs per region and per check")
-    sp.add_argument("--grid", type=_at_least(1), default=64,
+    sp.add_argument("--grid", default=64,
+                    type=_number(int, lambda n: 1 <= n <= REGION_CAP,
+                                 "an integer from 1 to %d" % REGION_CAP),
                     help="delay grid denominator for the one-step check")
     sp.add_argument("--K", dest="k_bound", default=None, metavar="NUM/DEN",
+                    type=_number(parse_rational, lambda q: q >= 0,
+                                 "a rational of at least 0"),
                     help="Lipschitz bound (default 1 + number of clocks)")
-    sp.add_argument("--states", type=_at_least(1), default=6,
+    sp.add_argument("--states", type=_COUNT, default=6,
                     help="sampled states for the one-step check")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_SEED, default=0)
 
     sp = add("simulate", cmd_simulate, help="Monte Carlo play of the "
                                             "certified strategies")
-    sp.add_argument("--runs", type=_at_least(1), default=10_000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--epsilon", type=_rational, default="1/1000", metavar="NUM/DEN",
+    sp.add_argument("--runs", type=_COUNT, default=10_000)
+    sp.add_argument("--seed", type=_SEED, default=0)
+    sp.add_argument("--epsilon", default="1/1000", metavar="NUM/DEN",
+                    type=_number(parse_rational, lambda q: q > 0,
+                                 "a rational greater than 0"),
                     help="concretization slack inside open windows")
-    sp.add_argument("--step-cap", type=_at_least(0), default=10_000)
+    sp.add_argument("--step-cap", default=10_000,
+                    type=_number(int, lambda n: n >= 0, "an integer of at least 0"))
     sp.add_argument("--decaying-epsilon", action="store_true",
                     help="halve the slack after every step of a run")
     return p

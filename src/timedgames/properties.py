@@ -53,6 +53,12 @@ from .solver import ConvergenceError, SimpleForm, acyclic_values, solve_exact
 
 Evaluator = Callable[[str, ClockValuation], Fraction]
 
+# Interior samples `fit_simple` values, the denominator of the closure points
+# `check_quasi_simple` draws, and the grid `sample_states` draws states from.
+FIT_SAMPLES = 6
+PAIR_DENOMINATOR = 64
+STATE_DENOMINATOR = 8
+
 
 def value_at(arena: Arena, location: str, valuation: ClockValuation) -> Fraction:
     """Certified expected time to the final set from a concrete state, the
@@ -101,7 +107,6 @@ def fit_simple(
     location: str,
     region: ClockRegion,
     *,
-    samples: int = 6,
     seed: int = 0,
     evaluator: Evaluator | None = None,
 ) -> SimpleForm | None:
@@ -115,7 +120,7 @@ def fit_simple(
     ev = evaluator or _default_evaluator(arena)
     rng = random.Random(seed)
     points = [representative(region)]
-    for _ in range(samples - 1):
+    for _ in range(FIT_SAMPLES - 1):
         points.append(sample_interior(region, rng))
     points = list(dict.fromkeys(points))
     vals = [ev(location, p) for p in points]
@@ -132,6 +137,15 @@ def fit_simple(
 
 
 # --------------------------------------------------------- quasi-simpleness
+
+def lipschitz_bound(arena: Arena, k_bound=None) -> Fraction:
+    """The Lipschitz bound K that `check_quasi_simple` tests: `k_bound`, by
+    default 1 + the number of clocks.  A negative K is refused."""
+    K = Fraction(1 + len(arena.ctx.clocks)) if k_bound is None else Fraction(k_bound)
+    if K < 0:
+        raise ValueError("Lipschitz bound K must be at least 0, got %s" % K)
+    return K
+
 
 @dataclass
 class PropertyReport:
@@ -176,7 +190,6 @@ def check_quasi_simple(
     pairs: int = 200,
     k_bound: Fraction | None = None,
     seed: int = 0,
-    denominator: int = 64,
     evaluator: Evaluator | None = None,
 ) -> PropertyReport:
     """Sampled check that the value function is K-Lipschitz on the region's
@@ -188,9 +201,7 @@ def check_quasi_simple(
     pairs must satisfy F(nu) >= F(nu') and F(nu) - F(nu') <= t.
     """
     ev = evaluator or _default_evaluator(arena)
-    K = Fraction(k_bound) if k_bound is not None else Fraction(1 + len(arena.ctx.clocks))
-    if K < 0:
-        raise ValueError("Lipschitz bound K must be at least 0, got %s" % K)
+    K = lipschitz_bound(arena, k_bound)
     report = PropertyReport(location, region, K)
     if len(region.blocks) == 1:
         # every clock sits on an integer: the closure is a single point, so
@@ -201,8 +212,8 @@ def check_quasi_simple(
     attempts = 0
     while report.pairs_checked < pairs and attempts < 50 * pairs:
         attempts += 1
-        u = sample_closure(region, rng, denominator)
-        v = sample_closure(region, rng, denominator)
+        u = sample_closure(region, rng, PAIR_DENOMINATOR)
+        v = sample_closure(region, rng, PAIR_DENOMINATOR)
         if u == v:
             continue
         fu, fv = ev(location, u), ev(location, v)
@@ -218,8 +229,8 @@ def check_quasi_simple(
     n = len(arena.ctx.clocks)
     while report.diag_pairs_checked < pairs and attempts < 50 * pairs:
         attempts += 1
-        u = sample_closure(region, rng, denominator)
-        t = Fraction(rng.randint(1, arena.ctx.k * denominator), denominator)
+        u = sample_closure(region, rng, PAIR_DENOMINATOR)
+        t = Fraction(rng.randint(1, arena.ctx.k * PAIR_DENOMINATOR), PAIR_DENOMINATOR)
         mask = rng.randint(1, (1 << n) - 1)
         shifted = tuple(
             x + t if mask >> i & 1 else x for i, x in enumerate(u.values)
@@ -335,13 +346,11 @@ def grid_one_step_value(
     return best
 
 
-def sample_states(
-    arena: Arena, count: int, *, seed: int = 0, denominator: int = 8
-) -> list[ConcreteState]:
+def sample_states(arena: Arena, count: int, *, seed: int = 0) -> list[ConcreteState]:
     """Deterministic sample of non-final concrete states on a rational grid,
     each satisfying its location invariant.  A grid of more than REGION_CAP
     points per location is refused before any is built."""
-    points = arena.ctx.k * denominator + 1
+    points = arena.ctx.k * STATE_DENOMINATOR + 1
     if points > REGION_CAP:
         raise ValueError("a sample grid of %d points per location exceeds the cap of %d"
                          % (points, REGION_CAP))
@@ -353,7 +362,7 @@ def sample_states(
         # a grid over all clocks would explode for many clocks; the diagonal
         # slice, every clock at one grid value, is the whole grid for one clock
         for j in range(points):
-            v = ClockValuation(arena.ctx, (Fraction(j, denominator),) * clocks)
+            v = ClockValuation(arena.ctx, (Fraction(j, STATE_DENOMINATOR),) * clocks)
             if valuation_satisfies(v, l.invariant):
                 pool.append(ConcreteState(l.name, v))
     rng = random.Random(seed)

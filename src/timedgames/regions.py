@@ -34,7 +34,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 
 # the operators of an atom and the comparison each makes
@@ -344,21 +344,15 @@ def future_chain(region: ClockRegion) -> Iterator[ClockRegion]:
         r = time_successor(r)
 
 
-def invariant_chain(
-    region: ClockRegion,
-    invariant: ClockConstraint,
-    successor: Callable[[ClockRegion], ClockRegion | None] = time_successor,
-) -> Iterator[ClockRegion]:
+def invariant_chain(region: ClockRegion, invariant: ClockConstraint) -> Iterator[ClockRegion]:
     """The future chain of the region up to, not including, the first region
     that breaks the invariant: the regions time passes through while the
     invariant holds.  Empty when the region itself breaks it.  Lazy, so a
-    caller that stops early walks no further.  `successor` computes each
-    next region; a caller with a table of time successors passes its
-    lookup."""
+    caller that stops early walks no further."""
     r: ClockRegion | None = region
     while r is not None and satisfies(r, invariant):
         yield r
-        r = successor(r)
+        r = time_successor(r)
 
 
 def boundary(thin: ClockRegion) -> tuple[int, str]:

@@ -76,7 +76,6 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import networkx as nx
 
@@ -109,7 +108,6 @@ from timedgames.regions import (
     boundary,
     enumerate_regions,
     future_chain,
-    invariant_chain,
     is_thin,
     parse_constraint,
     region_of,
@@ -770,7 +768,11 @@ def boundary_actions_per_key(arena: Arena, location: str, region: ClockRegion) -
     """The action set shared by all nodes with this location and region, as
     the arena's shared copy of each action."""
     inv = arena.location_named(location).invariant
-    chain = list(invariant_chain(region, inv, partial(_successor, arena)))
+    chain = []
+    r = region
+    while r is not None and satisfies(r, inv):
+        chain.append(r)
+        r = _successor(arena, r)
     out: dict[tuple, BoundaryAction] = {}
     for idx, r in enumerate(chain):
         for e in arena.edges_from(location):

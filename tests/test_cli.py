@@ -163,29 +163,36 @@ def test_discounted_values(capsys):
     assert json.loads(out)["initial"]["value"]["rational"] == "5/6"
 
 
+def refused_before_loading(capsys, monkeypatch, *argv) -> str:
+    """The stderr of a call on M1 that exits 2 without loading the model."""
+    monkeypatch.setattr(cli, "load_model", lambda path: pytest.fail("model loaded"))
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], M1, *argv[1:]])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    return captured.err
+
+
 @pytest.mark.parametrize("lam", ["3/2", "1/1", "abc", "1/0"])
-def test_discounted_rejects_bad_lambda(capsys, lam):
-    code, _, err = run(capsys, "discounted", M2, "--lambda", lam)
-    assert code == 2
-    assert "error:" in err
+def test_discounted_rejects_bad_lambda(capsys, monkeypatch, lam):
+    """A lambda outside [0, 1), or no rational at all, is refused with the
+    option and the text named; so is the same text as a --K that is not a
+    rational."""
+    err = refused_before_loading(capsys, monkeypatch, "discounted", "--lambda", lam)
+    assert "error: argument --lambda: " in err and repr(lam) in err
     if lam in ("abc", "1/0"):
-        # not a rational: the message names the option and the text, and
-        # so does check-properties for the same text as --K
-        assert "argument --lambda: %r" % lam in err
-        code, out, err = run(capsys, "check-properties", M2, "--K", lam)
-        assert code == 2 and out == ""
-        assert err == "error: argument --K: %r is not an exact rational\n" % lam
+        err = refused_before_loading(capsys, monkeypatch, "check-properties", "--K", lam)
+        assert "error: argument --K: " in err and repr(lam) in err
 
 
 @pytest.mark.parametrize("k", ["-1", "-2/4"])
-def test_check_properties_refuses_a_negative_k(capsys, k):
+def test_check_properties_refuses_a_negative_k(capsys, monkeypatch, k):
     """A negative --K is bad input (exit 2), not a property violation
     (exit 1); --K 0 is a bound like any other."""
-    code, out, err = run(capsys, "check-properties", M1, "--K=%s" % k)
-    assert (code, out) == (2, "")
-    assert err == "error: argument --K: must be at least 0, got %s\n" % Fraction(k)
     code, _, err = run(capsys, "check-properties", M1, "--K", "0")
     assert code in (0, 1) and err == ""
+    err = refused_before_loading(capsys, monkeypatch, "check-properties", "--K=%s" % k)
+    assert "error: argument --K: " in err and repr(k) in err
 
 
 def test_simulate_json_deterministic(capsys):
@@ -201,12 +208,9 @@ def test_simulate_json_deterministic(capsys):
 
 
 @pytest.mark.parametrize("epsilon", ["-1/2", "0"])
-def test_simulate_refuses_nonpositive_epsilon(capsys, epsilon):
-    # M2 has no open window to step into, so nothing else would catch it
-    for model in (M1, M2):
-        code, out, err = run(capsys, "simulate", model, "--epsilon=%s" % epsilon)
-        assert code == 2 and out == ""
-        assert "epsilon must be positive" in err
+def test_simulate_refuses_nonpositive_epsilon(capsys, monkeypatch, epsilon):
+    err = refused_before_loading(capsys, monkeypatch, "simulate", "--epsilon=%s" % epsilon)
+    assert "error: argument --epsilon: " in err and repr(epsilon) in err
 
 
 def test_check_properties_clean(capsys):
@@ -529,29 +533,39 @@ def _finite_at_least_zero(text: str) -> bool:
     return math.isfinite(value) and value >= 0
 
 
-def _integer_at_least(low: int):
-    def ok(text: str) -> bool:
+def _integer_where(ok):
+    def accepts(text: str) -> bool:
         try:
-            return int(text) >= low
+            return ok(int(text))
         except ValueError:
             return False
-    return ok
+    return accepts
+
+
+def _rational_where(ok):
+    def accepts(text: str) -> bool:
+        return bool(re.fullmatch(r"-?\d+(/0*[1-9]\d*)?", text)) and ok(Fraction(text))
+    return accepts
 
 
 # each numeric option, the calls of CALLS that take it and which values it
-# accepts; a rational --epsilon of the wrong sign is the simulator's to refuse
+# accepts
 NUMERIC_OPTIONS = {
     "--tolerance": (("solve", "discounted"), _finite_at_least_zero),
-    "--max-iterations": (("solve", "discounted"), _integer_at_least(1)),
-    "--pairs": (("check-properties",), _integer_at_least(1)),
-    "--grid": (("check-properties",), _integer_at_least(1)),
-    "--states": (("check-properties",), _integer_at_least(1)),
-    "--runs": (("simulate",), _integer_at_least(1)),
-    "--step-cap": (("simulate",), _integer_at_least(0)),
-    "--epsilon": (("simulate",), lambda text: re.fullmatch(r"-?\d+(/0*[1-9]\d*)?", text)),
+    "--max-iterations": (("solve", "discounted"), _integer_where(lambda n: n >= 1)),
+    "--cap": (("brg",), _integer_where(lambda n: n >= 1)),
+    "--pairs": (("check-properties",), _integer_where(lambda n: n >= 1)),
+    "--grid": (("check-properties",), _integer_where(lambda n: 1 <= n <= regions.REGION_CAP)),
+    "--states": (("check-properties",), _integer_where(lambda n: n >= 1)),
+    "--seed": (("check-properties", "simulate"), _integer_where(lambda n: True)),
+    "--runs": (("simulate",), _integer_where(lambda n: n >= 1)),
+    "--step-cap": (("simulate",), _integer_where(lambda n: n >= 0)),
+    "--lambda": (("discounted",), _rational_where(lambda q: 0 <= q < 1)),
+    "--K": (("check-properties",), _rational_where(lambda q: q >= 0)),
+    "--epsilon": (("simulate",), _rational_where(lambda q: q > 0)),
 }
 OPTION_VALUES = ["nan", "inf", "-inf", "-5", "-1", "0", "1", "3", "1e-6", "0.5",
-                 "1/2", "1/0", "x", ""]
+                 "1/2", "1/1", "1/0", "x", ""]
 
 
 @st.composite
@@ -597,17 +611,18 @@ def test_exit_code_contract_on_mutated_options(mutation):
     ("solve", "--tolerance", "nan"), ("solve", "--tolerance=-1"),
     ("solve", "--max-iterations", "0"), ("solve", "--max-iterations=-5"),
     ("discounted", "--lambda", "1/2", "--max-iterations", "0"),
+    ("discounted", "--lambda", "2"), ("discounted", "--lambda", "1/1"),
+    ("discounted", "--lambda", "abc"),
     ("check-properties", "--pairs", "0"), ("check-properties", "--grid=-3"),
-    ("check-properties", "--grid", "0"), ("check-properties", "--states=-1"),
+    ("check-properties", "--grid", "0"), ("check-properties", "--grid", "1000001"),
+    ("check-properties", "--states=-1"),
+    ("check-properties", "--K", "-1"), ("check-properties", "--K", "1/0"),
     ("simulate", "--step-cap=-1"), ("simulate", "--epsilon", "1/0"),
+    ("simulate", "--epsilon=0"), ("brg", "--cap", "0"),
 ], ids=" ".join)
 def test_bad_numeric_option_is_refused_before_loading(capsys, monkeypatch, argv):
-    monkeypatch.setattr(cli, "load_model", lambda path: pytest.fail("model loaded"))
-    with pytest.raises(SystemExit) as exc:
-        main([argv[0], M1, *argv[1:]])
     option = next(a for a in reversed(argv) if a.startswith("--")).split("=")[0]
-    assert exc.value.code == 2
-    assert "error: argument %s: " % option in capsys.readouterr().err
+    assert "error: argument %s: " % option in refused_before_loading(capsys, monkeypatch, *argv)
 
 
 def _not_json(constant: str):
