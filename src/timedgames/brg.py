@@ -155,29 +155,19 @@ class BrgState(NamedTuple):
 @dataclass(frozen=True)
 class BoundaryAction:
     """An abstract timed move: action name, the region the guard is read in,
-    and the boundary instant (b, c) the delay steers to.  b = c = None is
-    the fire-now endpoint of a thick current region."""
+    and the boundary instant (b, c) the delay steers to, c a clock index.
+    b = c = None is the fire-now endpoint of a thick current region."""
 
     action: str
     target: ClockRegion
     b: int | None
-    c: str | None
-    # the label and the index of c in the context, made on first use; not
-    # part of equality, hashing or repr
+    c: int | None
+    # the label, made on first use; not part of equality, hashing or repr
     _label: str | None = field(default=None, init=False, repr=False, compare=False)
-    _ci: int | None = field(default=None, init=False, repr=False, compare=False)
 
-    def clock_index(self, ctx) -> int:
-        """The index of the boundary clock c in ctx, looked up once per object."""
-        ci = self._ci
-        if ci is None:
-            ci = ctx.index(self.c)
-            object.__setattr__(self, "_ci", ci)
-        return ci
-
-    def sort_key(self, ctx) -> tuple:
-        ci = -1 if self.c is None else self.clock_index(ctx)
-        return (self.action, -1 if self.b is None else self.b, ci, self.target.key())
+    def sort_key(self) -> tuple:
+        return (self.action, -1 if self.b is None else self.b,
+                -1 if self.c is None else self.c, self.target.key())
 
     def label(self) -> str:
         text = self._label
@@ -185,8 +175,8 @@ class BoundaryAction:
             if self.b is None:
                 text = "%s now in [%s]" % (self.action, self.target.label())
             else:
-                text = "%s at %s=%d in [%s]" % (self.action, self.c, self.b,
-                                                self.target.label())
+                text = "%s at %s=%d in [%s]" % (self.action, self.target.ctx.clocks[self.c],
+                                                self.b, self.target.label())
             object.__setattr__(self, "_label", text)
         return text
 
@@ -297,14 +287,14 @@ def _slice(arena: Arena, location: str, region: ClockRegion) -> tuple | None:
         return None
     edges = [e for e in arena.edges_from(location) if satisfies(region, e.guard)]
     succ = _successor(arena, region)
-    canon, ctx = tables(arena).canon, arena.ctx
+    canon = tables(arena).canon
 
     def items(b, c) -> list[tuple]:
         out = []
         for e in edges:
             act = BoundaryAction(e.action, region, b, c)
             act = canon.setdefault(act, act)
-            out.append((act.sort_key(ctx), act))
+            out.append((act.sort_key(), act))
         return out
 
     if is_thin(region):
@@ -314,7 +304,7 @@ def _slice(arena: Arena, location: str, region: ClockRegion) -> tuple | None:
         c = min(region.blocks[1])
         hi = items(*boundary(succ))
         first = items(None, None) + hi
-        later = items(region.ints[c], ctx.clocks[c]) + hi
+        later = items(region.ints[c], c) + hi
     return first, later, succ
 
 
@@ -356,8 +346,7 @@ def _compile_move(arena: Arena, location: str, act: BoundaryAction) -> tuple:
                 % (location, act.action, target_region.label(), br.target)
             )
         branches.append((br.target, resets[br.resets], target_region, br.prob))
-    ci = None if act.c is None else act.clock_index(arena.ctx)
-    return act.b, ci, tuple(branches)
+    return act.b, act.c, tuple(branches)
 
 
 def _moves(arena: Arena, location: str, region: ClockRegion) -> tuple:

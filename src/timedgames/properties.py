@@ -9,17 +9,20 @@ states are kept per arena, each its own key, so a repeated query builds no
 valuation, region or graph.  On top of it:
 
   * `fit_simple` reconstructs a one-clock affine form e - nu(c) (or a
-    constant) for the value function on a region, when one exists;
+    constant), a `SimpleForm`, for the value function on a region, when
+    one exists;
   * `check_quasi_simple` samples pairs in a region's closure and tests the
     value function for K-Lipschitz continuity (sup norm) and, along
     diagonal shifts by t on a subset of clocks, for monotone decrease by at
     most t;
   * `check_time_monotone` tests that the one-step function
     t + sum_branches p * value(successor at delay t) is nondecreasing in t
-    inside one enabled region's delay window;
+    inside one enabled region's delay window, which it reads off the walk
+    of `regions.delay_windows` within the location invariant;
   * `grid_one_step_value` optimizes that one-step function over a dense
     delay grid, the reference point for consistency between the graph
-    abstraction and the concrete semantics.
+    abstraction and the concrete semantics; it walks the windows once per
+    state, and yields each window's grid lazily.
 
 All checks take an `evaluator` override so a deliberately broken value
 function can be used to prove the checks have teeth.
@@ -30,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .brg import explore, root_key
 from .model import Arena, ConcreteState, Edge
@@ -40,16 +43,14 @@ from .regions import (
     ClockValuation,
     DelayWindow,
     closure_contains,
-    delay_window,
-    invariant_chain,
-    region_of,
+    delay_windows,
     representative,
     sample_closure,
     sample_interior,
     satisfies,
     valuation_satisfies,
 )
-from .solver import ConvergenceError, SimpleForm, acyclic_values, solve_exact
+from .solver import ConvergenceError, acyclic_values, solve_exact
 
 Evaluator = Callable[[str, ClockValuation], Fraction]
 
@@ -101,6 +102,25 @@ def _default_evaluator(arena: Arena) -> Evaluator:
 
 
 # ------------------------------------------------------------- simple fit
+
+@dataclass(frozen=True)
+class SimpleForm:
+    """A value function of the shape e - nu(clock) (or the constant e when
+    clock is None), with integer e.  On one region such forms are totally
+    ordered, and two of them agree on the region as soon as they agree at
+    its interior representative."""
+
+    e: int
+    clock: str | None = None
+
+    def eval(self, valuation: ClockValuation) -> Fraction:
+        if self.clock is None:
+            return Fraction(self.e)
+        return self.e - valuation.value(self.clock)
+
+    def render(self) -> str:
+        return str(self.e) if self.clock is None else "%d - %s" % (self.e, self.clock)
+
 
 def fit_simple(
     arena: Arena,
@@ -261,15 +281,16 @@ def _one_step(ev: Evaluator, e: Edge, v: ClockValuation, t: Fraction) -> Fractio
     return total
 
 
-def _delays(w: DelayWindow, parts: int) -> list[Fraction]:
+def _delays(w: DelayWindow, parts: int) -> Iterator[Fraction]:
     """A thin window's one instant; otherwise the points cutting the window
-    into `parts` equal pieces, after its left end when that end is closed."""
-    if w.lo == w.hi:
-        return [w.lo]
-    ts = [w.lo] if w.closed_lo else []
-    step = (w.hi - w.lo) / parts
-    ts.extend(w.lo + step * j for j in range(1, parts))
-    return ts
+    into `parts` equal pieces, after its left end when that end is closed.
+    Lazy, so a grid is never held whole."""
+    if w.lo == w.hi or w.closed_lo:
+        yield w.lo
+    if w.lo < w.hi:
+        step = (w.hi - w.lo) / parts
+        for j in range(1, parts):
+            yield w.lo + step * j
 
 
 def check_time_monotone(
@@ -286,8 +307,8 @@ def check_time_monotone(
     Restricted to delays steering into one region, the one-step function
     t + sum p * F(successor) must be nondecreasing; this compares it at
     consecutive grid points of the delay window.  A thin target admits a
-    single delay, so the check is vacuous there.  The target must be
-    reachable by letting time pass within the location invariant.
+    single delay, so the check is vacuous there.  The target's window comes
+    from the walk of `delay_windows` within the location invariant.
     """
     ev = evaluator or _default_evaluator(arena)
     loc, v = state
@@ -296,12 +317,14 @@ def check_time_monotone(
         raise ValueError("no edge (%s, %s)" % (loc, action))
     if not satisfies(target, e.guard):
         raise ValueError("action %s is not enabled on [%s]" % (action, target.label()))
-    if target not in invariant_chain(region_of(v), arena.location_named(loc).invariant):
+    window = next((w for r, w in delay_windows(v, arena.location_named(loc).invariant)
+                   if r == target), None)
+    if window is None:
         raise ValueError("[%s] is not in the future of the state within the invariant of %s"
                          % (target.label(), loc))
     out = []
     prev_t = prev_f = None
-    for t in _delays(delay_window(v, target), grid + 1):
+    for t in _delays(window, grid + 1):
         f = _one_step(ev, e, v, t)
         if prev_f is not None and f < prev_f:
             out.append((prev_t, t, prev_f, f))
@@ -330,14 +353,14 @@ def grid_one_step_value(
     ev = evaluator or _default_evaluator(arena)
     loc, v = state
     minimize = arena.owner_of(loc) == "min"
-    # a list, not the generator: every edge walks the chain again
-    chain = list(invariant_chain(region_of(v), arena.location_named(loc).invariant))
+    # one walk of the windows, which every edge reads
+    windows = list(delay_windows(v, arena.location_named(loc).invariant))
     best: Fraction | None = None
     for e in arena.edges_from(loc):
-        for r in chain:
+        for r, w in windows:
             if not satisfies(r, e.guard):
                 continue
-            for t in _delays(delay_window(v, r), denominator):
+            for t in _delays(w, denominator):
                 val = _one_step(ev, e, v, t)
                 if best is None or (val < best if minimize else val > best):
                     best = val

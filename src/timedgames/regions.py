@@ -14,9 +14,10 @@ the two kinds: from a thin region the zero-block clocks pick up a fresh
 smallest positive fraction, and from a thick region the clocks with the
 largest fraction reach the next integer.  `invariant_chain` is the part of
 that future a location invariant lets time pass through, and `boundary`
-names the instant (b, c) at which a thin region on it is hit, as the delay
-b - nu(c); every module that lets time pass reads those two (`brg` walks
-the same chain one memoized region at a time).
+names the instant (b, c), c a clock index, at which a thin region on it is
+hit, as the delay b - nu(c).  Every delay window is read off one walk of
+the two: `delay_windows` from a valuation, `brg` one memoized region at a
+time.
 
 Everything here is exact.  Valuation coordinates are ``fractions.Fraction``.
 One evaluator, `satisfies_scaled`, decides every clock constraint at a
@@ -336,14 +337,6 @@ def time_successor(region: ClockRegion) -> ClockRegion | None:
     return ClockRegion(region.ctx, ints, blocks)
 
 
-def future_chain(region: ClockRegion) -> Iterator[ClockRegion]:
-    """The region itself followed by its iterated time successors."""
-    r: ClockRegion | None = region
-    while r is not None:
-        yield r
-        r = time_successor(r)
-
-
 def invariant_chain(region: ClockRegion, invariant: ClockConstraint) -> Iterator[ClockRegion]:
     """The future chain of the region up to, not including, the first region
     that breaks the invariant: the regions time passes through while the
@@ -355,15 +348,15 @@ def invariant_chain(region: ClockRegion, invariant: ClockConstraint) -> Iterator
         r = time_successor(r)
 
 
-def boundary(thin: ClockRegion) -> tuple[int, str]:
-    """The (b, c) pair naming the instant at which letting time pass hits
-    the thin region: from any point whose future chain contains it, the
-    delay is b - nu(c).  Every zero-block clock names the same delay; the
-    first in context order is returned so the choice is deterministic."""
+def boundary(thin: ClockRegion) -> tuple[int, int]:
+    """The (b, c) pair, c a clock index, naming the instant at which letting
+    time pass hits the thin region: from any point whose future chain
+    contains it, the delay is b - nu(c).  Every zero-block clock names the
+    same delay; the first in context order is returned."""
     if not is_thin(thin):
         raise RegionError("boundary coordinates target a thin region")
     c = min(thin.blocks[0])
-    return thin.ints[c], thin.ctx.clocks[c]
+    return thin.ints[c], c
 
 
 def reset_region(region: ClockRegion, clocks: frozenset[str] | set[str]) -> ClockRegion:
@@ -455,39 +448,32 @@ def closure_contains_scaled(region: ClockRegion, point: Sequence[int], scale: in
 
 @dataclass(frozen=True)
 class DelayWindow:
-    """The set of delays {t >= 0 : nu + t in target}, as one interval."""
+    """The delays {t >= 0 : nu + t in region}: one instant lo = hi, or the
+    open interval (lo, hi), closed at lo when it starts now."""
 
     lo: Fraction
     hi: Fraction
     closed_lo: bool
-    closed_hi: bool
 
 
-def delay_window(valuation: ClockValuation, target: ClockRegion) -> DelayWindow | None:
-    """Exact delay interval from a valuation into a region of its future chain.
-
-    Thin targets are hit at a single instant.  A thick target is an open
-    interval between two boundary instants, except that the valuation's own
-    region contributes a half-open interval starting now.  Returns None when
-    the target is not in the future of the valuation's region.
-    """
-
-    def hit(thin: ClockRegion) -> Fraction:
-        b, c = boundary(thin)
-        return b - valuation.value(c)
-
-    prev: Fraction | None = None  # the instant of the last thin region passed
-    for r in future_chain(region_of(valuation)):
+def delay_windows(valuation: ClockValuation,
+                  invariant: ClockConstraint) -> Iterator[tuple[ClockRegion, DelayWindow]]:
+    """Each region of `invariant_chain` from the valuation's region, with its
+    delay window: a thin region's instant b - nu(c) from its `boundary`; a
+    thick region's interval from the instant before it (from 0, closed, for
+    the valuation's own region) to the instant of its time successor, which
+    is only a limit and so exempt from the invariant."""
+    values = valuation.values
+    lo, closed = Fraction(0), True
+    for r in invariant_chain(region_of(valuation), invariant):
         if is_thin(r):
-            prev = hit(r)
-            if r == target:
-                return DelayWindow(prev, prev, True, True)
-        elif r == target:
-            succ = time_successor(r)
-            assert succ is not None  # thick regions always have one
-            now = prev is None  # the target is the current region
-            return DelayWindow(Fraction(0) if now else prev, hit(succ), now, False)
-    return None
+            b, c = boundary(r)
+            lo = b - values[c]
+            yield r, DelayWindow(lo, lo, True)
+        else:
+            b, c = boundary(time_successor(r))
+            yield r, DelayWindow(lo, b - values[c], closed)
+        closed = False
 
 
 def representative(region: ClockRegion) -> ClockValuation:

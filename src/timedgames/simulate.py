@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .brg import BoundaryAction, Brg
 from .model import Arena, ConcreteState, TimedAction, timed_action_allowed
-from .regions import ClockRegion, ClockValuation, delay_window, region_of
+from .regions import TRUE, ClockRegion, ClockValuation, delay_windows, region_of
 
 
 class StrategyGapError(Exception):
@@ -160,15 +160,15 @@ def concretize_action(
     """
     if act.b is None:
         return Fraction(0)
-    t0 = act.b - valuation.value(act.c)
+    t0 = act.b - valuation.values[act.c]
     if t0 < 0:
         raise StrategyGapError(
             "boundary %s=%d lies in the past of %s"
-            % (act.c, act.b, dict(valuation.as_dict()))
+            % (valuation.ctx.clocks[act.c], act.b, dict(valuation.as_dict()))
         )
     if region_of(valuation.shift(t0)) == act.target:
         return t0
-    w = delay_window(valuation, act.target)
+    w = next((w for r, w in delay_windows(valuation, TRUE) if r == act.target), None)
     if w is None:
         raise StrategyGapError(
             "[%s] is not reachable by delay from %s"

@@ -61,7 +61,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .brg import Brg
 from .model import sccs
-from .regions import ClockValuation
 
 INF = math.inf
 
@@ -461,6 +460,20 @@ def evaluate_pair_discounted(
     return _evaluate(g, choice, Fraction(lam), zero_final)
 
 
+def _infinite_terms(action: tuple, infinite: set[int], num: int | None) -> tuple:
+    """A swept action (index, reward, distribution) with the discount's
+    numerator `num` (None without a discount) multiplied in.  An action
+    whose distribution reaches a state of `infinite` backs up to inf, -inf
+    or nan whatever its finite terms, so it keeps reward 0 and only its
+    branches there, each probability as the sign of its product with num."""
+    j, r, dist = action
+    a = 1 if num is None else num
+    terms = [(t, (a * p > 0) - (a * p < 0)) for t, p in dist if t in infinite]
+    if terms:
+        return j, 0, terms
+    return action if num is None else (j, num * r, [(t, num * p) for t, p in dist])
+
+
 def certify(
     g: Brg,
     values: Sequence,
@@ -488,10 +501,12 @@ def certify(
     lam = a / b is applied as a.  A backup then is S = Q V b times its
     rational value, an exact int (or inf, or nan where 0 * inf is), and
     scaling by the positive S keeps every comparison, the sweep's ties
-    included; the residual is the largest gap over S.  An infinite value
-    meets those ints as a float, so a backup over one raises OverflowError
-    once its int passes 2**1024; only a divergent pair has infinite values,
-    and no solve certifies one."""
+    included; the residual is the largest gap over S.  Infinite values are
+    carried beside the ints, so that no float meets an int past 2**1024:
+    with one, every action takes the discount into its row, an action that
+    reaches one keeps only the signs of its branches there
+    (`_infinite_terms`), and the residual counts a finite int beside a
+    non-finite value as 0."""
     if rows is None:
         rows = _exact_table(g, zero_final)
     num, den = (None, 1) if lam is None else Fraction(lam).as_integer_ratio()
@@ -502,6 +517,7 @@ def certify(
     scale = rows.scale * vscale * den
     scaled = [x if isinstance(x, float) else x.numerator * per[x.denominator]
               for x in values]
+    infinite = {i for i, x in enumerate(values) if isinstance(x, float)}
     rewards: dict[int, list] = {}
     sweep_rows = []
     for row in rows.rows:
@@ -511,20 +527,26 @@ def certify(
             if key not in rewards:
                 rewards[key] = [x * vscale for x in r]
             row = list(zip(count(), rewards[key], dists))
+            if infinite:
+                row = [_infinite_terms(action, infinite, num) for action in row]
         sweep_rows.append(row)
     base = [0] * g.n
     for i, x in g.fixed.items():
         base[i] = x.numerator * (scale // x.denominator)
-    improved, best = _sweep(_Rows(sweep_rows, base, rows.minimize, num), scaled, choice)
+    improved, best = _sweep(_Rows(sweep_rows, base, rows.minimize,
+                                  None if infinite else num), scaled, choice)
     switches = [(i, j) for i, j in enumerate(best) if j is not None and j != choice[i]]
     violations = []
     gap = 0
     factor = scale // vscale
     for i, (a, b) in enumerate(zip(scaled, improved)):
-        a = a * factor
+        if i not in infinite:
+            a = a * factor
         if a == b:
             continue
         violations.append(i)
+        if isinstance(a, float) or isinstance(b, float):
+            a, b = [x if isinstance(x, float) else 0 for x in (a, b)]
         gap = max(gap, INF if INF in (a, b) else abs(a - b))
     residual = INF if gap == INF else Fraction(gap, scale)
     return CertifyReport(residual, violations, rows.improper, switches)
@@ -634,24 +656,3 @@ def acyclic_values(g: Brg) -> list | None:
     connected component of its live states is trivial; None when one is
     not, and `solve_exact` has to decide.  No strategy is computed."""
     return _evaluate(g, None)
-
-
-# ------------------------------------------------------------ simple forms
-
-@dataclass(frozen=True)
-class SimpleForm:
-    """A value function of the shape e - nu(clock) (or the constant e when
-    clock is None), with integer e.  On one region such forms are totally
-    ordered, and two of them agree on the region as soon as they agree at
-    its interior representative."""
-
-    e: int
-    clock: str | None = None
-
-    def eval(self, valuation: ClockValuation) -> Fraction:
-        if self.clock is None:
-            return Fraction(self.e)
-        return self.e - valuation.value(self.clock)
-
-    def render(self) -> str:
-        return str(self.e) if self.clock is None else "%d - %s" % (self.e, self.clock)

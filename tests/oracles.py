@@ -19,6 +19,11 @@ walks of the future chain: `boundary_actions_rewalk` walks it again from the
 start region for every boundary it names (`boundary_coordinates`),
 `timed_action_allowed_walk` checks the invariant region by region, and
 `region_actions_available` is the earlier dead-region test of `validate`.
+`delay_window_oracle` is the earlier delay window, which walks the whole
+future chain (`future_chain`) again from the valuation's region for every
+target, where `regions.delay_windows` reads every window off one walk, and
+`delays_list` the earlier delay grid of the property checks, built whole
+where `properties._delays` yields it lazily.
 `moves_per_key` and `boundary_actions_per_key` are the earlier compile of
 the region-level moves, which walked the whole invariant chain of every
 (location, region), read every guard on each region of it and built every
@@ -76,6 +81,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import networkx as nx
 
@@ -101,13 +107,15 @@ from timedgames.model import (
     sccs,
 )
 from timedgames.regions import (
+    TRUE,
     ClockConstraint,
     ClockRegion,
     ClockValuation,
+    DelayWindow,
     RegionError,
     boundary,
     enumerate_regions,
-    future_chain,
+    invariant_chain,
     is_thin,
     parse_constraint,
     region_of,
@@ -119,6 +127,7 @@ from timedgames.regions import (
     valuation_satisfies,
 )
 from timedgames import solver as sv
+from timedgames.properties import SimpleForm
 from timedgames.solver import INF, _solve_linear_exact
 from timedgames.simulate import (
     ConcretizedStrategy,
@@ -712,8 +721,9 @@ def enumerate_zeno_cycles(arena: Arena) -> list[list[str]]:
     return bad
 
 
-def boundary_coordinates(region: ClockRegion, thin: ClockRegion) -> tuple[int, str] | None:
-    """The (b, c) pair naming the time at which `thin` is hit from `region`.
+def boundary_coordinates(region: ClockRegion, thin: ClockRegion) -> tuple[int, int] | None:
+    """The (b, c) pair naming the time at which `thin` is hit from `region`,
+    c the index of a clock.
 
     Defined when `thin` lies on the future chain of `region` (reflexively).
     Any clock of the target's zero block works, since from a fixed start
@@ -722,18 +732,64 @@ def boundary_coordinates(region: ClockRegion, thin: ClockRegion) -> tuple[int, s
     """
     if not is_thin(thin):
         raise RegionError("boundary coordinates target a thin region")
-    for r in future_chain(region):
+    for r in invariant_chain(region, TRUE):
         if r == thin:
             c = min(thin.blocks[0])
-            return (thin.ints[c], region.ctx.clocks[c])
+            return (thin.ints[c], c)
     return None
+
+
+def future_chain(region: ClockRegion) -> Iterator[ClockRegion]:
+    """The region itself followed by its iterated time successors."""
+    r: ClockRegion | None = region
+    while r is not None:
+        yield r
+        r = time_successor(r)
+
+
+def delay_window_oracle(valuation: ClockValuation, target: ClockRegion) -> DelayWindow | None:
+    """Exact delay interval from a valuation into a region of its future chain.
+
+    Thin targets are hit at a single instant.  A thick target is an open
+    interval between two boundary instants, except that the valuation's own
+    region contributes a half-open interval starting now.  Returns None when
+    the target is not in the future of the valuation's region.
+    """
+
+    def hit(thin: ClockRegion) -> Fraction:
+        c = min(thin.blocks[0])
+        return thin.ints[c] - valuation.values[c]
+
+    prev: Fraction | None = None  # the instant of the last thin region passed
+    for r in future_chain(region_of(valuation)):
+        if is_thin(r):
+            prev = hit(r)
+            if r == target:
+                return DelayWindow(prev, prev, True)
+        elif r == target:
+            succ = time_successor(r)
+            assert succ is not None  # thick regions always have one
+            now = prev is None  # the target is the current region
+            return DelayWindow(Fraction(0) if now else prev, hit(succ), now)
+    return None
+
+
+def delays_list(w: DelayWindow, parts: int) -> list[Fraction]:
+    """A thin window's one instant; otherwise the points cutting the window
+    into `parts` equal pieces, after its left end when that end is closed."""
+    if w.lo == w.hi:
+        return [w.lo]
+    ts = [w.lo] if w.closed_lo else []
+    step = (w.hi - w.lo) / parts
+    ts.extend(w.lo + step * j for j in range(1, parts))
+    return ts
 
 
 def boundary_actions_rewalk(arena: Arena, location: str, region: ClockRegion) -> list[BoundaryAction]:
     """The action set shared by all nodes with this location and region."""
     loc = arena.location_named(location)
     chain: list[ClockRegion] = []
-    for r in future_chain(region):
+    for r in invariant_chain(region, TRUE):
         if not satisfies(r, loc.invariant):
             break
         chain.append(r)
@@ -761,7 +817,7 @@ def boundary_actions_rewalk(arena: Arena, location: str, region: ClockRegion) ->
                 acts.append(BoundaryAction(e.action, r, hi[0], hi[1]))
             for a in acts:
                 out.setdefault((a.action, a.b, a.c, a.target.key()), a)
-    return sorted(out.values(), key=lambda a: a.sort_key(arena.ctx))
+    return sorted(out.values(), key=lambda a: a.sort_key())
 
 
 def boundary_actions_per_key(arena: Arena, location: str, region: ClockRegion) -> list[BoundaryAction]:
@@ -789,7 +845,7 @@ def boundary_actions_per_key(arena: Arena, location: str, region: ClockRegion) -
                 out.setdefault((e.action, b, c, r.key()), BoundaryAction(e.action, r, b, c))
     canon = tables(arena).canon
     return sorted((canon.setdefault(a, a) for a in out.values()),
-                  key=lambda a: a.sort_key(arena.ctx))
+                  key=lambda a: a.sort_key())
 
 
 def moves_per_key(arena: Arena, location: str, region: ClockRegion) -> tuple:
@@ -820,8 +876,7 @@ def moves_per_key(arena: Arena, location: str, region: ClockRegion) -> tuple:
                     % (location, act.action, target_region.label(), br.target)
                 )
             branches.append((br.target, t.resets[br.resets], target_region, br.prob))
-        ci = None if act.c is None else act.clock_index(region.ctx)
-        move = (act.b, ci, tuple(branches))
+        move = (act.b, act.c, tuple(branches))
         moves.append(canon.setdefault(move, move))
     entry = t.moves[key] = (acts, tuple(moves))
     return entry
@@ -848,7 +903,7 @@ def timed_action_allowed_walk(arena: Arena, state: ConcreteState, ta: TimedActio
         return False
     inv = arena.location_named(loc).invariant
     target_region = region_of(shifted)
-    for r in future_chain(region_of(v)):
+    for r in invariant_chain(region_of(v), TRUE):
         if not satisfies(r, inv):
             return False
         if r == target_region:
@@ -861,7 +916,7 @@ def region_actions_available(arena: Arena, location: str, region: ClockRegion) -
     the invariant-respecting future chain satisfies some guard."""
     loc = arena.location_named(location)
     outgoing = arena.edges_from(location)
-    for r in future_chain(region):
+    for r in invariant_chain(region, TRUE):
         if not satisfies(r, loc.invariant):
             break
         for e in outgoing:
@@ -896,7 +951,7 @@ def action_delay(state: FractionState, act: BoundaryAction) -> Fraction:
     if act.b is None:
         return Fraction(0)
     assert act.c is not None
-    t = act.b - state.valuation.value(act.c)
+    t = act.b - state.valuation.values[act.c]
     if t < 0:
         raise ModelError(
             "negative delay %s for %s at %s; valuation outside the region closure"
@@ -1120,7 +1175,7 @@ def simulate_run_per_step(
     return RunRecord(True, total, steps, state, tuple(trace))
 
 
-def _compose_form(act: BoundaryAction, resets: frozenset[str], f: sv.SimpleForm) -> sv.SimpleForm:
+def _compose_form(act: BoundaryAction, resets: frozenset[str], f: SimpleForm) -> SimpleForm:
     """Pull a successor's form back through one boundary action.
 
     Waiting to the boundary (b, c) costs b - nu(c) and afterwards the
@@ -1131,15 +1186,15 @@ def _compose_form(act: BoundaryAction, resets: frozenset[str], f: sv.SimpleForm)
     """
     if act.b is None:
         if f.clock is not None and f.clock in resets:
-            return sv.SimpleForm(f.e, None)
+            return SimpleForm(f.e, None)
         return f
     assert act.c is not None
     if f.clock is None or f.clock in resets:
-        return sv.SimpleForm(act.b + f.e, act.c)
-    return sv.SimpleForm(f.e, f.clock)
+        return SimpleForm(act.b + f.e, act.target.ctx.clocks[act.c])
+    return SimpleForm(f.e, f.clock)
 
 
-def solve_simple_forms(g: Brg) -> dict[tuple[str, ClockRegion], sv.SimpleForm]:
+def solve_simple_forms(g: Brg) -> dict[tuple[str, ClockRegion], SimpleForm]:
     """Symbolic region-level solve for games without probabilistic branching.
 
     Iterates the optimality operator on the lattice of simple forms per
@@ -1168,9 +1223,9 @@ def solve_simple_forms(g: Brg) -> dict[tuple[str, ClockRegion], sv.SimpleForm]:
             node_state[key] = i
             reps[key] = representative(s.region)
 
-    forms: dict[tuple[str, ClockRegion], sv.SimpleForm | None] = {}
+    forms: dict[tuple[str, ClockRegion], SimpleForm | None] = {}
     for key in node_state:
-        forms[key] = sv.SimpleForm(0, None) if arena.is_final(key[0]) else None
+        forms[key] = SimpleForm(0, None) if arena.is_final(key[0]) else None
 
     def successor_key(key, j: int) -> tuple[tuple[str, ClockRegion], frozenset[str]]:
         i = node_state[key]
@@ -1191,7 +1246,7 @@ def solve_simple_forms(g: Brg) -> dict[tuple[str, ClockRegion], sv.SimpleForm]:
             i = node_state[key]
             maximize = arena.owner_of(key[0]) == "max"
             rep = reps[key]
-            best: sv.SimpleForm | None = None
+            best: SimpleForm | None = None
             dead = False
             for j in range(len(g.actions[i])):
                 skey, resets = successor_key(key, j)
@@ -1222,7 +1277,7 @@ def solve_simple_forms(g: Brg) -> dict[tuple[str, ClockRegion], sv.SimpleForm]:
     else:
         raise sv.ConvergenceError("simple-form iteration did not stabilize")
 
-    out: dict[tuple[str, ClockRegion], sv.SimpleForm] = {}
+    out: dict[tuple[str, ClockRegion], SimpleForm] = {}
     for key, f in forms.items():
         if f is None:
             raise sv.ConvergenceError(

@@ -150,7 +150,7 @@ def test_actions_sorted_and_unique():
         arena = bundled(name)
         g = bg.explore(arena)
         for acts in g.actions:
-            keys = [a.sort_key(arena.ctx) for a in acts]
+            keys = [a.sort_key() for a in acts]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
 

@@ -221,10 +221,31 @@ def test_infinite_values(lam):
         assert_same_report(g, values, [0], lam)
     g = hand_graph([[uniform(1), uniform(2)], [uniform(1)], [uniform(2)]],
                    (False, False, True))
+    # 1/3**700 scales every reward past 2**1024, where an int would overflow
+    # as it met an infinite value as a float
     for values in ([Fraction(1), math.inf, Fraction(0)], [math.inf, math.inf, Fraction(0)],
-                   [Fraction(1), Fraction(1), Fraction(0)]):
+                   [Fraction(1), Fraction(1), Fraction(0)],
+                   [Fraction(1, 3**700), math.inf, Fraction(0)]):
         for choice in ([0, 0, None], [1, 0, None]):
             assert_same_report(g, values, choice, lam, case=(values, choice))
+
+
+def test_ints_past_float_range_beside_infinite_values():
+    """A discount whose numerator passes 2**1024 multiplies every backup,
+    one over an infinite value too.  At lam = 0 a backup over an infinite
+    value is nan, and the gap from a finite value past 2**1024 to it is
+    ignored as the Fraction certificate ignores a nan gap; the oracle cannot
+    compute this last case, since it turns the value into a float."""
+    g = hand_graph([[uniform(1), uniform(2)], [uniform(1)], [uniform(2)]],
+                   (False, False, True))
+    for choice in ([0, 0, None], [1, 0, None]):
+        assert_same_report(g, [Fraction(1), math.inf, Fraction(0)], choice,
+                           Fraction(2**1100 - 1, 2**1100), case=choice)
+    values = [Fraction(3**700), math.inf, Fraction(0)]
+    assert sv.certify(g, values, [0, 0, None], lam=Fraction(0)) == sv.CertifyReport(
+        math.inf, [0, 1], [], [])
+    assert sv.certify(g, values, [1, 0, None], lam=Fraction(0)) == sv.CertifyReport(
+        math.inf, [0, 1], [], [])
 
 
 def test_discount_zero():

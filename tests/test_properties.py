@@ -16,17 +16,20 @@ point of several tests below.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from bundled import bundled
 from timedgames import brg, properties, regions
 from timedgames.brg import BrgState
 from timedgames.model import ConcreteState, TimedAction, parse_model, timed_action_allowed
 from timedgames.properties import (
+    SimpleForm,
     check_quasi_simple,
     check_time_monotone,
     fit_simple,
@@ -35,7 +38,6 @@ from timedgames.properties import (
     value_at,
 )
 from timedgames.regions import ClockValuation, region_of, sample_closure, scaled_point
-from timedgames.solver import SimpleForm
 
 M1 = bundled("M1")
 M1X = bundled("M1x")
@@ -116,7 +118,7 @@ def test_cached_query_builds_no_valuation_region_or_graph(monkeypatch):
 
     for owner, name in ((regions.ClockValuation, "__post_init__"),
                         (regions.ClockValuation, "trusted"), (brg, "ClockRegion"),
-                        (properties, "region_of"), (properties, "explore"),
+                        (regions, "region_of"), (properties, "explore"),
                         (brg, "Brg")):
         monkeypatch.setattr(owner, name, refuse)
     assert value_at(arena, "l0", first) == Fraction(5, 4)
@@ -303,6 +305,20 @@ def test_grid_refinement_never_degrades():
         gap64 = abs(grid_one_step_value(M2, state, denominator=64) - exact)
         gap256 = abs(grid_one_step_value(M2, state, denominator=256) - exact)
         assert gap256 <= gap64
+
+
+def test_delays_are_lazy_and_match_the_list_oracle():
+    """The delay grid is yielded point by point in the order of the list
+    it replaced: 10**12 parts give their first points at once."""
+    thin = regions.DelayWindow(Fraction(1), Fraction(1), True)
+    windows = [thin, regions.DelayWindow(Fraction(0), Fraction(1), True),
+               regions.DelayWindow(Fraction(1, 3), Fraction(5, 2), False)]
+    for w in windows:
+        for parts in (1, 2, 3, 7, 64):
+            assert list(properties._delays(w, parts)) == oracles.delays_list(w, parts)
+    huge = properties._delays(windows[1], 10**12)
+    assert list(itertools.islice(huge, 3)) == [0, Fraction(1, 10**12), Fraction(2, 10**12)]
+    assert list(properties._delays(thin, 10**12)) == [1]
 
 
 def test_sample_states_deterministic_and_legal():

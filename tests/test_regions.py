@@ -24,8 +24,8 @@ def contexts(draw, max_clocks: int = 3, max_k: int = 2):
 
 
 @st.composite
-def valuations(draw, max_den: int = 16):
-    ctx = draw(contexts())
+def valuations(draw, max_den: int = 16, max_k: int = 2):
+    ctx = draw(contexts(max_k=max_k))
     vals = []
     for _ in ctx.clocks:
         den = draw(st.integers(1, max_den))
@@ -44,6 +44,14 @@ def constraints(draw, ctx):
         op = draw(st.sampled_from(rg.OPS))
         atoms.append(rg.SimpleConstraint(left, right, op, draw(st.integers(0, ctx.k))))
     return rg.ClockConstraint(tuple(atoms))
+
+
+@st.composite
+def upper_bounds(draw, ctx):
+    """An invariant ``c < n`` or ``c <= n``, which cuts the future chain."""
+    atom = rg.SimpleConstraint(draw(st.sampled_from(ctx.clocks)), None,
+                               draw(st.sampled_from(("<", "<="))), draw(st.integers(1, ctx.k)))
+    return rg.ClockConstraint((atom,))
 
 
 # ---------------------------------------------------------------- region_of
@@ -113,7 +121,7 @@ def test_time_successor_matches_elapse_oracle():
 @given(valuations())
 @settings(max_examples=200)
 def test_future_chain_alternates_and_terminates(v):
-    chain = list(rg.future_chain(rg.region_of(v)))
+    chain = list(rg.invariant_chain(rg.region_of(v), rg.TRUE))
     assert len(chain) <= 2 * len(v.ctx.clocks) * (v.ctx.k + 1) + 1
     for a, b in zip(chain, chain[1:]):
         assert rg.is_thin(a) != rg.is_thin(b)
@@ -312,20 +320,20 @@ def test_parse_constraint():
 @given(valuations())
 @settings(max_examples=200)
 def test_boundary_coordinates_name_the_exact_hit_time(v):
-    for target in rg.future_chain(rg.region_of(v)):
+    for target in rg.invariant_chain(rg.region_of(v), rg.TRUE):
         if not rg.is_thin(target):
-            assert rg.delay_window(v, target) is not None
+            assert oracles.delay_window_oracle(v, target) is not None
             with pytest.raises(rg.RegionError):
                 rg.boundary(target)
             continue
         b, c = rg.boundary(target)
-        t = b - v.value(c)
+        t = b - v.values[c]
         assert t >= 0
         assert rg.region_of(v.shift(t)) == target
         # every zero-block clock of the target names the same instant
         for i in target.blocks[0]:
             assert target.ints[i] - v.values[i] == t
-        assert c == v.ctx.clocks[min(target.blocks[0])]
+        assert c == min(target.blocks[0])
 
 
 @given(st.data())
@@ -335,7 +343,7 @@ def test_invariant_chain_is_the_prefix_inside_the_invariant(data):
     inv = data.draw(constraints(v.ctx))
     start = rg.region_of(v)
     chain = list(rg.invariant_chain(start, inv))
-    future = list(rg.future_chain(start))
+    future = list(rg.invariant_chain(start, rg.TRUE))
     assert chain == future[:len(chain)]
     assert all(rg.satisfies(r, inv) for r in chain)
     if len(chain) < len(future):
@@ -345,14 +353,13 @@ def test_invariant_chain_is_the_prefix_inside_the_invariant(data):
 @given(valuations())
 @settings(max_examples=200)
 def test_delay_window_endpoints(v):
-    for target in rg.future_chain(rg.region_of(v)):
-        w = rg.delay_window(v, target)
+    for target, w in rg.delay_windows(v, rg.TRUE):
         assert w is not None
         if rg.is_thin(target):
-            assert w.lo == w.hi and w.closed_lo and w.closed_hi
+            assert w.lo == w.hi and w.closed_lo
             assert rg.region_of(v.shift(w.lo)) == target
         else:
-            assert w.lo < w.hi and not w.closed_hi
+            assert w.lo < w.hi
             assert w.closed_lo == (target == rg.region_of(v))
             mid = (w.lo + w.hi) / 2
             assert rg.region_of(v.shift(mid)) == target
@@ -362,11 +369,26 @@ def test_delay_window_endpoints(v):
             assert rg.region_of(v.shift(w.hi)) != target
 
 
+@given(st.data())
+@settings(max_examples=400)
+def test_delay_windows_match_the_per_target_oracle(data):
+    """One walk gives each region of the invariant chain the window that
+    the earlier walk of the whole future chain gives it: 1-3 clocks, k up to
+    3, valuations on the integer lattice and off it, and invariants that
+    may cut the chain anywhere."""
+    v = data.draw(st.one_of(valuations(max_den=1, max_k=3), valuations(max_k=3)))
+    inv = data.draw(st.one_of(st.just(rg.TRUE), constraints(v.ctx), upper_bounds(v.ctx)))
+    chain = list(rg.invariant_chain(rg.region_of(v), inv))
+    assert list(rg.delay_windows(v, inv)) == [
+        (r, oracles.delay_window_oracle(v, r)) for r in chain]
+
+
 def test_delay_window_none_for_unreachable_region():
     ctx = rg.ClockContext(("x",), 2)
     v = rg.ClockValuation(ctx, (Fraction(3, 2),))
     past = rg.region_of(rg.ClockValuation(ctx, (Fraction(1, 2),)))
-    assert rg.delay_window(v, past) is None
+    assert past not in dict(rg.delay_windows(v, rg.TRUE))
+    assert oracles.delay_window_oracle(v, past) is None
 
 
 # ------------------------------------------------------------ enumeration

@@ -78,7 +78,7 @@ def test_concretize_fire_now_and_past_boundary():
     acts = boundary_actions(m1, "l0", region_of(at))
     assert acts[0].label() == "a now in [1<c<2]"
     assert concretize_action(at, acts[0], Fraction(1, 1000)) == 0
-    past = BoundaryAction("a", region_of(val(m1, "1/2")), 1, "c")
+    past = BoundaryAction("a", region_of(val(m1, "1/2")), 1, 0)
     with pytest.raises(StrategyGapError, match="past"):
         concretize_action(at, past, Fraction(1, 1000))
 
@@ -266,7 +266,7 @@ def test_compiled_errors_match_per_step_oracle(case):
         table = {key: act for key, act in full.table.items() if key[0] != "l1"}
     elif case == "boundary in the past":
         arena = dataclasses.replace(m1, initial=ConcreteState("l0", val(m1, "5/4")))
-        past = BoundaryAction("a", region_of(val(m1, "1/2")), 1, "c")
+        past = BoundaryAction("a", region_of(val(m1, "1/2")), 1, 0)
         table = {("l0", region_of(val(m1, "5/4")).key()): past}
     else:
         arena = m1

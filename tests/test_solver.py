@@ -44,6 +44,7 @@ from oracles import (
 from timedgames import brg as bg
 from timedgames import solver as sv
 from timedgames.model import parse_model, sccs
+from timedgames.properties import SimpleForm
 from timedgames.regions import ClockValuation, region_of, scaled_point
 
 EXPECTED = {
@@ -763,7 +764,7 @@ def test_discounted_needs_no_reachability_assumption():
 def test_simple_forms_m1():
     g = graph("M1")
     forms = solve_simple_forms(g)
-    assert forms[("l0", g.states[0].region)] == sv.SimpleForm(1, "c")
+    assert forms[("l0", g.states[0].region)] == SimpleForm(1, "c")
     res = sv.solve_exact(g)
     for i, s in enumerate(g.states):
         assert forms[(s.location, s.region)].eval(s.valuation) == res.values[i]
@@ -772,7 +773,7 @@ def test_simple_forms_m1():
 def test_simple_forms_m1x():
     g = bg.explore(bundled("M1x"))
     forms = solve_simple_forms(g)
-    assert forms[("l0", g.states[0].region)] == sv.SimpleForm(2, "c")
+    assert forms[("l0", g.states[0].region)] == SimpleForm(2, "c")
     res = sv.solve_exact(g)
     for i, s in enumerate(g.states):
         assert forms[(s.location, s.region)].eval(s.valuation) == res.values[i]
@@ -781,7 +782,7 @@ def test_simple_forms_m1x():
 def test_simple_forms_fire_now_region_is_zero():
     g = rooted(bundled("M1"), "5/4")
     forms = solve_simple_forms(g)
-    assert forms[("l0", g.states[0].region)] == sv.SimpleForm(0, None)
+    assert forms[("l0", g.states[0].region)] == SimpleForm(0, None)
 
 
 def test_simple_forms_reject_probabilistic_branching():
