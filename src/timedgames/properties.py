@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .brg import explore, root_key
-from .model import Arena, ConcreteState, Edge
+from .model import Arena, ConcreteState, Edge, branch_states
 from .regions import (
     REGION_CAP,
     ClockRegion,
@@ -274,10 +274,9 @@ def check_quasi_simple(
 def _one_step(ev: Evaluator, e: Edge, v: ClockValuation, t: Fraction) -> Fraction:
     """t + sum_branches p * F(successor): the value of delaying by t from v
     and then firing e."""
-    shifted = v.shift(t)
     total = Fraction(t)
-    for br in e.branches:
-        total += br.prob * ev(br.target, shifted.reset(br.resets))
+    for p, (location, valuation) in branch_states(e, v.shift(t)):
+        total += p * ev(location, valuation)
     return total
 
 

@@ -19,11 +19,12 @@ it yet), and the run legality check guards the delays themselves either way.
 
 Play is a walk over a step table compiled lazily on the strategy.  Every
 quantity a step computes is a pure function of the concrete state and the
-step's effective epsilon: the strategy's move, the exact delay, the legality
-verdict, the edge's branch weights over their lcm denominator and each
-branch's successor.  So the first visit of a (state, epsilon) key computes
-them exactly as the per-step semantics does, raising the same errors at the
-same step, and stores them under an integer id with the successors' ids.
+step's effective epsilon: the strategy's move, the exact delay, and the
+move's branches from `model.timed_successors`, which decides its legality,
+with their weights over the lcm of their denominators.  So the first visit
+of a (state, epsilon) key computes them exactly as the per-step semantics
+does, raising the same errors at the same step, and stores them under an
+integer id with the successors' ids, in the edge's order.
 Every later visit is one `randrange` over the same denominator, a scan over
 the cumulative weights, one `Fraction` add and a list index.  The table
 lives on the strategy, one per arena played, so every run and estimate of
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .brg import BoundaryAction, Brg
-from .model import Arena, ConcreteState, TimedAction, timed_action_allowed
+from .model import Arena, ConcreteState, TimedAction, timed_successors
 from .regions import TRUE, ClockRegion, ClockValuation, delay_windows, region_of
 
 
@@ -93,20 +94,18 @@ class _StepTable:
         act = self.action_for(state.location, region_of(state.valuation))
         action, t = act.action, concretize_action(state.valuation, act, eps)
         move = TimedAction(t, action)
-        if not timed_action_allowed(self.arena, state, move):
+        succs = timed_successors(self.arena, state, move)
+        if succs is None:
             raise StrategyGapError(
                 "concretized move %s is illegal from (%s, %s)"
                 % (move, state.location, dict(state.valuation.as_dict()))
             )
-        edge = self.arena.edge(state.location, action)
-        den = math.lcm(*(br.prob.denominator for br in edge.branches))
-        shifted = state.valuation.shift(t)
+        den = math.lcm(*(p.denominator for p, _ in succs))
         nxt = eps / 2 if decaying else eps
         acc = 0
         branches = []
-        for br in edge.branches:
-            acc += br.prob.numerator * (den // br.prob.denominator)
-            succ = ConcreteState(br.target, shifted.reset(br.resets))
+        for p, succ in succs:
+            acc += p.numerator * (den // p.denominator)
             branches.append((acc, self.intern(succ, nxt, decaying)))
         entry = self.entries[i] = (action, t, den, tuple(branches))
         return entry

@@ -227,13 +227,16 @@ def _row_table(g: Brg, lam, zero_final: bool) -> _Rows:
     gives the floats that the graph's Fractions give on float values.
     `explore` shares one object per distinct distribution and reward list,
     so each distinct object is converted once, keyed by its id() while `g`
-    keeps it alive."""
+    keeps it alive.  Every solve builds it first, so it refuses the first
+    live state without an action as `_evaluate` does."""
     rows = []
     floats: dict[int, list] = {}
     for i in range(g.n):
         if i in g.fixed or zero_final and g.is_final(i):
             rows.append(None)
             continue
+        if not g.actions[i]:
+            raise ValueError("state %s has no action" % g.states[i].label())
         rewards = floats.get(id(g.rewards[i]))
         if rewards is None:
             rewards = floats[id(g.rewards[i])] = [r.numerator / r.denominator

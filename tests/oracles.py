@@ -17,8 +17,9 @@ lookup, the concretization, the legality check and the branch weights at
 every step instead of playing a compiled step table.  Both use the earlier
 walks of the future chain: `boundary_actions_rewalk` walks it again from the
 start region for every boundary it names (`boundary_coordinates`),
-`timed_action_allowed_walk` checks the invariant region by region, and
-`region_actions_available` is the earlier dead-region test of `validate`.
+`timed_action_allowed_walk` checks the invariant region by region along
+the chain, where `model.timed_successors` reads it at the move's two ends,
+and `region_actions_available` is the earlier dead-region test of `validate`.
 `delay_window_oracle` is the earlier delay window, which walks the whole
 future chain (`future_chain`) again from the valuation's region for every
 target, where `regions.delay_windows` reads every window off one walk, and

@@ -30,6 +30,7 @@ from bundled import STUCK
 from oracles import chain_document
 from timedgames import cli, regions
 from timedgames.cli import main
+from timedgames.solver import SolveConfig
 
 M1 = "models/M1.model"
 M2 = "models/M2.model"
@@ -623,6 +624,24 @@ def test_exit_code_contract_on_mutated_options(mutation):
 def test_bad_numeric_option_is_refused_before_loading(capsys, monkeypatch, argv):
     option = next(a for a in reversed(argv) if a.startswith("--")).split("=")[0]
     assert "error: argument %s: " % option in refused_before_loading(capsys, monkeypatch, *argv)
+
+
+def test_solve_options_are_declared_once(capsys):
+    """solve and discounted share one declaration of --tolerance,
+    --max-iterations and --out: the same help text, and `SolveConfig`'s
+    defaults when the options are not given."""
+    parser = cli.build_parser()
+    for call in (("solve",), ("discounted", "--lambda", "1/2")):
+        args = parser.parse_args([*call, M2])
+        assert SolveConfig(args.tolerance, args.max_iterations) == SolveConfig(), call
+        assert args.out is None
+        with pytest.raises(SystemExit):
+            parser.parse_args([call[0], "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for line in ("--tolerance TOLERANCE value iteration stopping tolerance",
+                     "--max-iterations MAX_ITERATIONS value iteration budget",
+                     "--out FILE write the JSON document here"):
+            assert line in help_text, (call, line)
 
 
 def _not_json(constant: str):

@@ -14,13 +14,19 @@ from bundled import BUNDLED, MODELS, bundled
 from oracles import chain_document, enumerate_zeno_cycles
 from test_cli import m2_mutations
 from timedgames import model as md
+from timedgames import properties
+from timedgames.brg import explore
 from timedgames.regions import (
     ClockContext,
+    ClockRegion,
     ClockValuation,
     enumerate_regions,
     parse_constraint,
     satisfies,
+    valuation_satisfies,
 )
+from timedgames.simulate import ConcretizedStrategy, simulate_run
+from timedgames.solver import solve_exact
 
 
 def test_dump_parse_round_trip():
@@ -442,31 +448,106 @@ def test_timed_action_blocked_by_invariant():
     assert not md.timed_action_allowed(arena, s0, md.TimedAction(Fraction(3, 2), "a"))
 
 
+# invariants over clocks c, d with k = 2: all five operators, on single
+# clocks and on differences
+OPERATOR_INVARIANTS = (
+    "c - d < 1", "d - c >= 0", "c = 1", "c > 0 & d < 2", "c <= 1 & d - c > 0",
+    "c - d = 0 & d >= 1", "c - d <= 1 & d - c <= 1 & c < 2", "c - d > 0 & d <= 1",
+)
+
+
+def operator_arena(invariant: str) -> md.Arena:
+    """l0 carries `invariant`; its edges fire unguarded, on d >= 1 and on
+    c = 2, each to the final lf."""
+    edges = "".join(
+        '  - {source: l0, action: %s, guard: "%s", branches: [{prob: "1", target: lf}]}\n'
+        % (action, guard) for action, guard in (("a", "true"), ("g", "d >= 1"), ("h", "c = 2")))
+    return md.parse_model(
+        "clocks: [c, d]\nk: 2\nlocations:\n"
+        '  - {name: l0, owner: min, invariant: "%s"}\n'
+        "  - {name: lf, owner: min, final: true}\n"
+        "edges:\n%s"
+        'initial: {location: l0, valuation: {c: "0", d: "0"}}\n' % (invariant, edges),
+        name=invariant)
+
+
+def legality_cases(arena: md.Arena, rng: random.Random, count: int):
+    """Seeded (state, timed action) pairs: about a fifth of the delays are 0,
+    two fifths land a clock on an integer from 0 to k + 1 (a region
+    boundary, or past k), the rest are multiples of 1/16, some negative."""
+    ctx = arena.ctx
+    actions = sorted({e.action for e in arena.edges}) + ["nope"]
+    for _ in range(count):
+        loc = rng.choice(arena.locations).name
+        v = ClockValuation(ctx, oracles.random_valuation(rng, len(ctx.clocks), ctx.k))
+        roll = rng.random()
+        if roll < 0.2:
+            delay = Fraction(0)
+        elif roll < 0.6:
+            delay = rng.randint(0, ctx.k + 1) - rng.choice(v.values)
+        else:
+            delay = Fraction(rng.randint(-4, 16 * ctx.k + 8), 16)
+        yield md.ConcreteState(loc, v), md.TimedAction(delay, rng.choice(actions))
+
+
 def test_timed_action_allowed_matches_walking_oracle():
     """The same verdict as the earlier region-by-region walk of the
-    invariant, on seeded states, actions and delays; half the delays hit a
-    clock's integer exactly, and some are negative or overshoot k."""
+    invariant, on seeded states, actions and delays, with both verdicts on
+    every arena.  The operator arenas cover starts outside the invariant,
+    zero delays, delays that land on a region boundary and delays past k."""
     arenas = [bundled(name) for name in BUNDLED] + [invariant_cap_arena()]
     arenas += [md.parse_model(oracles.chain_document(2, 2, clocks, ("min", "max"),
                                                      (Fraction(1, 2), Fraction(1, 3))))
                for clocks in (1, 2, 3)]
+    arenas += [operator_arena(inv) for inv in OPERATOR_INVARIANTS]
     rng = random.Random(5)
     for arena in arenas:
-        ctx = arena.ctx
-        actions = sorted({e.action for e in arena.edges}) + ["nope"]
         verdicts = set()
-        for _ in range(400):
-            loc = rng.choice(arena.locations).name
-            v = ClockValuation(ctx, oracles.random_valuation(rng, len(ctx.clocks), ctx.k))
-            if rng.random() < 0.5:
-                delay = rng.randint(0, ctx.k) - rng.choice(v.values)
-            else:
-                delay = Fraction(rng.randint(-4, 16 * ctx.k), 16)
-            state, ta = md.ConcreteState(loc, v), md.TimedAction(delay, rng.choice(actions))
+        seen = set()
+        for state, ta in legality_cases(arena, rng, 400):
             expected = oracles.timed_action_allowed_walk(arena, state, ta)
             assert md.timed_action_allowed(arena, state, ta) == expected, (arena.name, state, ta)
             verdicts.add(expected)
+            v, inv = state.valuation, arena.location_named(state.location).invariant
+            shifted = [x + ta.delay for x in v.values]
+            seen.add(("start inside", valuation_satisfies(v, inv)))
+            seen.add(("zero delay", ta.delay == 0))
+            seen.add(("on a boundary", ta.delay > 0 and any(x.denominator == 1 for x in shifted)))
+            seen.add(("past k", max(shifted) > arena.ctx.k))
         assert verdicts == {True, False}, arena.name
+        if arena.name in OPERATOR_INVARIANTS:
+            kinds = ("start inside", "zero delay", "on a boundary", "past k")
+            assert seen == {(kind, flag) for kind in kinds for flag in (True, False)}, arena.name
+
+
+def test_legality_check_builds_no_region(monkeypatch):
+    """Deciding a timed move builds no `ClockRegion`: the invariant is read
+    at the move's two ends.  The walking oracle, under the same counter,
+    does build regions."""
+    built = []
+    real = ClockRegion.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    arenas = [bundled(name) for name in BUNDLED]
+    arenas += [operator_arena(inv) for inv in OPERATOR_INVARIANTS]
+    cases = [(arena, state, ta) for arena in arenas
+             for state, ta in legality_cases(arena, random.Random(7), 100)]
+    monkeypatch.setattr(ClockRegion, "__post_init__", counted)
+    verdicts = set()
+    for arena, state, ta in cases:
+        allowed = md.timed_action_allowed(arena, state, ta)
+        assert (md.timed_successors(arena, state, ta) is None) is not allowed
+        if allowed:
+            md.concrete_step(arena, state, ta)
+        verdicts.add(allowed)
+    assert verdicts == {True, False}
+    assert built == []
+    for arena, state, ta in cases:
+        oracles.timed_action_allowed_walk(arena, state, ta)
+    assert built
 
 
 def test_concrete_step_retry():
@@ -504,3 +585,73 @@ def test_concrete_step_merges_equal_branches():
     assert out == {
         md.ConcreteState("lf", ClockValuation(ctx, (Fraction(1),))): Fraction(1),
     }
+
+
+# a three-branch edge whose first and last branch reach the same state
+THREE_BRANCHES = """\
+clocks: [c]
+k: 2
+locations:
+  - {name: l0, owner: min, invariant: "c <= 2"}
+  - {name: l1, owner: max, invariant: "c <= 2"}
+  - {name: lf, owner: min, final: true, invariant: "c <= 2"}
+edges:
+  - source: l0
+    action: a
+    guard: "c >= 1"
+    branches:
+      - {prob: "1/4", resets: [], target: lf}
+      - {prob: "1/2", resets: [c], target: l1}
+      - {prob: "1/4", resets: [], target: lf}
+  - source: l1
+    action: b
+    guard: "c = 1"
+    branches:
+      - {prob: "1/1", resets: [c], target: lf}
+  - source: lf
+    action: f
+    guard: "c >= 1"
+    branches:
+      - {prob: "1/1", resets: [c], target: lf}
+initial: {location: l0, valuation: {c: "0"}}
+"""
+
+
+def test_successors_keep_the_edge_order():
+    """Every concrete caller sees the branches of a timed move in the edge's
+    order: `concrete_step` merges the two that reach the same state, the
+    compiled simulator step keeps a cumulative weight for each with one
+    successor id, and the one-step value asks the evaluator in edge order."""
+    arena = md.parse_model(THREE_BRANCHES, name="three")
+    ctx = arena.ctx
+    move = md.TimedAction(Fraction(1), "a")
+    to_lf = md.ConcreteState("lf", ClockValuation(ctx, (Fraction(1),)))
+    to_l1 = md.ConcreteState("l1", ClockValuation(ctx, (Fraction(0),)))
+    assert md.timed_successors(arena, arena.initial, move) == [
+        (Fraction(1, 4), to_lf), (Fraction(1, 2), to_l1), (Fraction(1, 4), to_lf)]
+    assert md.concrete_step(arena, arena.initial, move) == {
+        to_lf: Fraction(1, 2), to_l1: Fraction(1, 2)}
+
+    g = explore(arena)
+    strat = ConcretizedStrategy.from_solution(g, solve_exact(g).choice)
+    simulate_run(arena, strat, random.Random(0))
+    steps = strat._steps[id(arena)]
+    action, t, den, branches = steps.entries[steps.roots[Fraction(1, 1000), False]]
+    assert (action, den) == ("a", 4)
+    assert [acc for acc, _ in branches] == [1, 3, 4]
+    ids = [j for _, j in branches]
+    assert ids[0] == ids[2] != ids[1]
+    played = md.timed_successors(arena, arena.initial, md.TimedAction(t, action))
+    assert [steps.keys[j][0] for j in ids] == [succ for _, succ in played]
+    assert [succ.location for _, succ in played] == ["lf", "l1", "lf"]
+
+    asked = []
+
+    def recording(location, valuation):
+        asked.append(md.ConcreteState(location, valuation))
+        return Fraction(len(asked))
+
+    e = arena.edge("l0", "a")
+    value = properties._one_step(recording, e, arena.initial.valuation, Fraction(1))
+    assert asked == [to_lf, to_l1, to_lf]
+    assert value == 1 + Fraction(1, 4) * 1 + Fraction(1, 2) * 2 + Fraction(1, 4) * 3

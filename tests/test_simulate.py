@@ -28,6 +28,7 @@ import pytest
 
 import oracles
 from bundled import MODELS, bundled
+from test_model import THREE_BRANCHES
 from timedgames import simulate
 from timedgames.brg import BoundaryAction, boundary_actions, explore
 from timedgames.model import ConcreteState, ModelError, load_model, parse_model
@@ -189,6 +190,8 @@ def differential_arenas() -> dict:
         arenas["chain%d_%d_%d" % (clocks, n, k)] = random_chain(rng, n, k, clocks)
     # the benchmark's seed-0 play-check chain, whose strategy has conflicts
     arenas["play-check/0"] = random_chain(random.Random("play-check/0"), 2, 2, 2)
+    # an edge whose first and last branch reach the same state
+    arenas["three"] = parse_model(THREE_BRANCHES, name="three")
     return arenas
 
 

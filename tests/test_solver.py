@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import networkx as nx
 import pytest
 
-from bundled import bundled
+from bundled import STUCK, bundled
 from oracles import (
     certify_fraction_rows,
     chain_document,
@@ -1058,6 +1059,26 @@ def test_end_component_is_refused_before_a_state_without_action():
         sv.acyclic_values(g)
     with pytest.raises(ValueError, match="has no action"):
         sv.solve_exact(g)
+
+
+def test_every_solve_refuses_the_first_state_without_action():
+    """l0 reaches l1 and l2, neither of which has an edge.  The float row
+    table, which every solve builds first, refuses the first of them in
+    state order, so the float, exact and discounted solves name the same
+    state in the words of `_evaluate`."""
+    g = bg.explore(parse_model((STUCK % "l1").replace(
+        '  - {name: lf,', '  - {name: l2, owner: min, final: false, invariant: "c <= 1"}\n'
+        '  - {name: lf,').replace(
+        '      - {prob: "1/2", resets: [], target: lf}',
+        '      - {prob: "1/4", resets: [], target: l2}\n'
+        '      - {prob: "1/4", resets: [], target: lf}')))
+    stuck = [i for i in range(g.n) if not g.actions[i] and not g.is_final(i)]
+    assert {g.states[i].location for i in stuck} == {"l1", "l2"}
+    message = "state %s has no action" % g.states[stuck[0]].label()
+    for solve in (lambda: sv.value_iterate(g, sv.SolveConfig()), lambda: sv.solve_exact(g),
+                  lambda: sv.solve_discounted(g, Fraction(1, 2))):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve()
 
 
 def test_sccs_match_networkx_and_come_sinks_first():
