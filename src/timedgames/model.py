@@ -47,7 +47,8 @@ from .regions import (
 MIN = "min"
 MAX = "max"
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+# a denominator of zeros only is refused like any other malformed text
+_RATIONAL_RE = re.compile(r"^-?\d+(/\d*[1-9]\d*)?$")
 
 
 class ModelError(ValueError):

@@ -355,16 +355,23 @@ def grid_one_step_value(
     # one walk of the windows, which every edge reads
     windows = list(delay_windows(v, arena.location_named(loc).invariant))
     best: Fraction | None = None
+    enabled = False
     for e in arena.edges_from(loc):
         for r, w in windows:
             if not satisfies(r, e.guard):
                 continue
+            enabled = True
             for t in _delays(w, denominator):
                 val = _one_step(ev, e, v, t)
                 if best is None or (val < best if minimize else val > best):
                     best = val
     if best is None:
-        raise ValueError("no legal timed action from (%s, %s)" % (loc, v.as_dict()))
+        at = "(%s, %s)" % (loc, ",".join("%s=%s" % cv for cv in zip(arena.ctx.clocks, v.values)))
+        if enabled:
+            # an open window cut into one piece has no inner grid point
+            raise ValueError("the delay grid of denominator %d has no point in any "
+                             "enabled window from %s" % (denominator, at))
+        raise ValueError("no legal timed action from %s" % at)
     return best
 
 

@@ -375,6 +375,49 @@ def test_ill_typed_flag_or_name_is_input_error(capsys, tmp_path, old, new, messa
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("old, text, sub", [
+    ('prob: "1/2"', "1/0", "validate"),
+    ('valuation: {c: "0/1"}', "0/0", "solve"),
+], ids=["prob", "valuation"])
+def test_zero_denominator_is_named(capsys, tmp_path, old, text, sub):
+    """A zero denominator is refused like any other malformed rational, by
+    its text, not as a bare `Fraction(1, 0)`."""
+    path = _variant(tmp_path, M2, old, re.sub(r'"[^"]*"', '"%s"' % text, old))
+    code, out, err = run(capsys, sub, path)
+    assert code == 2
+    assert out == ""
+    assert "cannot parse '%s' as an exact rational" % text in err
+    assert "Fraction(" not in err
+
+
+OPEN_WINDOW = """
+clocks: [c]
+k: 2
+locations:
+  - {name: l0, owner: min, final: false, invariant: "c < 2"}
+  - {name: lf, owner: min, final: true, invariant: "c <= 2"}
+edges:
+  - {source: l0, action: a, guard: "c > 1 & c < 2", branches: [{prob: "1/1", resets: [c], target: lf}]}
+  - {source: lf, action: esc, guard: "c >= 1", branches: [{prob: "1/1", resets: [c], target: lf}]}
+initial: {location: l0, valuation: {c: "0/1"}}
+"""
+
+
+def test_grid_without_a_point_in_an_open_window_is_named(capsys, tmp_path):
+    """From l0 the only enabled window is open, (1/4, 5/4) from c = 3/4, and
+    a grid of denominator 1 puts no point in it.  That is the grid's fault,
+    not a missing action: a finer grid checks the same game cleanly."""
+    path = tmp_path / "open.model"
+    path.write_text(OPEN_WINDOW)
+    code, out, err = run(capsys, "check-properties", "--grid", "1", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: the delay grid of denominator 1 has no point in any "
+                   "enabled window from (l0, c=3/4)\n")
+    code, _, _ = run(capsys, "check-properties", "--grid", "100", str(path))
+    assert code == 0
+
+
 def test_cli_import_loads_no_networkx():
     """networkx is a test-only oracle; the package must not import it."""
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -146,7 +146,7 @@ def test_parse_rational():
     assert md.parse_rational("1/2") == Fraction(1, 2)
     assert md.parse_rational(3) == Fraction(3)
     assert md.parse_rational("7") == Fraction(7)
-    for bad in (0.5, "0.5", "1e-3", True, None, "1/"):
+    for bad in (0.5, "0.5", "1e-3", True, None, "1/", "1/0", "0/0"):
         with pytest.raises(md.ModelError):
             md.parse_rational(bad)
     assert md.format_rational(Fraction(2)) == "2/1"

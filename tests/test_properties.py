@@ -307,6 +307,12 @@ def test_grid_refinement_never_degrades():
         assert gap256 <= gap64
 
 
+def test_grid_one_step_refuses_a_state_without_an_enabled_window():
+    # c = 2 lies past l0's invariant c <= 1, so no delay window is left
+    with pytest.raises(ValueError, match=r"^no legal timed action from \(l0, c=2\)$"):
+        grid_one_step_value(M2, ConcreteState("l0", val(M2, 2)))
+
+
 def test_delays_are_lazy_and_match_the_list_oracle():
     """The delay grid is yielded point by point in the order of the list
     it replaced: 10**12 parts give their first points at once."""
