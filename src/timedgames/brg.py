@@ -87,6 +87,13 @@ states themselves: a `BrgState` is in lowest terms, so a node is one key
 whatever the lattice of the root it was reached from, and `root_key` makes
 a query's root from its valuation as integers, building its region once
 per (ints, blocks) form and arena.
+
+A rooted query needs only values, so `rooted_values` walks the same states
+depth first, from the same tables and on the same lattice, without building
+a graph: it values each live state in post-order, once its successors are
+valued, on unreduced integer pairs, and declines a part whose live states
+are not acyclic or where one has no action, which `explore` and the
+certified solve then take.
 """
 
 from __future__ import annotations
@@ -411,6 +418,38 @@ class Brg:
         return sum(len(d) for dist in self.dists for d in dist)
 
 
+def _check_root(arena: Arena, root: BrgState) -> None:
+    """Refuse a root whose point is not one nonnegative integer per clock
+    of its region over a positive integer scale, or that lies outside the
+    closure of its region or the invariant of its location."""
+    location, root_point, scale, region = root
+    if len(root_point) != len(region.ctx.clocks):
+        raise RegionError("context mismatch")
+    if (not all([isinstance(x, int) for x in (scale, *root_point)])
+            or scale < 1 or min(root_point) < 0):
+        raise RegionError("root point must be nonnegative integers over a positive "
+                          "integer scale: %r over %r" % (root_point, scale))
+    if not closure_contains_scaled(region, root_point, scale):
+        raise ModelError("root valuation must lie in the closure of its region")
+    if not satisfies_scaled(region.ctx, root_point, scale,
+                            arena.location_named(location).invariant):
+        raise ModelError("root state violates its location invariant")
+
+
+def _scaled_delays(acts: list, moves: tuple, s: BrgState, p: tuple[int, ...],
+                   scale: int) -> tuple[int, ...]:
+    """The scaled cost b*D - p(c) of steering from the point p of state s
+    to each action's boundary; a negative one is refused."""
+    delays = tuple([0 if ci is None else b * scale - p[ci] for b, ci, _ in moves])
+    if delays and min(delays) < 0:
+        k = next(k for k, t in enumerate(delays) if t < 0)
+        raise ModelError(
+            "negative delay %s for %s at %s; valuation outside the region closure"
+            % (Fraction(delays[k], scale), acts[k].label(), s.label())
+        )
+    return delays
+
+
 def explore(
     arena: Arena,
     root: BrgState | None = None,
@@ -433,18 +472,8 @@ def explore(
     t = tables(arena)
     if root is None:
         root = root_key(arena, *arena.initial)
+    _check_root(arena, root)
     location, root_point, scale, region = root
-    if len(root_point) != len(region.ctx.clocks):
-        raise RegionError("context mismatch")
-    if (not all([isinstance(x, int) for x in (scale, *root_point)])
-            or scale < 1 or min(root_point) < 0):
-        raise RegionError("root point must be nonnegative integers over a positive "
-                          "integer scale: %r over %r" % (root_point, scale))
-    if not closure_contains_scaled(region, root_point, scale):
-        raise ModelError("root valuation must lie in the closure of its region")
-    if not satisfies_scaled(region.ctx, root_point, scale,
-                            arena.location_named(location).invariant):
-        raise ModelError("root state violates its location invariant")
 
     g = Brg(arena)
     fraction = _Fractions(scale).__getitem__
@@ -498,14 +527,7 @@ def explore(
         acts, moves = entry if entry is not None else _moves(arena, s.location, s.region)
         g.actions.append(acts)
         p = points[i]
-        # the scaled cost b*D - p(c) of steering to each action's boundary
-        delays = tuple([0 if ci is None else b * scale - p[ci] for b, ci, _ in moves])
-        if delays and min(delays) < 0:
-            k = next(k for k, t in enumerate(delays) if t < 0)
-            raise ModelError(
-                "negative delay %s for %s at %s; valuation outside the region closure"
-                % (Fraction(delays[k], scale), acts[k].label(), s.label())
-            )
+        delays = _scaled_delays(acts, moves, s, p, scale)
         rewards = reward_lists.get(delays)
         if rewards is None:
             rewards = reward_lists[delays] = list(map(fraction, delays))
@@ -542,6 +564,143 @@ def explore(
             row.append(dist)
         g.dists.append(row)
     return g
+
+
+# the mark of a state on the path of `rooted_values`'s walk, whose value is open
+_OPEN = object()
+_FINAL_VALUE = Fraction(0)
+
+
+def rooted_values(arena: Arena, root: BrgState,
+                  known: dict[BrgState, Fraction]) -> dict[BrgState, Fraction] | None:
+    """The expected-time value of every state `explore(arena, root,
+    known=known)` would build and not take from `known`, from one
+    depth-first walk that builds no graph; None when a live state, neither
+    final nor known, lies on a cycle or has no action, so that `explore`
+    and the certified `solver.solve_exact` decide.
+
+    The walk computes the point half of every move as `explore` does, on
+    the root's lattice, from the arena's tables, refuses what it refuses
+    and counts the same states against `DEFAULT_STATE_CAP`.  A known state
+    is a leaf at its value.  A final state is worth 0, and its successors
+    are walked once the walk that reached it is done, so a cycle through a
+    final state is no cycle of live states.  Each live state is valued in
+    post-order, once every successor is: the owner's best of r + sum of
+    p v over its actions, the first in canonical order on a tie.  That is
+    the one solution of the optimality equations, since every play then
+    reaches a final or known state (topological value iteration, Dai et al.
+    2011).  A backup is an int pair, reward t/D plus each p v, compared by
+    cross-multiplication, so each state builds one `Fraction`, its value.
+    A successor on the walk's path, the state itself included, closes a
+    cycle."""
+    compiled = tables(arena)
+    _check_root(arena, root)
+    location, root_point, scale, region = root
+    table = compiled.moves
+    named = arena.location_named
+    # states by (location, point on the root's lattice, id of the canonical
+    # region), as in `explore`
+    index: dict[tuple, int] = {}
+    states: list[BrgState] = []
+    points: list[tuple[int, ...]] = []
+    # per state its value as (numerator, denominator), _OPEN while on the
+    # walk's path, None before the walk reaches it
+    pairs: list = []
+    out: dict[BrgState, Fraction] = {}
+    finals: list[int] = []
+
+    def intern(location: str, point: tuple[int, ...], region: ClockRegion) -> int:
+        if len(states) >= DEFAULT_STATE_CAP:
+            raise ExplorationLimit("state cap %d crossed while exploring %s"
+                                   % (DEFAULT_STATE_CAP, arena.name or "arena"))
+        i = index[location, point, id(region)] = len(states)
+        points.append(point)
+        d = math.gcd(scale, *point)
+        s = (BrgState(location, point, scale, region) if d == 1 else
+             BrgState(location, tuple([x // d for x in point]), scale // d, region))
+        states.append(s)
+        value = known.get(s)
+        if value is not None:
+            pairs.append((value.numerator, value.denominator))
+        elif named(location).final:
+            out[s] = _FINAL_VALUE
+            pairs.append((0, 1))
+            finals.append(i)
+        else:
+            pairs.append(None)
+        return i
+
+    def expand(i: int) -> list:
+        """Per action of state i its scaled delay and its branches as
+        (successor id, probability), interning new successors."""
+        s, p = states[i], points[i]
+        entry = table.get((s.location, s.region))
+        acts, moves = entry if entry is not None else _moves(arena, s.location, s.region)
+        rows = []
+        for delay, (_, _, branches) in zip(_scaled_delays(acts, moves, s, p, scale), moves):
+            shifted = tuple(map(delay.__add__, p)) if delay else p
+            dist = []
+            for target, reset, region, prob in branches:
+                point = reset(shifted + _ZERO) if reset else shifted
+                assert closure_contains_scaled(region, point, scale)
+                j = index.get((target, point, id(region)))
+                dist.append((intern(target, point, region) if j is None else j, prob))
+            rows.append((delay, dist))
+        return rows
+
+    def open_frame(i: int) -> tuple | None:
+        """Put state i on the path: (i, its rows, its successors to walk),
+        or None when it has no action or a successor on the path."""
+        pairs[i] = _OPEN
+        rows = expand(i)
+        succ = [j for _, dist in rows for j, _ in dist]
+        if not rows or any(pairs[j] is _OPEN for j in succ):
+            return None
+        return i, rows, iter(succ)
+
+    def walk(start: int) -> bool:
+        """Value every live state below `start`; False on a cycle or a
+        state without an action."""
+        frame = open_frame(start)
+        if frame is None:
+            return False
+        path = [frame]
+        while path:
+            i, rows, succ = path[-1]
+            for j in succ:
+                if pairs[j] is None:
+                    frame = open_frame(j)
+                    if frame is None:
+                        return False
+                    path.append(frame)
+                    break
+            else:
+                path.pop()
+                minimize = named(states[i].location).owner == "min"
+                bn = bd = None
+                for delay, dist in rows:
+                    n, d = delay, scale
+                    for j, p in dist:
+                        vn, vd = pairs[j]
+                        if vn:
+                            m = p.denominator * vd
+                            n = n * m + p.numerator * vn * d
+                            d *= m
+                    if bn is None or (n * bd < bn * d if minimize else n * bd > bn * d):
+                        bn, bd = n, d
+                value = out[states[i]] = Fraction(bn, bd)
+                pairs[i] = (value.numerator, value.denominator)
+        return True
+
+    start = intern(location, root_point, compiled.canon.setdefault(region, region))
+    if pairs[start] is None and not walk(start):
+        return None
+    while finals:
+        for _, dist in expand(finals.pop()):
+            for j, _ in dist:
+                if pairs[j] is None and not walk(j):
+                    return None
+    return out
 
 
 def _gvquote(s: str) -> str:

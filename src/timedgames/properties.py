@@ -3,10 +3,12 @@
 The central object is `value_at`, the certified game value from an arbitrary
 concrete state, computed by rooting the boundary region graph there and
 solving only the states that no earlier query on the arena has solved: by
-one exact Bellman pass sinks first when none of them lies on a cycle, as on
-almost every rooted graph, else by the certified `solve_exact`.  Solved
-states are kept per arena, each its own key, so a repeated query builds no
-valuation, region or graph.  On top of it:
+one depth-first walk that values each of them in post-order on integers
+and builds no graph (`brg.rooted_values`) when none of them lies on a
+cycle, as on almost every rooted graph, else by exploring them and solving
+with the certified `solve_exact`.  Solved states are kept per arena, each
+its own key, so a repeated query builds no valuation, region or graph.  On
+top of it:
 
   * `fit_simple` reconstructs a one-clock affine form e - nu(c) (or a
     constant), a `SimpleForm`, for the value function on a region, when
@@ -35,8 +37,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .brg import explore, root_key
-from .model import Arena, ConcreteState, Edge, branch_states
+from .brg import ExplorationLimit, explore, root_key, rooted_values
+from .model import Arena, ConcreteState, Edge, ModelError, branch_states
 from .regions import (
     REGION_CAP,
     ClockRegion,
@@ -50,7 +52,7 @@ from .regions import (
     satisfies,
     valuation_satisfies,
 )
-from .solver import ConvergenceError, acyclic_values, solve_exact
+from .solver import ConvergenceError, solve_exact
 
 Evaluator = Callable[[str, ClockValuation], Fraction]
 
@@ -68,32 +70,37 @@ def value_at(arena: Arena, location: str, valuation: ClockValuation) -> Fraction
     A node's value does not depend on the root it was explored from, so the
     arena keeps one table of every node solved so far (`Arena._solved`),
     keyed by the `BrgState`s themselves.  The root state is made from the
-    valuation as integers (`brg.root_key`) and is looked up, explored from
+    valuation as integers (`brg.root_key`) and is looked up, walked from
     and stored as it is, so a query the table answers builds no valuation,
-    region or graph.  Otherwise the query explores below its root only as
-    far as the table does not reach and solves that part with the table's
-    values as constants: when no live state of it lies on a cycle, by one exact
-    Bellman pass sinks first (`solver.acyclic_values`), which needs no
-    certificate since it solves the optimality equations outright; else by
-    the certified `solve_exact`, with its reach check and its refusal of an
-    uncertified solve.  The newly solved nodes go to the table.  A query
-    that raises leaves the table unchanged.
+    region or graph.  Otherwise one depth-first walk below the root, as far
+    as the table does not reach, values every new node in post-order on
+    integers with the table's values as constants (`brg.rooted_values`); it
+    needs no certificate, since it solves the optimality equations outright.
+    When a live node of that part lies on a cycle or has no action, or the
+    walk meets an error, the query explores the same part (`brg.explore`)
+    and solves it with the certified `solve_exact`, with its reach check and
+    its refusal of an uncertified solve, so an error is the one the
+    breadth-first explore or the solve raises.  The newly solved nodes go
+    to the table.  A query that raises leaves the table unchanged.
     """
     root = root_key(arena, location, valuation)
     table = arena._solved
     value = table.get(root)
     if value is None:
-        g = explore(arena, root=root, known=table)
-        values = acyclic_values(g)
-        if values is None:
+        try:
+            solved = rooted_values(arena, root, table)
+        except (ModelError, ExplorationLimit):
+            solved = None
+        if solved is None:
+            g = explore(arena, root=root, known=table)
             res = solve_exact(g)
             if not res.certified:
                 raise ConvergenceError("the exact solve rooted at %s is not certified"
                                        % root.label())
-            values = res.values
-        table.update((s, v) for i, (s, v) in enumerate(zip(g.states, values))
-                     if i not in g.fixed)
-        value = values[0]
+            solved = {s: v for i, (s, v) in enumerate(zip(g.states, res.values))
+                      if i not in g.fixed}
+        table.update(solved)
+        value = solved[root]
     return value
 
 

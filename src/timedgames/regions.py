@@ -230,6 +230,9 @@ class ClockRegion:
     # the representative as integers over len(blocks): a clock of block j
     # sits at its integer part plus j/len(blocks); not part of equality or repr
     _point: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # the label, set on the instance on first use; a class attribute, not a
+    # field, so a region that is never labelled does not carry it
+    _label = None
 
     def __post_init__(self) -> None:
         n, k = len(self.ctx.clocks), self.ctx.k
@@ -264,7 +267,13 @@ class ClockRegion:
         return (self.ints, self.blocks)
 
     def label(self) -> str:
-        """Human-readable description, e.g. ``0<x<1, y=1, frac(x)<frac(z)``."""
+        """Human-readable description, e.g. ``0<x<1, y=1, frac(x)<frac(z)``,
+        built once per region."""
+        if self._label is None:
+            object.__setattr__(self, "_label", self._render())
+        return self._label
+
+    def _render(self) -> str:
         parts = []
         for i, name in enumerate(self.ctx.clocks):
             m = self.ints[i]

@@ -26,7 +26,11 @@ of a (state, epsilon) key computes them exactly as the per-step semantics
 does, raising the same errors at the same step, and stores them under an
 integer id with the successors' ids, in the edge's order.
 Every later visit is one `randrange` over the same denominator, a scan over
-the cumulative weights, one `Fraction` add and a list index.  The table
+the cumulative weights, an integer add and a list index: a run keeps its
+time as one int over the lcm of the delays' denominators seen so far (a
+decaying run's grow by a factor 2 a step, so their product would grow
+quadratically in bits), and builds one `Fraction`, its time, at its end.
+`estimate_value` sums the run times the same way.  The table
 lives on the strategy, one per arena played, so every run and estimate of
 the strategy shares it; the strategy's move table must not change once it
 has been played.
@@ -69,8 +73,9 @@ class _StepTable:
 
     def root(self, epsilon, decaying: bool) -> int:
         """The id of the initial state's key for this epsilon, found without
-        hashing the state again."""
-        key = (epsilon, decaying)
+        hashing the state again; keyed by epsilon's integer ratio, so no
+        `Fraction` is hashed per run."""
+        key = (epsilon.as_integer_ratio(), decaying)
         i = self.roots.get(key)
         if i is None:
             eps = epsilon / 2 if decaying else epsilon
@@ -181,6 +186,18 @@ def concretize_action(
     raise AssertionError("boundary instant %s is not an endpoint of the window" % t0)
 
 
+def _add(num: int, scale: int, t: Fraction) -> tuple[int, int]:
+    """num/scale + t as an int over the lcm of scale and t's denominator,
+    not their product, which would grow by every step's epsilon/2^(n+1) of
+    a decaying run."""
+    q = t.denominator
+    if scale % q:
+        m = q // math.gcd(scale, q)
+        num *= m
+        scale *= m
+    return num + t.numerator * (scale // q), scale
+
+
 @dataclass(frozen=True)
 class RunRecord:
     reached: bool
@@ -209,12 +226,13 @@ def simulate_run(
         steps_table = strategy._steps[id(arena)] = _StepTable(arena, strategy.action_for)
     keys, final, entries = steps_table.keys, steps_table.final, steps_table.entries
     i = steps_table.root(epsilon, decaying)
-    total = Fraction(0)
+    # the run's time as num/scale, scale the lcm of the delays' denominators
+    num, scale = 0, 1
     trace: list = []
     steps = 0
     while not final[i]:
         if steps >= step_cap:
-            return RunRecord(False, total, steps, keys[i][0], tuple(trace))
+            return RunRecord(False, Fraction(num, scale), steps, keys[i][0], tuple(trace))
         entry = entries[i]
         if entry is None:
             entry = steps_table.compile(i)
@@ -227,10 +245,10 @@ def simulate_run(
                 break
         else:
             raise AssertionError("branch probabilities do not cover the unit interval")
-        total += t
+        num, scale = _add(num, scale, t)
         i = j
         steps += 1
-    return RunRecord(True, total, steps, keys[i][0], tuple(trace))
+    return RunRecord(True, Fraction(num, scale), steps, keys[i][0], tuple(trace))
 
 
 @dataclass
@@ -278,6 +296,7 @@ def estimate_value(
         raise ValueError("epsilon must be positive")
     rng = random.Random(seed)
     times: list[Fraction] = []
+    num, scale = 0, 1
     for _ in range(runs):
         rec = simulate_run(
             arena,
@@ -289,11 +308,12 @@ def estimate_value(
         )
         if rec.reached:
             times.append(rec.total_time)
+            num, scale = _add(num, scale, rec.total_time)
     if not times:
         return EstimateResult(runs, 0, None, float("nan"), float("nan"),
                               epsilon, seed)
     n = len(times)
-    mean_exact = sum(times, Fraction(0)) / n
+    mean_exact = Fraction(num, scale * n)
     mean = float(mean_exact)
     if n > 1:
         var = sum((float(t) - mean) ** 2 for t in times) / (n - 1)

@@ -45,10 +45,10 @@ value as a constant, and the reach check and the certificate cover only the
 other states.  That is sound because no action of a solved state leads
 outside the solved part, so no end component straddles the two.
 
-A rooted query needs only values, which are unique.  `acyclic_values` is
-the same pass with no choice, each backup over all of a state's actions: on
-a graph whose live components are all trivial it solves the optimality
-equations outright, and on any other it returns None for `solve_exact`.
+A rooted query needs only values, which are unique; on a graph without a
+cycle among its live states `brg.rooted_values` gives them in one
+depth-first pass that builds no graph, and only the other rooted graphs
+come here.
 """
 
 from __future__ import annotations
@@ -375,54 +375,42 @@ def _solve_linear_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list
     return [a[i][n] for i in range(n)]
 
 
-def _evaluate(g: Brg, choice: Sequence | None, lam: Fraction | None = None,
-              zero_final: bool = True) -> list | None:
-    """Exact values of `g` from one pass over its live states, sinks first:
-    of the Markov chain fixed by `choice`, v = lam (r + P v) with lam = 1
-    for expected time (lam None); with no choice, of the game when every
-    live component is trivial, else None, before any state is refused.
-    Absorbed final states are zero and fixed states keep their value.
+def _evaluate(g: Brg, choice: Sequence, lam: Fraction | None = None,
+              zero_final: bool = True) -> list:
+    """Exact values of the Markov chain that `choice` fixes on `g`, v = lam
+    (r + P v) with lam = 1 for expected time (lam None), from one pass over
+    its live states, sinks first.  Absorbed final states are zero and fixed
+    states keep their value.
 
     A trivial component, one state without a self-loop, takes one exact
-    backup of its owner's best allowed action, the chosen one or any; a
-    state with none is refused here.  A larger component of a chain is a
-    rational system with the values outside it as constants.  Only expected
-    time can diverge: a component is infinite when it has no successor
-    outside itself (it never reaches the absorbed set, and time keeps
-    accumulating on it by non-Zenoness) or when such a successor is
-    infinite, checked outright since 0 * inf is nan.  Otherwise its system
-    is nonsingular, as discounting (lam < 1) makes every system.
+    backup of its chosen action; a state with none is refused here.  A
+    larger component is a rational system with the values outside it as
+    constants.  Only expected time can diverge: a component is infinite
+    when it has no successor outside itself (it never reaches the absorbed
+    set, and time keeps accumulating on it by non-Zenoness) or when such a
+    successor is infinite, checked outright since 0 * inf is nan.
+    Otherwise its system is nonsingular, as discounting (lam < 1) makes
+    every system.
     """
     comps, succ = _live_components(g, choice, zero_final)
-    if choice is None and not all(_trivial(comp, succ) for comp in comps):
-        return None
-    diverges = choice is not None and lam is None
+    diverges = lam is None
     factor = Fraction(1) if lam is None else lam
     values: list = [g.fixed.get(i, Fraction(0)) for i in range(g.n)]
     for comp in comps:
         if _trivial(comp, succ):
             s = comp[0]
-            if choice is None:
-                moves = zip(g.rewards[s], g.dists[s])
-            elif choice[s] is None:
-                moves = ()
-            else:
-                moves = ((g.rewards[s][choice[s]], g.dists[s][choice[s]]),)
-            minimize = g.owners[s] == "min"
-            best = None
-            for r, dist in moves:
-                if diverges and (not dist or any(values[t] == INF for t, _ in dist)):
-                    r = INF
-                else:
-                    for t, p in dist:
-                        r = r + p * values[t]
-                    if lam is not None:
-                        r = lam * r
-                if best is None or (r < best if minimize else r > best):
-                    best = r
-            if best is None:
+            j = choice[s]
+            if j is None:
                 raise ValueError("state %s has no action" % g.states[s].label())
-            values[s] = best
+            r, dist = g.rewards[s][j], g.dists[s][j]
+            if diverges and (not dist or any(values[t] == INF for t, _ in dist)):
+                r = INF
+            else:
+                for t, p in dist:
+                    r = r + p * values[t]
+                if lam is not None:
+                    r = lam * r
+            values[s] = r
             continue
         pos = {i: r for r, i in enumerate(comp)}
         if diverges:
@@ -650,12 +638,3 @@ def solve_discounted(
         raise ValueError("discount factor must lie in [0, 1), got %s" % lam)
     return _solve(g, cfg or SolveConfig(), lam, zero_final)
 
-
-# ------------------------------------------------------------ rooted values
-
-def acyclic_values(g: Brg) -> list | None:
-    """Exact expected-time values of `g` from the pass of `_evaluate` with
-    no choice, the values `solve_exact` would certify, when every strongly
-    connected component of its live states is trivial; None when one is
-    not, and `solve_exact` has to decide.  No strategy is computed."""
-    return _evaluate(g, None)

@@ -15,6 +15,10 @@ removed, so the final location is never reached.
 `STUCK % target` is a three-location game whose l1 has no edge: l0 fires at
 c = 1 and reaches lf or, with probability 1/2, the given target with c
 reset, l1 (stuck) or l0 itself (a retry loop).
+
+`FINAL_BACK` is a game whose final location has an edge back to a live
+one: lf resets c and returns to l0, so every play cycles through lf while
+the live states alone are acyclic.
 """
 
 from __future__ import annotations
@@ -45,5 +49,32 @@ edges:
     branches:
       - {prob: "1/2", resets: [c], target: %s}
       - {prob: "1/2", resets: [], target: lf}
+initial: {location: l0, valuation: {c: "0/1"}}
+"""
+
+
+FINAL_BACK = """clocks: [c]
+k: 2
+locations:
+  - {name: l0, owner: min, final: false, invariant: "c <= 2"}
+  - {name: l1, owner: max, final: false, invariant: "c <= 2"}
+  - {name: lf, owner: min, final: true, invariant: "c <= 2"}
+edges:
+  - source: l0
+    action: a
+    guard: "c > 1"
+    branches:
+      - {prob: "1/3", resets: [c], target: l1}
+      - {prob: "2/3", resets: [], target: lf}
+  - source: l1
+    action: b
+    guard: "c >= 1"
+    branches:
+      - {prob: "1/1", resets: [], target: lf}
+  - source: lf
+    action: back
+    guard: "c >= 1"
+    branches:
+      - {prob: "1/1", resets: [c], target: l0}
 initial: {location: l0, valuation: {c: "0/1"}}
 """

@@ -14,7 +14,10 @@ record, whose `label` is the earlier rendering of a node through its
 Fractions, and `scaled_state` converts one to the package's `BrgState`.
 `simulate_run_per_step` is the earlier simulator, which redoes the region
 lookup, the concretization, the legality check and the branch weights at
-every step instead of playing a compiled step table.  Both use the earlier
+every step instead of playing a compiled step table, and adds each delay
+to a `Fraction`, where the simulator keeps an int over the lcm of the
+delays' denominators; `estimate_value_fraction_sum` is the earlier
+estimate, which plays it and sums the run times as `Fraction`s.  Both use the earlier
 walks of the future chain: `boundary_actions_rewalk` walks it again from the
 start region for every boundary it names (`boundary_coordinates`),
 `timed_action_allowed_walk` checks the invariant region by region along
@@ -43,7 +46,11 @@ ints over one common denominator.
 solves every component of the chain as a linear system, a single state
 without a self-loop too, and `acyclic_values_own_pass` the earlier value
 pass of a rooted query, with its own successor graph, Tarjan pass and
-backup loop; the solver now runs both as one pass over the live states.
+backup loop in Fractions over the explored graph, where
+`brg.rooted_values` walks the arena's tables depth first and values each
+state on integers without building a graph; `value_at_own_pass` is the
+`properties.value_at` that ran it on the graph `explore` builds below the
+root, or `solve_exact` where it declined.
 `closure_contains_fractions` is the earlier closure test, on the Fractions
 of the valuation instead of its integer point.
 `satisfies_symbolic` is the earlier region-level constraint check, which
@@ -132,6 +139,7 @@ from timedgames.properties import SimpleForm
 from timedgames.solver import INF, _solve_linear_exact
 from timedgames.simulate import (
     ConcretizedStrategy,
+    EstimateResult,
     RunRecord,
     StrategyGapError,
     concretize_action,
@@ -550,13 +558,13 @@ def acyclic_values_own_pass(g) -> list | None:
     the values `solve_exact` would certify (topological value iteration,
     Dai et al. 2011, with one sweep per trivial component).  A live state
     with no action raises the `ValueError` that `solve_exact` raises for
-    it.  No strategy is computed."""
+    it, the first in state order.  No strategy is computed."""
     comps, succ = _live_components_all_actions(g)
     if not all(len(comp) == 1 and comp[0] not in succ[comp[0]] for comp in comps):
         return None
     missing = [s for (s,) in comps if not g.actions[s]]
     if missing:
-        raise ValueError("choice vector leaves state %d unset" % min(missing))
+        raise ValueError("state %s has no action" % g.states[min(missing)].label())
     values: list = [g.fixed.get(i, Fraction(0)) for i in range(g.n)]
     for (s,) in comps:
         minimize = g.owners[s] == "min"
@@ -1080,6 +1088,30 @@ def value_at_solve_exact(arena: Arena, location: str, valuation) -> Fraction:
     return value
 
 
+def value_at_own_pass(arena: Arena, location: str, valuation) -> Fraction:
+    """The value of the node rooted at (location, valuation), from the
+    arena's table of solved states, or from `acyclic_values_own_pass` on the
+    graph explored below the root as far as the table does not reach, or
+    from `solve_exact` there when the pass declines the graph; the solved
+    states go to the table."""
+    root = BrgState(location, *scaled_point(valuation), region_of(valuation))
+    table = arena._solved
+    value = table.get(root)
+    if value is None:
+        g = explore(arena, root=root, known=table)
+        values = acyclic_values_own_pass(g)
+        if values is None:
+            res = sv.solve_exact(g)
+            if not res.certified:
+                raise sv.ConvergenceError("the exact solve rooted at %s is not certified"
+                                          % root.label())
+            values = res.values
+        table.update((s, v) for i, (s, v) in enumerate(zip(g.states, values))
+                     if i not in g.fixed)
+        value = values[0]
+    return value
+
+
 def json_indent2(payload) -> str:
     """`payload` as json.dumps(payload, indent=2), json's pure-Python
     encoder, followed by a newline."""
@@ -1174,6 +1206,38 @@ def simulate_run_per_step(
         state = ConcreteState(br.target, shifted.reset(br.resets))
         steps += 1
     return RunRecord(True, total, steps, state, tuple(trace))
+
+
+def estimate_value_fraction_sum(
+    arena: Arena,
+    strategy: ConcretizedStrategy,
+    runs: int,
+    *,
+    seed: int = 0,
+    epsilon: Fraction = Fraction(1, 1000),
+    step_cap: int = 10_000,
+    decaying: bool = False,
+) -> EstimateResult:
+    """The estimate of `runs` runs of `simulate_run_per_step` from one
+    seeded rng: the `Fraction` sum of the reached runs' times over their
+    count, and the normal-approximation 95% halfwidth of their floats."""
+    rng = random.Random(seed)
+    times = []
+    for _ in range(runs):
+        rec = simulate_run_per_step(arena, strategy, rng, epsilon=epsilon,
+                                    step_cap=step_cap, decaying=decaying)
+        if rec.reached:
+            times.append(rec.total_time)
+    if not times:
+        return EstimateResult(runs, 0, None, float("nan"), float("nan"), epsilon, seed)
+    n = len(times)
+    mean_exact = sum(times, Fraction(0)) / n
+    mean = float(mean_exact)
+    halfwidth = 0.0
+    if n > 1:
+        var = sum((float(t) - mean) ** 2 for t in times) / (n - 1)
+        halfwidth = 1.96 * math.sqrt(var / n)
+    return EstimateResult(runs, n, mean_exact, mean, halfwidth, epsilon, seed)
 
 
 def _compose_form(act: BoundaryAction, resets: frozenset[str], f: SimpleForm) -> SimpleForm:

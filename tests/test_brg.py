@@ -572,19 +572,27 @@ def test_moves_compile_once_per_location_region(monkeypatch):
     """Many rooted solves on a fresh arena compile each (location, region)
     once, build each slice once per (location, region) on their invariant
     chains and each move once per (location, action) in their action sets,
-    and a second explore of the same arena compiles nothing new."""
+    and a second explore of the same arena compiles nothing new.  The
+    states a query expands are the ones its walk values, or the ones its
+    explore builds when the walk declines."""
     calls = count_compiles(monkeypatch)
     slices = count_calls(monkeypatch, "_slice")
     moves = count_calls(monkeypatch, "_compile_move")
     seen = set()
-    real_explore = properties.explore
+    real_explore, real_walk = properties.explore, properties.rooted_values
 
     def recording(arena, *args, **kwargs):
         g = real_explore(arena, *args, **kwargs)
         seen.update((s.location, s.region) for s in g.states)
         return g
 
+    def walking(arena, *args, **kwargs):
+        solved = real_walk(arena, *args, **kwargs)
+        seen.update((s.location, s.region) for s in solved or ())
+        return solved
+
     monkeypatch.setattr(properties, "explore", recording)
+    monkeypatch.setattr(properties, "rooted_values", walking)
     for name in ("M1", "M3"):
         arena = bundled(name)
         assert arena._brg is None and not arena._solved

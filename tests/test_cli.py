@@ -226,12 +226,14 @@ def test_check_properties_clean(capsys):
 
 
 def test_check_properties_checks_distributions_once_per_arena(capsys, monkeypatch):
-    """The many rooted explores of a check-properties run share one arena,
-    so its branch distributions are checked once, not once per explore."""
+    """The many rooted walks and explores of a check-properties run share
+    one arena, so its branch distributions are checked once, not once per
+    walk or explore."""
     from timedgames import brg, cli, properties
 
     checked, explored = [], []
     real_check, real_explore = brg.distribution_findings, brg.explore
+    real_walk = brg.rooted_values
 
     def check(arena):
         checked.append(arena)
@@ -241,9 +243,14 @@ def test_check_properties_checks_distributions_once_per_arena(capsys, monkeypatc
         explored.append(arena)
         return real_explore(arena, *args, **kwargs)
 
+    def walk(arena, *args, **kwargs):
+        explored.append(arena)
+        return real_walk(arena, *args, **kwargs)
+
     monkeypatch.setattr(brg, "distribution_findings", check)
     monkeypatch.setattr(cli, "explore", explore)
     monkeypatch.setattr(properties, "explore", explore)
+    monkeypatch.setattr(properties, "rooted_values", walk)
     for model in (M1, M2):
         code, _, _ = run(capsys, "check-properties", model, "--pairs", "15",
                          "--states", "3", "--json")

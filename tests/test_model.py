@@ -636,7 +636,7 @@ def test_successors_keep_the_edge_order():
     strat = ConcretizedStrategy.from_solution(g, solve_exact(g).choice)
     simulate_run(arena, strat, random.Random(0))
     steps = strat._steps[id(arena)]
-    action, t, den, branches = steps.entries[steps.roots[Fraction(1, 1000), False]]
+    action, t, den, branches = steps.entries[steps.root(Fraction(1, 1000), False)]
     assert (action, den) == ("a", 4)
     assert [acc for acc, _ in branches] == [1, 3, 4]
     ids = [j for _, j in branches]

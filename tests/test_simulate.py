@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -324,3 +325,84 @@ def test_strategy_conflicts_counted():
     _, _, strat = solved(chain)
     assert strat.conflicts == 2
     assert ConcretizedStrategy(chain, strat.table) == strat
+
+
+# ------------------------------------------- run times on ints vs Fraction sums
+
+def test_run_times_and_estimates_match_fraction_sums():
+    """Every run's time equals the `Fraction` sum of its delays, and every
+    estimate the `Fraction` sum of the reached runs' times, on the bundled
+    models at epsilon 1/1000, 1/3 and 1, with and without decay, with no
+    step, a cap that cuts M2's runs, and a cap no run of a solved game hits."""
+    cut = set()
+    for path in sorted(MODELS.glob("*.model")):
+        arena = load_model(str(path))
+        for strat in strategies(arena):
+            for eps, decaying, cap in itertools.product(
+                    (Fraction(1, 1000), Fraction(1, 3), Fraction(1)), (False, True),
+                    (0, 2, 60)):
+                kwargs = dict(epsilon=eps, decaying=decaying, step_cap=cap)
+                case = (path.stem, strat.conflicts, kwargs)
+                fast = play(simulate_run, arena, strat, 0, 20, **kwargs)
+                assert fast == play(oracles.simulate_run_per_step, arena, strat, 0, 20,
+                                    **kwargs), case
+                if cap and any(not rec.reached for rec in fast):
+                    cut.add((path.stem, cap))
+                got = estimate_value(arena, strat, 20, seed=1, **kwargs)
+                want = oracles.estimate_value_fraction_sum(arena, strat, 20, seed=1, **kwargs)
+                # repr, since an estimate without a reached run has nan fields
+                assert repr(got) == repr(want), case
+    assert ("M2", 2) in cut
+
+
+LONG_RETRY = """clocks: [c]
+k: 2
+locations:
+  - {name: l0, owner: min, final: false, invariant: "c <= 2"}
+  - {name: lf, owner: min, final: true, invariant: "c <= 2"}
+edges:
+  - source: l0
+    action: a
+    guard: "c > 1"
+    branches:
+      - {prob: "1/1000", resets: [], target: lf}
+      - {prob: "999/1000", resets: [c], target: l0}
+  - source: lf
+    action: f
+    guard: "c >= 1"
+    branches:
+      - {prob: "1/1", resets: [c], target: lf}
+initial: {location: l0, valuation: {c: "0"}}
+"""
+
+
+def test_long_decaying_run_keeps_the_lcm_denominator(monkeypatch):
+    """A decaying run on a retry whose open guard costs 1 + epsilon/2^(n+1)
+    at step n: over hundreds of steps its time is kept over the lcm of the
+    delays' denominators, 1000 * 2^steps, never their product, and equals
+    their `Fraction` sum."""
+    scales = []
+    real = simulate._add
+
+    def add(num, scale, t):
+        out = real(num, scale, t)
+        scales.append(out[1])
+        return out
+
+    monkeypatch.setattr(simulate, "_add", add)
+    arena = parse_model(LONG_RETRY)
+    _, _, strat = solved(arena)
+    rng, slow_rng = random.Random(0), random.Random(0)
+    for _ in range(10):
+        del scales[:]
+        rec = simulate_run(arena, strat, rng, decaying=True, record_trace=True)
+        slow = oracles.simulate_run_per_step(arena, strat, slow_rng, decaying=True,
+                                             record_trace=True)
+        assert rec == slow
+        if rec.steps >= 200:
+            break
+    assert rec.reached and rec.steps >= 200
+    lcm = math.lcm(*(t.denominator for _, _, t in rec.trace))
+    assert lcm == 1000 * 2 ** rec.steps
+    assert scales[-1] == lcm and max(scales) == lcm
+    assert rec.total_time == sum((t for _, _, t in rec.trace), Fraction(0))

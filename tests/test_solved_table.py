@@ -15,13 +15,13 @@ import networkx as nx
 import pytest
 
 import oracles
-from bundled import BUNDLED, MODELS, STUCK, bundled
+from bundled import BUNDLED, FINAL_BACK, MODELS, STUCK, bundled
 from timedgames import cli, properties
 from timedgames import solver as sv
-from timedgames.brg import BrgState, explore, root_key
+from timedgames.brg import BrgState, explore, root_key, rooted_values
 from timedgames.model import ModelError, load_model, parse_model
 from timedgames.properties import check_quasi_simple, grid_one_step_value, sample_states
-from timedgames.regions import ClockValuation, region_of, scaled_point
+from timedgames.regions import ClockValuation, region_of, scaled_point, valuation_satisfies
 from timedgames.solver import TargetUnreachableError
 
 ALL_MODELS = BUNDLED + ("M2-unreachable",)
@@ -190,22 +190,43 @@ def test_query_order_changes_neither_values_nor_table(monkeypatch, capsys, tmp_p
 
 
 def test_no_state_is_expanded_twice_per_arena(monkeypatch, capsys, tmp_path):
-    """Summed over all rooted explores, the states not taken from the table
-    are exactly the table's entries."""
-    graphs = []
-    real = properties.explore
+    """Summed over all rooted queries, the states the walks value and the
+    states the fallback explores do not take from the table are exactly
+    the table's entries.  On the (2, 2, 2) chain every query is walked; on
+    a 1-clock chain queried from the final location back, each live
+    location's retry loop sends its first query to an explore that takes
+    the states solved before it from the table."""
+    walked, graphs = [], []
+    real_walk, real_explore = properties.rooted_values, properties.explore
 
-    def recording(arena, *args, **kwargs):
-        graphs.append(real(arena, *args, **kwargs))
+    def walking(arena, *args, **kwargs):
+        solved = real_walk(arena, *args, **kwargs)
+        if solved is not None:
+            walked.append(solved)
+        return solved
+
+    def exploring(arena, *args, **kwargs):
+        graphs.append(real_explore(arena, *args, **kwargs))
         return graphs[-1]
 
-    monkeypatch.setattr(properties, "explore", recording)
+    monkeypatch.setattr(properties, "rooted_values", walking)
+    monkeypatch.setattr(properties, "explore", exploring)
     arenas = record_arenas(monkeypatch)
     assert check_properties(tmp_path, chain(("min", "max"))) == 0
     capsys.readouterr()
-    table = arenas[0]._solved
-    assert len(graphs) > 100 and any(g.fixed for g in graphs)
-    assert sum(g.n - len(g.fixed) for g in graphs) == len(table)
+    assert len(walked) > 100 and not graphs
+    assert sum(map(len, walked)) == len(arenas[0]._solved)
+
+    del walked[:]
+    arena = parse_model(oracles.chain_document(3, 2, 1, ("min", "max", "min"), PROBS[:3]))
+    for loc in reversed(arena.locations):
+        for j in range(9):
+            v = ClockValuation(arena.ctx, (Fraction(j, 4),))
+            if valuation_satisfies(v, loc.invariant):
+                properties.value_at(arena, loc.name, v)
+    assert walked and graphs and all(g.fixed for g in graphs)
+    assert (sum(map(len, walked)) + sum(g.n - len(g.fixed) for g in graphs)
+            == len(arena._solved))
     for g in graphs:
         for i in g.fixed:
             assert g.actions[i] == g.rewards[i] == g.dists[i] == []
@@ -399,7 +420,7 @@ def test_value_at_solves_exactly_only_cyclic_graphs(monkeypatch, capsys, tmp_pat
     assert solved == []
     assert cli.main(["check-properties", "--json", str(MODELS / "M2.model")]) == 0
     capsys.readouterr()
-    assert solved and all(sv.acyclic_values(g) is None for g in solved)
+    assert solved and all(oracles.acyclic_values_own_pass(g) is None for g in solved)
 
 
 @pytest.mark.parametrize("retry, kinds", [("l1", [ValueError] * 3),
@@ -420,20 +441,26 @@ def test_live_state_without_action_raises_as_solve_exact_does(retry, kinds):
 
 
 def test_pass_matches_own_pass_oracle_on_every_rooted_graph(monkeypatch, capsys, tmp_path):
-    """On every rooted graph `check-properties` explores on the bundled
-    models and the (2, 2, 2) and (3, 2, 2) chains, the shared pass gives
-    the values of the earlier pass of its own, or declines the graph as
-    that did."""
+    """On every rooted query `check-properties` makes on the bundled models
+    and the (2, 2, 2) and (3, 2, 2) chains, the walk gives the values that
+    the earlier pass of its own gives on the graph `explore` builds for that
+    root and table, or declines the graph as that did."""
     outcomes = []
-    real = properties.acyclic_values
+    real = properties.rooted_values
 
-    def compared(g):
-        values = real(g)
-        assert values == oracles.acyclic_values_own_pass(g)
-        outcomes.append(values is None)
-        return values
+    def compared(arena, root, known):
+        solved = real(arena, root, known)
+        g = explore(arena, root=root, known=known)
+        values = oracles.acyclic_values_own_pass(g)
+        if values is None:
+            assert solved is None
+        else:
+            assert solved == {s: v for i, (s, v) in enumerate(zip(g.states, values))
+                              if i not in g.fixed}
+        outcomes.append(solved is None)
+        return solved
 
-    monkeypatch.setattr(properties, "acyclic_values", compared)
+    monkeypatch.setattr(properties, "rooted_values", compared)
     for name in ALL_MODELS:
         cli.main(["check-properties", "--json", str(MODELS / ("%s.model" % name))])
     for doc in seeded_chains().values():
@@ -446,20 +473,99 @@ def test_pass_matches_own_pass_oracle_on_every_rooted_graph(monkeypatch, capsys,
 
 
 def test_acyclic_values_equal_solve_exact_on_whole_graphs():
-    """On every whole graph whose live states are acyclic the pass gives the
-    certified values, and it declines every graph with a cycle."""
-    graphs = {name: explore(bundled(name)) for name in BUNDLED}
+    """Walked from the initial state with an empty table, every whole graph
+    whose live states are acyclic gets the certified value of each of its
+    states, and every graph with a cycle is declined."""
+    arenas = {name: bundled(name) for name in BUNDLED}
     for label, doc in seeded_chains().items():
-        graphs[label] = explore(parse_model(doc))
+        arenas[label] = parse_model(doc)
+    arenas["final back"] = parse_model(FINAL_BACK)
     declined = 0
-    for label, g in graphs.items():
+    for label, arena in arenas.items():
+        g = explore(arena)
         live = nx.DiGraph((i, t) for i in range(g.n) if not g.finals[i]
                           for dist in g.dists[i] for t, _ in dist if not g.finals[t])
-        values = sv.acyclic_values(g)
-        assert (values is None) == (not nx.is_directed_acyclic_graph(live)), label
-        if values is None:
+        solved = rooted_values(arena, g.states[0], {})
+        assert (solved is None) == (not nx.is_directed_acyclic_graph(live)), label
+        if solved is None:
             declined += 1
             continue
         res = sv.solve_exact(g)
-        assert res.certified and values == res.values, label
-    assert 0 < declined < len(graphs)
+        assert res.certified and solved == dict(zip(g.states, res.values)), label
+    assert 0 < declined < len(arenas)
+
+
+# --------------------------------------------- the walk against the earlier path
+
+def clock_chains():
+    """Seeded retry chains with 1, 2 and 3 clocks."""
+    rng = random.Random(23)
+    docs = {}
+    for n, clocks in ((3, 1), (2, 2), (2, 3)):
+        owners = [("min", "max")[(i + clocks) % 2] for i in range(n)]
+        probs = [rng.choice(PROBS) for _ in range(n)]
+        docs["chain(%d,2,%d)" % (n, clocks)] = oracles.chain_document(n, 2, clocks, owners,
+                                                                      probs)
+    return docs
+
+
+# Two edges whose branches land outside the invariant of l4: (l2, y), one
+# step from l0 by its second action, and (l3, z), two steps by its first.  A
+# walk depth first meets (l3, z) first; the query raises what explore,
+# breadth first, meets first.
+BAD_EDGES = """clocks: [c]
+k: 2
+locations:
+  - {name: l0, owner: min, final: false, invariant: "c <= 2"}
+  - {name: l1, owner: min, final: false, invariant: "c <= 2"}
+  - {name: l2, owner: min, final: false, invariant: "c <= 2"}
+  - {name: l3, owner: min, final: false, invariant: "c <= 2"}
+  - {name: l4, owner: min, final: false, invariant: "c <= 0"}
+  - {name: lf, owner: min, final: true, invariant: "c <= 2"}
+edges:
+  - {source: l0, action: a, guard: "c <= 2", branches: [{prob: "1/1", resets: [], target: l1}]}
+  - {source: l0, action: b, guard: "c <= 2", branches: [{prob: "1/1", resets: [], target: l2}]}
+  - {source: l1, action: a, guard: "c <= 2", branches: [{prob: "1/1", resets: [], target: l3}]}
+  - {source: l2, action: y, guard: "c >= 1", branches: [{prob: "1/1", resets: [], target: l4}]}
+  - {source: l3, action: z, guard: "c >= 1", branches: [{prob: "1/1", resets: [], target: l4}]}
+  - {source: l4, action: w, guard: "c <= 0", branches: [{prob: "1/1", resets: [], target: lf}]}
+initial: {location: l0, valuation: {c: "0/1"}}
+"""
+
+DIFFERENTIAL = {
+    **{name: (MODELS / ("%s.model" % name)).read_text() for name in ALL_MODELS},
+    **clock_chains(),
+    "stuck": STUCK % "l1",
+    "stuck retry": STUCK % "l0",
+    "final back": FINAL_BACK,
+    "bad edges": BAD_EDGES,
+}
+REFUSED = ("M2-unreachable", "stuck", "stuck retry", "bad edges")
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_value_at_matches_the_earlier_path_on_every_query(monkeypatch, capsys, tmp_path,
+                                                          name):
+    """Every query `check-properties` makes, and every location at points on
+    a grid, answers as the earlier `value_at` does, which solved the graph
+    `explore` builds below the root with its own sinks-first pass or, where
+    that declined, with `solve_exact`: the same value, or the same error
+    type and text, and the same table after every query."""
+    doc = DIFFERENTIAL[name]
+    path = tmp_path / "model.model"
+    path.write_text(doc)
+    points = cli_points(monkeypatch, capsys, path, "--pairs", "4", "--states", "4")
+    arena = parse_model(doc)
+    n = len(arena.ctx.clocks)
+    points += [(loc.name, ClockValuation(arena.ctx, (Fraction(x, 2),) * n))
+               for loc in arena.locations for x in range(5)]
+    fast, slow = parse_model(doc), parse_model(doc)
+    errors = 0
+    for location, valuation in points:
+        got = answer(properties.value_at, fast, location, valuation)
+        assert got == answer(oracles.value_at_own_pass, slow, location, valuation), (
+            location, valuation.values)
+        assert fast._solved == slow._solved, (location, valuation.values)
+        errors += isinstance(got, tuple)
+    assert len(points) > 10 and len(fast._solved) > 1
+    assert errors > 0 or name not in REFUSED

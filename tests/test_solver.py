@@ -28,6 +28,7 @@ import pytest
 
 from bundled import STUCK, bundled
 from oracles import (
+    acyclic_values_own_pass,
     certify_fraction_rows,
     chain_document,
     dense_evaluate,
@@ -1047,17 +1048,19 @@ def test_linear_solve_runs_once_per_nontrivial_component(monkeypatch, lam):
 
 def test_end_component_is_refused_before_a_state_without_action():
     """State 0 loops on itself with its only action and state 1 has none.
-    The reach check refuses the graph first, and the value pass declines
-    it as cyclic instead of refusing state 1; without the loop the pass
-    refuses state 1, naming it by its label."""
+    The reach check refuses the graph first, and the earlier value pass
+    declines it as cyclic instead of refusing state 1; without the loop
+    `solve_exact` and that pass both refuse state 1, naming it by its
+    label."""
     g = hand_graph(([uniform(0), uniform(1)], [], [uniform(2)]), (False, False, True))
     with pytest.raises(sv.TargetUnreachableError):
         sv.solve_exact(g)
-    assert sv.acyclic_values(g) is None
+    assert acyclic_values_own_pass(g) is None
     g = hand_graph(([uniform(1)], [], [uniform(2)]), (False, False, True))
-    with pytest.raises(ValueError, match="state %s has no action" % g.states[1].label()):
-        sv.acyclic_values(g)
-    with pytest.raises(ValueError, match="has no action"):
+    message = re.escape("state %s has no action" % g.states[1].label())
+    with pytest.raises(ValueError, match=message):
+        acyclic_values_own_pass(g)
+    with pytest.raises(ValueError, match=message):
         sv.solve_exact(g)
 
 
