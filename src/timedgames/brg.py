@@ -84,9 +84,10 @@ expanded, and `Brg.fixed` records its value, which the solver substitutes
 as a constant.  A rooted query then builds only the part of the graph below
 its root that no earlier query has solved.  The table is keyed by the
 states themselves: a `BrgState` is in lowest terms, so a node is one key
-whatever the lattice of the root it was reached from, and `root_key` makes
-a query's root from its valuation as integers, building its region once
-per (ints, blocks) form and arena.
+whatever the lattice of the root it was reached from, and `root_key_scaled`
+makes a query's root from a point given as integers, reduced to lowest
+terms, building its region once per (ints, blocks) form and arena;
+`root_key` is the same for a valuation.
 
 A rooted query needs only values, so `rooted_values` walks the same states
 depth first, from the same tables and on the same lattice, without building
@@ -205,7 +206,8 @@ def _reset_getter(ctx: ClockContext, resets: frozenset[str]) -> Callable | None:
 class ArenaTables(NamedTuple):
     """The per-arena record: the tables the module docstring lists, filled
     by `_moves`, `boundary_actions`, `_compile_move`, `_successor`,
-    `_reset` and `root_key`, and the getter of each branch's reset set."""
+    `_reset` and `root_key_scaled`, and the getter of each branch's reset
+    set."""
 
     moves: dict
     slices: dict
@@ -213,7 +215,8 @@ class ArenaTables(NamedTuple):
     regions: dict
     canon: dict
     resets: dict[frozenset[str], Callable | None]
-    # the canonical region of each (ints, blocks) form `root_key` was asked for
+    # the canonical region of each (ints, blocks) form `root_key_scaled` was
+    # asked for
     forms: dict
 
 
@@ -266,10 +269,22 @@ def _reset(arena: Arena, region: ClockRegion, clocks: frozenset[str]) -> ClockRe
 
 
 def root_key(arena: Arena, location: str, valuation: ClockValuation) -> BrgState:
-    """The node (location, valuation, region of the valuation), made from
-    the valuation as integers; its region is the arena's copy, which is
-    built and validated once per (ints, blocks) form and arena."""
-    point, scale = scaled_point(valuation)
+    """The node (location, valuation, region of the valuation):
+    `root_key_scaled` at the valuation as integers."""
+    return root_key_scaled(arena, location, *scaled_point(valuation))
+
+
+def root_key_scaled(arena: Arena, location: str, point: tuple[int, ...],
+                    scale: int) -> BrgState:
+    """The node (location, point/scale, region of the point), for
+    nonnegative integers over a positive integer scale: reduced by the gcd
+    of the point and the scale into lowest terms, so it is the key
+    `root_key` makes for the same valuation.  Its region is the arena's
+    copy, which is built and validated once per (ints, blocks) form and
+    arena; a clock above k is refused."""
+    d = math.gcd(scale, *point)
+    if d > 1:
+        point, scale = tuple([x // d for x in point]), scale // d
     form = region_form(point, scale, arena.ctx.k)
     t = tables(arena)
     region = t.forms.get(form)

@@ -16,7 +16,10 @@ top of it:
   * `check_quasi_simple` samples pairs in a region's closure and tests the
     value function for K-Lipschitz continuity (sup norm) and, along
     diagonal shifts by t on a subset of clocks, for monotone decrease by at
-    most t;
+    most t.  It runs on the integer lattice (1/64) Z^n: each sample is
+    drawn, shifted and compared as integers, its state is made from them
+    (`brg.root_key_scaled`) and valued through the same table, walk and
+    solve as `value_at`, and only the report holds Fractions;
   * `check_time_monotone` tests that the one-step function
     t + sum_branches p * value(successor at delay t) is nondecreasing in t
     inside one enabled region's delay window, which it reads off the walk
@@ -37,17 +40,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .brg import ExplorationLimit, explore, root_key, rooted_values
+from .brg import BrgState, ExplorationLimit, explore, root_key, root_key_scaled, rooted_values
 from .model import Arena, ConcreteState, Edge, ModelError, branch_states
 from .regions import (
     REGION_CAP,
     ClockRegion,
     ClockValuation,
     DelayWindow,
-    closure_contains,
+    closure_contains_scaled,
     delay_windows,
     representative,
-    sample_closure,
+    sample_closure_scaled,
     sample_interior,
     satisfies,
     valuation_satisfies,
@@ -83,7 +86,13 @@ def value_at(arena: Arena, location: str, valuation: ClockValuation) -> Fraction
     breadth-first explore or the solve raises.  The newly solved nodes go
     to the table.  A query that raises leaves the table unchanged.
     """
-    root = root_key(arena, location, valuation)
+    return _value(arena, root_key(arena, location, valuation))
+
+
+def _value(arena: Arena, root: BrgState) -> Fraction:
+    """The value of the root state: the arena's table of solved states, else
+    the walk below it, else `explore` and `solve_exact`, as `value_at`
+    describes."""
     table = arena._solved
     value = table.get(root)
     if value is None:
@@ -222,12 +231,18 @@ def check_quasi_simple(
     """Sampled check that the value function is K-Lipschitz on the region's
     closure and, along diagonal time shifts, decreases by at most the shift.
 
-    Pairs are rational points of the closure with bounded denominators.  The
-    diagonal part draws a base point, a shift t > 0, and a nonempty clock
-    subset, keeping only shifted points that stay inside the closure; kept
-    pairs must satisfy F(nu) >= F(nu') and F(nu) - F(nu') <= t.
+    Pairs are points of the closure on the lattice (1/d) Z^n, d =
+    PAIR_DENOMINATOR, drawn as integer points (`sample_closure_scaled`).
+    The diagonal part draws a base point, a shift t > 0 in (1/d) Z, and a
+    nonempty clock subset, keeping only shifted points that stay inside the
+    closure; kept pairs must satisfy F(nu) >= F(nu') and F(nu) - F(nu') <=
+    t.  Distances, shifts and ratios stay integers, compared by
+    cross-multiplication; Fractions are built only for the report.  The
+    value at each distinct point is asked once: the default evaluator
+    makes the point's state from its integers (`brg.root_key_scaled`) and
+    values it as `value_at` does, and an `evaluator` override receives the
+    point as a valuation.
     """
-    ev = evaluator or _default_evaluator(arena)
     K = lipschitz_bound(arena, k_bound)
     report = PropertyReport(location, region, K)
     if len(region.blocks) == 1:
@@ -235,43 +250,65 @@ def check_quasi_simple(
         # there is neither a distinct pair nor a shifted pair to draw
         return report
     rng = random.Random(seed)
+    ctx, d = arena.ctx, PAIR_DENOMINATOR
+    values: dict[tuple[int, ...], Fraction] = {}
 
+    def fractions(point: tuple[int, ...]) -> tuple[Fraction, ...]:
+        return tuple([Fraction(x, d) for x in point])
+
+    def value(point: tuple[int, ...]) -> Fraction:
+        f = values.get(point)
+        if f is None:
+            if evaluator is None:
+                f = _value(arena, root_key_scaled(arena, location, point, d))
+            else:
+                f = evaluator(location, ClockValuation.trusted(ctx, fractions(point)))
+            values[point] = f
+        return f
+
+    # each ratio |F(u) - F(v)| / |u - v| as an unreduced pair num / den
+    k_num, k_den = K.numerator, K.denominator
+    best_num, best_den = -1, 1
     attempts = 0
     while report.pairs_checked < pairs and attempts < 50 * pairs:
         attempts += 1
-        u = sample_closure(region, rng, PAIR_DENOMINATOR)
-        v = sample_closure(region, rng, PAIR_DENOMINATOR)
+        u = sample_closure_scaled(region, rng, d)
+        v = sample_closure_scaled(region, rng, d)
         if u == v:
             continue
-        fu, fv = ev(location, u), ev(location, v)
-        dist = max(abs(a - b) for a, b in zip(u.values, v.values))
-        ratio = abs(fu - fv) / dist
-        if report.max_lipschitz_ratio is None or ratio > report.max_lipschitz_ratio:
-            report.max_lipschitz_ratio = ratio
-        if ratio > K:
-            report.lipschitz_violations.append((u.values, v.values, fu, fv, ratio))
+        fu, fv = value(u), value(v)
+        num = abs(fu.numerator * fv.denominator - fv.numerator * fu.denominator) * d
+        den = fu.denominator * fv.denominator * max([abs(a - b) for a, b in zip(u, v)])
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+        if num * k_den > k_num * den:
+            report.lipschitz_violations.append(
+                (fractions(u), fractions(v), fu, fv, Fraction(num, den)))
         report.pairs_checked += 1
+    if report.pairs_checked:
+        report.max_lipschitz_ratio = Fraction(best_num, best_den)
 
     attempts = 0
-    n = len(arena.ctx.clocks)
+    n = len(ctx.clocks)
+    limit = ctx.k * d
     while report.diag_pairs_checked < pairs and attempts < 50 * pairs:
         attempts += 1
-        u = sample_closure(region, rng, PAIR_DENOMINATOR)
-        t = Fraction(rng.randint(1, arena.ctx.k * PAIR_DENOMINATOR), PAIR_DENOMINATOR)
+        u = sample_closure_scaled(region, rng, d)
+        t = rng.randint(1, limit)
         mask = rng.randint(1, (1 << n) - 1)
-        shifted = tuple(
-            x + t if mask >> i & 1 else x for i, x in enumerate(u.values)
-        )
-        if any(x > arena.ctx.k for x in shifted):
+        v = tuple([x + t if mask >> i & 1 else x for i, x in enumerate(u)])
+        if max(v) > limit or not closure_contains_scaled(region, v, d):
             continue
-        v = ClockValuation(arena.ctx, shifted)
-        if not closure_contains(region, v):
-            continue
-        fu, fv = ev(location, u), ev(location, v)
-        if fu < fv:
-            report.monotonicity_violations.append((u.values, v.values, fu, fv, t))
-        if fu - fv > t:
-            report.nonexpansive_violations.append((u.values, v.values, fu, fv, t))
+        fu, fv = value(u), value(v)
+        # F(u) - F(v) as gap / den, against the shift t / d
+        gap = fu.numerator * fv.denominator - fv.numerator * fu.denominator
+        den = fu.denominator * fv.denominator
+        if gap < 0:
+            report.monotonicity_violations.append(
+                (fractions(u), fractions(v), fu, fv, Fraction(t, d)))
+        if gap * d > t * den:
+            report.nonexpansive_violations.append(
+                (fractions(u), fractions(v), fu, fv, Fraction(t, d)))
         report.diag_pairs_checked += 1
     return report
 

@@ -504,16 +504,23 @@ def sample_interior(region: ClockRegion, rng, denominator: int = 64) -> ClockVal
     return ClockValuation(region.ctx, tuple(values))
 
 
-def sample_closure(region: ClockRegion, rng, denominator: int = 64) -> ClockValuation:
-    """A random point of the region's closure with coordinates in (1/d)*Z."""
-    m = len(region.blocks) - 1
-    numerators = sorted(rng.randrange(0, denominator + 1) for _ in range(m))
-    values = [Fraction(region.ints[i]) for i in range(len(region.ints))]
-    for j, b in enumerate(region.blocks[1:]):
+def sample_closure_scaled(region: ClockRegion, rng, denominator: int = 64) -> tuple[int, ...]:
+    """A random point of the region's closure with coordinates in (1/d)*Z,
+    as the integers d times its coordinates: one draw from [0, d] per
+    positive block, sorted, is the numerator of each block's fraction."""
+    numerators = sorted([rng.randrange(0, denominator + 1) for _ in region.blocks[1:]])
+    point = [m * denominator for m in region.ints]
+    for f, b in zip(numerators, region.blocks[1:]):
         for i in b:
-            values[i] += Fraction(numerators[j], denominator)
+            point[i] += f
+    return tuple(point)
+
+
+def sample_closure(region: ClockRegion, rng, denominator: int = 64) -> ClockValuation:
+    """`sample_closure_scaled` as a valuation."""
+    point = sample_closure_scaled(region, rng, denominator)
     # nonnegative integer parts plus nonnegative fractions, one per clock
-    return ClockValuation.trusted(region.ctx, tuple(values))
+    return ClockValuation.trusted(region.ctx, tuple([Fraction(n, denominator) for n in point]))
 
 
 def _ordered_partitions(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -51,6 +51,11 @@ backup loop in Fractions over the explored graph, where
 state on integers without building a graph; `value_at_own_pass` is the
 `properties.value_at` that ran it on the graph `explore` builds below the
 root, or `solve_exact` where it declined.
+`check_quasi_simple_fractions` is the earlier quasi-simpleness check, which
+drew every sample as a `Fraction` valuation, valued it through `value_at`
+and computed distances, shifts and ratios in `Fraction`s, where
+`properties.check_quasi_simple` keeps them integers on the lattice of the
+samples.
 `closure_contains_fractions` is the earlier closure test, on the Fractions
 of the valuation instead of its integer point.
 `satisfies_symbolic` is the earlier region-level constraint check, which
@@ -122,6 +127,7 @@ from timedgames.regions import (
     DelayWindow,
     RegionError,
     boundary,
+    closure_contains,
     enumerate_regions,
     invariant_chain,
     is_thin,
@@ -129,13 +135,21 @@ from timedgames.regions import (
     region_of,
     representative,
     reset_region,
+    sample_closure,
     satisfies,
     scaled_point,
     time_successor,
     valuation_satisfies,
 )
 from timedgames import solver as sv
-from timedgames.properties import SimpleForm
+from timedgames.properties import (
+    PAIR_DENOMINATOR,
+    Evaluator,
+    PropertyReport,
+    SimpleForm,
+    _default_evaluator,
+    lipschitz_bound,
+)
 from timedgames.solver import INF, _solve_linear_exact
 from timedgames.simulate import (
     ConcretizedStrategy,
@@ -1110,6 +1124,73 @@ def value_at_own_pass(arena: Arena, location: str, valuation) -> Fraction:
                      if i not in g.fixed)
         value = values[0]
     return value
+
+
+def check_quasi_simple_fractions(
+    arena: Arena,
+    location: str,
+    region: ClockRegion,
+    *,
+    pairs: int = 200,
+    k_bound: Fraction | None = None,
+    seed: int = 0,
+    evaluator: Evaluator | None = None,
+) -> PropertyReport:
+    """Sampled check that the value function is K-Lipschitz on the region's
+    closure and, along diagonal time shifts, decreases by at most the shift.
+
+    Pairs are rational points of the closure with bounded denominators.  The
+    diagonal part draws a base point, a shift t > 0, and a nonempty clock
+    subset, keeping only shifted points that stay inside the closure; kept
+    pairs must satisfy F(nu) >= F(nu') and F(nu) - F(nu') <= t.
+    """
+    ev = evaluator or _default_evaluator(arena)
+    K = lipschitz_bound(arena, k_bound)
+    report = PropertyReport(location, region, K)
+    if len(region.blocks) == 1:
+        # every clock sits on an integer: the closure is a single point, so
+        # there is neither a distinct pair nor a shifted pair to draw
+        return report
+    rng = random.Random(seed)
+
+    attempts = 0
+    while report.pairs_checked < pairs and attempts < 50 * pairs:
+        attempts += 1
+        u = sample_closure(region, rng, PAIR_DENOMINATOR)
+        v = sample_closure(region, rng, PAIR_DENOMINATOR)
+        if u == v:
+            continue
+        fu, fv = ev(location, u), ev(location, v)
+        dist = max(abs(a - b) for a, b in zip(u.values, v.values))
+        ratio = abs(fu - fv) / dist
+        if report.max_lipschitz_ratio is None or ratio > report.max_lipschitz_ratio:
+            report.max_lipschitz_ratio = ratio
+        if ratio > K:
+            report.lipschitz_violations.append((u.values, v.values, fu, fv, ratio))
+        report.pairs_checked += 1
+
+    attempts = 0
+    n = len(arena.ctx.clocks)
+    while report.diag_pairs_checked < pairs and attempts < 50 * pairs:
+        attempts += 1
+        u = sample_closure(region, rng, PAIR_DENOMINATOR)
+        t = Fraction(rng.randint(1, arena.ctx.k * PAIR_DENOMINATOR), PAIR_DENOMINATOR)
+        mask = rng.randint(1, (1 << n) - 1)
+        shifted = tuple(
+            x + t if mask >> i & 1 else x for i, x in enumerate(u.values)
+        )
+        if any(x > arena.ctx.k for x in shifted):
+            continue
+        v = ClockValuation(arena.ctx, shifted)
+        if not closure_contains(region, v):
+            continue
+        fu, fv = ev(location, u), ev(location, v)
+        if fu < fv:
+            report.monotonicity_violations.append((u.values, v.values, fu, fv, t))
+        if fu - fv > t:
+            report.nonexpansive_violations.append((u.values, v.values, fu, fv, t))
+        report.diag_pairs_checked += 1
+    return report
 
 
 def json_indent2(payload) -> str:

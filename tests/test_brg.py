@@ -7,6 +7,7 @@ was written; the tests freeze them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -29,6 +30,7 @@ from timedgames.regions import (
     invariant_chain,
     region_of,
     sample_closure,
+    sample_closure_scaled,
     scaled_point,
     time_successor,
     valuation_satisfies,
@@ -407,6 +409,39 @@ def test_one_node_from_two_lattices_is_one_state():
         point, scale = scaled_point(v)
         doubled = bg.BrgState(loc, tuple(2 * x for x in point), 2 * scale, r)
         assert bg.explore(arena, root=doubled).states[0] == bg.root_key(arena, loc, v)
+
+
+def test_root_key_scaled_is_root_key_of_the_valuation():
+    """The node made from a point's integers over d is the one `root_key`
+    makes from the point as a valuation, with the arena's copy of its
+    region, whether or not the point is in lowest terms, so both hit one
+    entry of the arena's table of solved states.  Points are drawn on d =
+    1, 2, 4 and 64 in the closure of every reached region, so corners and
+    thin boundaries are among them.  A point above k is refused with the
+    text `root_key` refuses it with."""
+    arenas = differential_arenas()
+    rng = random.Random(3)
+    for name in ("M1", "M3", "chain3_2_2"):
+        arena = arenas[name]
+        for s in bg.explore(arena).states:
+            for d, _ in itertools.product((1, 2, 4, 64), range(6)):
+                point = sample_closure_scaled(s.region, rng, d)
+                v = ClockValuation(arena.ctx, tuple(F(x, d) for x in point))
+                want = bg.root_key(arena, s.location, v)
+                for scale in (d, 3 * d):
+                    got = bg.root_key_scaled(arena, s.location,
+                                             tuple(scale // d * x for x in point), scale)
+                    assert got == want and got.region is want.region, (name, point, d)
+                properties.value_at(arena, s.location, v)
+                assert want in arena._solved
+        ctx, loc = arena.ctx, arena.initial.location
+        above = (F(2 * ctx.k + 1, 2),) + (F(0),) * (len(ctx.clocks) - 1)
+        with pytest.raises(RegionError) as by_valuation:
+            bg.root_key(arena, loc, ClockValuation(ctx, above))
+        with pytest.raises(RegionError) as by_point:
+            bg.root_key_scaled(arena, loc, tuple(int(4 * x) for x in above), 4)
+        assert str(by_point.value) == str(by_valuation.value) == (
+            "clock value %d/2 exceeds bound k=%d" % (2 * ctx.k + 1, ctx.k))
 
 
 def test_boundary_actions_match_rewalking_oracle():

@@ -715,8 +715,9 @@ def test_json_documents_parse_strictly(capsys, model):
 
 # sha256 of stdout (and the exit code) for each subcommand in text and JSON
 # on every bundled model, of `check-properties` and `simulate` JSON also on
-# a retry chain, and of `brg` and `solve` JSON on a 2-clock and a 3-clock
-# chain; any change to the rendered output shows up here
+# a retry chain, of `check-properties` JSON on a one-clock chain that fails
+# one check (exit 1), and of `brg` and `solve` JSON on a 2-clock and a
+# 3-clock chain; any change to the rendered output shows up here
 GOLDEN = {
     'validate M1':
         (0, '7f25bb6c9df9236359a3a662f71363b7d3531ecfee6e5bf3069b2f3b65f0cf98'),
@@ -860,6 +861,8 @@ GOLDEN = {
         (0, '88e968395cfc8d5ebc1373c8bf3840687fe49843df2b286d006267093c2f3c54'),
     'check-properties chain2_2_2 --json':
         (0, '96aa61d9c913f676c59b00ca0063f76650eb47a4b43059888008cce93aaab24d'),
+    'check-properties chain1_4_3 --json':
+        (1, '3f269c663269cf256f7eccd385222e838ea230c733223af42131242385d88b74'),
     'simulate chain2_2_2 --json':
         (0, '747bf77cc13cd08072e72e3322744e1901e0d79fefd98204ba10d366ff54f5d5'),
     'brg chain2_4_3 --json':
@@ -875,6 +878,8 @@ GOLDEN = {
 # retry chains written by `oracles.chain_document`, keyed by model name; the
 # bundled models have one edge per location, these have two
 CHAINS = {
+    "chain1_4_3": (4, 3, 1, ("max", "min", "max", "min"),
+                   (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(2, 3))),
     "chain2_2_2": (2, 2, 2, ("min", "max"), (Fraction(1, 2), Fraction(1, 3))),
     "chain2_4_3": (4, 3, 2, ("min", "max", "max", "min"),
                    (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(2, 3))),

@@ -25,6 +25,8 @@ from hypothesis import strategies as st
 
 import oracles
 from bundled import bundled
+from oracles import chain_document
+from test_cli import CHAINS
 from timedgames import brg, properties, regions
 from timedgames.brg import BrgState
 from timedgames.model import ConcreteState, TimedAction, parse_model, timed_action_allowed
@@ -37,7 +39,7 @@ from timedgames.properties import (
     sample_states,
     value_at,
 )
-from timedgames.regions import ClockValuation, region_of, sample_closure, scaled_point
+from timedgames.regions import ClockValuation, region_of, sample_closure_scaled, scaled_point
 
 M1 = bundled("M1")
 M1X = bundled("M1x")
@@ -203,18 +205,19 @@ initial: {location: l0, valuation: {c: "0", d: "0"}}
 def test_quasi_simple_single_point_closure_evaluates_nothing(monkeypatch):
     """With every clock on an integer the closure is one point; the check
     returns the empty report without drawing a sample or calling the
-    evaluator."""
-    calls = []
+    evaluator.  The patched sampler is the one the check draws from: on a
+    region whose closure is more than one point, it is called."""
+    calls, drawn = [], []
 
     def counting(loc, v):
         calls.append((loc, v))
         return Fraction(0)
 
     def drawing(region, rng, denominator=64):
-        calls.append(region)
-        return sample_closure(region, rng, denominator)
+        drawn.append(region)
+        return sample_closure_scaled(region, rng, denominator)
 
-    monkeypatch.setattr(properties, "sample_closure", drawing)
+    monkeypatch.setattr(properties, "sample_closure_scaled", drawing)
 
     two = parse_model(TWO_CLOCKS)
     corner = region_of(ClockValuation(two.ctx, (Fraction(1), Fraction(2))))
@@ -224,7 +227,11 @@ def test_quasi_simple_single_point_closure_evaluates_nothing(monkeypatch):
         report = check_quasi_simple(arena, loc, region, pairs=50, evaluator=counting)
         assert (report.pairs_checked, report.diag_pairs_checked) == (0, 0)
         assert report.ok and report.max_lipschitz_ratio is None
-    assert calls == []
+    assert calls == [] and drawn == []
+    wide = reg(M1, "1/2")
+    report = check_quasi_simple(M1, "l0", wide, pairs=5, evaluator=counting)
+    assert report.pairs_checked == 5 and calls
+    assert set(drawn) == {wide}
 
 
 def test_quasi_simple_detects_planted_fault():
@@ -237,6 +244,19 @@ def test_quasi_simple_detects_planted_fault():
     assert report.monotonicity_violations
     assert report.lipschitz_violations
     assert report.max_lipschitz_ratio > report.k_bound
+
+
+def test_quasi_simple_detects_decrease_faster_than_time():
+    # 1 - 2x falls by 2t along a shift by t: every shift pair breaks
+    # nonexpansiveness, while the value still decreases and the difference
+    # quotient stays at 2 = K
+    steep = lambda loc, v: value_at(M1, loc, v) - v.value("c")
+    region = reg(M1, "1/2")
+    report = check_quasi_simple(M1, "l0", region, pairs=60, seed=7, evaluator=steep)
+    assert len(report.nonexpansive_violations) == report.diag_pairs_checked == 60
+    assert not report.monotonicity_violations and not report.lipschitz_violations
+    assert repr(report) == repr(oracles.check_quasi_simple_fractions(
+        M1, "l0", region, pairs=60, seed=7, evaluator=steep))
 
 
 def test_time_monotone_clean():
@@ -335,3 +355,30 @@ def test_sample_states_deterministic_and_legal():
     for loc, v in a:
         assert not M3.is_final(loc)
         assert all(0 <= x <= M3.ctx.k for x in v.values)
+
+
+# the games whose every reached (location, region) the integer check is
+# compared on with the Fraction oracle: the bundled ones, a one-clock chain
+# with a violation, and a 2- and a 3-clock chain
+DIFFERENTIAL_GAMES = ("M1", "M1x", "M2", "M3", "chain1_4_3", "chain2_2_2", "chain3_2_2")
+
+
+@pytest.mark.parametrize("seed", (0, 7, 13))
+@pytest.mark.parametrize("name", DIFFERENTIAL_GAMES)
+def test_quasi_simple_matches_fraction_oracle(name, seed):
+    """Every report equals the one of the earlier check on Fractions: pair
+    counts, the largest ratio and every violation tuple, with their types,
+    at 40 and 200 pairs, for the default evaluator and for one bent by
+    nu(c)^2, which shows violations wherever a closure is more than a
+    point (M2 reaches only points)."""
+    arena = parse_model(chain_document(*CHAINS[name])) if name in CHAINS else bundled(name)
+    bent = lambda loc, v: value_at(arena, loc, v) + v.value("c") ** 2
+    reached = dict.fromkeys((s.location, s.region) for s in brg.explore(arena).states)
+    bent_failures = 0
+    for (loc, region), pairs, ev in itertools.product(reached, (40, 200), (None, bent)):
+        got = check_quasi_simple(arena, loc, region, pairs=pairs, seed=seed, evaluator=ev)
+        want = oracles.check_quasi_simple_fractions(arena, loc, region, pairs=pairs,
+                                                    seed=seed, evaluator=ev)
+        assert repr(got) == repr(want), (loc, region.label(), pairs)
+        bent_failures += ev is bent and not got.ok
+    assert bent_failures or all(len(region.blocks) == 1 for _, region in reached)
