@@ -62,24 +62,27 @@ is made only once every edge's branch probabilities sum to exactly 1, so
 that check runs before anything is compiled, and once per arena rather
 than once per explore.
 
-The point half runs on the integer lattice.  Every valuation reachable from
-the root nu lies in (1/D) Z^n, where D is the lcm of the denominators of
-nu: a move adds the delay b - nu(c) to every clock and a reset sets clocks
-to 0.  So `explore` carries each point as a tuple of integers scaled by D.
-Per state and action it computes the scaled cost b*D - p(c), shifts and
-resets the integer tuple, checks that the successor lies in the closure of
-its region (`closure_contains_scaled`), and interns it on (location,
-point, region).  Only a state seen for the first time is reduced by the
-gcd of its point and D into its `BrgState`, looked up in `known` and
-queued; no `Fraction` valuation is built for it.  The rewards are the
-fractions t/D, built once per distinct t.  Equal reward lists are shared,
-and so are equal distributions: a one-branch action's per successor, any
-other's per branches and successors, so only their first occurrence is
-merged and sorted.
+The point half runs on the integer lattice, and one object owns it,
+`_Lattice`.  Every valuation reachable from the root nu lies in
+(1/D) Z^n, where D is the lcm of the denominators of nu: a move adds the
+delay b - nu(c) to every clock and a reset sets clocks to 0.  So the
+lattice checks the root and carries each point as a tuple of integers
+scaled by D.  Per state and action it computes the scaled cost b*D - p(c),
+shifts and resets the integer tuple, checks that the successor lies in the
+closure of its region (`closure_contains_scaled`), and interns it on
+(location, point, region), numbering states in discovery order up to the
+state cap.  Only a state seen for the first time is reduced by the gcd of
+its point and D into its `BrgState` (`_node`, which `root_key_scaled`
+shares); no `Fraction` valuation is built for it.  `explore` visits the
+lattice's states in that order, which is breadth first, and assembles the
+graph.  Its rewards are the fractions t/D, built once per distinct t.
+Equal reward lists are shared, and so are equal distributions: a
+one-branch action's per successor, any other's per branches and
+successors, so only their first occurrence is merged and sorted.
 
 A node's successors, and so its value, depend only on the node, not on the
 root it was reached from.  `explore` therefore takes a table `known` of
-states already solved, with their values: such a state is interned but not
+states already solved, with their values: such a state is visited but not
 expanded, and `Brg.fixed` records its value, which the solver substitutes
 as a constant.  A rooted query then builds only the part of the graph below
 its root that no earlier query has solved.  The table is keyed by the
@@ -89,20 +92,20 @@ makes a query's root from a point given as integers, reduced to lowest
 terms, building its region once per (ints, blocks) form and arena;
 `root_key` is the same for a valuation.
 
-A rooted query needs only values, so `rooted_values` walks the same states
-depth first, from the same tables and on the same lattice, without building
-a graph: it values each live state in post-order, once its successors are
-valued, on unreduced integer pairs, and declines a part whose live states
-are not acyclic or where one has no action, which `explore` and the
-certified solve then take.
+A rooted query needs only values, so `rooted_values` expands the same
+states depth first, through the same lattice, without building a graph:
+it values each live state in post-order, once its successors are valued,
+on unreduced integer pairs, and declines a part whose live states are not
+acyclic or where one has no action, which `explore` and the certified
+solve then take.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -277,21 +280,17 @@ def root_key(arena: Arena, location: str, valuation: ClockValuation) -> BrgState
 def root_key_scaled(arena: Arena, location: str, point: tuple[int, ...],
                     scale: int) -> BrgState:
     """The node (location, point/scale, region of the point), for
-    nonnegative integers over a positive integer scale: reduced by the gcd
-    of the point and the scale into lowest terms, so it is the key
-    `root_key` makes for the same valuation.  Its region is the arena's
-    copy, which is built and validated once per (ints, blocks) form and
-    arena; a clock above k is refused."""
-    d = math.gcd(scale, *point)
-    if d > 1:
-        point, scale = tuple([x // d for x in point]), scale // d
+    nonnegative integers over a positive integer scale, in lowest terms
+    (`_node`), so it is the key `root_key` makes for the same valuation.
+    Its region is the arena's copy, which is built and validated once per
+    (ints, blocks) form and arena; a clock above k is refused."""
     form = region_form(point, scale, arena.ctx.k)
     t = tables(arena)
     region = t.forms.get(form)
     if region is None:
         region = ClockRegion(arena.ctx, *form)
         region = t.forms[form] = t.canon.setdefault(region, region)
-    return BrgState(location, point, scale, region)
+    return _node(location, point, scale, region)
 
 
 def _slice(arena: Arena, location: str, region: ClockRegion) -> tuple | None:
@@ -451,18 +450,75 @@ def _check_root(arena: Arena, root: BrgState) -> None:
         raise ModelError("root state violates its location invariant")
 
 
-def _scaled_delays(acts: list, moves: tuple, s: BrgState, p: tuple[int, ...],
-                   scale: int) -> tuple[int, ...]:
-    """The scaled cost b*D - p(c) of steering from the point p of state s
-    to each action's boundary; a negative one is refused."""
-    delays = tuple([0 if ci is None else b * scale - p[ci] for b, ci, _ in moves])
-    if delays and min(delays) < 0:
-        k = next(k for k, t in enumerate(delays) if t < 0)
-        raise ModelError(
-            "negative delay %s for %s at %s; valuation outside the region closure"
-            % (Fraction(delays[k], scale), acts[k].label(), s.label())
-        )
-    return delays
+def _node(location: str, point: tuple[int, ...], scale: int,
+          region: ClockRegion) -> BrgState:
+    """The node (location, point/scale, region), reduced by the gcd of the
+    point and the scale into lowest terms."""
+    d = math.gcd(scale, *point)
+    if d > 1:
+        point, scale = tuple([x // d for x in point]), scale // d
+    return BrgState(location, point, scale, region)
+
+
+class _Lattice:
+    """The point half of every move from one root, on the root's lattice
+    (see the module docstring): the states reached so far, in discovery
+    order from the root, each with its point as integers over the root's
+    scale D.  The root must pass `_check_root`; its region is replaced by
+    the arena's copy.  At most `cap` states are interned."""
+
+    def __init__(self, arena: Arena, root: BrgState, cap: int):
+        t = tables(arena)
+        _check_root(arena, root)
+        location, point, self.scale, region = root
+        self.arena, self.cap, self.table = arena, cap, t.moves
+        # states by (location, point on the root's lattice, id of the canonical
+        # region); every region in a key is an object of the arena's table, so
+        # equal regions are the same object there
+        self.index: dict[tuple, int] = {}
+        self.points: list[tuple[int, ...]] = []
+        self.states: list[BrgState] = []
+        self.intern(location, point, t.canon.setdefault(region, region))
+
+    def intern(self, location: str, point: tuple[int, ...], region: ClockRegion) -> int:
+        """The id of a state not in the index, which it adds; a state past
+        the cap is refused."""
+        states = self.states
+        if len(states) >= self.cap:
+            raise ExplorationLimit("state cap %d crossed while exploring %s"
+                                   % (self.cap, self.arena.name or "arena"))
+        i = self.index[location, point, id(region)] = len(states)
+        self.points.append(point)
+        states.append(_node(location, point, self.scale, region))
+        return i
+
+    def expand(self, i: int) -> tuple:
+        """The moves of state i as (actions, their region-level halves,
+        their scaled delays, the successor id of each branch of each action
+        in turn), interning successors not seen before.  A delay b*D - p(c)
+        is the cost of steering from the state's point p to the action's
+        boundary; a negative one is refused."""
+        s, p, scale = self.states[i], self.points[i], self.scale
+        entry = self.table.get((s.location, s.region))
+        acts, moves = entry if entry is not None else _moves(self.arena, s.location, s.region)
+        delays = tuple([0 if ci is None else b * scale - p[ci] for b, ci, _ in moves])
+        if delays and min(delays) < 0:
+            k = next(k for k, t in enumerate(delays) if t < 0)
+            raise ModelError(
+                "negative delay %s for %s at %s; valuation outside the region closure"
+                % (Fraction(delays[k], scale), acts[k].label(), s.label())
+            )
+        index, intern = self.index, self.intern
+        succ = []
+        for t, (_, _, branches) in zip(delays, moves):
+            # shift to the boundary, then branch and reset
+            shifted = tuple(map(t.__add__, p)) if t else p
+            for target, reset, region, _ in branches:
+                point = reset(shifted + _ZERO) if reset else shifted
+                assert closure_contains_scaled(region, point, scale)
+                j = index.get((target, point, id(region)))
+                succ.append(intern(target, point, region) if j is None else j)
+        return acts, moves, delays, succ
 
 
 def explore(
@@ -484,92 +540,49 @@ def explore(
     input.  Edges whose branch probabilities do not sum to exactly 1
     are refused, so nothing downstream solves or plays a non-stochastic game.
     """
-    t = tables(arena)
     if root is None:
+        tables(arena)  # an improper edge is refused before the root is made
         root = root_key(arena, *arena.initial)
-    _check_root(arena, root)
-    location, root_point, scale, region = root
-
-    g = Brg(arena)
-    fraction = _Fractions(scale).__getitem__
-
-    # states by (location, point on the root's lattice, id of the canonical
-    # region); every region in a key is an object of the arena's table, so
-    # equal regions are the same object there
-    index: dict[tuple, int] = {}
-    points: list[tuple[int, ...]] = []
+    lattice = _Lattice(arena, root, cap)
+    expand, named = lattice.expand, arena.location_named
+    g = Brg(arena, lattice.states)
+    fraction = _Fractions(lattice.scale).__getitem__
     # equal reward lists and distributions are shared: reward lists by their
     # scaled delays, the distribution ((j, 1),) of a one-branch edge by its
     # successor j, and any other by its branches and their successors
     reward_lists: dict[tuple[int, ...], list[Fraction]] = {}
     certain: dict[int, tuple] = {}
     merged: dict[tuple, tuple] = {}
-
-    def intern(location: str, point: tuple[int, ...], region: ClockRegion) -> int:
-        """The id of a state not in `index`, which it adds and queues."""
-        if len(g.states) >= cap:
-            raise ExplorationLimit(
-                "state cap %d crossed while exploring %s" % (cap, arena.name or "arena")
-            )
-        i = index[location, point, id(region)] = len(g.states)
-        points.append(point)
-        d = math.gcd(scale, *point)
-        s = (BrgState(location, point, scale, region) if d == 1 else
-             BrgState(location, tuple([x // d for x in point]), scale // d, region))
-        g.states.append(s)
-        loc = arena.location_named(location)
+    # the lattice appends each new state to g.states, so this visits them
+    # breadth first
+    for i, s in enumerate(g.states):
+        loc = named(s.location)
         g.owners.append(loc.owner)
         g.finals.append(loc.final)
-        if known:
-            value = known.get(s)
-            if value is not None:
-                g.fixed[i] = value
-        queue.append(i)
-        return i
-
-    queue: deque[int] = deque()
-    intern(location, root_point, t.canon.setdefault(region, region))
-    table = t.moves
-    while queue:
-        i = queue.popleft()
-        if i in g.fixed:
+        value = known.get(s) if known else None
+        if value is not None:
+            g.fixed[i] = value
             g.actions.append([])
             g.rewards.append([])
             g.dists.append([])
             continue
-        s = g.states[i]
-        entry = table.get((s.location, s.region))
-        acts, moves = entry if entry is not None else _moves(arena, s.location, s.region)
+        acts, moves, delays, succ = expand(i)
         g.actions.append(acts)
-        p = points[i]
-        delays = _scaled_delays(acts, moves, s, p, scale)
         rewards = reward_lists.get(delays)
         if rewards is None:
             rewards = reward_lists[delays] = list(map(fraction, delays))
         g.rewards.append(rewards)
-        # successors: shift to the boundary, then branch and reset
         row = []
-        for t, (_, _, branches) in zip(delays, moves):
-            shifted = tuple(map(t.__add__, p)) if t else p
+        js = iter(succ)
+        for _, _, branches in moves:
             if len(branches) == 1:
-                ((target, reset, region, prob),) = branches
-                point = reset(shifted + _ZERO) if reset else shifted
-                assert closure_contains_scaled(region, point, scale)
-                j = index.get((target, point, id(region)))
-                if j is None:
-                    j = intern(target, point, region)
+                j = next(js)
                 dist = certain.get(j)
                 if dist is None:
-                    dist = certain[j] = ((j, prob),)
+                    dist = certain[j] = ((j, branches[0][3]),)
                 row.append(dist)
                 continue
-            succ = [id(branches)]
-            for target, reset, region, prob in branches:
-                point = reset(shifted + _ZERO) if reset else shifted
-                assert closure_contains_scaled(region, point, scale)
-                j = index.get((target, point, id(region)))
-                succ.append(intern(target, point, region) if j is None else j)
-            key = tuple(succ)
+            key = (id(branches), *islice(js, len(branches)))
             dist = merged.get(key)
             if dist is None:
                 mass: dict[int, Fraction] = {}
@@ -594,84 +607,57 @@ def rooted_values(arena: Arena, root: BrgState,
     final nor known, lies on a cycle or has no action, so that `explore`
     and the certified `solver.solve_exact` decide.
 
-    The walk computes the point half of every move as `explore` does, on
-    the root's lattice, from the arena's tables, refuses what it refuses
-    and counts the same states against `DEFAULT_STATE_CAP`.  A known state
-    is a leaf at its value.  A final state is worth 0, and its successors
-    are walked once the walk that reached it is done, so a cycle through a
-    final state is no cycle of live states.  Each live state is valued in
-    post-order, once every successor is: the owner's best of r + sum of
-    p v over its actions, the first in canonical order on a tie.  That is
-    the one solution of the optimality equations, since every play then
-    reaches a final or known state (topological value iteration, Dai et al.
-    2011).  A backup is an int pair, reward t/D plus each p v, compared by
-    cross-multiplication, so each state builds one `Fraction`, its value.
-    A successor on the walk's path, the state itself included, closes a
-    cycle."""
-    compiled = tables(arena)
-    _check_root(arena, root)
-    location, root_point, scale, region = root
-    table = compiled.moves
+    The walk expands states through the same lattice as `explore`, so it
+    refuses what `explore` refuses and counts the same states against
+    `DEFAULT_STATE_CAP`.  A known state is a leaf at its value.  A final
+    state is worth 0, and its successors are walked once the walk that
+    reached it is done, so a cycle through a final state is no cycle of
+    live states.  Each live state is valued in post-order, once every
+    successor is: the owner's best of r + sum of p v over its actions, the
+    first in canonical order on a tie.  That is the one solution of the
+    optimality equations, since every play then reaches a final or known
+    state (topological value iteration, Dai et al. 2011).  A backup is an
+    int pair, reward t/D plus each p v, compared by cross-multiplication, so
+    each state builds one `Fraction`, its value.  A successor on the walk's
+    path, the state itself included, closes a cycle."""
+    lattice = _Lattice(arena, root, DEFAULT_STATE_CAP)
+    states, scale = lattice.states, lattice.scale
     named = arena.location_named
-    # states by (location, point on the root's lattice, id of the canonical
-    # region), as in `explore`
-    index: dict[tuple, int] = {}
-    states: list[BrgState] = []
-    points: list[tuple[int, ...]] = []
     # per state its value as (numerator, denominator), _OPEN while on the
     # walk's path, None before the walk reaches it
     pairs: list = []
     out: dict[BrgState, Fraction] = {}
     finals: list[int] = []
 
-    def intern(location: str, point: tuple[int, ...], region: ClockRegion) -> int:
-        if len(states) >= DEFAULT_STATE_CAP:
-            raise ExplorationLimit("state cap %d crossed while exploring %s"
-                                   % (DEFAULT_STATE_CAP, arena.name or "arena"))
-        i = index[location, point, id(region)] = len(states)
-        points.append(point)
-        d = math.gcd(scale, *point)
-        s = (BrgState(location, point, scale, region) if d == 1 else
-             BrgState(location, tuple([x // d for x in point]), scale // d, region))
-        states.append(s)
-        value = known.get(s)
-        if value is not None:
-            pairs.append((value.numerator, value.denominator))
-        elif named(location).final:
-            out[s] = _FINAL_VALUE
-            pairs.append((0, 1))
-            finals.append(i)
-        else:
-            pairs.append(None)
-        return i
+    def mark() -> None:
+        """Mark each state the lattice interned since the last call known,
+        final or unreached."""
+        for j in range(len(pairs), len(states)):
+            s = states[j]
+            value = known.get(s)
+            if value is not None:
+                pairs.append((value.numerator, value.denominator))
+            elif named(s.location).final:
+                out[s] = _FINAL_VALUE
+                pairs.append((0, 1))
+                finals.append(j)
+            else:
+                pairs.append(None)
 
-    def expand(i: int) -> list:
-        """Per action of state i its scaled delay and its branches as
-        (successor id, probability), interning new successors."""
-        s, p = states[i], points[i]
-        entry = table.get((s.location, s.region))
-        acts, moves = entry if entry is not None else _moves(arena, s.location, s.region)
-        rows = []
-        for delay, (_, _, branches) in zip(_scaled_delays(acts, moves, s, p, scale), moves):
-            shifted = tuple(map(delay.__add__, p)) if delay else p
-            dist = []
-            for target, reset, region, prob in branches:
-                point = reset(shifted + _ZERO) if reset else shifted
-                assert closure_contains_scaled(region, point, scale)
-                j = index.get((target, point, id(region)))
-                dist.append((intern(target, point, region) if j is None else j, prob))
-            rows.append((delay, dist))
-        return rows
+    def expand(i: int) -> tuple:
+        moves = lattice.expand(i)
+        mark()
+        return moves
 
     def open_frame(i: int) -> tuple | None:
-        """Put state i on the path: (i, its rows, its successors to walk),
-        or None when it has no action or a successor on the path."""
+        """Put state i on the path: (i, its moves, their delays, their
+        successors, the successors to walk), or None when it has no action
+        or a successor on the path."""
         pairs[i] = _OPEN
-        rows = expand(i)
-        succ = [j for _, dist in rows for j, _ in dist]
-        if not rows or any(pairs[j] is _OPEN for j in succ):
+        acts, moves, delays, succ = expand(i)
+        if not acts or any(pairs[j] is _OPEN for j in succ):
             return None
-        return i, rows, iter(succ)
+        return i, moves, delays, succ, iter(succ)
 
     def walk(start: int) -> bool:
         """Value every live state below `start`; False on a cycle or a
@@ -681,8 +667,8 @@ def rooted_values(arena: Arena, root: BrgState,
             return False
         path = [frame]
         while path:
-            i, rows, succ = path[-1]
-            for j in succ:
+            i, moves, delays, succ, walking = path[-1]
+            for j in walking:
                 if pairs[j] is None:
                     frame = open_frame(j)
                     if frame is None:
@@ -693,9 +679,10 @@ def rooted_values(arena: Arena, root: BrgState,
                 path.pop()
                 minimize = named(states[i].location).owner == "min"
                 bn = bd = None
-                for delay, dist in rows:
+                js = iter(succ)
+                for delay, (_, _, branches) in zip(delays, moves):
                     n, d = delay, scale
-                    for j, p in dist:
+                    for (_, _, _, p), j in zip(branches, js):
                         vn, vd = pairs[j]
                         if vn:
                             m = p.denominator * vd
@@ -707,14 +694,13 @@ def rooted_values(arena: Arena, root: BrgState,
                 pairs[i] = (value.numerator, value.denominator)
         return True
 
-    start = intern(location, root_point, compiled.canon.setdefault(region, region))
-    if pairs[start] is None and not walk(start):
+    mark()
+    if pairs[0] is None and not walk(0):
         return None
     while finals:
-        for _, dist in expand(finals.pop()):
-            for j, _ in dist:
-                if pairs[j] is None and not walk(j):
-                    return None
+        for j in expand(finals.pop())[3]:
+            if pairs[j] is None and not walk(j):
+                return None
     return out
 
 

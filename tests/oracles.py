@@ -1199,11 +1199,13 @@ def json_indent2(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def chain_document(n: int, k: int, clocks: int, owners, probs) -> str:
+def chain_document(n: int, k: int, clocks: int, owners, probs, back: bool = False) -> str:
     """A retry chain: at l_i action `a` (guard c >= 1) advances with the
     location's probability and otherwise resets c and retries; `b` (guard
     c <= k-1) resets one other clock and advances; lf escapes on each clock
-    by resetting all of them."""
+    by resetting all of them.  With `back`, half of each retry goes back to
+    l0 instead, also resetting c, so the live locations form cycles; at l0
+    the two halves are equal parallel branches."""
     cs = ("c", "d", "e")[:clocks]
     inv = " & ".join("%s <= %d" % (c, k) for c in cs)
     lines = ["clocks: [%s]" % ", ".join(cs), "k: %d" % k, "locations:"]
@@ -1222,7 +1224,10 @@ def chain_document(n: int, k: int, clocks: int, owners, probs) -> str:
             '    guard: "c >= 1"',
             "    branches:",
             '      - {prob: "%s", resets: [], target: %s}' % (p, nxt),
-            '      - {prob: "%s", resets: [c], target: l%d}' % (1 - p, i),
+        ]
+        retry = [((1 - p) / 2, i), ((1 - p) / 2, 0)] if back else [(1 - p, i)]
+        lines += ['      - {prob: "%s", resets: [c], target: l%d}' % r for r in retry]
+        lines += [
             "  - source: l%d" % i,
             "    action: b",
             '    guard: "c <= %d"' % (k - 1),

@@ -183,25 +183,57 @@ def test_rooted_exploration_inside_thick_region_fires_now():
     assert g.rewards[0] == [F(0), F(3, 4), F(3, 4)]
 
 
+# the two ways into a rooted part of the graph; each checks its root alike
+ROOTED_ENTRIES = (
+    lambda arena, root: bg.explore(arena, root=root),
+    lambda arena, root: bg.rooted_values(arena, root, {}),
+)
+
+
 @pytest.mark.parametrize("point,scale", [
     ((F(1, 2),), 1), ((0.5,), 1), ((1,), 2.0), ((-1,), 2), ((1,), 0),
 ])
 def test_root_point_not_nonnegative_integers_is_refused(monkeypatch, point, scale):
     """A root whose point or scale is not made of integers, or is out of
     range, is refused with a RegionError naming the point, before the
-    closure and invariant checks read it."""
+    closure and invariant checks read it, by both entry points."""
     arena = bundled("M2")
     region = ClockRegion(arena.ctx, (0,), ((), (0,)))  # 0<c<1
     assert bg.explore(arena, root=bg.BrgState("l0", (1,), 2, region)).n > 1
     monkeypatch.setattr(bg, "closure_contains_scaled", lambda *a: pytest.fail("closure read"))
     monkeypatch.setattr(bg, "satisfies_scaled", lambda *a: pytest.fail("invariant read"))
-    with pytest.raises(RegionError, match=re.escape("%r over %r" % (point, scale))):
-        bg.explore(arena, root=bg.BrgState("l0", point, scale, region))
+    for enter in ROOTED_ENTRIES:
+        with pytest.raises(RegionError, match=re.escape("%r over %r" % (point, scale))):
+            enter(arena, bg.BrgState("l0", point, scale, region))
 
 
-def test_state_cap():
-    with pytest.raises(bg.ExplorationLimit):
-        bg.explore(bundled("M1"), cap=3)
+@pytest.mark.parametrize("enter", ROOTED_ENTRIES, ids=["explore", "rooted_values"])
+@pytest.mark.parametrize("case, text", [
+    ("outside closure", "root valuation must lie in the closure of its region"),
+    ("outside invariant", "root state violates its location invariant"),
+])
+def test_root_outside_closure_or_invariant_is_refused(enter, case, text):
+    if case == "outside closure":
+        arena = bundled("M1")
+        root = state(arena, "l0", "1/2", region_point="3/2")
+    else:
+        arena = bad_invariant_arena()
+        root = state(arena, "lf", 2)
+    with pytest.raises(ModelError, match="^%s$" % re.escape(text)):
+        enter(arena, root)
+
+
+def test_state_cap(monkeypatch):
+    """Both entry points count states against the cap and refuse the first
+    one over it with the same text."""
+    arena = bundled("M1")
+    with pytest.raises(bg.ExplorationLimit) as explored:
+        bg.explore(arena, cap=3)
+    assert str(explored.value) == "state cap 3 crossed while exploring M1"
+    monkeypatch.setattr(bg, "DEFAULT_STATE_CAP", 3)
+    with pytest.raises(bg.ExplorationLimit) as walked:
+        bg.rooted_values(arena, bg.root_key(arena, *arena.initial), {})
+    assert str(walked.value) == str(explored.value)
 
 
 def test_branch_outside_target_invariant_is_an_error():

@@ -16,6 +16,7 @@ import pytest
 
 import oracles
 from bundled import BUNDLED, FINAL_BACK, MODELS, STUCK, bundled
+from test_cli import CHAINS
 from timedgames import cli, properties
 from timedgames import solver as sv
 from timedgames.brg import BrgState, explore, root_key, rooted_values
@@ -26,6 +27,9 @@ from timedgames.solver import TargetUnreachableError
 
 ALL_MODELS = BUNDLED + ("M2-unreachable",)
 CHAIN_OWNERS = [("min", "max"), ("max", "min")]
+# the retry chain whose retries also go back to l0: its cyclic rooted graphs
+# send queries to `explore` with a non-empty table of solved states
+BACK = oracles.chain_document(*CHAINS["back2_2_2"])
 
 
 def chain(owners):
@@ -195,7 +199,8 @@ def test_no_state_is_expanded_twice_per_arena(monkeypatch, capsys, tmp_path):
     the table's entries.  On the (2, 2, 2) chain every query is walked; on
     a 1-clock chain queried from the final location back, each live
     location's retry loop sends its first query to an explore that takes
-    the states solved before it from the table."""
+    the states solved before it from the table; on the back chain
+    `check-properties` sends some queries to such an explore."""
     walked, graphs = [], []
     real_walk, real_explore = properties.rooted_values, properties.explore
 
@@ -230,6 +235,13 @@ def test_no_state_is_expanded_twice_per_arena(monkeypatch, capsys, tmp_path):
     for g in graphs:
         for i in g.fixed:
             assert g.actions[i] == g.rewards[i] == g.dists[i] == []
+
+    del walked[:], graphs[:], arenas[:]
+    assert check_properties(tmp_path, BACK) == 0
+    capsys.readouterr()
+    assert walked and any(g.fixed for g in graphs)
+    assert (sum(map(len, walked)) + sum(g.n - len(g.fixed) for g in graphs)
+            == len(arenas[0]._solved))
 
 
 def test_failed_query_leaves_table_unchanged():
@@ -441,10 +453,10 @@ def test_live_state_without_action_raises_as_solve_exact_does(retry, kinds):
 
 
 def test_pass_matches_own_pass_oracle_on_every_rooted_graph(monkeypatch, capsys, tmp_path):
-    """On every rooted query `check-properties` makes on the bundled models
-    and the (2, 2, 2) and (3, 2, 2) chains, the walk gives the values that
-    the earlier pass of its own gives on the graph `explore` builds for that
-    root and table, or declines the graph as that did."""
+    """On every rooted query `check-properties` makes on the bundled models,
+    the (2, 2, 2) and (3, 2, 2) chains and the back chain, the walk gives
+    the values that the earlier pass of its own gives on the graph `explore`
+    builds for that root and table, or declines the graph as that did."""
     outcomes = []
     real = properties.rooted_values
 
@@ -463,7 +475,7 @@ def test_pass_matches_own_pass_oracle_on_every_rooted_graph(monkeypatch, capsys,
     monkeypatch.setattr(properties, "rooted_values", compared)
     for name in ALL_MODELS:
         cli.main(["check-properties", "--json", str(MODELS / ("%s.model" % name))])
-    for doc in seeded_chains().values():
+    for doc in (*seeded_chains().values(), BACK):
         path = tmp_path / "chain.model"
         path.write_text(doc)
         assert cli.main(["check-properties", "--json", str(path),
