@@ -76,8 +76,6 @@ def _num(v):
         return None
     if isinstance(v, Fraction):
         return {"rational": format_rational(v), "decimal": "%.12g" % float(v)}
-    if v == math.inf:
-        return {"rational": "inf", "decimal": "inf"}
     return {"rational": None, "decimal": "%.12g" % v}
 
 

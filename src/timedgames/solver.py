@@ -12,8 +12,9 @@ into strongly connected components and values them sinks first, each with
 the values of the successors already solved as constants (Tarjan 1972; the
 decomposition of topological value iteration, Dai et al. 2011).  A
 component of one state without a self-loop takes one exact backup, a larger
-one a small rational system.  The same pass marks the components whose
-expected time diverges.
+one a small rational system.  Every pair a solve evaluates has finite
+values, by the reach check for expected time and by discounting otherwise;
+the pass refuses a pair whose expected time diverges.
 
 Each evaluation is followed by one exact Bellman sweep, `certify`, which
 yields both the residual of the optimality equations and every action that
@@ -62,8 +63,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .brg import Brg
 from .model import sccs
 
-INF = math.inf
-
 
 class TargetUnreachableError(RuntimeError):
     """The explored graph has an end component avoiding the final states, so
@@ -92,7 +91,7 @@ class SolveConfig:
 
 @dataclass
 class CertifyReport:
-    residual: Fraction | float
+    residual: Fraction
     violations: list[int]
     # (state, action) pairs whose distribution is not stochastic
     improper_rows: list[tuple[int, int]]
@@ -292,7 +291,7 @@ def _sweep(table: _Rows, values: Sequence, choice: Sequence | None = None) -> tu
     action attaining it, `choice[i]` unless another action is strictly
     better (without a choice, the first in canonical order).  A state
     without a row or an action gets its base value and action None.
-    Ints and Fractions stay exact, and math.inf flows through."""
+    Ints and Fractions stay exact."""
     lam = table.lam
     starts = repeat(None) if choice is None else choice
     out, acts = [], []
@@ -375,6 +374,12 @@ def _solve_linear_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list
     return [a[i][n] for i in range(n)]
 
 
+def _diverges(g: Brg, comp: list[int]) -> ValueError:
+    """The refusal of a component that none of its chosen branches leaves."""
+    return ValueError("expected time diverges from state %s: no chosen branch leaves "
+                      "its component" % g.states[min(comp)].label())
+
+
 def _evaluate(g: Brg, choice: Sequence, lam: Fraction | None = None,
               zero_final: bool = True) -> list:
     """Exact values of the Markov chain that `choice` fixes on `g`, v = lam
@@ -385,15 +390,13 @@ def _evaluate(g: Brg, choice: Sequence, lam: Fraction | None = None,
     A trivial component, one state without a self-loop, takes one exact
     backup of its chosen action; a state with none is refused here.  A
     larger component is a rational system with the values outside it as
-    constants.  Only expected time can diverge: a component is infinite
-    when it has no successor outside itself (it never reaches the absorbed
-    set, and time keeps accumulating on it by non-Zenoness) or when such a
-    successor is infinite, checked outright since 0 * inf is nan.
-    Otherwise its system is nonsingular, as discounting (lam < 1) makes
-    every system.
+    constants.  Every value is finite: for expected time a component that
+    none of its chosen branches leaves never reaches the absorbed set, and
+    it is refused by its lowest-numbered state before a system is built.
+    Every other system is nonsingular, as discounting (lam < 1) makes every
+    system.
     """
     comps, succ = _live_components(g, choice, zero_final)
-    diverges = lam is None
     factor = Fraction(1) if lam is None else lam
     values: list = [g.fixed.get(i, Fraction(0)) for i in range(g.n)]
     for comp in comps:
@@ -403,23 +406,15 @@ def _evaluate(g: Brg, choice: Sequence, lam: Fraction | None = None,
             if j is None:
                 raise ValueError("state %s has no action" % g.states[s].label())
             r, dist = g.rewards[s][j], g.dists[s][j]
-            if diverges and (not dist or any(values[t] == INF for t, _ in dist)):
-                r = INF
-            else:
-                for t, p in dist:
-                    r = r + p * values[t]
-                if lam is not None:
-                    r = lam * r
-            values[s] = r
+            if lam is None and not dist:
+                raise _diverges(g, comp)
+            for t, p in dist:
+                r = r + p * values[t]
+            values[s] = r if lam is None else lam * r
             continue
         pos = {i: r for r, i in enumerate(comp)}
-        if diverges:
-            outside = [values[t] for i in comp for t, _ in g.dists[i][choice[i]]
-                       if t not in pos]
-            if not outside or INF in outside:
-                for i in comp:
-                    values[i] = INF
-                continue
+        if lam is None and all(t in pos for i in comp for t, _ in g.dists[i][choice[i]]):
+            raise _diverges(g, comp)
         rows, rhs = [], []
         for i in comp:
             j = choice[i]
@@ -440,7 +435,8 @@ def _evaluate(g: Brg, choice: Sequence, lam: Fraction | None = None,
 
 def evaluate_pair_exact(g: Brg, choice: Sequence) -> list:
     """Exact expected time to the final set in the Markov chain fixed by the
-    choice vector: zero on final states, math.inf where it diverges."""
+    choice vector, zero on final states; a pair under which some state never
+    reaches the final set is refused with `ValueError`."""
     return _evaluate(g, choice, None, True)
 
 
@@ -449,20 +445,6 @@ def evaluate_pair_discounted(
 ) -> list:
     """Exact discounted value of a strategy pair: v = lam * (r + P v)."""
     return _evaluate(g, choice, Fraction(lam), zero_final)
-
-
-def _infinite_terms(action: tuple, infinite: set[int], num: int | None) -> tuple:
-    """A swept action (index, reward, distribution) with the discount's
-    numerator `num` (None without a discount) multiplied in.  An action
-    whose distribution reaches a state of `infinite` backs up to inf, -inf
-    or nan whatever its finite terms, so it keeps reward 0 and only its
-    branches there, each probability as the sign of its product with num."""
-    j, r, dist = action
-    a = 1 if num is None else num
-    terms = [(t, (a * p > 0) - (a * p < 0)) for t, p in dist if t in infinite]
-    if terms:
-        return j, 0, terms
-    return action if num is None else (j, num * r, [(t, num * p) for t, p in dist])
 
 
 def certify(
@@ -486,29 +468,21 @@ def certify(
     one of an earlier call on the same graph and `zero_final`.
 
     The sweep is exact integer arithmetic over one common denominator.  The
-    values, ints or Fractions or math.inf, are scaled by V, the least common
-    multiple of the denominators of the finite values and the fixed values,
-    each reward list of the table (over Q) by V once, and the discount
-    lam = a / b is applied as a.  A backup then is S = Q V b times its
-    rational value, an exact int (or inf, or nan where 0 * inf is), and
-    scaling by the positive S keeps every comparison, the sweep's ties
-    included; the residual is the largest gap over S.  Infinite values are
-    carried beside the ints, so that no float meets an int past 2**1024:
-    with one, every action takes the discount into its row, an action that
-    reaches one keeps only the signs of its branches there
-    (`_infinite_terms`), and the residual counts a finite int beside a
-    non-finite value as 0."""
+    values, finite ints or Fractions, are scaled by V, the least common
+    multiple of their denominators and those of the fixed values, each
+    reward list of the table (over Q) by V once, and the discount lam = a / b
+    is applied as a.  A backup then is S = Q V b times its rational value, an exact int,
+    and scaling by the positive S keeps every comparison, the sweep's ties
+    included; the residual is the largest gap over S."""
     if rows is None:
         rows = _exact_table(g, zero_final)
     num, den = (None, 1) if lam is None else Fraction(lam).as_integer_ratio()
-    dens = {x.denominator for x in values if not isinstance(x, float)}
+    dens = {x.denominator for x in values}
     dens.update(x.denominator for x in g.fixed.values())
     vscale = math.lcm(*dens)
     per = {d: vscale // d for d in dens}
     scale = rows.scale * vscale * den
-    scaled = [x if isinstance(x, float) else x.numerator * per[x.denominator]
-              for x in values]
-    infinite = {i for i, x in enumerate(values) if isinstance(x, float)}
+    scaled = [x.numerator * per[x.denominator] for x in values]
     rewards: dict[int, list] = {}
     sweep_rows = []
     for row in rows.rows:
@@ -518,29 +492,22 @@ def certify(
             if key not in rewards:
                 rewards[key] = [x * vscale for x in r]
             row = list(zip(count(), rewards[key], dists))
-            if infinite:
-                row = [_infinite_terms(action, infinite, num) for action in row]
         sweep_rows.append(row)
     base = [0] * g.n
     for i, x in g.fixed.items():
         base[i] = x.numerator * (scale // x.denominator)
-    improved, best = _sweep(_Rows(sweep_rows, base, rows.minimize,
-                                  None if infinite else num), scaled, choice)
+    improved, best = _sweep(_Rows(sweep_rows, base, rows.minimize, num), scaled, choice)
     switches = [(i, j) for i, j in enumerate(best) if j is not None and j != choice[i]]
     violations = []
     gap = 0
     factor = scale // vscale
     for i, (a, b) in enumerate(zip(scaled, improved)):
-        if i not in infinite:
-            a = a * factor
+        a = a * factor
         if a == b:
             continue
         violations.append(i)
-        if isinstance(a, float) or isinstance(b, float):
-            a, b = [x if isinstance(x, float) else 0 for x in (a, b)]
-        gap = max(gap, INF if INF in (a, b) else abs(a - b))
-    residual = INF if gap == INF else Fraction(gap, scale)
-    return CertifyReport(residual, violations, rows.improper, switches)
+        gap = max(gap, abs(a - b))
+    return CertifyReport(Fraction(gap, scale), violations, rows.improper, switches)
 
 
 # ------------------------------------------------------ strategy improvement

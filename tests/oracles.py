@@ -150,7 +150,7 @@ from timedgames.properties import (
     _default_evaluator,
     lipschitz_bound,
 )
-from timedgames.solver import INF, _solve_linear_exact
+from timedgames.solver import _solve_linear_exact
 from timedgames.simulate import (
     ConcretizedStrategy,
     EstimateResult,
@@ -489,8 +489,7 @@ def certify_fraction_rows(g, values, choice, *, lam=None, zero_final: bool = Tru
         if a == b:
             continue
         violations.append(i)
-        gap = INF if INF in (a, b) else abs(a - b)
-        residual = max(residual, gap)
+        residual = max(residual, abs(a - b))
     return sv.CertifyReport(residual, violations, improper, switches)
 
 
@@ -525,9 +524,9 @@ def evaluate_per_component_system(g, choice, lam, zero_final: bool) -> list:
         pos = {i: r for r, i in enumerate(comp)}
         if lam is None:
             outside = [values[t] for i in comp for t in succ[i] if t not in pos]
-            if not outside or INF in outside:
+            if not outside or math.inf in outside:
                 for i in comp:
-                    values[i] = INF
+                    values[i] = math.inf
                 continue
         rows = []
         rhs = []

@@ -53,10 +53,10 @@ def checked_certify(monkeypatch) -> list:
 
 
 def perturbed(values, rng: random.Random) -> list:
-    """`values` with about a third of the finite ones moved by a small
-    random fraction."""
+    """`values` with about a third of them moved by a small random
+    fraction."""
     return [v + Fraction(rng.randint(-5, 5), rng.randint(1, 9))
-            if v != math.inf and rng.random() < 1 / 3 else v for v in values]
+            if rng.random() < 1 / 3 else v for v in values]
 
 
 def chain_graphs(seed: int) -> dict[str, bg.Brg]:
@@ -211,41 +211,18 @@ def test_values_over_the_first_forty_primes(monkeypatch):
     assert [Fraction(x, q * vscale) for x in improved] == want
 
 
-@pytest.mark.parametrize("lam", [None, Fraction(0), Fraction(1, 2)],
-                         ids=["expected-time", "0", "1/2"])
-def test_infinite_values(lam):
-    """math.inf flows through the integer sweep as through Fractions; at
-    lam = 0 a branch on an infinite value gives 0 * inf = nan both ways."""
-    g = bg.explore(bundled("M2-unreachable"))
-    for values in ([math.inf], [Fraction(3)]):
-        assert_same_report(g, values, [0], lam)
+def test_ints_past_float_range():
+    """Values 3**700 and 1/3**700 scale every backup past 2**1024, and a
+    discount whose numerator passes 2**1024 multiplies each: the integer
+    sweep gives the Fraction certificate's report, where a float could
+    hold none of its ints."""
     g = hand_graph([[uniform(1), uniform(2)], [uniform(1)], [uniform(2)]],
                    (False, False, True))
-    # 1/3**700 scales every reward past 2**1024, where an int would overflow
-    # as it met an infinite value as a float
-    for values in ([Fraction(1), math.inf, Fraction(0)], [math.inf, math.inf, Fraction(0)],
-                   [Fraction(1), Fraction(1), Fraction(0)],
-                   [Fraction(1, 3**700), math.inf, Fraction(0)]):
-        for choice in ([0, 0, None], [1, 0, None]):
-            assert_same_report(g, values, choice, lam, case=(values, choice))
-
-
-def test_ints_past_float_range_beside_infinite_values():
-    """A discount whose numerator passes 2**1024 multiplies every backup,
-    one over an infinite value too.  At lam = 0 a backup over an infinite
-    value is nan, and the gap from a finite value past 2**1024 to it is
-    ignored as the Fraction certificate ignores a nan gap; the oracle cannot
-    compute this last case, since it turns the value into a float."""
-    g = hand_graph([[uniform(1), uniform(2)], [uniform(1)], [uniform(2)]],
-                   (False, False, True))
-    for choice in ([0, 0, None], [1, 0, None]):
-        assert_same_report(g, [Fraction(1), math.inf, Fraction(0)], choice,
-                           Fraction(2**1100 - 1, 2**1100), case=choice)
-    values = [Fraction(3**700), math.inf, Fraction(0)]
-    assert sv.certify(g, values, [0, 0, None], lam=Fraction(0)) == sv.CertifyReport(
-        math.inf, [0, 1], [], [])
-    assert sv.certify(g, values, [1, 0, None], lam=Fraction(0)) == sv.CertifyReport(
-        math.inf, [0, 1], [], [])
+    for values in ([Fraction(3**700), Fraction(1, 3**700), Fraction(0)],
+                   [Fraction(1, 3**700), Fraction(3**700), Fraction(0)]):
+        for lam in (None, Fraction(0), Fraction(2**1100 - 1, 2**1100)):
+            for choice in ([0, 0, None], [1, 0, None]):
+                assert_same_report(g, values, choice, lam, case=(values, lam, choice))
 
 
 def test_discount_zero():

@@ -291,13 +291,6 @@ def test_evaluate_pair_exact_m2():
     assert values == [Fraction(2), Fraction(0), Fraction(0)]
 
 
-def test_evaluate_pair_exact_infinite_without_target():
-    arena = bundled("M2-unreachable")
-    g = bg.explore(arena)
-    assert g.n == 1  # the loop never leaves the first location
-    assert sv.evaluate_pair_exact(g, [0]) == [math.inf]
-
-
 def test_every_evaluation_is_counted(monkeypatch):
     """The solve makes no exact evaluation beyond those of the improvement
     loop: the last one already values the returned pair."""
@@ -510,8 +503,7 @@ def certify_per_state(g, values, choice, lam, zero_final) -> sv.CertifyReport:
     their largest gap, and every state where it leaves `choice`."""
     want, acts = sweep_per_state(g, values, choice, lam, zero_final)
     moved = [i for i in range(g.n) if values[i] != want[i]]
-    gaps = [math.inf if math.inf in (values[i], want[i]) else abs(values[i] - want[i])
-            for i in moved]
+    gaps = [abs(values[i] - want[i]) for i in moved]
     improper = [(i, j) for i, row in enumerate(g.dists)
                 for j, dist in enumerate(row) if not fraction_stochastic(dist)]
     return sv.CertifyReport(max(gaps, default=Fraction(0)), moved, improper,
@@ -854,12 +846,37 @@ def random_choices(g: bg.Brg, rng: random.Random, count: int) -> list[list]:
     ]
 
 
+REFUSAL = re.compile("expected time diverges from state (.*): no chosen branch leaves "
+                     "its component")
+
+
+def assert_values_or_refusal(evaluate, g, choice, zero_final, want, case=None):
+    """`evaluate()` values the pair `choice` on `g`.  Where `want`, an
+    oracle's values, are all finite it gives them; where one is infinite it
+    refuses the pair, naming the lowest-numbered state of a component of the
+    chain that none of its chosen branches leaves.  Returns the values, or
+    None on a refusal."""
+    if math.inf not in want:
+        got = evaluate()
+        assert got == want, case
+        return got
+    with pytest.raises(ValueError, match=REFUSAL) as refusal:
+        evaluate()
+    live = [i not in g.fixed and not (zero_final and g.is_final(i)) for i in range(g.n)]
+    succ = [[t for t, _ in g.dists[i][choice[i]]] if live[i] else [] for i in range(g.n)]
+    closed = {g.states[min(c)].label() for c in sccs(range(g.n), succ)
+              if live[c[0]] and all(t in c for i in c for t in succ[i])}
+    assert REFUSAL.fullmatch(str(refusal.value)).group(1) in closed, case
+    return None
+
+
 @pytest.mark.parametrize("lam", [None, Fraction(0), Fraction(1, 2), Fraction(9, 10)],
                          ids=["expected-time", "0", "1/2", "9/10"])
 @pytest.mark.parametrize("zero_final", [True, False], ids=["absorbing", "live-final"])
 def test_evaluation_matches_dense_oracle(lam, zero_final):
     """The component-wise evaluation equals one dense solve over the whole
-    chain, on the solver's own strategy pairs and on random ones."""
+    chain, on the solver's own strategy pairs and on random ones, and it
+    refuses exactly the pairs whose expected time diverges."""
     rng = random.Random(11)
     for name, g in differential_graphs().items():
         choices = random_choices(g, rng, 6)
@@ -871,12 +888,14 @@ def test_evaluation_matches_dense_oracle(lam, zero_final):
         for choice in choices:
             if lam is None:
                 # expected time is defined with absorbing final states only;
-                # with live ones no state is absorbed and everything diverges
-                got = (sv.evaluate_pair_exact(g, choice) if zero_final
-                       else sv._evaluate(g, choice, None, False))
+                # with live ones no state is absorbed and every pair is refused
+                evaluate = (lambda: sv.evaluate_pair_exact(g, choice) if zero_final
+                            else sv._evaluate(g, choice, None, False))
             else:
-                got = sv.evaluate_pair_discounted(g, choice, lam, zero_final=zero_final)
-            assert got == dense_evaluate(g, choice, lam, zero_final), (name, choice)
+                evaluate = lambda: sv.evaluate_pair_discounted(g, choice, lam,
+                                                               zero_final=zero_final)
+            assert_values_or_refusal(evaluate, g, choice, zero_final,
+                                     dense_evaluate(g, choice, lam, zero_final), (name, choice))
 
 
 def test_ring_chain_has_block_component():
@@ -902,22 +921,47 @@ def test_ring_chain_has_block_component():
 
 def test_evaluate_pair_exact_diverges_on_closed_cycles():
     """With pure returning edges a strategy pair can cycle among l0 and l1
-    forever: those states get math.inf, l2 still reaches lf and stays
-    finite, and every value matches the dense oracle."""
+    forever: the dense oracle gives those states math.inf and l2, which
+    still reaches lf, a finite value, and the evaluation refuses the pair
+    by a state of that cycle."""
     g = bg.explore(ring_game(random.Random(2), 3, Fraction(1)))
     pick = {"l0": "a", "l1": "b", "l2": "a"}
     choice = [None if g.is_final(i) else
               next(j for j, a in enumerate(g.actions[i])
                    if a.action == pick[g.states[i].location])
               for i in range(g.n)]
-    values = sv.evaluate_pair_exact(g, choice)
-    assert values == dense_evaluate(g, choice)
+    want = dense_evaluate(g, choice)
     by_loc: dict[str, set] = {}
-    for i, v in enumerate(values):
+    for i, v in enumerate(want):
         by_loc.setdefault(g.states[i].location, set()).add(v == math.inf)
     assert by_loc["l0"] == by_loc["l1"] == {True}
     assert by_loc["l2"] == {False}
     assert any(len(c) >= 2 for c in chain_sccs(g, choice))
+    assert assert_values_or_refusal(lambda: sv.evaluate_pair_exact(g, choice),
+                                    g, choice, True, want) is None
+    with pytest.raises(ValueError, match=r"from state l[01] \|"):
+        sv.evaluate_pair_exact(g, choice)
+
+
+def test_divergent_pairs_are_refused_by_name():
+    """A pair whose expected time diverges is refused with a ValueError
+    that names the lowest-numbered state of a component no chosen branch
+    leaves: M2-unreachable's one state, the closed cycles of two hand
+    chains, and M1's solved pair once final states keep acting, where no
+    state is absorbed."""
+    g = bg.explore(bundled("M2-unreachable"))
+    with pytest.raises(ValueError, match=re.escape("from state l0 | c=0 | [c=0]:")):
+        sv.evaluate_pair_exact(g, [0])
+    for case in ("closed cycle entered", "p = 0 into a closed cycle"):
+        dists, finals, fixed = HAND_CHAINS[case]
+        g = hand_graph(dists, finals, fixed)
+        with pytest.raises(ValueError, match=REFUSAL):
+            sv.evaluate_pair_exact(g, [0 if row else None for row in dists])
+    g = graph("M1")
+    choice = sv.solve_exact(g).choice
+    choice = [0 if j is None else j for j in choice]
+    with pytest.raises(ValueError, match=REFUSAL):
+        sv._evaluate(g, choice, None, False)
 
 
 # ------------------------------------------------- the sinks-first pass
@@ -958,9 +1002,9 @@ def visited_choices(monkeypatch, solve) -> list[list]:
 @pytest.mark.parametrize("zero_final", [True, False], ids=["absorbing", "live-final"])
 def test_pass_matches_oracles_on_visited_choices(monkeypatch, lam, zero_final):
     """On every pair the improvement loop visits, and on random ones, the
-    one pass gives the values, infinite ones included, of the earlier
-    evaluation that solved every component as a system and of one dense
-    solve."""
+    earlier evaluation that solved every component as a system agrees with
+    one dense solve, and the one pass gives their values where they are
+    finite and refuses the pair where one is infinite."""
     rng = random.Random(29)
     solved = visited = 0
     for name, g in {**differential_graphs(), **seeded_chain_graphs()}.items():
@@ -974,9 +1018,10 @@ def test_pass_matches_oracles_on_visited_choices(monkeypatch, lam, zero_final):
             choices += visited_choices(monkeypatch, lambda: sv.solve_exact(g))
         visited += len(choices) - 3
         for choice in choices:
-            got = sv._evaluate(g, choice, lam, zero_final)
-            assert got == evaluate_per_component_system(g, choice, lam, zero_final), name
-            assert got == dense_evaluate(g, choice, lam, zero_final), name
+            want = dense_evaluate(g, choice, lam, zero_final)
+            assert evaluate_per_component_system(g, choice, lam, zero_final) == want, name
+            assert_values_or_refusal(lambda: sv._evaluate(g, choice, lam, zero_final),
+                                     g, choice, zero_final, want, name)
     # expected time with live final states has no solve
     assert visited >= solved > 0 or lam is None and not zero_final
 
@@ -1004,21 +1049,20 @@ def test_pass_matches_oracles_on_hand_chains(case, lam, zero_final):
     dists, finals, fixed = HAND_CHAINS[case]
     g = hand_graph(dists, finals, fixed)
     choice = [0 if row else None for row in dists]
-    got = sv._evaluate(g, choice, lam, zero_final)
-    assert got == evaluate_per_component_system(g, choice, lam, zero_final)
+    want = evaluate_per_component_system(g, choice, lam, zero_final)
     if not fixed:
-        assert got == dense_evaluate(g, choice, lam, zero_final)
-    if case == "closed cycle entered" and lam is None:
-        assert got[:3] == [math.inf] * 3
-    if case == "p = 0 into a closed cycle" and lam is None and zero_final:
-        assert got[:2] == [math.inf] * 2
+        assert want == dense_evaluate(g, choice, lam, zero_final)
+    got = assert_values_or_refusal(lambda: sv._evaluate(g, choice, lam, zero_final),
+                                   g, choice, zero_final, want)
+    if case in ("closed cycle entered", "p = 0 into a closed cycle") and lam is None:
+        assert got is None
 
 
 @pytest.mark.parametrize("lam", [None, Fraction(1, 2)], ids=["expected-time", "1/2"])
 def test_linear_solve_runs_once_per_nontrivial_component(monkeypatch, lam):
     """The pass solves a system only for a component of several states or
-    with a self-loop, once each (for expected time, each finite one); every
-    other state takes one backup."""
+    with a self-loop, once each; every other state takes one backup.  A
+    pair whose expected time diverges is refused instead."""
     sizes = []
     real = sv._solve_linear_exact
 
@@ -1032,14 +1076,16 @@ def test_linear_solve_runs_once_per_nontrivial_component(monkeypatch, lam):
     for name, g in {**differential_graphs(), **seeded_chain_graphs()}.items():
         for choice in random_choices(g, rng, 3):
             del sizes[:]
-            values = sv._evaluate(g, choice, lam, True)
+            values = assert_values_or_refusal(lambda: sv._evaluate(g, choice, lam, True),
+                                              g, choice, True, dense_evaluate(g, choice, lam))
+            if values is None:
+                continue
             succ = [[] if g.is_final(i) else [t for t, _ in g.dists[i][choice[i]]]
                     for i in range(g.n)]
             want = []
             for comp in sccs(range(g.n), succ):
                 if len(comp) > 1 or comp[0] in succ[comp[0]]:
-                    if values[comp[0]] != math.inf:
-                        want.append(len(comp))
+                    want.append(len(comp))
                 elif not g.is_final(comp[0]):
                     trivial += 1
             assert sorted(sizes) == sorted(want), (name, choice)
