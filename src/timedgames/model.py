@@ -17,9 +17,11 @@ move's legality, reading the invariant at the delay's two ends, and returns
 the branches that `concrete_step`, the simulator and the property checks read.
 
 `validate` reports what makes the game degenerate, including structurally
-Zeno cycles.  That check, like the solver's end-component and chain
-decompositions, runs on `sccs`, the package's one graph algorithm (an
-iterative Tarjan); the package needs no graph library.
+Zeno cycles, which `check_structural_nonzeno` finds over the regions that
+`validate` enumerates once for all its scans.  That check, like the
+solver's end-component and chain decompositions, runs on `sccs`, the
+package's one graph algorithm (an iterative Tarjan); the package needs no
+graph library.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import yaml
 from .regions import (
     ClockConstraint,
     ClockContext,
+    ClockRegion,
     ClockValuation,
     RegionError,
     enumerate_regions,
@@ -379,14 +382,16 @@ def sccs(nodes: Iterable[int], succ) -> list[list[int]]:
     return out
 
 
-def check_structural_nonzeno(arena: Arena) -> list[list[str]]:
+def check_structural_nonzeno(arena: Arena, regions: list[ClockRegion]) -> list[list[str]]:
     """Witness location cycles that fail the structural non-Zenoness test.
 
     Every cycle (every way of choosing branches around a cycle of locations)
     must contain a clock that is reset on one of its hops and bounded from
     below by 1 on the guard of another (or the same) hop (Tripakis 1999).
-    Guard-implies checks are done region-exactly: a guard bounds c from
-    below by 1 when every region satisfying the guard also satisfies c >= 1.
+    Guard-implies checks are done region-exactly over `regions`, every
+    region of the arena's clock context, which `validate` enumerates once
+    for all its scans: a guard bounds c from below by 1 when every region
+    satisfying the guard also satisfies c >= 1.
 
     A cycle fails exactly when, for each clock, it avoids every hop that
     resets the clock or every hop whose guard bounds it.  So for each of the
@@ -398,12 +403,6 @@ def check_structural_nonzeno(arena: Arena) -> list[list[str]]:
     a location repeats, and rotate the loop closed that way to start at its
     first location.  Empty means structurally non-Zeno.
     """
-    return _nonzeno_witnesses(arena, enumerate_regions(arena.ctx))
-
-
-def _nonzeno_witnesses(arena: Arena, regions) -> list[list[str]]:
-    """`check_structural_nonzeno` on the given list of all regions of the
-    arena's clock context, so `validate` enumerates them once."""
     ctx = arena.ctx
     ge_one = {c: parse_constraint("%s >= 1" % c, ctx) for c in ctx.clocks}
     pos = {l.name: i for i, l in enumerate(arena.locations)}
@@ -494,7 +493,7 @@ def validate(arena: Arena) -> list[str]:
                     "no action available from (%s, %s)" % (l.name, r.label())
                 )
 
-    for cycle in _nonzeno_witnesses(arena, all_regions):
+    for cycle in check_structural_nonzeno(arena, all_regions):
         findings.append(
             "structurally Zeno location cycle: %s (no clock is both reset "
             "and bounded below by 1 around it)" % " -> ".join(cycle)
@@ -529,11 +528,6 @@ def timed_successors(arena: Arena, state: ConcreteState, ta: TimedAction) -> lis
     if not (valuation_satisfies(v, inv) and valuation_satisfies(shifted, inv)):
         return None
     return branch_states(e, shifted)
-
-
-def timed_action_allowed(arena: Arena, state: ConcreteState, ta: TimedAction) -> bool:
-    """Whether delaying by ta.delay and firing ta.action is legal at state."""
-    return timed_successors(arena, state, ta) is not None
 
 
 def concrete_step(

@@ -20,12 +20,9 @@ top of it:
     drawn, shifted and compared as integers, its state is made from them
     (`brg.root_key_scaled`) and valued through the same table, walk and
     solve as `value_at`, and only the report holds Fractions;
-  * `check_time_monotone` tests that the one-step function
-    t + sum_branches p * value(successor at delay t) is nondecreasing in t
-    inside one enabled region's delay window, which it reads off the walk
-    of `regions.delay_windows` within the location invariant;
-  * `grid_one_step_value` optimizes that one-step function over a dense
-    delay grid, the reference point for consistency between the graph
+  * `grid_one_step_value` optimizes the one-step function
+    t + sum_branches p * value(successor at delay t) over a dense delay
+    grid, the reference point for consistency between the graph
     abstraction and the concrete semantics; it walks the windows once per
     state, and yields each window's grid lazily.
 
@@ -129,11 +126,6 @@ class SimpleForm:
     e: int
     clock: str | None = None
 
-    def eval(self, valuation: ClockValuation) -> Fraction:
-        if self.clock is None:
-            return Fraction(self.e)
-        return self.e - valuation.value(self.clock)
-
     def render(self) -> str:
         return str(self.e) if self.clock is None else "%d - %s" % (self.e, self.clock)
 
@@ -201,20 +193,6 @@ class PropertyReport:
             self.lipschitz_violations
             or self.monotonicity_violations
             or self.nonexpansive_violations
-        )
-
-    def summary(self) -> str:
-        return (
-            "%s [%s]: %d pairs, %d shift pairs, violations %d/%d/%d"
-            % (
-                self.location,
-                self.region.label(),
-                self.pairs_checked,
-                self.diag_pairs_checked,
-                len(self.lipschitz_violations),
-                len(self.monotonicity_violations),
-                len(self.nonexpansive_violations),
-            )
         )
 
 
@@ -334,45 +312,6 @@ def _delays(w: DelayWindow, parts: int) -> Iterator[Fraction]:
         step = (w.hi - w.lo) / parts
         for j in range(1, parts):
             yield w.lo + step * j
-
-
-def check_time_monotone(
-    arena: Arena,
-    state: ConcreteState,
-    action: str,
-    target: ClockRegion,
-    *,
-    grid: int = 16,
-    evaluator: Evaluator | None = None,
-) -> list:
-    """Violations of one-step monotonicity in the delay.
-
-    Restricted to delays steering into one region, the one-step function
-    t + sum p * F(successor) must be nondecreasing; this compares it at
-    consecutive grid points of the delay window.  A thin target admits a
-    single delay, so the check is vacuous there.  The target's window comes
-    from the walk of `delay_windows` within the location invariant.
-    """
-    ev = evaluator or _default_evaluator(arena)
-    loc, v = state
-    e = arena.edge(loc, action)
-    if e is None:
-        raise ValueError("no edge (%s, %s)" % (loc, action))
-    if not satisfies(target, e.guard):
-        raise ValueError("action %s is not enabled on [%s]" % (action, target.label()))
-    window = next((w for r, w in delay_windows(v, arena.location_named(loc).invariant)
-                   if r == target), None)
-    if window is None:
-        raise ValueError("[%s] is not in the future of the state within the invariant of %s"
-                         % (target.label(), loc))
-    out = []
-    prev_t = prev_f = None
-    for t in _delays(window, grid + 1):
-        f = _one_step(ev, e, v, t)
-        if prev_f is not None and f < prev_f:
-            out.append((prev_t, t, prev_f, f))
-        prev_t, prev_f = t, f
-    return out
 
 
 # ------------------------------------------------------- grid consistency

@@ -417,20 +417,6 @@ def valuation_satisfies(valuation: ClockValuation, constraint: ClockConstraint) 
     return satisfies_scaled(valuation.ctx, valuation.values, 1, constraint)
 
 
-def closure_contains(region: ClockRegion, valuation: ClockValuation) -> bool:
-    """Whether the valuation lies in the topological closure of the region:
-    `closure_contains_scaled` at the valuation's integer point.
-
-    The closure keeps zero-block clocks pinned to their integer, lets a
-    positive-block clock range over the closed unit interval above its
-    integer part, keeps fractions inside one block equal, and relaxes the
-    strict fraction order between blocks to non-strict.
-    """
-    if valuation.ctx != region.ctx:
-        raise RegionError("context mismatch")
-    return closure_contains_scaled(region, *scaled_point(valuation))
-
-
 def closure_contains_scaled(region: ClockRegion, point: Sequence[int], scale: int) -> bool:
     """Whether the valuation point/scale, given as integers scaled by the
     positive integer `scale`, lies in the closure of the region: zero-block
@@ -514,13 +500,6 @@ def sample_closure_scaled(region: ClockRegion, rng, denominator: int = 64) -> tu
         for i in b:
             point[i] += f
     return tuple(point)
-
-
-def sample_closure(region: ClockRegion, rng, denominator: int = 64) -> ClockValuation:
-    """`sample_closure_scaled` as a valuation."""
-    point = sample_closure_scaled(region, rng, denominator)
-    # nonnegative integer parts plus nonnegative fractions, one per clock
-    return ClockValuation.trusted(region.ctx, tuple([Fraction(n, denominator) for n in point]))
 
 
 def _ordered_partitions(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -27,7 +27,9 @@ and `region_actions_available` is the earlier dead-region test of `validate`.
 future chain (`future_chain`) again from the valuation's region for every
 target, where `regions.delay_windows` reads every window off one walk, and
 `delays_list` the earlier delay grid of the property checks, built whole
-where `properties._delays` yields it lazily.
+where `properties._delays` yields it lazily.  `check_time_monotone` checks
+a premise of the construction, that the one-step value is nondecreasing in
+the delay inside one region's delay window; no command runs it.
 `moves_per_key` and `boundary_actions_per_key` are the earlier compile of
 the region-level moves, which walked the whole invariant chain of every
 (location, region), read every guard on each region of it and built every
@@ -77,12 +79,14 @@ one: it reuses the table, but finds the root's region through `region_of`
 on the valuation's Fractions, and solves every rooted graph with the
 certified `solve_exact` instead of one exact pass sinks first where the
 graph's live states are acyclic.  `chain_document` writes the retry
-chains that the differential tests generate.  `json_indent2` is the earlier
+chains that the differential tests generate, and `GUARD_VARIANTS` two of
+them with strict guards and with a diagonal guard.  `json_indent2` is the earlier
 rendering of every CLI document, `json.dumps` with indent=2, which the
 streaming writer of `timedgames.cli` must reproduce byte for byte.
 `solve_simple_forms` is a symbolic region-level solve for games without
 probabilistic branching, a reference for `properties.fit_simple` and the
-exact solver on point-distribution games.
+exact solver on point-distribution games; `eval_form` evaluates one of its
+forms at a valuation.
 """
 
 from __future__ import annotations
@@ -127,7 +131,7 @@ from timedgames.regions import (
     DelayWindow,
     RegionError,
     boundary,
-    closure_contains,
+    delay_windows,
     enumerate_regions,
     invariant_chain,
     is_thin,
@@ -135,7 +139,7 @@ from timedgames.regions import (
     region_of,
     representative,
     reset_region,
-    sample_closure,
+    sample_closure_scaled,
     satisfies,
     scaled_point,
     time_successor,
@@ -148,6 +152,8 @@ from timedgames.properties import (
     PropertyReport,
     SimpleForm,
     _default_evaluator,
+    _delays,
+    _one_step,
     lipschitz_bound,
 )
 from timedgames.solver import _solve_linear_exact
@@ -796,6 +802,47 @@ def delay_window_oracle(valuation: ClockValuation, target: ClockRegion) -> Delay
     return None
 
 
+def check_time_monotone(
+    arena: Arena,
+    state: ConcreteState,
+    action: str,
+    target: ClockRegion,
+    *,
+    grid: int = 16,
+    evaluator: Evaluator | None = None,
+) -> list:
+    """Violations of one-step monotonicity in the delay, the premise of the
+    boundary region graph that waiting inside a region never pays less.
+
+    Restricted to delays steering into one region, the one-step function
+    t + sum p * F(successor) must be nondecreasing; this compares it at
+    consecutive grid points of the delay window (`properties._delays`,
+    valued by `properties._one_step`).  A thin target admits a
+    single delay, so the check is vacuous there.  The target's window comes
+    from the walk of `delay_windows` within the location invariant.
+    """
+    ev = evaluator or _default_evaluator(arena)
+    loc, v = state
+    e = arena.edge(loc, action)
+    if e is None:
+        raise ValueError("no edge (%s, %s)" % (loc, action))
+    if not satisfies(target, e.guard):
+        raise ValueError("action %s is not enabled on [%s]" % (action, target.label()))
+    window = next((w for r, w in delay_windows(v, arena.location_named(loc).invariant)
+                   if r == target), None)
+    if window is None:
+        raise ValueError("[%s] is not in the future of the state within the invariant of %s"
+                         % (target.label(), loc))
+    out = []
+    prev_t = prev_f = None
+    for t in _delays(window, grid + 1):
+        f = _one_step(ev, e, v, t)
+        if prev_f is not None and f < prev_f:
+            out.append((prev_t, t, prev_f, f))
+        prev_t, prev_f = t, f
+    return out
+
+
 def delays_list(w: DelayWindow, parts: int) -> list[Fraction]:
     """A thin window's one instant; otherwise the points cutting the window
     into `parts` equal pieces, after its left end when that end is closed."""
@@ -1152,11 +1199,15 @@ def check_quasi_simple_fractions(
         return report
     rng = random.Random(seed)
 
+    def sample() -> ClockValuation:
+        point = sample_closure_scaled(region, rng, PAIR_DENOMINATOR)
+        return ClockValuation(arena.ctx, tuple([Fraction(n, PAIR_DENOMINATOR) for n in point]))
+
     attempts = 0
     while report.pairs_checked < pairs and attempts < 50 * pairs:
         attempts += 1
-        u = sample_closure(region, rng, PAIR_DENOMINATOR)
-        v = sample_closure(region, rng, PAIR_DENOMINATOR)
+        u = sample()
+        v = sample()
         if u == v:
             continue
         fu, fv = ev(location, u), ev(location, v)
@@ -1172,7 +1223,7 @@ def check_quasi_simple_fractions(
     n = len(arena.ctx.clocks)
     while report.diag_pairs_checked < pairs and attempts < 50 * pairs:
         attempts += 1
-        u = sample_closure(region, rng, PAIR_DENOMINATOR)
+        u = sample()
         t = Fraction(rng.randint(1, arena.ctx.k * PAIR_DENOMINATOR), PAIR_DENOMINATOR)
         mask = rng.randint(1, (1 << n) - 1)
         shifted = tuple(
@@ -1181,7 +1232,7 @@ def check_quasi_simple_fractions(
         if any(x > arena.ctx.k for x in shifted):
             continue
         v = ClockValuation(arena.ctx, shifted)
-        if not closure_contains(region, v):
+        if not closure_contains_fractions(region, v):
             continue
         fu, fv = ev(location, u), ev(location, v)
         if fu < fv:
@@ -1198,13 +1249,16 @@ def json_indent2(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def chain_document(n: int, k: int, clocks: int, owners, probs, back: bool = False) -> str:
+def chain_document(n: int, k: int, clocks: int, owners, probs, back: bool = False,
+                   guards: tuple[str, str] | None = None) -> str:
     """A retry chain: at l_i action `a` (guard c >= 1) advances with the
     location's probability and otherwise resets c and retries; `b` (guard
     c <= k-1) resets one other clock and advances; lf escapes on each clock
     by resetting all of them.  With `back`, half of each retry goes back to
     l0 instead, also resetting c, so the live locations form cycles; at l0
-    the two halves are equal parallel branches."""
+    the two halves are equal parallel branches.  `guards` replaces the
+    guards of `a` and `b`."""
+    a_guard, b_guard = guards or ("c >= 1", "c <= %d" % (k - 1))
     cs = ("c", "d", "e")[:clocks]
     inv = " & ".join("%s <= %d" % (c, k) for c in cs)
     lines = ["clocks: [%s]" % ", ".join(cs), "k: %d" % k, "locations:"]
@@ -1220,7 +1274,7 @@ def chain_document(n: int, k: int, clocks: int, owners, probs, back: bool = Fals
         lines += [
             "  - source: l%d" % i,
             "    action: a",
-            '    guard: "c >= 1"',
+            '    guard: "%s"' % a_guard,
             "    branches:",
             '      - {prob: "%s", resets: [], target: %s}' % (p, nxt),
         ]
@@ -1229,7 +1283,7 @@ def chain_document(n: int, k: int, clocks: int, owners, probs, back: bool = Fals
         lines += [
             "  - source: l%d" % i,
             "    action: b",
-            '    guard: "c <= %d"' % (k - 1),
+            '    guard: "%s"' % b_guard,
             "    branches:",
             '      - {prob: "1/1", resets: [%s], target: %s}' % (", ".join(other), nxt),
         ]
@@ -1244,6 +1298,18 @@ def chain_document(n: int, k: int, clocks: int, owners, probs, back: bool = Fals
     lines += ["initial:", "  location: l0",
               "  valuation: {%s}" % ", ".join('%s: "0/1"' % c for c in cs)]
     return "\n".join(lines) + "\n"
+
+
+# The (4, 3, 2) retry chain with the owners and probabilities of
+# `chain2_4_3` in tests/test_cli.py; its variants with strict guards and
+# with a diagonal guard on `b` each have no `validate` finding and the
+# certified value 5.
+CHAIN_4_3_2 = (4, 3, 2, ("min", "max", "max", "min"),
+               (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(2, 3)))
+GUARD_VARIANTS = {
+    "strict4_3_2": chain_document(*CHAIN_4_3_2, guards=("c > 1", "c < 2")),
+    "diagonal4_3_2": chain_document(*CHAIN_4_3_2, guards=("c >= 1", "c - d <= 1")),
+}
 
 
 def _sample_branch(edge, rng: random.Random):
@@ -1323,6 +1389,13 @@ def estimate_value_fraction_sum(
         var = sum((float(t) - mean) ** 2 for t in times) / (n - 1)
         halfwidth = 1.96 * math.sqrt(var / n)
     return EstimateResult(runs, n, mean_exact, mean, halfwidth, epsilon, seed)
+
+
+def eval_form(form: SimpleForm, valuation: ClockValuation) -> Fraction:
+    """The form's value e - nu(clock), or e, at the valuation."""
+    if form.clock is None:
+        return Fraction(form.e)
+    return form.e - valuation.value(form.clock)
 
 
 def _compose_form(act: BoundaryAction, resets: frozenset[str], f: SimpleForm) -> SimpleForm:
@@ -1410,14 +1483,15 @@ def solve_simple_forms(g: Brg) -> dict[tuple[str, ClockRegion], SimpleForm]:
                 if best is None:
                     best = cand
                 else:
-                    a, b = cand.eval(rep), best.eval(rep)
+                    a, b = eval_form(cand, rep), eval_form(best, rep)
                     if (a > b) if maximize else (a < b):
                         best = cand
             new = None if dead else best
             old = forms[key]
             same = (
                 (new is None and old is None)
-                or (new is not None and old is not None and new.eval(rep) == old.eval(rep))
+                or (new is not None and old is not None
+                    and eval_form(new, rep) == eval_form(old, rep))
             )
             if not same:
                 forms[key] = new

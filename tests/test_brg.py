@@ -25,11 +25,10 @@ from timedgames.regions import (
     ClockRegion,
     ClockValuation,
     RegionError,
-    closure_contains,
+    closure_contains_scaled,
     enumerate_regions,
     invariant_chain,
     region_of,
-    sample_closure,
     sample_closure_scaled,
     scaled_point,
     time_successor,
@@ -129,10 +128,29 @@ def test_m3_structure():
 
 
 def test_every_state_valuation_in_region_closure():
-    for name in BUNDLED:
-        g = bg.explore(bundled(name))
-        for s in g.states:
-            assert closure_contains(s.region, s.valuation)
+    """Every state's point lies in the closure of its region at the state's
+    own scale, and every reward is at least 0: the fact `_Lattice.expand`
+    asserts per branch, which `python -O` strips.  On the arenas of the
+    per-state differential test (the bundled models and the seeded chains
+    of 1-3 clocks among them) and the back chains (3, 2, 2) and (4, 3, 2),
+    explored from the initial state and rooted at a closure sample of every
+    region the initial explore reaches."""
+    arenas = differential_arenas()
+    arenas["back3_2_2"] = parse_model(oracles.chain_document(
+        3, 2, 2, ("min", "max", "min"), (F(1, 2), F(1, 3), F(3, 4)), back=True))
+    arenas["back4_3_2"] = parse_model(oracles.chain_document(*oracles.CHAIN_4_3_2, back=True))
+    rng = random.Random(5)
+    for name, arena in arenas.items():
+        g = bg.explore(arena)
+        graphs = [g]
+        for loc, region in dict.fromkeys((s.location, s.region) for s in g.states):
+            d = rng.choice((1, 4, 64))
+            root = bg.BrgState(loc, sample_closure_scaled(region, rng, d), d, region)
+            graphs.append(bg.explore(arena, root=root))
+        for h in graphs:
+            for s in h.states:
+                assert closure_contains_scaled(s.region, s.point, s.scale), (name, s.label())
+            assert all(r >= 0 for row in h.rewards for r in row), name
 
 
 def test_rewards_nonnegative_distributions_stochastic():
@@ -340,9 +358,19 @@ def test_explore_matches_per_state_oracle():
         assert outcome(bg.explore, arena) == outcome(oracles.explore_per_state, arena), name
         for key in dict.fromkeys((s.location, s.region) for s in g.states):
             for d in (1, 4, 64, 64, 64):
-                root = bg.BrgState(key[0], *scaled_point(sample_closure(key[1], rng, d)), key[1])
+                root = bg.BrgState(key[0], sample_closure_scaled(key[1], rng, d), d, key[1])
                 got = outcome(bg.explore, arena, root=root)
                 assert got == outcome(oracles.explore_per_state, arena, root=root), (name, root)
+
+
+@pytest.mark.parametrize("name, states", [("diagonal4_3_2", 355), ("strict4_3_2", 279)])
+def test_guard_variants_match_per_state_oracle(name, states):
+    """The strict and the diagonal guard variant of the (4, 3, 2) chain
+    explore to the per-state construction's graph."""
+    arena = parse_model(oracles.GUARD_VARIANTS[name])
+    got = outcome(bg.explore, arena)
+    assert len(got[0]) == states
+    assert got == outcome(oracles.explore_per_state, arena)
 
 
 def mixed_lattice_point(region: ClockRegion, rng, interior: bool = False) -> ClockValuation:

@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bundled import STUCK
-from oracles import chain_document
+from oracles import GUARD_VARIANTS, chain_document
 from timedgames import cli, regions
 from timedgames.cli import main
 from timedgames.solver import SolveConfig
@@ -957,3 +957,17 @@ def test_golden_file_output(capsys, tmp_path, monkeypatch, key):
     code, out, _ = run(capsys, sub, str(path), *rest)
     written = hashlib.sha256((tmp_path / "FILE").read_bytes()).hexdigest()
     assert (code, hashlib.sha256(out.encode()).hexdigest(), written) == FILE_GOLDEN[key]
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_VARIANTS))
+def test_guard_variants_validate_clean_and_certify(capsys, tmp_path, name):
+    """The strict and the diagonal guard variant of the (4, 3, 2) chain are
+    well formed, and the exact solve certifies the value 5 on each."""
+    path = tmp_path / ("%s.model" % name)
+    path.write_text(GUARD_VARIANTS[name])
+    code, out, _ = run(capsys, "validate", str(path))
+    assert (code, out) == (0, "%s: no findings\n" % name)
+    code, out, _ = run(capsys, "solve", "--exact", "--json", str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["certified"] is True
+    assert doc["initial"]["value"] == {"rational": "5/1", "decimal": "5"}

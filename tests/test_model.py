@@ -266,7 +266,7 @@ def _assert_witnesses_flagged(arena: md.Arena) -> list[list[str]]:
     """The component check and the simple-cycle enumeration agree on the
     verdict, and every witness is a simple location cycle that the
     enumeration flags (up to rotation).  Returns the witnesses."""
-    witnesses = md.check_structural_nonzeno(arena)
+    witnesses = md.check_structural_nonzeno(arena, enumerate_regions(arena.ctx))
     flagged = set().union(*(_rotations(c) for c in enumerate_zeno_cycles(arena)))
     assert bool(witnesses) == bool(flagged), arena
     hops = {(e.source, br.target) for e in arena.edges for br in e.branches}
@@ -352,7 +352,7 @@ def test_nonzeno_reports_one_witness_per_component():
     arena = _hop_arena(("c",), n, [
         ("l%d" % s, "to%d" % t, "true", [([], t)]) for s in range(n) for t in range(n)
     ])
-    assert md.check_structural_nonzeno(arena) == [["l0"]]
+    assert md.check_structural_nonzeno(arena, enumerate_regions(arena.ctx)) == [["l0"]]
 
 
 def test_arena_indexes_keep_lookups_equality_and_hash():
@@ -409,16 +409,21 @@ def test_validate_flags_bad_initial():
 
 # ------------------------------------------------------- concrete semantics
 
+def legal(arena: md.Arena, state: md.ConcreteState, ta: md.TimedAction) -> bool:
+    """Whether `timed_successors` takes the timed move at state."""
+    return md.timed_successors(arena, state, ta) is not None
+
+
 def test_timed_action_allowed_m1():
     arena = bundled("M1")
     s0 = arena.initial
-    assert md.timed_action_allowed(arena, s0, md.TimedAction(Fraction(1), "a"))
-    assert md.timed_action_allowed(arena, s0, md.TimedAction(Fraction(3, 2), "a"))
-    assert md.timed_action_allowed(arena, s0, md.TimedAction(Fraction(2), "a"))
-    assert not md.timed_action_allowed(arena, s0, md.TimedAction(Fraction(1, 2), "a"))
-    assert not md.timed_action_allowed(arena, s0, md.TimedAction(Fraction(5, 2), "a"))
-    assert not md.timed_action_allowed(arena, s0, md.TimedAction(Fraction(-1), "a"))
-    assert not md.timed_action_allowed(arena, s0, md.TimedAction(Fraction(1), "nope"))
+    assert legal(arena, s0, md.TimedAction(Fraction(1), "a"))
+    assert legal(arena, s0, md.TimedAction(Fraction(3, 2), "a"))
+    assert legal(arena, s0, md.TimedAction(Fraction(2), "a"))
+    assert not legal(arena, s0, md.TimedAction(Fraction(1, 2), "a"))
+    assert not legal(arena, s0, md.TimedAction(Fraction(5, 2), "a"))
+    assert not legal(arena, s0, md.TimedAction(Fraction(-1), "a"))
+    assert not legal(arena, s0, md.TimedAction(Fraction(1), "nope"))
 
 
 def invariant_cap_arena() -> md.Arena:
@@ -444,8 +449,8 @@ def invariant_cap_arena() -> md.Arena:
 def test_timed_action_blocked_by_invariant():
     arena = invariant_cap_arena()
     s0 = arena.initial
-    assert md.timed_action_allowed(arena, s0, md.TimedAction(Fraction(1), "a"))
-    assert not md.timed_action_allowed(arena, s0, md.TimedAction(Fraction(3, 2), "a"))
+    assert legal(arena, s0, md.TimedAction(Fraction(1), "a"))
+    assert not legal(arena, s0, md.TimedAction(Fraction(3, 2), "a"))
 
 
 # invariants over clocks c, d with k = 2: all five operators, on single
@@ -506,7 +511,7 @@ def test_timed_action_allowed_matches_walking_oracle():
         seen = set()
         for state, ta in legality_cases(arena, rng, 400):
             expected = oracles.timed_action_allowed_walk(arena, state, ta)
-            assert md.timed_action_allowed(arena, state, ta) == expected, (arena.name, state, ta)
+            assert legal(arena, state, ta) == expected, (arena.name, state, ta)
             verdicts.add(expected)
             v, inv = state.valuation, arena.location_named(state.location).invariant
             shifted = [x + ta.delay for x in v.values]
@@ -538,8 +543,7 @@ def test_legality_check_builds_no_region(monkeypatch):
     monkeypatch.setattr(ClockRegion, "__post_init__", counted)
     verdicts = set()
     for arena, state, ta in cases:
-        allowed = md.timed_action_allowed(arena, state, ta)
-        assert (md.timed_successors(arena, state, ta) is None) is not allowed
+        allowed = legal(arena, state, ta)
         if allowed:
             md.concrete_step(arena, state, ta)
         verdicts.add(allowed)

@@ -29,11 +29,10 @@ from oracles import chain_document
 from test_cli import CHAINS
 from timedgames import brg, properties, regions
 from timedgames.brg import BrgState
-from timedgames.model import ConcreteState, TimedAction, parse_model, timed_action_allowed
+from timedgames.model import ConcreteState, TimedAction, parse_model, timed_successors
 from timedgames.properties import (
     SimpleForm,
     check_quasi_simple,
-    check_time_monotone,
     fit_simple,
     grid_one_step_value,
     sample_states,
@@ -164,7 +163,7 @@ CLEAN_CASES = [
 @pytest.mark.parametrize("arena,loc,x", CLEAN_CASES)
 def test_quasi_simple_clean(arena, loc, x):
     report = check_quasi_simple(arena, loc, reg(arena, x), pairs=80, seed=5)
-    assert report.ok, report.summary()
+    assert report.ok, report
     assert report.pairs_checked == 80
     assert report.diag_pairs_checked == 80
     assert report.max_lipschitz_ratio <= report.k_bound
@@ -261,16 +260,16 @@ def test_quasi_simple_detects_decrease_faster_than_time():
 
 def test_time_monotone_clean():
     state = ConcreteState("l0", val(M1, 0))
-    assert check_time_monotone(M1, state, "a", reg(M1, "3/2"), grid=12) == []
+    assert oracles.check_time_monotone(M1, state, "a", reg(M1, "3/2"), grid=12) == []
     # a thin target admits one delay only
-    assert check_time_monotone(M1, state, "a", reg(M1, 1)) == []
+    assert oracles.check_time_monotone(M1, state, "a", reg(M1, 1)) == []
 
 
 def test_time_monotone_detects_decreasing_evaluator():
     sink = lambda loc, v: -2 * v.value("c")
     state = ConcreteState("l0", val(M1, 0))
-    bad = check_time_monotone(M1, state, "a", reg(M1, "3/2"), grid=8,
-                              evaluator=sink)
+    bad = oracles.check_time_monotone(M1, state, "a", reg(M1, "3/2"), grid=8,
+                                      evaluator=sink)
     assert bad
     t1, t2, f1, f2 = bad[0]
     assert t1 < t2 and f2 < f1
@@ -279,12 +278,12 @@ def test_time_monotone_detects_decreasing_evaluator():
 def test_time_monotone_rejects_bad_inputs():
     state = ConcreteState("l0", val(M1, 0))
     with pytest.raises(ValueError, match="no edge"):
-        check_time_monotone(M1, state, "zzz", reg(M1, "3/2"))
+        oracles.check_time_monotone(M1, state, "zzz", reg(M1, "3/2"))
     with pytest.raises(ValueError, match="not enabled"):
-        check_time_monotone(M1, state, "a", reg(M1, "1/2"))
+        oracles.check_time_monotone(M1, state, "a", reg(M1, "1/2"))
     late = ConcreteState("l0", val(M1, "3/2"))
     with pytest.raises(ValueError, match="future"):
-        check_time_monotone(M1, late, "a", reg(M1, 1))
+        oracles.check_time_monotone(M1, late, "a", reg(M1, 1))
 
 
 def test_time_monotone_refuses_target_past_the_invariant():
@@ -301,10 +300,10 @@ edges:
 initial: {location: l0, valuation: {c: "0"}}
 """)
     state = ConcreteState("l0", val(arena, 0))
-    assert not timed_action_allowed(arena, state, TimedAction(Fraction(3, 2), "a"))
+    assert timed_successors(arena, state, TimedAction(Fraction(3, 2), "a")) is None
     with pytest.raises(ValueError, match="invariant of l0"):
-        check_time_monotone(arena, state, "a", reg(arena, "3/2"))
-    assert check_time_monotone(arena, state, "a", reg(arena, 1)) == []
+        oracles.check_time_monotone(arena, state, "a", reg(arena, "3/2"))
+    assert oracles.check_time_monotone(arena, state, "a", reg(arena, 1)) == []
 
 
 def test_grid_one_step_matches_exact_value():

@@ -33,6 +33,7 @@ from oracles import (
     chain_document,
     dense_evaluate,
     end_components_whole,
+    eval_form,
     evaluate_per_component_system,
     exact_table_per_action,
     fraction_row_table,
@@ -761,7 +762,7 @@ def test_simple_forms_m1():
     assert forms[("l0", g.states[0].region)] == SimpleForm(1, "c")
     res = sv.solve_exact(g)
     for i, s in enumerate(g.states):
-        assert forms[(s.location, s.region)].eval(s.valuation) == res.values[i]
+        assert eval_form(forms[(s.location, s.region)], s.valuation) == res.values[i]
 
 
 def test_simple_forms_m1x():
@@ -770,7 +771,7 @@ def test_simple_forms_m1x():
     assert forms[("l0", g.states[0].region)] == SimpleForm(2, "c")
     res = sv.solve_exact(g)
     for i, s in enumerate(g.states):
-        assert forms[(s.location, s.region)].eval(s.valuation) == res.values[i]
+        assert eval_form(forms[(s.location, s.region)], s.valuation) == res.values[i]
 
 
 def test_simple_forms_fire_now_region_is_zero():
